@@ -65,9 +65,9 @@ serve-smoke:
 	./scripts/serve_smoke.sh
 
 # Streaming /solve/batch check: a ~35 MB batch must stream back
-# byte-identical to the buffered path, twice (determinism), with the
-# server's peak RSS below the body size, and a small -max-batch-bytes
-# must produce the typed 413.
+# byte-identical to the per-instance /solve answers, twice
+# (determinism), with the server's peak RSS below the body size, and a
+# small -max-batch-bytes must produce the typed 413.
 batch-smoke:
 	./scripts/batch_stream_smoke.sh
 

@@ -29,8 +29,8 @@
 // so a library call, an experiment trial, a CLI invocation and an
 // aaserve request all execute the same code path. For concurrent
 // workloads, SolveBatch and SolverPool fan independent solves out
-// across a worker pool with per-request cancellation, bounded queueing
-// and backpressure (see internal/solverpool).
+// across the engine's bounded worker pool with per-request
+// cancellation and queue backpressure.
 //
 // Beyond Solve, the package re-exports the super-optimal upper bound,
 // Algorithm 1, the exact solvers for small instances, the comparison
@@ -51,7 +51,6 @@ import (
 	"aa/internal/experiment"
 	"aa/internal/gen"
 	"aa/internal/rng"
-	"aa/internal/solverpool"
 	"aa/internal/utility"
 )
 
@@ -193,42 +192,70 @@ func Polish(in *Instance, a Assignment) Assignment {
 	return core.PolishAllocations(in, a)
 }
 
-// Batch solving (internal/solverpool): a worker-pool engine that fans
-// independent solves out across GOMAXPROCS workers with per-request
-// context cancellation, bounded queueing with reject-with-error
-// backpressure, and atomic counters.
-type (
-	// SolverPool is a long-lived worker pool for streams of solve
-	// requests. Create with NewSolverPool, release with Close.
-	SolverPool = solverpool.Pool
-	// SolverPoolOptions configure worker count and queue depth.
-	SolverPoolOptions = solverpool.Options
-	// SolverPoolStats is a snapshot of a pool's counters.
-	SolverPoolStats = solverpool.Stats
-)
+// Batch solving: Algorithm 2 solves fanned out across a bounded worker
+// pool behind the engine pipeline, with per-request cancellation and
+// queue backpressure. Pool activity is counted in the process-wide
+// aa_pool_* telemetry metrics.
+
+// SolverPool is a long-lived worker pool for streams of Algorithm 2
+// solves. Create with NewSolverPool, release with Close. Safe for
+// concurrent use.
+type SolverPool struct{ eng *engine.Engine }
+
+// SolverPoolOptions configure a SolverPool. The zero value gives
+// GOMAXPROCS workers and a queue of twice that depth.
+type SolverPoolOptions struct {
+	// Workers is the number of solver goroutines; <= 0 means GOMAXPROCS.
+	Workers int
+	// QueueDepth bounds the solves waiting for a worker; <= 0 means
+	// 2×Workers.
+	QueueDepth int
+	// Check verifies every result (feasibility plus the α guarantee)
+	// and fails the solve with ErrInfeasible or ErrRatioViolation
+	// instead of returning a bad assignment.
+	Check bool
+}
 
 // ErrQueueFull is the backpressure signal returned by SolverPool.Submit
 // when the bounded job queue is at capacity.
-var ErrQueueFull = solverpool.ErrQueueFull
+var ErrQueueFull = engine.ErrQueueFull
 
-// NewSolverPool starts a batch-solve worker pool. The zero options give
-// GOMAXPROCS workers and a queue of twice that depth.
-func NewSolverPool(opts SolverPoolOptions) *SolverPool { return solverpool.New(opts) }
+// NewSolverPool starts a solver pool; its workers start on first use.
+func NewSolverPool(opts SolverPoolOptions) *SolverPool {
+	return &SolverPool{eng: engine.New(engine.Options{
+		Workers: opts.Workers, QueueDepth: opts.QueueDepth, Check: opts.Check,
+	})}
+}
 
-// SolveBatch solves the instances concurrently across GOMAXPROCS
-// workers and returns one Algorithm 2 assignment per instance, in input
-// order, through the engine pipeline. The first failure cancels the
-// remaining solves; cancelling ctx returns promptly with ctx.Err().
-// Callers with a steady stream of requests should hold a NewSolverPool
-// instead of paying pool startup per batch.
-func SolveBatch(ctx context.Context, ins []*Instance) ([]Assignment, error) {
-	eng := engine.New(engine.Options{})
-	defer eng.Close()
+// Solve runs Algorithm 2 on one instance on the pool, waiting for a
+// queue slot when the queue is full.
+func (p *SolverPool) Solve(ctx context.Context, in *Instance) (Assignment, error) {
+	out, err := p.SolveBatch(ctx, []*Instance{in})
+	if err != nil {
+		return Assignment{}, err
+	}
+	return out[0], nil
+}
+
+// Submit is Solve without the wait for a queue slot: it fails with
+// ErrQueueFull when the queue is at capacity.
+func (p *SolverPool) Submit(ctx context.Context, in *Instance) (Assignment, error) {
+	resp, err := p.eng.Submit(ctx, &engine.Request{Instance: in})
+	if err != nil {
+		return Assignment{}, err
+	}
+	return resp.Assignment, nil
+}
+
+// SolveBatch solves the instances concurrently on the pool and returns
+// one Algorithm 2 assignment per instance, in input order. The first
+// failure cancels the remaining solves and is returned.
+func (p *SolverPool) SolveBatch(ctx context.Context, ins []*Instance) ([]Assignment, error) {
 	reqs := make([]*engine.Request, len(ins))
 	for i, in := range ins {
 		reqs[i] = &engine.Request{Instance: in}
 	}
-	resps, err := eng.SolveBatch(ctx, reqs)
+	resps, err := p.eng.SolveBatch(ctx, reqs)
 	if err != nil {
 		return nil, err
 	}
@@ -237,6 +264,22 @@ func SolveBatch(ctx context.Context, ins []*Instance) ([]Assignment, error) {
 		out[i] = resp.Assignment
 	}
 	return out, nil
+}
+
+// Close waits for queued and running solves to finish and stops the
+// workers. Closing twice is a no-op.
+func (p *SolverPool) Close() { p.eng.Close() }
+
+// SolveBatch solves the instances concurrently across GOMAXPROCS
+// workers and returns one Algorithm 2 assignment per instance, in input
+// order. The first failure cancels the remaining solves; cancelling ctx
+// returns ctx.Err() once the solves already running have stopped.
+// Callers with a steady stream of requests should hold a NewSolverPool
+// instead of paying pool startup per batch.
+func SolveBatch(ctx context.Context, ins []*Instance) ([]Assignment, error) {
+	p := NewSolverPool(SolverPoolOptions{})
+	defer p.Close()
+	return p.SolveBatch(ctx, ins)
 }
 
 // Verification (internal/check): opt-in invariant checking for solver

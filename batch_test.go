@@ -60,22 +60,83 @@ func TestSolveBatchCancelledPromptly(t *testing.T) {
 	}
 }
 
+// TestSolverPoolFacade drives every SolverPool entry point: Solve,
+// Submit and SolveBatch agree with Solve; an invalid instance and a
+// dead context fail; Close is idempotent and later solves fail.
 func TestSolverPoolFacade(t *testing.T) {
 	p := NewSolverPool(SolverPoolOptions{Workers: 2})
-	defer p.Close()
+	ctx := context.Background()
 	ins := generateBatch(t, 4, 10)
-	for _, in := range ins {
-		a, err := p.Solve(context.Background(), in)
+	batch, err := p.SolveBatch(ctx, ins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, in := range ins {
+		want := Solve(in).Utility(in)
+		a, err := p.Solve(ctx, in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := a.Validate(in, 1e-9); err != nil {
-			t.Errorf("pool assignment infeasible: %v", err)
+		if got := a.Utility(in); got != want {
+			t.Errorf("instance %d: pool Solve utility %v, want %v", i, got, want)
+		}
+		if got := batch[i].Utility(in); got != want {
+			t.Errorf("instance %d: pool SolveBatch utility %v, want %v", i, got, want)
+		}
+		a, err = p.Submit(ctx, in)
+		if errors.Is(err, ErrQueueFull) {
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := a.Utility(in); got != want {
+			t.Errorf("instance %d: pool Submit utility %v, want %v", i, got, want)
 		}
 	}
-	st := p.Snapshot()
-	if st.Completed != 4 || st.Workers != 2 {
-		t.Errorf("stats = %+v, want 4 completed on 2 workers", st)
+	if _, err := p.Solve(ctx, &Instance{M: 0, C: 1}); err == nil {
+		t.Error("invalid instance accepted")
+	}
+	dead, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := p.Solve(dead, ins[0]); !errors.Is(err, context.Canceled) {
+		t.Errorf("dead ctx: %v, want context.Canceled", err)
+	}
+	p.Close()
+	p.Close()
+	if _, err := p.Solve(ctx, ins[0]); err == nil {
+		t.Error("Solve on a closed pool succeeded")
+	}
+}
+
+// TestSolverPoolSolveMatchesSolve: the pool runs the same Algorithm 2
+// pipeline as Solve, bit for bit.
+func TestSolverPoolSolveMatchesSolve(t *testing.T) {
+	p := NewSolverPool(SolverPoolOptions{Workers: 4})
+	defer p.Close()
+	for i, in := range generateBatch(t, 5, 40) {
+		got, err := p.Solve(context.Background(), in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := Solve(in)
+		for k := range want.Server {
+			if got.Server[k] != want.Server[k] || got.Alloc[k] != want.Alloc[k] {
+				t.Fatalf("instance %d thread %d: pool (%d, %v) != Solve (%d, %v)",
+					i, k, got.Server[k], got.Alloc[k], want.Server[k], want.Alloc[k])
+			}
+		}
+	}
+}
+
+func TestSolverPoolSolveRespectsDeadline(t *testing.T) {
+	p := NewSolverPool(SolverPoolOptions{Workers: 1, QueueDepth: 1})
+	defer p.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	in := generateBatch(t, 1, 8000)[0]
+	if _, err := p.Solve(ctx, in); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 }
 

@@ -34,7 +34,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
 
 	"aa/internal/cliutil"
 	"aa/internal/online"
@@ -178,55 +177,22 @@ func simulateGrid(ctx context.Context, workers, m int, c float64, timeline []onl
 	pool := solverpool.New(solverpool.Options{Workers: workers})
 	defer pool.Close()
 
+	cells := len(costs) + 1
 	grid := make([][]online.Result, len(policies))
 	for pi := range grid {
-		grid[pi] = make([]online.Result, len(costs)+1)
+		grid[pi] = make([]online.Result, cells)
 	}
-	gctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	fail := func(e error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = e
+	err := pool.ForEach(ctx, len(policies)*cells, func(_ context.Context, k int) error {
+		pi, cell := k/cells, k%cells
+		cost := 0.0
+		if cell > 0 {
+			cost = costs[cell-1]
 		}
-		mu.Unlock()
-		cancel()
-	}
-	for pi := range policies {
-		for cell := 0; cell <= len(costs); cell++ {
-			pi, cell := pi, cell
-			cost := 0.0
-			if cell > 0 {
-				cost = costs[cell-1]
-			}
-			wg.Add(1)
-			task := func(tctx context.Context) error {
-				defer wg.Done()
-				if err := tctx.Err(); err != nil {
-					fail(err)
-					return err
-				}
-				res, err := online.Simulate(m, c, timeline, policies[pi], cost, horizon)
-				if err != nil {
-					fail(err)
-					return err
-				}
-				grid[pi][cell] = res
-				return nil
-			}
-			if err := pool.Enqueue(gctx, task); err != nil {
-				wg.Done()
-				fail(err)
-			}
-		}
-	}
-	wg.Wait()
-	return grid, firstErr
+		res, err := online.Simulate(m, c, timeline, policies[pi], cost, horizon)
+		grid[pi][cell] = res
+		return err
+	})
+	return grid, err
 }
 
 // buildTimeline mirrors the churn generator used by the online tests.

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -9,54 +10,71 @@ import (
 	"testing"
 
 	"aa/internal/engine"
+	"aa/internal/instio"
 )
 
-// newBatchServer builds a test server with explicit batch settings;
-// newTestServer (main_test.go) keeps the zero-value buffered defaults.
-func newBatchServer(t *testing.T, stream bool, maxBytes int64) *httptest.Server {
+// newBatchServer builds a test server with a -max-batch-bytes cap;
+// newTestServer (main_test.go) leaves batches unlimited.
+func newBatchServer(t *testing.T, maxBytes int64) *httptest.Server {
 	t.Helper()
 	eng := engine.New(engine.Options{Backend: "a2", Workers: 2})
 	t.Cleanup(eng.Close)
-	ts := httptest.NewServer((&server{
-		eng: eng, backend: "a2",
-		streamBatch:   stream,
-		maxBatchBytes: maxBytes,
-	}).mux())
+	ts := httptest.NewServer((&server{eng: eng, backend: "a2", maxBatchBytes: maxBytes}).mux())
 	t.Cleanup(ts.Close)
 	return ts
 }
 
 // TestBatchStreamMatchesBuffered pins the wire contract of the
-// streaming rewrite: for the same batch, the streaming handler must
-// produce byte-for-byte the output of the buffered json.Encoder path it
-// replaced — same framing, same indentation, same trailing newline.
+// streaming handler: for the same batch it must produce byte-for-byte
+// what a json.Encoder with two-space indentation writes for the array
+// of per-instance /solve answers — the output of the buffered handler
+// it replaced: same framing, same indentation, same trailing newline.
 func TestBatchStreamMatchesBuffered(t *testing.T) {
-	buffered := newBatchServer(t, false, 0)
-	streamed := newBatchServer(t, true, 0)
-	for _, batch := range []string{
-		"[" + demoInstance + "]",
-		"[" + demoInstance + "," + demoInstance + "," + demoInstance + "]",
+	ts := newBatchServer(t, 0)
+	resp, body := postSolve(t, ts, "/solve", demoInstance)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/solve status %d: %s", resp.StatusCode, body)
+	}
+	var one instio.AssignmentJSON
+	if err := json.Unmarshal(body, &one); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		batch string
+		count int
+	}{
+		{"[" + demoInstance + "]", 1},
+		{"[" + demoInstance + "," + demoInstance + "," + demoInstance + "]", 3},
 		// Whitespace between elements must not leak into the output.
-		"[\n  " + demoInstance + " ,\n\t" + demoInstance + "\n]",
+		{"[\n  " + demoInstance + " ,\n\t" + demoInstance + "\n]", 2},
 	} {
-		respB, bodyB := postSolve(t, buffered, "/solve/batch", batch)
-		respS, bodyS := postSolve(t, streamed, "/solve/batch", batch)
-		if respB.StatusCode != http.StatusOK || respS.StatusCode != http.StatusOK {
-			t.Fatalf("status buffered %d, streamed %d: %s", respB.StatusCode, respS.StatusCode, bodyS)
+		var want bytes.Buffer
+		enc := json.NewEncoder(&want)
+		enc.SetIndent("", "  ")
+		all := make([]instio.AssignmentJSON, tc.count)
+		for i := range all {
+			all[i] = one
 		}
-		if string(bodyB) != string(bodyS) {
-			t.Fatalf("streamed body differs from buffered:\n--- buffered ---\n%s\n--- streamed ---\n%s", bodyB, bodyS)
+		if err := enc.Encode(all); err != nil {
+			t.Fatal(err)
 		}
-		if ct := respS.Header.Get("Content-Type"); ct != "application/json; charset=utf-8" {
+		resp, got := postSolve(t, ts, "/solve/batch", tc.batch)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, got)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("streamed body differs from the encoded /solve answers:\n--- want ---\n%s\n--- streamed ---\n%s", want.Bytes(), got)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json; charset=utf-8" {
 			t.Fatalf("streamed Content-Type = %q", ct)
 		}
 	}
 }
 
-// TestBatchStreamErrors: request-side failures on the streaming path
-// keep the buffered path's status codes.
+// TestBatchStreamErrors: request-side failures found before any output
+// map to 400 with a message naming the fault.
 func TestBatchStreamErrors(t *testing.T) {
-	ts := newBatchServer(t, true, 0)
+	ts := newBatchServer(t, 0)
 	for _, tc := range []struct {
 		name, body string
 		status     int
@@ -82,7 +100,7 @@ func TestBatchStreamErrors(t *testing.T) {
 // the 200 response is on the wire, so the server aborts the connection
 // rather than dressing the truncated array up as a success.
 func TestBatchStreamMidStreamAbort(t *testing.T) {
-	ts := newBatchServer(t, true, 0)
+	ts := newBatchServer(t, 0)
 	batch := "[" + demoInstance + "," + demoInstance + "," + `{"m": "broken"` + "]"
 	resp, err := http.Post(ts.URL+"/solve/batch", "application/json", strings.NewReader(batch))
 	if err == nil {
@@ -104,29 +122,27 @@ func TestBatchStreamMidStreamAbort(t *testing.T) {
 // nothing. The regression this pins: the old handler buffered the whole
 // body first and would have tried to allocate it.
 func TestBatchTooLarge(t *testing.T) {
-	for _, stream := range []bool{true, false} {
-		eng := engine.New(engine.Options{Backend: "a2", Workers: 1})
-		t.Cleanup(eng.Close)
-		h := (&server{eng: eng, backend: "a2", streamBatch: stream, maxBatchBytes: 1 << 20}).mux()
+	eng := engine.New(engine.Options{Backend: "a2", Workers: 1})
+	t.Cleanup(eng.Close)
+	h := (&server{eng: eng, backend: "a2", maxBatchBytes: 1 << 20}).mux()
 
-		req := httptest.NewRequest(http.MethodPost, "/solve/batch", strings.NewReader("[]"))
-		req.ContentLength = 5 << 30 // a 5 GiB declaration, no actual payload
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		if rec.Code != http.StatusRequestEntityTooLarge {
-			t.Fatalf("stream=%v: status %d, want 413: %s", stream, rec.Code, rec.Body)
-		}
-		var e struct {
-			Code  string `json:"code"`
-			Limit int64  `json:"limitBytes"`
-			Size  int64  `json:"sizeBytes"`
-		}
-		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
-			t.Fatalf("stream=%v: 413 body is not JSON: %v\n%s", stream, err, rec.Body)
-		}
-		if e.Code != "batch_too_large" || e.Limit != 1<<20 || e.Size != 5<<30 {
-			t.Fatalf("stream=%v: typed error %+v", stream, e)
-		}
+	req := httptest.NewRequest(http.MethodPost, "/solve/batch", strings.NewReader("[]"))
+	req.ContentLength = 5 << 30 // a 5 GiB declaration, no actual payload
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413: %s", rec.Code, rec.Body)
+	}
+	var e struct {
+		Code  string `json:"code"`
+		Limit int64  `json:"limitBytes"`
+		Size  int64  `json:"sizeBytes"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+		t.Fatalf("413 body is not JSON: %v\n%s", err, rec.Body)
+	}
+	if e.Code != "batch_too_large" || e.Limit != 1<<20 || e.Size != 5<<30 {
+		t.Fatalf("typed error %+v", e)
 	}
 }
 
@@ -134,7 +150,7 @@ func TestBatchTooLarge(t *testing.T) {
 // overruns the cap mid-read is also rejected with the typed 413 — the
 // MaxBytesReader catches what the up-front check cannot see.
 func TestBatchTooLargeChunked(t *testing.T) {
-	ts := newBatchServer(t, true, 64)
+	ts := newBatchServer(t, 64)
 	body := "[" + demoInstance + "]" // well-formed, just over 64 bytes
 	req, err := http.NewRequest(http.MethodPost, ts.URL+"/solve/batch", io.NopCloser(strings.NewReader(body)))
 	if err != nil {
@@ -159,7 +175,7 @@ func TestBatchTooLargeChunked(t *testing.T) {
 // decode/solve/emit overlap through the HTTP stack and checks every
 // element of the response array arrives intact and in order.
 func TestBatchStreamLargeBatch(t *testing.T) {
-	ts := newBatchServer(t, true, 0)
+	ts := newBatchServer(t, 0)
 	const k = 40
 	elems := make([]string, k)
 	for i := range elems {

@@ -8,8 +8,7 @@
 //	        [-deadline 0] [-history-interval 10s] [-metrics-addr host:port]
 //	        [-trace-out file.jsonl] [-profile-dir dir] [-check]
 //	        [-cache memory] [-cache-size 1024] [-cache-ttl 0] [-cache-warm-k 8]
-//	        [-max-batch-bytes 1073741824] [-stream-batch] [-parallel-threshold 0]
-//	        [-drain-grace 0]
+//	        [-max-batch-bytes 1073741824] [-parallel-threshold 0] [-drain-grace 0]
 //
 // Endpoints:
 //
@@ -50,13 +49,14 @@
 // the solve queue is full (retry later); 504 when the deadline expires
 // mid-solve.
 //
-// By default /solve/batch streams: instances are decoded off the wire
-// one at a time, solved through the worker pool with a bounded
-// in-flight window, and each assignment is written as soon as it is
-// ready, so server memory is bounded by the window rather than the
-// batch. The bytes produced are identical to the buffered path
-// (-stream-batch=false); a solve failure after the response has begun
-// aborts the connection mid-array rather than fabricating a status.
+// /solve/batch streams: instances are decoded off the wire one at a
+// time, solved through the worker pool with a bounded in-flight window,
+// and each assignment is written as soon as it is ready, so server
+// memory is bounded by the window rather than the batch. The body is
+// the JSON array a json.Encoder with two-space indentation would write
+// for the same assignments; a solve failure after the response has
+// begun aborts the connection mid-array rather than fabricating a
+// status.
 //
 // On SIGINT/SIGTERM, /readyz flips to 503 immediately, the listener
 // stays open for -drain-grace (so load balancers and the aarelay prober
@@ -70,7 +70,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -81,7 +80,6 @@ import (
 	"math"
 	"net/http"
 	"os"
-	"runtime"
 	"strconv"
 	"time"
 
@@ -110,8 +108,6 @@ type server struct {
 	health   *serveutil.Health
 
 	maxBatchBytes int64 // /solve/batch body cap; <= 0 = unlimited
-	streamBatch   bool  // stream /solve/batch instead of buffering it
-	batchInFlight int   // streaming window; <= 0 lets the engine pick
 }
 
 // run is the testable body of the command. ready, when non-nil,
@@ -129,8 +125,6 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 			"metrics-history snapshot interval for /metrics/history (0 disables)")
 		maxBatchBytes = fs.Int64("max-batch-bytes", 1<<30,
 			"reject /solve/batch bodies larger than this with 413 (0 = unlimited)")
-		streamBatch = fs.Bool("stream-batch", true,
-			"stream /solve/batch: decode, solve and respond incrementally with bounded memory (false = buffer the whole batch)")
 		parallelThreshold = fs.Int("parallel-threshold", 0,
 			"instance size at which the core solver goes multi-core (0 = GOMAXPROCS-aware default)")
 		drainGrace = fs.Duration("drain-grace", 0,
@@ -179,16 +173,10 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 	})
 	defer eng.Close()
 	log := slog.New(slog.NewJSONHandler(stderr, nil))
-	wk := *workers
-	if wk <= 0 {
-		wk = runtime.GOMAXPROCS(0)
-	}
 	srv := &server{
 		eng: eng, backend: *backend, deadline: *deadline, log: log,
 		health:        &serveutil.Health{},
 		maxBatchBytes: *maxBatchBytes,
-		streamBatch:   *streamBatch,
-		batchInFlight: 2*wk + 2,
 	}
 
 	return serveutil.ListenAndServe(serveutil.ServeConfig{
@@ -295,6 +283,22 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	writeAssignment(w, in, resp)
 }
 
+// batchBodyError marks a request-side decode failure inside the
+// streaming batch pipeline so the handler maps it to 400 (the client
+// sent a bad element) rather than 500.
+type batchBodyError struct{ err error }
+
+func (e *batchBodyError) Error() string { return e.err.Error() }
+func (e *batchBodyError) Unwrap() error { return e.err }
+
+// handleBatch decodes instances off the request body one at a time,
+// pipelines them through the engine with a bounded in-flight window,
+// and writes each assignment as soon as it is solved. Memory stays
+// proportional to the window (and the largest single instance), not to
+// the batch, while the bytes on the wire are what a json.Encoder with
+// SetIndent("", "  ") writes for the whole []AssignmentJSON:
+// "[\n  ", elements rendered by MarshalIndent at one indent level,
+// ",\n  " separators, "\n]\n".
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST a JSON array of instances", http.StatusMethodNotAllowed)
@@ -321,76 +325,6 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, deadline)
 		defer cancel()
 	}
-	if s.streamBatch {
-		s.handleBatchStream(ctx, w, r, &proto)
-		return
-	}
-	s.handleBatchBuffered(ctx, w, r, &proto)
-}
-
-// handleBatchBuffered is the legacy batch path (-stream-batch=false): it
-// materializes the whole request and the whole response in memory.
-// Retained as the reference the streaming path is byte-compared against
-// (scripts/batch_stream_smoke.sh) and as an escape hatch.
-func (s *server) handleBatchBuffered(ctx context.Context, w http.ResponseWriter, r *http.Request, proto *engine.Request) {
-	var raw []json.RawMessage
-	if err := json.NewDecoder(r.Body).Decode(&raw); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeBatchTooLarge(w, -1, tooBig.Limit)
-			return
-		}
-		http.Error(w, fmt.Sprintf("batch body: %v", err), http.StatusBadRequest)
-		return
-	}
-	if len(raw) == 0 {
-		http.Error(w, "empty batch", http.StatusBadRequest)
-		return
-	}
-	ins := make([]*core.Instance, len(raw))
-	reqs := make([]*engine.Request, len(raw))
-	for i, msg := range raw {
-		in, err := instio.Decode(bytes.NewReader(msg))
-		if err != nil {
-			http.Error(w, fmt.Sprintf("instance %d: %v", i, err), http.StatusBadRequest)
-			return
-		}
-		r := *proto
-		r.Instance = in
-		ins[i], reqs[i] = in, &r
-	}
-	resps, err := s.eng.SolveBatch(ctx, reqs)
-	if err != nil {
-		writeSolveError(w, err)
-		return
-	}
-	out := make([]instio.AssignmentJSON, len(resps))
-	for i, resp := range resps {
-		out[i] = assignmentJSON(ins[i], resp)
-	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(out)
-}
-
-// batchBodyError marks a request-side decode failure inside the
-// streaming batch pipeline so the handler maps it to 400 (the client
-// sent a bad element) rather than 500.
-type batchBodyError struct{ err error }
-
-func (e *batchBodyError) Error() string { return e.err.Error() }
-func (e *batchBodyError) Unwrap() error { return e.err }
-
-// handleBatchStream is the default /solve/batch path: it decodes
-// instances off the request body one at a time, pipelines them through
-// the engine with a bounded in-flight window, and writes each
-// assignment as soon as it is solved. Memory stays proportional to the
-// window (and the largest single instance), not to the batch, while the
-// bytes on the wire are identical to handleBatchBuffered's encoder
-// output: "[\n  ", elements rendered by MarshalIndent at one indent
-// level, ",\n  " separators, "\n]\n".
-func (s *server) handleBatchStream(ctx context.Context, w http.ResponseWriter, r *http.Request, proto *engine.Request) {
 	// The pipeline reads the tail of the request body while writing the
 	// head of the response; without this the HTTP/1 server closes the
 	// body at the first write. Best-effort: HTTP/2 is always full
@@ -409,16 +343,6 @@ func (s *server) handleBatchStream(ctx context.Context, w http.ResponseWriter, r
 		http.Error(w, fmt.Sprintf("batch body: %v", err), http.StatusBadRequest)
 		return
 	}
-	win := s.batchInFlight
-	if win <= 0 {
-		win = 2*runtime.GOMAXPROCS(0) + 2
-	}
-	// The engine hands responses back in input order but without their
-	// instances; insq carries each decoded instance from next to emit in
-	// the same order. The decoder runs at most win+1 requests ahead of
-	// the emitter (the stream window is the bound), so the extra slack
-	// means sends below never block.
-	insq := make(chan *core.Instance, win+4)
 	idx := 0
 	next := func() (*engine.Request, error) {
 		if !dec.More() {
@@ -431,15 +355,14 @@ func (s *server) handleBatchStream(ctx context.Context, w http.ResponseWriter, r
 		if err != nil {
 			return nil, &batchBodyError{fmt.Errorf("instance %d: %w", idx, err)}
 		}
-		req := *proto
+		req := proto
 		req.Instance = in
-		insq <- in
 		idx++
 		return &req, nil
 	}
 	started := false
-	emit := func(resp *engine.Response) error {
-		buf, err := json.MarshalIndent(assignmentJSON(<-insq, resp), "  ", "  ")
+	emit := func(req *engine.Request, resp *engine.Response) error {
+		buf, err := json.MarshalIndent(assignmentJSON(req.Instance, resp), "  ", "  ")
 		if err != nil {
 			return err
 		}
@@ -455,7 +378,7 @@ func (s *server) handleBatchStream(ctx context.Context, w http.ResponseWriter, r
 		_, err = w.Write(buf)
 		return err
 	}
-	_, err := s.eng.SolveBatchStream(ctx, next, emit, win)
+	_, err = s.eng.SolveBatchStream(ctx, next, emit)
 	switch {
 	case err != nil && !started:
 		// Nothing is on the wire yet, so a real error response is still

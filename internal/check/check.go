@@ -5,8 +5,8 @@
 // against independent ground truths on small instances.
 //
 // Checking is opt-in. The process-wide switch (Enable / AA_CHECK=1 /
-// the CLIs' -check flag) turns on post-solve verification in the solver
-// pool, the experiment harness and the online simulator; library callers
+// the CLIs' -check flag) turns on post-solve verification in the engine
+// pipeline, the experiment harness and the online simulator; library callers
 // can also invoke the checks directly. Every check outcome is counted in
 // the aa_check_total / aa_check_violations_total telemetry counters, so
 // a long -check run can assert "zero violations" from /metrics alone.
@@ -61,8 +61,8 @@ var (
 // telemetry.Enable's atomic-bool pattern.
 var enabled atomic.Bool
 
-// Enable turns on process-wide post-solve checking in the solver pool,
-// the experiment harness and the online simulator.
+// Enable turns on process-wide post-solve checking in the engine
+// pipeline, the experiment harness and the online simulator.
 func Enable() { enabled.Store(true) }
 
 // Disable turns process-wide checking back off.
@@ -270,16 +270,4 @@ func (r RatioReport) probeAlpha(eps float64) error {
 			ErrRatio, r.Ratio, core.Alpha, r.F, r.FHat)
 	}
 	return err
-}
-
-// PostSolve is the solver-pool hook: one call verifies an Algorithm 2
-// result end to end — feasibility plus the α-ratio guarantee against a
-// freshly computed super-optimal bound. It costs roughly one extra
-// water-filling pass per solve, which is why the pool only runs it when
-// opted in (Options.Check or the process-wide Enable).
-func PostSolve(in *core.Instance, a core.Assignment) error {
-	if err := Feasible(in, a, DefaultEps); err != nil {
-		return err
-	}
-	return Ratio(in, a).CheckAlpha(DefaultRatioEps)
 }

@@ -130,17 +130,6 @@ func TestRatioComputesAgainstSuperOpt(t *testing.T) {
 	}
 }
 
-func TestPostSolve(t *testing.T) {
-	in := demoInstance()
-	if err := PostSolve(in, core.Assign2(in)); err != nil {
-		t.Errorf("PostSolve rejected Assign2: %v", err)
-	}
-	bad := core.Assignment{Server: []int{0, 0, 0}, Alloc: []float64{200, 30, 50}}
-	if err := PostSolve(in, bad); !errors.Is(err, ErrInfeasible) {
-		t.Errorf("PostSolve accepted an infeasible assignment: %v", err)
-	}
-}
-
 func TestEnableDisable(t *testing.T) {
 	defer Disable()
 	if Enabled() {

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -141,7 +142,7 @@ func Differential(opts DiffOptions) *DiffReport {
 
 // checkInstance runs every cross-check on one generated instance.
 func (rep *DiffReport) checkInstance(where string, in *core.Instance, r *rng.Rand, opts DiffOptions) {
-	exact, err := core.BranchAndBound(in, opts.MaxNodes)
+	exact, err := core.BranchAndBound(context.TODO(), in, opts.MaxNodes)
 	if err != nil {
 		// Instances here are sized for the exact solver; running out of
 		// nodes means the harness could not verify, which the smoke job

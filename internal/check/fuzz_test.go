@@ -1,6 +1,7 @@
 package check
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -130,7 +131,7 @@ func FuzzDifferentialAssign(f *testing.F) {
 				t.Fatalf("%s: %v", tc.label, err)
 			}
 		}
-		exact, err := core.BranchAndBound(in, 0)
+		exact, err := core.BranchAndBound(context.Background(), in, 0)
 		if err != nil {
 			t.Skip() // node budget exhausted: nothing to compare against
 		}

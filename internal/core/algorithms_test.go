@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -218,7 +219,7 @@ func TestBranchAndBoundMatchesExhaustive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bb, err := BranchAndBound(in, 0)
+		bb, err := BranchAndBound(context.Background(), in, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +242,7 @@ func TestExhaustiveRefusesHugeInstance(t *testing.T) {
 func TestBranchAndBoundNodeLimit(t *testing.T) {
 	r := rng.New(35)
 	in := randomInstance(r, 12, 4, 50)
-	if _, err := BranchAndBound(in, 3); err == nil {
+	if _, err := BranchAndBound(context.Background(), in, 3); err == nil {
 		t.Error("expected node-limit error")
 	}
 }
@@ -522,7 +523,7 @@ func TestEmpiricalWorstCaseRatio(t *testing.T) {
 			}
 		}
 		in := &Instance{M: m, C: c, Threads: threads}
-		opt, err := BranchAndBound(in, 0)
+		opt, err := BranchAndBound(context.Background(), in, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -115,8 +116,10 @@ func evaluatePartition(in *Instance, fs []utility.Func, servers []int) (float64,
 //
 // both terms of which only over-estimate the achievable utility, so
 // pruning is safe. maxNodes limits the search (0 means ExactLimit);
-// exceeding it returns an error.
-func BranchAndBound(in *Instance, maxNodes int) (Assignment, error) {
+// exceeding it returns an error. The search checks ctx every 1024 nodes
+// and returns ctx.Err() once it is done, so a deadline bounds the wall
+// time of a large search, not just its node count.
+func BranchAndBound(ctx context.Context, in *Instance, maxNodes int) (Assignment, error) {
 	if maxNodes <= 0 {
 		maxNodes = ExactLimit
 	}
@@ -151,6 +154,11 @@ func BranchAndBound(in *Instance, maxNodes int) (Assignment, error) {
 		nodes++
 		if nodes > maxNodes {
 			return fmt.Errorf("core: branch-and-bound exceeded %d nodes", maxNodes)
+		}
+		if nodes&1023 == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
 		}
 		if depth == n {
 			servers := make([]int, n)

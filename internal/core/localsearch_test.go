@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"aa/internal/rng"
@@ -132,7 +133,7 @@ func TestImproveClosesDiscreteGap(t *testing.T) {
 		in := &Instance{M: m, C: 100, Threads: threads}
 		a2 := Assign2(in)
 		improved, _ := Improve(in, a2, 0)
-		opt, err := BranchAndBound(in, 0)
+		opt, err := BranchAndBound(context.Background(), in, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

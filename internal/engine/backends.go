@@ -183,7 +183,7 @@ func handleExact(ctx ctxT, req *Request, resp *Response) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	a, err := core.BranchAndBound(in, req.MaxNodes)
+	a, err := core.BranchAndBound(ctx, in, req.MaxNodes)
 	if err != nil {
 		return err
 	}

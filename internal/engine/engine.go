@@ -29,8 +29,9 @@
 //   - An Engine, which owns the composed chain, the default backend
 //     name, and a lazily started solverpool.Pool for the concurrent
 //     entry points: Submit (non-blocking, ErrQueueFull backpressure —
-//     the service front door) and SolveBatch (blocking enqueue, results
-//     in input order, first error cancels the rest).
+//     the service front door), SolveBatch (a solverpool.ForEach: paced
+//     enqueue, results in input order, first error cancels the rest)
+//     and SolveBatchStream (ordered streaming with a bounded window).
 //
 // Allocation discipline: Solve returns a fresh Response the caller
 // owns; SolveInto reuses a caller-held Response and performs zero heap
@@ -336,69 +337,35 @@ func (e *Engine) Submit(ctx context.Context, req *Request) (*Response, error) {
 // SolveBatch fans the requests out across the engine's pool and returns
 // one response per request, in input order. Enqueueing blocks when the
 // queue is full (the paced batch path); the first failure cancels every
-// remaining solve and is returned.
+// remaining solve and is returned once the solves already running have
+// finished.
 func (e *Engine) SolveBatch(ctx context.Context, reqs []*Request) ([]*Response, error) {
-	if len(reqs) == 0 {
-		return nil, nil
-	}
 	p, err := e.lazyPool()
 	if err != nil {
 		return nil, err
 	}
-	bctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	type result struct {
-		idx  int
-		resp *Response
-		err  error
-	}
-	results := make(chan result, len(reqs))
-	go func() {
-		for i, req := range reqs {
-			i, req := i, req
-			err := p.Enqueue(bctx, func(tctx context.Context) error {
-				r, err := e.Solve(tctx, req)
-				results <- result{idx: i, resp: r, err: err}
-				return err
-			})
-			if err != nil {
-				results <- result{idx: i, err: err}
-			}
-		}
-	}()
-
 	out := make([]*Response, len(reqs))
-	var firstErr error
-	for range reqs {
-		select {
-		case r := <-results:
-			if r.err != nil {
-				if firstErr == nil {
-					firstErr = r.err
-				}
-				cancel()
-				continue
-			}
-			out[r.idx] = r.resp
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
+	err = p.ForEach(ctx, len(reqs), func(ctx context.Context, i int) error {
+		var err error
+		out[i], err = e.Solve(ctx, reqs[i])
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
 // SolveBatchStream pipelines an unbounded request stream through the
 // engine's pool with bounded memory: decode → solve → emit overlap,
-// with at most maxInFlight requests (plus the one being decoded) alive
-// at once, responses emitted strictly in input order, and the first
-// failure — in input order, whether it came from next, a solve, or
-// emit — cancelling every outstanding solve. It returns the number of
-// responses emitted alongside that first error, so a caller that has
-// already written output knows the stream is torn. Cancelling ctx tears
+// with at most 2×workers+2 requests (plus the one being decoded) alive
+// at once, enough to keep every pool worker busy while the next
+// responses drain. Each response is emitted together with its request,
+// strictly in input order. The first failure in input order, whether
+// it came from next, a solve, or emit, cancels every outstanding
+// solve. It returns the number of responses emitted alongside that
+// first error, so a caller that has already written output knows the
+// stream is torn. Cancelling ctx tears
 // the stream down too and is always reported as ctx.Err(), never as a
 // clean completion, even when every in-flight solve had finished.
 //
@@ -407,28 +374,25 @@ func (e *Engine) SolveBatch(ctx context.Context, reqs []*Request) ([]*Response, 
 // produce, so every response before it is still emitted first. next and
 // emit are never called concurrently with themselves, but next runs
 // concurrently with emit — decoding the tail of a stream while the head
-// solves is the point. maxInFlight <= 0 selects 2×workers+2, enough to
-// keep every pool worker busy while the next responses drain.
-func (e *Engine) SolveBatchStream(ctx context.Context, next func() (*Request, error), emit func(*Response) error, maxInFlight int) (int, error) {
+// solves is the point.
+func (e *Engine) SolveBatchStream(ctx context.Context, next func() (*Request, error), emit func(*Request, *Response) error) (int, error) {
 	p, err := e.lazyPool()
 	if err != nil {
 		return 0, err
-	}
-	if maxInFlight <= 0 {
-		maxInFlight = 2*p.Workers() + 2
 	}
 	bctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	// Each slot is one input position; the bounded channel is both the
 	// in-order hand-off and the in-flight window: the producer blocks
-	// once maxInFlight slots are undrained.
+	// once 2×workers+2 slots are undrained.
 	type slot struct {
+		req  *Request
 		resp *Response
 		err  error
 		done chan struct{}
 	}
-	window := make(chan *slot, maxInFlight)
+	window := make(chan *slot, 2*p.Workers()+2)
 	prodDone := make(chan struct{})
 	go func() {
 		defer close(prodDone)
@@ -446,7 +410,7 @@ func (e *Engine) SolveBatchStream(ctx context.Context, next func() (*Request, er
 				}
 				return
 			}
-			s := &slot{done: make(chan struct{})}
+			s := &slot{req: req, done: make(chan struct{})}
 			select {
 			case window <- s:
 			case <-bctx.Done():
@@ -489,7 +453,7 @@ func (e *Engine) SolveBatchStream(ctx context.Context, next func() (*Request, er
 		if s.err != nil {
 			return emitted, fail(s.err)
 		}
-		if err := emit(s.resp); err != nil {
+		if err := emit(s.req, s.resp); err != nil {
 			return emitted, fail(err)
 		}
 		emitted++
@@ -514,13 +478,6 @@ func (e *Engine) Close() {
 	if e.pool != nil {
 		e.pool.Close()
 	}
-}
-
-// Pool exposes the engine's worker pool (starting it if needed) so
-// callers can poll its Stats snapshot. It returns nil after Close.
-func (e *Engine) Pool() *solverpool.Pool {
-	p, _ := e.lazyPool()
-	return p
 }
 
 var (

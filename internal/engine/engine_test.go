@@ -83,7 +83,7 @@ func TestExactBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.BranchAndBound(in, 0)
+	want, err := core.BranchAndBound(context.Background(), in, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,10 +50,13 @@ func TestSolveBatchStreamMatchesBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []*Response
-	n, err := eng.SolveBatchStream(ctx, streamNext(reqs, -1, nil), func(r *Response) error {
+	n, err := eng.SolveBatchStream(ctx, streamNext(reqs, -1, nil), func(req *Request, r *Response) error {
+		if want := reqs[len(got)]; req != want {
+			t.Errorf("response %d emitted with the wrong request", len(got))
+		}
 		got = append(got, r)
 		return nil
-	}, 3)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,9 +81,9 @@ func TestSolveBatchStreamSolveError(t *testing.T) {
 	const bad = 7
 	reqs[bad] = &Request{Instance: reqs[bad].Instance, Backend: "nope"}
 
-	n, err := eng.SolveBatchStream(context.Background(), streamNext(reqs, -1, nil), func(*Response) error {
+	n, err := eng.SolveBatchStream(context.Background(), streamNext(reqs, -1, nil), func(*Request, *Response) error {
 		return nil
-	}, 4)
+	})
 	if !errors.Is(err, ErrUnknownBackend) {
 		t.Fatalf("err = %v, want ErrUnknownBackend", err)
 	}
@@ -99,9 +102,9 @@ func TestSolveBatchStreamNextError(t *testing.T) {
 	const bad = 5
 	boom := errors.New("instance 5: mangled")
 
-	n, err := eng.SolveBatchStream(context.Background(), streamNext(reqs, bad, boom), func(*Response) error {
+	n, err := eng.SolveBatchStream(context.Background(), streamNext(reqs, bad, boom), func(*Request, *Response) error {
 		return nil
-	}, 3)
+	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
@@ -119,13 +122,13 @@ func TestSolveBatchStreamEmitError(t *testing.T) {
 	boom := errors.New("client went away")
 
 	emitted := 0
-	n, err := eng.SolveBatchStream(context.Background(), streamNext(reqs, -1, nil), func(*Response) error {
+	n, err := eng.SolveBatchStream(context.Background(), streamNext(reqs, -1, nil), func(*Request, *Response) error {
 		if emitted == 4 {
 			return boom
 		}
 		emitted++
 		return nil
-	}, 2)
+	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
@@ -139,10 +142,10 @@ func TestSolveBatchStreamEmitError(t *testing.T) {
 // emitter — the bounded-memory contract. The emitter refuses to advance
 // until it observes the bound held at every next call.
 func TestSolveBatchStreamBounded(t *testing.T) {
-	eng := New(Options{Workers: 4})
+	eng := New(Options{Workers: 1})
 	defer eng.Close()
 	reqs := streamReqs(t, 30)
-	const win = 3
+	const win = 2*1 + 2 // 2×workers+2
 
 	// emitted crosses goroutines: emit advances it on the caller's
 	// goroutine while next reads it on the producer's, so it must be
@@ -161,10 +164,10 @@ func TestSolveBatchStreamBounded(t *testing.T) {
 		decoded++
 		return r, nil
 	}
-	n, err := eng.SolveBatchStream(context.Background(), next, func(*Response) error {
+	n, err := eng.SolveBatchStream(context.Background(), next, func(*Request, *Response) error {
 		emitted.Add(1)
 		return nil
-	}, win)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,10 +181,10 @@ func TestSolveBatchStreamBounded(t *testing.T) {
 func TestSolveBatchStreamEmpty(t *testing.T) {
 	eng := New(Options{Workers: 1})
 	defer eng.Close()
-	n, err := eng.SolveBatchStream(context.Background(), streamNext(nil, -1, nil), func(*Response) error {
+	n, err := eng.SolveBatchStream(context.Background(), streamNext(nil, -1, nil), func(*Request, *Response) error {
 		t.Fatal("emit called on an empty stream")
 		return nil
-	}, 0)
+	})
 	if err != nil || n != 0 {
 		t.Fatalf("got (%d, %v), want (0, nil)", n, err)
 	}
@@ -195,10 +198,10 @@ func TestSolveBatchStreamCancel(t *testing.T) {
 	reqs := streamReqs(t, 16)
 	ctx, cancel := context.WithCancel(context.Background())
 
-	n, err := eng.SolveBatchStream(ctx, streamNext(reqs, -1, nil), func(*Response) error {
+	n, err := eng.SolveBatchStream(ctx, streamNext(reqs, -1, nil), func(*Request, *Response) error {
 		cancel()
 		return nil
-	}, 2)
+	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

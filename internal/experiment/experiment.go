@@ -17,7 +17,6 @@ import (
 	"context"
 	"fmt"
 	"strconv"
-	"sync"
 
 	"aa/internal/check"
 	"aa/internal/core"
@@ -154,10 +153,10 @@ func RunContext(ctx context.Context, spec Spec, seed uint64, workers int) (*Resu
 	return res, nil
 }
 
-// runPoint fans the point's trials out across the pool. Trial t writes
-// its values into slot t of each column, so the aggregate is identical
-// for every worker count; the first trial error (or a dead ctx) cancels
-// the remaining trials and is returned.
+// runPoint fans the point's trials out across the pool with ForEach.
+// Trial t writes its values into slot t of each column, so the aggregate
+// is identical for every worker count; the first trial error (or a dead
+// ctx) cancels the remaining trials and is returned.
 func runPoint(ctx context.Context, pool *solverpool.Pool, spec Spec, sp SweepPoint, base *rng.Rand, pi int) (nums, dens map[string][]float64, err error) {
 	cols := spec.columns()
 	nums = make(map[string][]float64, len(cols))
@@ -177,56 +176,24 @@ func runPoint(ctx context.Context, pool *solverpool.Pool, spec Spec, sp SweepPoi
 			"param", strconv.FormatFloat(sp.Param, 'g', -1, 64)))
 	}
 
-	pctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	fail := func(e error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = e
-		}
-		mu.Unlock()
-		cancel()
-	}
-	for t := 0; t < spec.Trials; t++ {
-		t := t
+	err = pool.ForEach(ctx, spec.Trials, func(tctx context.Context, t int) error {
 		// Name the trial's stream by its coordinates so the draw sequence
 		// is a pure function of (seed, point, trial).
-		r := base.SplitPath(uint64(pi), uint64(t))
-		wg.Add(1)
-		task := func(tctx context.Context) error {
-			defer wg.Done()
-			if err := tctx.Err(); err != nil {
-				fail(err)
-				return err
-			}
-			num, den, err := runTrial(tctx, spec, sp, r)
-			if err != nil {
-				fail(err)
-				return err
-			}
-			// Disjoint slots per trial: no lock needed.
-			for c, v := range num {
-				nums[c][t] = v
-				dens[c][t] = den[c]
-			}
-			if trialsDone != nil {
-				trialsDone.Inc()
-			}
-			return nil
+		num, den, err := runTrial(tctx, spec, sp, base.SplitPath(uint64(pi), uint64(t)))
+		if err != nil {
+			return err
 		}
-		if err := pool.Enqueue(pctx, task); err != nil {
-			wg.Done()
-			fail(err)
-			break
+		// Disjoint slots per trial: no lock needed.
+		for c, v := range num {
+			nums[c][t] = v
+			dens[c][t] = den[c]
 		}
-	}
-	wg.Wait()
-	return nums, dens, firstErr
+		if trialsDone != nil {
+			trialsDone.Inc()
+		}
+		return nil
+	})
+	return nums, dens, err
 }
 
 // runTrial generates one instance and returns each column's ratio

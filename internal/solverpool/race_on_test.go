@@ -1,8 +1,8 @@
 //go:build race
 
-package solverpool
+package solverpool_test
 
 // raceEnabled reports whether the race detector is compiled in; the
-// zero-allocation assertions are skipped under it (instrumentation
+// zero-allocation assertion is skipped under it (instrumentation
 // allocates).
 const raceEnabled = true

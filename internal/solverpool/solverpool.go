@@ -1,6 +1,7 @@
-// Package solverpool is the concurrency layer of the repository: a
-// worker-pool batch-solve engine that fans independent AA solves (and
-// arbitrary solver-shaped tasks) out across a fixed set of workers.
+// Package solverpool is the repository's bounded task executor: a fixed
+// set of worker goroutines draining a bounded job queue. It knows
+// nothing about solving; internal/engine runs every solve through it,
+// and the harnesses fan their trials out with ForEach.
 //
 // Design points, in the order they matter:
 //
@@ -8,63 +9,35 @@
 //     Submit rejects with ErrQueueFull when it is full rather than
 //     growing without bound, and Enqueue blocks until a slot frees or
 //     the caller's context is done. A caller that must not block uses
-//     Submit; a caller streaming a large batch uses Enqueue and lets the
-//     queue pace it.
+//     Submit; a caller producing many tasks uses Enqueue (or ForEach)
+//     and lets the queue pace it.
 //
-//   - Per-request cancellation. Every job carries the submitter's
-//     context.Context. The solve path checks it before starting and
-//     between the stages of a solve (super-optimal bound →
-//     linearization → assignment), so cancellation and deadlines take
-//     effect promptly even mid-instance, and waiters never block on a
-//     dead request.
+//   - Per-task cancellation. Every job carries the submitter's
+//     context.Context, and the task is always invoked with it — even
+//     when it died while queued — so a task checks ctx first and bails
+//     out cheaply, and any per-task completion signal always fires.
 //
-//   - Allocation-free steady state. The solve path runs through a
-//     core.Workspace (SolveInstanceInto, or a long-lived Session): every
-//     scratch buffer a solve needs lives in the workspace and is reused,
-//     so a caller re-solving instances back to back performs zero heap
-//     allocations per solve once the buffers have grown to the
-//     workload's size.
+//   - One fan-out. ForEach is the only "run n tasks, first error cancels
+//     the rest" loop in the tree: tasks are index-addressed and write
+//     into disjoint slots, so output never depends on goroutine
+//     scheduling or worker count, and every task has finished when
+//     ForEach returns.
 //
-//   - Deterministic by construction. The pool imposes no ordering of its
-//     own: results are reported to the slot the caller chose (SolveBatch
-//     writes answers by input index), so output never depends on
-//     goroutine scheduling. Anything stochastic must derive its
-//     randomness from the request, not the worker (see internal/rng).
-//
-//   - Observable. Per-pool counters (telemetry.Counter values) count
-//     submitted, rejected, completed, cancelled and failed jobs plus
-//     total solve time; Snapshot returns a consistent copy cheap enough
-//     to poll. The same events also feed the process-wide telemetry
-//     registry (aa_pool_* metrics: shared counters, a live queue-depth
-//     gauge, and enqueue/solve latency histograms) when telemetry is
-//     enabled, so a /metrics endpoint sees every pool in the process.
-//
-//   - Verifiable. With Options.Check (or the process-wide check.Enable /
-//     AA_CHECK=1 switch) every Solve/SolveBatch result is run through
-//     internal/check after solving: feasibility plus the α-ratio
-//     guarantee. A violation counts into aa_check_violations_total and
-//     fails the request with an error wrapping check.ErrInfeasible or
-//     check.ErrRatio instead of returning a bogus assignment.
+//   - Observable. The process-wide telemetry registry carries the pool
+//     metrics (aa_pool_*): submitted/rejected/completed/cancelled/failed
+//     counters, a live queue-depth gauge, and enqueue/run latency
+//     histograms, aggregated across every pool in the process.
 package solverpool
 
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"sync"
 	"time"
 
-	"aa/internal/check"
-	"aa/internal/core"
 	"aa/internal/telemetry"
 )
-
-// ErrInfeasible is the typed error a checked pool wraps when post-solve
-// verification rejects a result on feasibility grounds (re-exported from
-// internal/check so pool callers can errors.Is against it without
-// importing the check package). Ratio violations wrap check.ErrRatio.
-var ErrInfeasible = check.ErrInfeasible
 
 // Process-wide pool metrics (aa_pool_*). Counters and histograms
 // aggregate across every pool in the process and are recorded only when
@@ -72,6 +45,11 @@ var ErrInfeasible = check.ErrInfeasible
 // not yet picked up by a worker and is maintained unconditionally (two
 // atomic adds per job) so that enabling telemetry mid-run still reads a
 // correct depth.
+//
+// A finished task is classified by the error it RETURNS, not by the
+// state of its context: nil is completed (even if its context died
+// while it ran), context.Canceled or context.DeadlineExceeded (possibly
+// wrapped) is cancelled, and every other error is failed.
 var (
 	poolSubmitted  = telemetry.Default.Counter("aa_pool_submitted_total")
 	poolRejected   = telemetry.Default.Counter("aa_pool_rejected_total")
@@ -95,7 +73,7 @@ var (
 
 // Task is one unit of work. The context is the submitter's; a task that
 // honors it returns its error (context.Canceled / DeadlineExceeded) so
-// the pool can count the job as cancelled rather than failed.
+// the pool counts the job as cancelled rather than failed.
 type Task func(ctx context.Context) error
 
 // Options configure a Pool. The zero value is usable: GOMAXPROCS
@@ -107,46 +85,6 @@ type Options struct {
 	// QueueDepth bounds the number of jobs waiting to run (not counting
 	// the ones in flight); <= 0 means 2×Workers.
 	QueueDepth int
-	// Check turns on post-solve verification for this pool's Solve and
-	// SolveBatch: every result must pass check.PostSolve (feasibility +
-	// the α-ratio guarantee) or the request fails with the violation.
-	// The process-wide check.Enable switch has the same effect on every
-	// pool regardless of this option.
-	Check bool
-}
-
-// Stats is a snapshot of the pool's counters — the per-pool
-// compatibility facade over the telemetry layer (the process-wide
-// aa_pool_* registry metrics aggregate the same events across every
-// pool). Submitted counts accepted jobs only (rejected ones are counted
-// separately and never run); Completed + Cancelled + Failed converges
-// to Submitted once the queue drains. SolveTime is the summed wall time
-// of task execution across workers, so it can exceed elapsed time when
-// workers run in parallel.
-//
-// Outcome classification is by the error the task RETURNS, decided at
-// the moment the task finishes — not by the state of its context:
-//
-//   - Completed increments when the task returns nil, even if its
-//     context was cancelled while it ran (a task that ignores
-//     cancellation, or wins the race with it, counts Completed).
-//   - Cancelled increments when the task returns context.Canceled or
-//     context.DeadlineExceeded (possibly wrapped). Tasks whose context
-//     died while they were still queued also land here, because the
-//     worker always invokes the task and a well-behaved task returns
-//     ctx.Err() from its first check, as SolveInstance does.
-//   - Failed increments for every other non-nil error; a task that
-//     swallows a cancellation and returns its own error is Failed, not
-//     Cancelled.
-type Stats struct {
-	Workers    int
-	QueueDepth int
-	Submitted  uint64
-	Rejected   uint64
-	Completed  uint64
-	Cancelled  uint64
-	Failed     uint64
-	SolveTime  time.Duration
 }
 
 type job struct {
@@ -157,24 +95,12 @@ type job struct {
 // Pool is a fixed-size worker pool over a bounded job queue. Create with
 // New, release with Close. All methods are safe for concurrent use.
 type Pool struct {
-	workers    int
-	queueDepth int
-	check      bool
-	jobs       chan job
+	workers int
+	jobs    chan job
 
 	mu     sync.RWMutex // guards closed vs. sends on jobs
 	closed bool
 	wg     sync.WaitGroup
-
-	// Per-pool counters backing Snapshot — telemetry metric values held
-	// privately (zero values are ready to use). solveNanos accumulates
-	// task wall time in nanoseconds.
-	submitted  telemetry.Counter
-	rejected   telemetry.Counter
-	completed  telemetry.Counter
-	cancelled  telemetry.Counter
-	failed     telemetry.Counter
-	solveNanos telemetry.Counter
 }
 
 // New starts a pool with opts. The caller owns the pool and must Close
@@ -188,12 +114,7 @@ func New(opts Options) *Pool {
 	if q <= 0 {
 		q = 2 * w
 	}
-	p := &Pool{
-		workers:    w,
-		queueDepth: q,
-		check:      opts.Check,
-		jobs:       make(chan job, q),
-	}
+	p := &Pool{workers: w, jobs: make(chan job, q)}
 	p.wg.Add(w)
 	for i := 0; i < w; i++ {
 		go p.worker()
@@ -207,42 +128,29 @@ func (p *Pool) Workers() int { return p.workers }
 func (p *Pool) worker() {
 	defer p.wg.Done()
 	for j := range p.jobs {
-		p.run(j)
+		run(j)
 	}
 }
 
-// run executes one job and classifies its outcome by the error the task
-// returns (see the Stats docs for the exact Completed/Cancelled/Failed
-// contract). The task is always invoked — even when its context died
-// while queued — so that callers waiting on a per-task side channel (a
-// WaitGroup, a result slot) are always released; tasks are expected to
-// check ctx first and bail out cheaply, as SolveInstance does.
-func (p *Pool) run(j job) {
+// run executes one job and, with telemetry on, records its latency and
+// outcome. The task is always invoked, even when its context died while
+// queued (see Task).
+func run(j job) {
 	poolQueueDepth.Add(-1)
+	if !telemetry.Enabled() {
+		_ = j.task(j.ctx)
+		return
+	}
 	start := time.Now()
 	err := j.task(j.ctx)
-	elapsed := time.Since(start)
-	p.solveNanos.Add(uint64(elapsed))
-	tele := telemetry.Enabled()
-	if tele {
-		poolSolveLat.Observe(elapsed.Seconds())
-	}
+	poolSolveLat.Observe(time.Since(start).Seconds())
 	switch {
 	case err == nil:
-		p.completed.Inc()
-		if tele {
-			poolCompleted.Inc()
-		}
+		poolCompleted.Inc()
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		p.cancelled.Inc()
-		if tele {
-			poolCancelled.Inc()
-		}
+		poolCancelled.Inc()
 	default:
-		p.failed.Inc()
-		if tele {
-			poolFailed.Inc()
-		}
+		poolFailed.Inc()
 	}
 }
 
@@ -260,14 +168,12 @@ func (p *Pool) Submit(ctx context.Context, task Task) error {
 	}
 	select {
 	case p.jobs <- job{ctx: ctx, task: task}:
-		p.submitted.Inc()
 		poolQueueDepth.Add(1)
 		if telemetry.Enabled() {
 			poolSubmitted.Inc()
 		}
 		return nil
 	default:
-		p.rejected.Inc()
 		if telemetry.Enabled() {
 			poolRejected.Inc()
 			if telemetry.TraceEnabled() {
@@ -279,8 +185,8 @@ func (p *Pool) Submit(ctx context.Context, task Task) error {
 }
 
 // Enqueue enqueues task, blocking until a queue slot frees or ctx is
-// done. This is the paced path for batch producers; the queue bound is
-// what provides the backpressure.
+// done. This is the paced path for producers of many tasks; the queue
+// bound is what provides the backpressure.
 func (p *Pool) Enqueue(ctx context.Context, task Task) error {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
@@ -296,7 +202,6 @@ func (p *Pool) Enqueue(ctx context.Context, task Task) error {
 	}
 	select {
 	case p.jobs <- job{ctx: ctx, task: task}:
-		p.submitted.Inc()
 		poolQueueDepth.Add(1)
 		if tele {
 			poolSubmitted.Inc()
@@ -306,6 +211,54 @@ func (p *Pool) Enqueue(ctx context.Context, task Task) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
+}
+
+// ForEach runs fn(ctx, i) for every i in [0, n) on the pool's workers,
+// enqueueing the tasks in index order through Enqueue (so the queue
+// paces a large n), and waits for them. The first error — from a task,
+// from ctx ending, or from a closed pool — cancels the context of the
+// tasks still to run and is returned. Every enqueued task has finished
+// when ForEach returns, so fn may write into per-index slots that the
+// caller reads afterwards without further synchronisation. n <= 0
+// returns nil.
+//
+// ForEach must not be called from a task running on the same pool: the
+// enqueueing caller would hold a worker while waiting for queue slots.
+func (p *Pool) ForEach(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
+	fctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var (
+		wg    sync.WaitGroup
+		once  sync.Once
+		first error
+	)
+	fail := func(err error) {
+		once.Do(func() {
+			first = err
+			cancel()
+		})
+	}
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		err := p.Enqueue(fctx, func(tctx context.Context) error {
+			defer wg.Done()
+			err := tctx.Err()
+			if err == nil {
+				err = fn(tctx, i)
+			}
+			if err != nil {
+				fail(err)
+			}
+			return err
+		})
+		if err != nil {
+			wg.Done()
+			fail(err)
+			break
+		}
+	}
+	wg.Wait()
+	return first
 }
 
 // Close stops accepting jobs, waits for queued and in-flight jobs to
@@ -320,195 +273,4 @@ func (p *Pool) Close() {
 	close(p.jobs)
 	p.mu.Unlock()
 	p.wg.Wait()
-}
-
-// Snapshot returns the current counters for this pool. (For
-// process-wide aggregates across all pools, scrape the aa_pool_*
-// metrics from the telemetry registry instead.)
-func (p *Pool) Snapshot() Stats {
-	return Stats{
-		Workers:    p.workers,
-		QueueDepth: p.queueDepth,
-		Submitted:  p.submitted.Value(),
-		Rejected:   p.rejected.Value(),
-		Completed:  p.completed.Value(),
-		Cancelled:  p.cancelled.Value(),
-		Failed:     p.failed.Value(),
-		SolveTime:  time.Duration(p.solveNanos.Value()),
-	}
-}
-
-// String formats a snapshot for logs.
-func (s Stats) String() string {
-	return fmt.Sprintf(
-		"solverpool: workers=%d queue=%d submitted=%d rejected=%d completed=%d cancelled=%d failed=%d solvetime=%v",
-		s.Workers, s.QueueDepth, s.Submitted, s.Rejected, s.Completed, s.Cancelled, s.Failed, s.SolveTime)
-}
-
-// SolveInstanceInto runs Algorithm 2 on in through the caller's solver
-// workspace, writing the assignment into out (resized as needed), with
-// cancellation checks between the three stages (super-optimal bound,
-// linearization, assignment). The result is bit-identical to core.Assign2;
-// the staging only adds the points where a cancelled context can abort a
-// large instance early. Once w and out have grown to the workload's size,
-// a solve performs no heap allocation — this is the batch hot loop.
-func SolveInstanceInto(ctx context.Context, in *core.Instance, w *core.Workspace, out *core.Assignment) error {
-	if err := in.Validate(); err != nil {
-		return err
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	so := w.SuperOptimal(in)
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	gs := w.Linearize(in, so)
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	w.Assign2Linearized(in, gs, out)
-	return nil
-}
-
-// SolveInstance is the allocating convenience form of SolveInstanceInto:
-// it borrows a pooled workspace for the solve and returns a fresh
-// Assignment the caller owns.
-func SolveInstance(ctx context.Context, in *core.Instance) (core.Assignment, error) {
-	w := core.GetWorkspace()
-	defer core.PutWorkspace(w)
-	var out core.Assignment
-	if err := SolveInstanceInto(ctx, in, w, &out); err != nil {
-		return core.Assignment{}, err
-	}
-	return out, nil
-}
-
-// Session is a single-goroutine solver context: one workspace borrowed
-// from the package pool for the session's lifetime, so a caller that
-// re-solves instances back to back (a simulation loop, a request handler
-// pinned to a connection) pays zero steady-state allocation without
-// touching the pool on every solve. Not safe for concurrent use; Close
-// returns the workspace to the pool.
-type Session struct {
-	w *core.Workspace
-}
-
-// NewSession borrows a workspace and wraps it in a Session.
-func NewSession() *Session { return &Session{w: core.GetWorkspace()} }
-
-// Solve runs Algorithm 2 on in into out, reusing the session's workspace.
-// The assignment written to out is bit-identical to core.Assign2's.
-func (s *Session) Solve(ctx context.Context, in *core.Instance, out *core.Assignment) error {
-	return SolveInstanceInto(ctx, in, s.w, out)
-}
-
-// Close returns the session's workspace to the pool. Using the session
-// after Close panics.
-func (s *Session) Close() {
-	if s.w != nil {
-		core.PutWorkspace(s.w)
-		s.w = nil
-	}
-}
-
-// solveVerified is SolveInstance plus the opt-in post-solve check: when
-// the pool was built with Options.Check or the process-wide check.Enable
-// is on, the result is verified (feasibility + α-ratio) before being
-// handed back, and a violation fails the request instead.
-func (p *Pool) solveVerified(ctx context.Context, in *core.Instance) (core.Assignment, error) {
-	a, err := SolveInstance(ctx, in)
-	if err != nil {
-		return a, err
-	}
-	if p.check || check.Enabled() {
-		if cerr := check.PostSolve(in, a); cerr != nil {
-			return core.Assignment{}, cerr
-		}
-	}
-	return a, nil
-}
-
-// Solve submits one instance and waits for its assignment. It returns
-// ctx.Err() as soon as the request is cancelled, even if a worker is
-// still chewing on the instance.
-func (p *Pool) Solve(ctx context.Context, in *core.Instance) (core.Assignment, error) {
-	type result struct {
-		a   core.Assignment
-		err error
-	}
-	ch := make(chan result, 1)
-	err := p.Enqueue(ctx, func(tctx context.Context) error {
-		a, err := p.solveVerified(tctx, in)
-		ch <- result{a: a, err: err}
-		return err
-	})
-	if err != nil {
-		return core.Assignment{}, err
-	}
-	select {
-	case r := <-ch:
-		return r.a, r.err
-	case <-ctx.Done():
-		return core.Assignment{}, ctx.Err()
-	}
-}
-
-// SolveBatch fans the instances out across the pool and returns one
-// assignment per instance, in input order. The first failure cancels
-// every remaining solve and is returned; cancellation of ctx returns
-// promptly with ctx.Err() without waiting for in-flight workers.
-func (p *Pool) SolveBatch(ctx context.Context, ins []*core.Instance) ([]core.Assignment, error) {
-	if len(ins) == 0 {
-		return nil, nil
-	}
-	bctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	type result struct {
-		idx int
-		a   core.Assignment
-		err error
-	}
-	// Buffered to the batch size so late finishers never block after the
-	// caller has gone away.
-	results := make(chan result, len(ins))
-	go func() {
-		for i, in := range ins {
-			i, in := i, in
-			err := p.Enqueue(bctx, func(tctx context.Context) error {
-				a, err := p.solveVerified(tctx, in)
-				results <- result{idx: i, a: a, err: err}
-				return err
-			})
-			if err != nil {
-				// Queue unreachable (cancelled batch or closed pool):
-				// report for this index and keep going — the remaining
-				// enqueues fail the same way without blocking.
-				results <- result{idx: i, err: err}
-			}
-		}
-	}()
-
-	out := make([]core.Assignment, len(ins))
-	var firstErr error
-	for range ins {
-		select {
-		case r := <-results:
-			if r.err != nil {
-				if firstErr == nil {
-					firstErr = r.err
-				}
-				cancel()
-				continue
-			}
-			out[r.idx] = r.a
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
 }

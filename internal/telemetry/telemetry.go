@@ -49,8 +49,9 @@ import (
 
 // enabled is the process-wide switch. All recording helpers in other
 // packages are expected to guard with Enabled(); the metric types
-// themselves record unconditionally so that callers owning private
-// instances (e.g. solverpool's per-pool stats) always count.
+// themselves record unconditionally so that counters a package must
+// keep regardless (e.g. the check layer's aa_check_* totals) always
+// count.
 var enabled atomic.Bool
 
 // Enable turns instrumentation on process-wide.
@@ -64,7 +65,7 @@ func Disable() { enabled.Store(false) }
 func Enabled() bool { return enabled.Load() }
 
 // Counter is a monotonically increasing uint64. The zero value is ready
-// to use, so it can be embedded directly (solverpool does).
+// to use.
 type Counter struct {
 	v atomic.Uint64
 }

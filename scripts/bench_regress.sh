@@ -44,12 +44,8 @@ if [ "${AA_BENCH_1M:-0}" = 1 ]; then
     -benchtime "${BENCHTIME_1M:-1x}" -timeout 30m ./internal/core/ | tee -a "$tmp"
 fi
 
-echo "bench_regress: solverpool session benchmark..."
-go test -run '^$' -bench '^BenchmarkSolveSession$' \
-  -benchtime "$BENCHTIME" ./internal/solverpool/ | tee -a "$tmp"
-
-echo "bench_regress: engine pipeline and cache benchmarks..."
-go test -run '^$' -bench '^Benchmark(EngineSolve$|Cache(ColdSolve|WarmStart|ExactHit)$)' \
+echo "bench_regress: session baseline, engine pipeline and cache benchmarks..."
+go test -run '^$' -bench '^Benchmark(SolveSession$|EngineSolve$|Cache(ColdSolve|WarmStart|ExactHit)$)' \
   -benchtime "$BENCHTIME" ./internal/engine/ | tee -a "$tmp"
 
 go run ./cmd/benchgate -emit -rev "$REV" <"$tmp" >"$OUT"

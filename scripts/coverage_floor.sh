@@ -29,6 +29,8 @@ FLOORS="
 ./internal/cache 85
 ./internal/router 85
 ./internal/ratelimit 85
+./internal/engine 85
+./internal/solverpool 94
 "
 
 fail=0

@@ -191,8 +191,8 @@ c3_before="$(engine_count "$n3")"
 # Saturate n1's single worker: three branch-and-bound solves, sent
 # straight at the node so only its queue-depth gauge (not the relay's
 # in-flight count) can steer traffic away. The node budget is what
-# bounds them — BranchAndBound is not context-aware, so an unbounded
-# search would outlive its request and hang the final drain.
+# bounds them: the requests carry no deadline, so without it the
+# searches would run on until the final drain.
 "$tmpdir/aagen" -dist powerlaw -m 4 -c 1000 -n 26 -seed 3 >"$tmpdir/slow.json"
 slow_pids=()
 for _ in 1 2 3; do
