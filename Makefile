@@ -38,14 +38,19 @@ race:
 check-smoke:
 	$(GO) test -run='TestDifferential|TestSolversSatisfyInvariants' -count=1 ./internal/check
 
-# Ten seconds of fuzzing per target: the concave-allocation invariants
-# and the two check-layer targets (go test allows one -fuzz match per
-# invocation, hence the separate runs).
+# Ten seconds of fuzzing per target: the concave-allocation invariants,
+# the check-layer targets, PCHIP monotonicity, and the wire decoder
+# (differential against encoding/json, and batch framing across read
+# boundaries). go test allows one -fuzz match per invocation, hence the
+# separate runs.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzConcaveFeasibleAndDominant -fuzztime=10s ./internal/alloc
 	$(GO) test -run='^$$' -fuzz=FuzzFeasibleConcave -fuzztime=10s ./internal/check
 	$(GO) test -run='^$$' -fuzz=FuzzDifferentialAssign -fuzztime=10s ./internal/check
 	$(GO) test -run='^$$' -fuzz=FuzzAssign2Parallel -fuzztime=10s ./internal/check
+	$(GO) test -run='^$$' -fuzz=FuzzPCHIPMonotone -fuzztime=10s ./internal/interp
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=10s ./internal/instio
+	$(GO) test -run='^$$' -fuzz=FuzzBatchStream -fuzztime=10s ./internal/instio
 
 # Every benchmark compiled and run once.
 bench-smoke:

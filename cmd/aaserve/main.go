@@ -43,16 +43,19 @@
 //	          (lookup and store; only meaningful with -cache enabled)
 //
 // Responses: 200 with an assignment JSON (server, alloc, utility,
-// superOptimalBound) on success; 400 for malformed instances or unknown
-// backends; 413 (typed JSON: error, code, limitBytes) when a batch body
-// exceeds -max-batch-bytes; 422 when a requested check fails; 429 when
-// the solve queue is full (retry later); 504 when the deadline expires
-// mid-solve.
+// superOptimalBound) on success; 400 for malformed instances (the body
+// names the field path, like "instio: threads[17].ys: ...", and bytes
+// after the instance or the batch's closing ']' are malformed too) or
+// unknown backends; 413 (typed JSON: error, code, limitBytes) when a
+// batch body exceeds -max-batch-bytes; 422 when a requested check
+// fails; 429 when the solve queue is full (retry later); 504 when the
+// deadline expires mid-solve.
 //
 // /solve/batch streams: instances are decoded off the wire one at a
-// time, solved through the worker pool with a bounded in-flight window,
-// and each assignment is written as soon as it is ready, so server
-// memory is bounded by the window rather than the batch. The body is
+// time through instio.Decoder's fixed 64 KiB window, solved through the
+// worker pool with a bounded in-flight window, and each assignment is
+// written as soon as it is ready, so server memory is bounded by the
+// window rather than the batch. The body is
 // the JSON array a json.Encoder with two-space indentation would write
 // for the same assignments; a solve failure after the response has
 // begun aborts the connection mid-array rather than fabricating a
@@ -291,9 +294,11 @@ type batchBodyError struct{ err error }
 func (e *batchBodyError) Error() string { return e.err.Error() }
 func (e *batchBodyError) Unwrap() error { return e.err }
 
-// handleBatch decodes instances off the request body one at a time,
-// pipelines them through the engine with a bounded in-flight window,
-// and writes each assignment as soon as it is solved. Memory stays
+// handleBatch decodes instances off the request body one at a time
+// (instio.Decoder reads through a fixed window and holds only the
+// instance being built), pipelines them through the engine with a
+// bounded in-flight window, and writes each assignment as soon as it is
+// solved. Memory stays
 // proportional to the window (and the largest single instance), not to
 // the batch, while the bytes on the wire are what a json.Encoder with
 // SetIndent("", "  ") writes for the whole []AssignmentJSON:
@@ -330,34 +335,17 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// body at the first write. Best-effort: HTTP/2 is always full
 	// duplex, and test recorders have no body lifecycle to manage.
 	_ = http.NewResponseController(w).EnableFullDuplex()
-	dec := json.NewDecoder(r.Body)
-	if tok, err := dec.Token(); err != nil || tok != json.Delim('[') {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeBatchTooLarge(w, -1, tooBig.Limit)
-			return
-		}
-		if err == nil {
-			err = fmt.Errorf("expected a JSON array, got %v", tok)
-		}
-		http.Error(w, fmt.Sprintf("batch body: %v", err), http.StatusBadRequest)
-		return
-	}
-	idx := 0
+	dec := instio.NewDecoder(r.Body)
 	next := func() (*engine.Request, error) {
-		if !dec.More() {
-			if _, err := dec.Token(); err != nil { // the closing ']'
-				return nil, &batchBodyError{fmt.Errorf("batch body: %w", err)}
-			}
+		in, err := dec.Next()
+		if err == io.EOF {
 			return nil, io.EOF
 		}
-		in, err := instio.DecodeNext(dec)
 		if err != nil {
-			return nil, &batchBodyError{fmt.Errorf("instance %d: %w", idx, err)}
+			return nil, &batchBodyError{fmt.Errorf("batch body: %w", err)}
 		}
 		req := proto
 		req.Instance = in
-		idx++
 		return &req, nil
 	}
 	started := false

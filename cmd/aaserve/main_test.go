@@ -84,6 +84,22 @@ func TestSolveBackendsAndSeeds(t *testing.T) {
 	}
 }
 
+// TestSolveErrorNamesFieldPath: a 400 for a malformed instance says
+// where in the body the fault is.
+func TestSolveErrorNamesFieldPath(t *testing.T) {
+	ts := newTestServer(t)
+	bad := strings.Replace(demoInstance, `"kind": "satexp"`, `"kind": "cubic"`, 1)
+	for _, tc := range []struct{ path, body, want string }{
+		{"/solve", bad, `instio: threads[3].kind: unknown utility kind "cubic"`},
+		{"/solve/batch", "[" + bad + "]", `instio: instance 0: threads[3].kind: unknown utility kind "cubic"`},
+	} {
+		resp, got := postSolve(t, ts, tc.path, tc.body)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(got), tc.want) {
+			t.Errorf("%s: status %d, body %q; want 400 naming %q", tc.path, resp.StatusCode, got, tc.want)
+		}
+	}
+}
+
 func TestSolveErrors(t *testing.T) {
 	ts := newTestServer(t)
 	for _, tc := range []struct {
@@ -96,6 +112,10 @@ func TestSolveErrors(t *testing.T) {
 		{"/solve?seed=minus", demoInstance, http.StatusBadRequest},
 		{"/solve/batch", "[]", http.StatusBadRequest},
 		{"/solve/batch", `[{"m": 0, "c": 1, "threads": []}]`, http.StatusBadRequest},
+		// Bytes after the instance, or after the batch's closing ']',
+		// make the body malformed; they are not ignored.
+		{"/solve", demoInstance + " garbage{", http.StatusBadRequest},
+		{"/solve/batch", "[" + demoInstance + "] garbage{", http.StatusBadRequest},
 	} {
 		resp, body := postSolve(t, ts, tc.path, tc.body)
 		if resp.StatusCode != tc.status {

@@ -1,7 +1,11 @@
-// Package instio serializes AA instances and assignments as JSON so the
-// command-line tools (aagen, aasolve) can round-trip problems. Utility
-// functions are encoded as type-tagged objects covering every closed-form
-// family plus piecewise-linear and PCHIP-sampled curves.
+// Package instio is the instance wire format: the JSON that aaserve's
+// /solve and /solve/batch, aarelay's cache fingerprinting, and the
+// command-line tools (aagen, aasolve) read and write. Utility functions
+// are encoded as type-tagged objects covering every closed-form family
+// plus piecewise-linear and PCHIP-sampled curves. Encode writes it with
+// encoding/json; Decode and Decoder read it with a single-pass byte
+// scanner that builds each utility as its object closes, so decoding
+// costs little more than parsing the numbers.
 package instio
 
 import (
@@ -47,49 +51,25 @@ type AssignmentJSON struct {
 func encodeThread(f utility.Func) (threadJSON, error) {
 	switch v := f.(type) {
 	case utility.Linear:
-		return threadJSON{Kind: "linear", Slope: v.Slope}, nil
+		return threadJSON{Kind: wireKinds[binLinear], Slope: v.Slope}, nil
 	case utility.CappedLinear:
-		return threadJSON{Kind: "cappedLinear", Slope: v.Slope, Knee: v.Knee}, nil
+		return threadJSON{Kind: wireKinds[binCappedLinear], Slope: v.Slope, Knee: v.Knee}, nil
 	case utility.Power:
-		return threadJSON{Kind: "power", Scale: v.Scale, Beta: v.Beta}, nil
+		return threadJSON{Kind: wireKinds[binPower], Scale: v.Scale, Beta: v.Beta}, nil
 	case utility.Log:
-		return threadJSON{Kind: "log", Scale: v.Scale, Shift: v.Shift}, nil
+		return threadJSON{Kind: wireKinds[binLog], Scale: v.Scale, Shift: v.Shift}, nil
 	case utility.SatExp:
-		return threadJSON{Kind: "satexp", Scale: v.Scale, K: v.K}, nil
+		return threadJSON{Kind: wireKinds[binSatExp], Scale: v.Scale, K: v.K}, nil
 	case utility.Saturating:
-		return threadJSON{Kind: "saturating", Scale: v.Scale, K: v.K}, nil
+		return threadJSON{Kind: wireKinds[binSaturating], Scale: v.Scale, K: v.K}, nil
 	case *utility.PiecewiseLinear:
 		xs, ys := knotsOf(v)
-		return threadJSON{Kind: "piecewise", Xs: xs, Ys: ys}, nil
+		return threadJSON{Kind: wireKinds[binPiecewise], Xs: xs, Ys: ys}, nil
 	case *utility.Sampled:
 		xs, ys := sampledKnots(v)
-		return threadJSON{Kind: "sampled", Xs: xs, Ys: ys}, nil
+		return threadJSON{Kind: wireKinds[binSampled], Xs: xs, Ys: ys}, nil
 	default:
 		return threadJSON{}, fmt.Errorf("instio: cannot encode utility type %T", f)
-	}
-}
-
-// decodeThread converts a wire thread back into a utility over capacity c.
-func decodeThread(tj threadJSON, c float64) (utility.Func, error) {
-	switch tj.Kind {
-	case "linear":
-		return utility.Linear{Slope: tj.Slope, C: c}, nil
-	case "cappedLinear":
-		return utility.CappedLinear{Slope: tj.Slope, Knee: tj.Knee, C: c}, nil
-	case "power":
-		return utility.Power{Scale: tj.Scale, Beta: tj.Beta, C: c}, nil
-	case "log":
-		return utility.Log{Scale: tj.Scale, Shift: tj.Shift, C: c}, nil
-	case "satexp":
-		return utility.SatExp{Scale: tj.Scale, K: tj.K, C: c}, nil
-	case "saturating":
-		return utility.Saturating{Scale: tj.Scale, K: tj.K, C: c}, nil
-	case "piecewise":
-		return utility.NewPiecewiseLinear(tj.Xs, tj.Ys)
-	case "sampled":
-		return utility.NewSampled(tj.Xs, tj.Ys)
-	default:
-		return nil, fmt.Errorf("instio: unknown utility kind %q", tj.Kind)
 	}
 }
 
@@ -113,6 +93,18 @@ const (
 	binPiecewise
 	binSampled
 )
+
+// wireKinds holds each family's "kind" on the JSON wire, by binary tag.
+var wireKinds = [...]string{
+	binLinear:       "linear",
+	binCappedLinear: "cappedLinear",
+	binPower:        "power",
+	binLog:          "log",
+	binSatExp:       "satexp",
+	binSaturating:   "saturating",
+	binPiecewise:    "piecewise",
+	binSampled:      "sampled",
+}
 
 func appendU64(dst []byte, v uint64) []byte {
 	var b [8]byte
@@ -192,34 +184,6 @@ func Encode(w io.Writer, in *core.Instance) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(ij)
-}
-
-// Decode reads an instance from JSON and validates it.
-func Decode(r io.Reader) (*core.Instance, error) {
-	return DecodeNext(json.NewDecoder(r))
-}
-
-// DecodeNext decodes one instance from an existing json.Decoder and
-// validates it — the streaming form of Decode: a caller walking a JSON
-// array with dec.Token/dec.More pulls instances off the wire one at a
-// time without buffering the enclosing document.
-func DecodeNext(dec *json.Decoder) (*core.Instance, error) {
-	var ij instanceJSON
-	if err := dec.Decode(&ij); err != nil {
-		return nil, fmt.Errorf("instio: %w", err)
-	}
-	in := &core.Instance{M: ij.M, C: ij.C, Threads: make([]utility.Func, len(ij.Threads))}
-	for i, tj := range ij.Threads {
-		f, err := decodeThread(tj, ij.C)
-		if err != nil {
-			return nil, fmt.Errorf("instio: thread %d: %w", i, err)
-		}
-		in.Threads[i] = f
-	}
-	if err := in.Validate(); err != nil {
-		return nil, err
-	}
-	return in, nil
 }
 
 // EncodeAssignment writes a solved assignment (with its utility and the

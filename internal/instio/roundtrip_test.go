@@ -42,7 +42,7 @@ func fixtureThreads(t *testing.T, c float64) map[string]utility.Func {
 	}
 }
 
-func encodeBytes(t *testing.T, in *core.Instance) []byte {
+func encodeBytes(t testing.TB, in *core.Instance) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := Encode(&buf, in); err != nil {

@@ -89,15 +89,17 @@ type Linear struct {
 }
 
 // NewLinear builds a piecewise-linear interpolant through (xs[i], ys[i]).
-// xs must be strictly increasing. The slices are copied.
+// xs must be strictly increasing. The slices are copied, into one
+// allocation.
 func NewLinear(xs, ys []float64) (*Linear, error) {
 	if err := validate(xs, ys); err != nil {
 		return nil, err
 	}
-	l := &Linear{
-		xs: append([]float64(nil), xs...),
-		ys: append([]float64(nil), ys...),
-	}
+	n := len(xs)
+	buf := make([]float64, 2*n)
+	l := &Linear{xs: buf[:n:n], ys: buf[n:]}
+	copy(l.xs, xs)
+	copy(l.ys, ys)
 	return l, nil
 }
 
@@ -167,48 +169,49 @@ type PCHIP struct {
 }
 
 // NewPCHIP builds a monotone piecewise-cubic interpolant through
-// (xs[i], ys[i]). xs must be strictly increasing. The slices are copied.
+// (xs[i], ys[i]). xs must be strictly increasing. The slices are copied,
+// into one allocation shared with the slopes.
 func NewPCHIP(xs, ys []float64) (*PCHIP, error) {
 	if err := validate(xs, ys); err != nil {
 		return nil, err
 	}
-	p := &PCHIP{
-		xs: append([]float64(nil), xs...),
-		ys: append([]float64(nil), ys...),
-	}
-	p.d = pchipSlopes(p.xs, p.ys)
+	n := len(xs)
+	buf := make([]float64, 3*n)
+	p := &PCHIP{xs: buf[:n:n], ys: buf[n : 2*n : 2*n], d: buf[2*n:]}
+	copy(p.xs, xs)
+	copy(p.ys, ys)
+	pchipSlopes(p.d, p.xs, p.ys)
 	return p, nil
 }
 
-// pchipSlopes computes the Fritsch–Carlson limited derivatives.
-func pchipSlopes(xs, ys []float64) []float64 {
+// pchipSlopes writes the Fritsch–Carlson limited derivatives into d. The
+// interval widths h and secant slopes del are recomputed where they are
+// used, with the same operations, rather than stored.
+func pchipSlopes(d, xs, ys []float64) {
 	n := len(xs)
-	d := make([]float64, n)
+	h := func(i int) float64 { return xs[i+1] - xs[i] }                         // interval width
+	del := func(i int) float64 { return (ys[i+1] - ys[i]) / (xs[i+1] - xs[i]) } // secant slope
 	if n == 2 {
-		s := (ys[1] - ys[0]) / (xs[1] - xs[0])
+		s := del(0)
 		d[0], d[1] = s, s
-		return d
-	}
-	h := make([]float64, n-1)   // interval widths
-	del := make([]float64, n-1) // secant slopes
-	for i := 0; i < n-1; i++ {
-		h[i] = xs[i+1] - xs[i]
-		del[i] = (ys[i+1] - ys[i]) / h[i]
+		return
 	}
 	// Interior knots: weighted harmonic mean of adjacent secants when they
 	// have the same sign, zero otherwise (Fritsch–Carlson / Matlab pchip).
+	h0, del0 := h(0), del(0)
 	for i := 1; i < n-1; i++ {
-		if del[i-1]*del[i] <= 0 {
+		h1, del1 := h(i), del(i)
+		if del0*del1 <= 0 {
 			d[i] = 0
-			continue
+		} else {
+			w1 := 2*h1 + h0
+			w2 := h1 + 2*h0
+			d[i] = (w1 + w2) / (w1/del0 + w2/del1)
 		}
-		w1 := 2*h[i] + h[i-1]
-		w2 := h[i] + 2*h[i-1]
-		d[i] = (w1 + w2) / (w1/del[i-1] + w2/del[i])
+		h0, del0 = h1, del1
 	}
-	d[0] = edgeSlope(h[0], h[1], del[0], del[1])
-	d[n-1] = edgeSlope(h[n-2], h[n-3], del[n-2], del[n-3])
-	return d
+	d[0] = edgeSlope(h(0), h(1), del(0), del(1))
+	d[n-1] = edgeSlope(h(n-2), h(n-3), del(n-2), del(n-3))
 }
 
 // edgeSlope is the non-centered three-point endpoint formula with the

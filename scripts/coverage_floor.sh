@@ -31,6 +31,7 @@ FLOORS="
 ./internal/ratelimit 85
 ./internal/engine 85
 ./internal/solverpool 94
+./internal/instio 85
 "
 
 fail=0
