@@ -47,7 +47,6 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzConcaveFeasibleAndDominant -fuzztime=10s ./internal/alloc
 	$(GO) test -run='^$$' -fuzz=FuzzFeasibleConcave -fuzztime=10s ./internal/check
 	$(GO) test -run='^$$' -fuzz=FuzzDifferentialAssign -fuzztime=10s ./internal/check
-	$(GO) test -run='^$$' -fuzz=FuzzAssign2Parallel -fuzztime=10s ./internal/check
 	$(GO) test -run='^$$' -fuzz=FuzzPCHIPMonotone -fuzztime=10s ./internal/interp
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=10s ./internal/instio
 	$(GO) test -run='^$$' -fuzz=FuzzBatchStream -fuzztime=10s ./internal/instio
@@ -139,9 +138,9 @@ bench-json:
 bench-regress:
 	./scripts/bench_regress.sh
 
-# The opt-in n=10^6 tier: serial vs parallel Assign2 and the full solve
-# at a million threads, folded into the snapshot. On >= 4 cores
-# benchgate then enforces the >= 2x parallel-speedup floor.
+# The opt-in n=10^6 tier: Assign2 alone and the full solve at a million
+# threads, folded into the snapshot. benchgate then requires both to
+# allocate nothing per op.
 bench-1m:
 	AA_BENCH_1M=1 ./scripts/bench_regress.sh
 

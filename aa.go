@@ -174,7 +174,9 @@ func SuperOptimal(in *Instance) SuperOpt { return core.SuperOptimal(in) }
 // decreases; maxMoves 0 means n·m moves. Useful after Solve on hard
 // two-class workloads. Returns the result and the number of moves.
 func Improve(in *Instance, a Assignment, maxMoves int) (Assignment, int) {
-	return core.Improve(in, a, maxMoves)
+	// A background context never cancels, so the error is always nil.
+	out, moves, _ := core.Improve(context.Background(), in, a, maxMoves)
+	return out, moves
 }
 
 // SolveGreedyMarginal is a strong baseline beyond the paper's four

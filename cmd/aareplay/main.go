@@ -12,7 +12,7 @@
 //	         [-addr host:port] [-list] [-v] [-check]
 //	         [-metrics-addr host:port] [-trace-out file.jsonl]
 //	         [-cache memory] [-cache-size 1024] [-cache-ttl 0]
-//	         [-cache-warm-k 8] [-parallel-threshold n]
+//	         [-cache-warm-k 8]
 //
 // -scenario names a built-in scenario family (see -list) or a JSON
 // scenario file; -trace replays a recorded event trace instead. The
@@ -25,13 +25,6 @@
 // -addr sends every re-solve to a running aaserve instance's /solve
 // endpoint instead of the in-process engine (full-resolve policy
 // only), replaying the trace against the live service.
-//
-// -parallel-threshold overrides the instance size at which in-process
-// re-solves switch to the parallel Assign2 path (the bigfleet scenarios
-// cross the default threshold on every full re-solve; a negative value
-// restores the default, a huge one forces serial). Parallel and serial
-// solves are byte-identical, so the flag never perturbs the
-// determinism contract — only wall-clock timings.
 //
 // -cache installs the solve-result cache in the in-process engine and
 // adds a "cache" section (hit / warm-start rates) to the report. Leave
@@ -54,7 +47,6 @@ import (
 	"strings"
 
 	"aa/internal/cliutil"
-	"aa/internal/core"
 	"aa/internal/online"
 	"aa/internal/replay"
 )
@@ -81,9 +73,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		addr      = fs.String("addr", "", "solve via a running aaserve at this address instead of in-process")
 		list      = fs.Bool("list", false, "list built-in scenarios and exit")
 		verbose   = fs.Bool("v", false, "print the one-line run summary to stderr")
-
-		parallelThreshold = fs.Int("parallel-threshold", 0,
-			"instance size at which the core solver goes multi-core (0 = GOMAXPROCS-aware default)")
 	)
 	var common cliutil.Common
 	common.AddFlags(fs)
@@ -97,9 +86,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if *list {
 		return listScenarios(stdout)
-	}
-	if *parallelThreshold != 0 {
-		core.SetParallelThreshold(*parallelThreshold)
 	}
 	shutdown, err := common.Start("aareplay", stderr)
 	if err != nil {

@@ -8,7 +8,7 @@
 //	        [-deadline 0] [-history-interval 10s] [-metrics-addr host:port]
 //	        [-trace-out file.jsonl] [-profile-dir dir] [-check]
 //	        [-cache memory] [-cache-size 1024] [-cache-ttl 0] [-cache-warm-k 8]
-//	        [-max-batch-bytes 1073741824] [-parallel-threshold 0] [-drain-grace 0]
+//	        [-max-batch-bytes 1073741824] [-drain-grace 0]
 //
 // Endpoints:
 //
@@ -128,8 +128,6 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 			"metrics-history snapshot interval for /metrics/history (0 disables)")
 		maxBatchBytes = fs.Int64("max-batch-bytes", 1<<30,
 			"reject /solve/batch bodies larger than this with 413 (0 = unlimited)")
-		parallelThreshold = fs.Int("parallel-threshold", 0,
-			"instance size at which the core solver goes multi-core (0 = GOMAXPROCS-aware default)")
 		drainGrace = fs.Duration("drain-grace", 0,
 			"on SIGTERM, keep the listener open this long with /readyz already 503 so load balancers eject the node before in-flight draining begins (0 = drain immediately)")
 	)
@@ -158,9 +156,6 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 
 	if _, ok := engine.Lookup(*backend); !ok {
 		return fmt.Errorf("unknown default backend %q", *backend)
-	}
-	if *parallelThreshold != 0 {
-		core.SetParallelThreshold(*parallelThreshold)
 	}
 	solveCache, err := cacheFlags.Build()
 	if err != nil {

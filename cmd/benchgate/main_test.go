@@ -24,7 +24,7 @@ func TestSplitProcs(t *testing.T) {
 	}
 }
 
-// errsAbout filters assertSpeedups output down to the lines that
+// errsAbout1M filters assertSpeedups output down to the lines that
 // mention the million-thread tier.
 func errsAbout1M(errs []string) []string {
 	var out []string
@@ -36,32 +36,29 @@ func errsAbout1M(errs []string) []string {
 	return out
 }
 
-// TestMillionFloorConditional: the n=10⁶ parallel-speedup floor arms
-// only when the snapshot carries the benchmark pair AND ≥4 cores; a
-// half-present pair is malformed regardless of core count.
+// TestMillionFloorConditional: the n=10⁶ zero-alloc floor arms only
+// when the snapshot carries the tier; then both of its benchmarks must
+// be present and allocate nothing per op.
 func TestMillionFloorConditional(t *testing.T) {
-	snap := func(procs int, serial, parallel float64) *Snapshot {
-		s := &Snapshot{Procs: procs, Benchmarks: map[string]Bench{}}
-		if serial > 0 {
-			s.Benchmarks["BenchmarkAssign2Serial1M"] = Bench{NsPerOp: serial}
-		}
-		if parallel > 0 {
-			s.Benchmarks["BenchmarkAssign2Parallel1M"] = Bench{NsPerOp: parallel}
+	snap := func(tier map[string]float64) *Snapshot {
+		s := &Snapshot{Procs: 2, Benchmarks: map[string]Bench{}}
+		for name, allocs := range tier {
+			s.Benchmarks[name] = Bench{NsPerOp: 3e8, AllocsPerOp: allocs}
 		}
 		return s
 	}
 	for _, tc := range []struct {
 		name    string
-		cur     *Snapshot
+		tier    map[string]float64
 		wantErr bool
 	}{
-		{"absent pair, no error", snap(8, 0, 0), false},
-		{"half pair is malformed", snap(1, 1e9, 0), true},
-		{"small machine records without arming", snap(2, 1e9, 9e8), false},
-		{"big machine, floor met", snap(8, 1e9, 4e8), false},
-		{"big machine, floor missed", snap(8, 1e9, 9e8), true},
+		{"absent tier, no error", nil, false},
+		{"both zero", map[string]float64{"BenchmarkAssign2Serial1M": 0, "BenchmarkSolve1M": 0}, false},
+		{"solve allocates", map[string]float64{"BenchmarkAssign2Serial1M": 0, "BenchmarkSolve1M": 18}, true},
+		{"assign2 allocates", map[string]float64{"BenchmarkAssign2Serial1M": 1, "BenchmarkSolve1M": 0}, true},
+		{"half tier is malformed", map[string]float64{"BenchmarkSolve1M": 0}, true},
 	} {
-		got := errsAbout1M(assertSpeedups(tc.cur))
+		got := errsAbout1M(assertSpeedups(snap(tc.tier)))
 		if (len(got) > 0) != tc.wantErr {
 			t.Errorf("%s: 1M errors = %v, wantErr=%v", tc.name, got, tc.wantErr)
 		}

@@ -50,40 +50,6 @@ func FuzzFeasibleConcave(f *testing.F) {
 	})
 }
 
-// FuzzAssign2Parallel fuzzes the parallel Assign2 path against the
-// serial one on gen instances: same servers, same allocation bits, for
-// every thread, on every input — the byte-identity contract of the
-// chunked-sort + sharded-heap rewrite (core/parallel.go). Shapes reach
-// past the white-box tests' fixed sizes: m and n both vary, including
-// m > n and single-server instances.
-func FuzzAssign2Parallel(f *testing.F) {
-	f.Add(uint64(1), uint16(8), uint16(40), uint8(0))
-	f.Add(uint64(5), uint16(1), uint16(200), uint8(2))
-	f.Add(uint64(17), uint16(300), uint16(9), uint8(4))
-	f.Add(uint64(23), uint16(64), uint16(1000), uint8(5))
-	f.Fuzz(func(t *testing.T, seed uint64, m, n uint16, distPick uint8) {
-		const c = 100.0
-		r := rng.New(seed)
-		workloads := FigureWorkloads()
-		in, err := gen.Instance(workloads[int(distPick)%len(workloads)].Dist,
-			1+int(m%512), c, 1+int(n%4096), r)
-		if err != nil {
-			t.Skip()
-		}
-		so := core.SuperOptimal(in)
-		gs := core.Linearize(in, so)
-		serial := core.Assign2Linearized(in, gs)
-		par := core.Assign2LinearizedParallel(in, gs)
-		for i := range serial.Server {
-			if par.Server[i] != serial.Server[i] ||
-				math.Float64bits(par.Alloc[i]) != math.Float64bits(serial.Alloc[i]) {
-				t.Fatalf("thread %d: parallel Assign2 (%d,%v) != serial (%d,%v)",
-					i, par.Server[i], par.Alloc[i], serial.Server[i], serial.Alloc[i])
-			}
-		}
-	})
-}
-
 // FuzzDifferentialAssign fuzzes the assignment pipeline on small gen
 // instances: Assign1/Assign2 must be feasible and honor α·F̂ ≤ F ≤ F̂,
 // neither may beat the branch-and-bound exact optimum, the heap-based

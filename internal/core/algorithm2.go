@@ -59,12 +59,6 @@ func assign2WithTailOrder(in *Instance, gs []Linearized, tailOrder TailOrder) As
 // entry points, reusing the workspace's order slice, sorters and server
 // heap so steady-state re-solves allocate nothing beyond the caller's out.
 func (w *Workspace) assign2(in *Instance, gs []Linearized, tailOrder TailOrder, out *Assignment) {
-	if in.N() >= ParallelThreshold() {
-		// Huge instances take the chunked-sort + sharded-heap path —
-		// byte-identical output, multi-core execution (parallel.go).
-		w.assign2Parallel(in, gs, tailOrder, out, false)
-		return
-	}
 	start := stageStart()
 	n, m := in.N(), in.M
 	out.Reset(n)
@@ -133,16 +127,9 @@ type serverHeap struct {
 	swaps   int // sift-down swaps, for the heap-operations telemetry
 }
 
-// newServerHeap builds a heap of m servers, all with residual c. All keys
-// equal means any order is a valid heap.
-func newServerHeap(m int, c float64) *serverHeap {
-	h := &serverHeap{}
-	h.reset(m, c)
-	return h
-}
-
 // reset refills the heap with m servers at residual c, reusing the entry
-// array when it is large enough.
+// array when it is large enough. All keys equal means any order is a
+// valid heap.
 func (h *serverHeap) reset(m int, c float64) {
 	if cap(h.entries) >= m {
 		h.entries = h.entries[:m]
@@ -157,8 +144,6 @@ func (h *serverHeap) reset(m int, c float64) {
 
 // peek returns the server with the most remaining resource.
 func (h *serverHeap) peek() serverEntry { return h.entries[0] }
-
-func (h *serverHeap) swapCount() int { return h.swaps }
 
 // updateTop replaces the top's residual and restores the heap property.
 func (h *serverHeap) updateTop(newResidual float64) {

@@ -1,21 +1,13 @@
 package core_test
 
-// The million-thread benchmark tier (ISSUE 9): serial vs parallel
-// Assign2 and the full solve pipeline at n = 10⁶, m = 64 — the regime
-// the parallel path exists for. Building and solving a million-thread
+// The million-thread benchmark tier: Assign2 alone and the full solve
+// pipeline at n = 10⁶, m = 64. Building and solving a million-thread
 // instance takes seconds, so the tier is opt-in behind AA_BENCH_1M
 // (scripts/bench_regress.sh runs it when the variable is set) and the
-// default CI lane stays fast. benchgate arms the ≥2× parallel-speedup
-// floor only when the snapshot both contains this pair and was recorded
-// on ≥4 cores.
-//
-// BenchmarkAssign2Parallel (no suffix) is the always-on counterpart: it
-// forces the parallel machinery on the regular n=10⁴ workload so every
-// snapshot covers the chunked-sort + sharded-heap code path even where
-// the 10⁶ tier is skipped.
+// default CI lane stays fast. When the snapshot carries the tier,
+// benchgate requires both benchmarks to allocate nothing per op.
 
 import (
-	"math"
 	"os"
 	"testing"
 
@@ -42,12 +34,9 @@ func millionInstance(b *testing.B) *core.Instance {
 	return in
 }
 
-// assign2Steady times w.Assign2Linearized in steady state under the
-// caller's threshold setting, restoring the default afterwards.
-func assign2Steady(b *testing.B, in *core.Instance, threshold int) {
+// assign2Steady times w.Assign2Linearized in steady state.
+func assign2Steady(b *testing.B, in *core.Instance) {
 	b.Helper()
-	core.SetParallelThreshold(threshold)
-	defer core.SetParallelThreshold(0)
 	w := core.NewWorkspace()
 	so := w.SuperOptimal(in)
 	gs := w.Linearize(in, so)
@@ -62,17 +51,12 @@ func assign2Steady(b *testing.B, in *core.Instance, threshold int) {
 
 func BenchmarkAssign2Serial1M(b *testing.B) {
 	guard1M(b)
-	assign2Steady(b, millionInstance(b), math.MaxInt)
-}
-
-func BenchmarkAssign2Parallel1M(b *testing.B) {
-	guard1M(b)
-	assign2Steady(b, millionInstance(b), 1)
+	assign2Steady(b, millionInstance(b))
 }
 
 // BenchmarkSolve1M is the full pipeline — super-optimal bound,
-// linearization, Assign2 under the default threshold policy — at 10⁶
-// threads: the "single-node million-thread solve" headline number.
+// linearization, Assign2 — at 10⁶ threads: the "single-node
+// million-thread solve" headline number.
 func BenchmarkSolve1M(b *testing.B) {
 	guard1M(b)
 	in := millionInstance(b)
@@ -90,14 +74,4 @@ func BenchmarkSolve1M(b *testing.B) {
 		gs := w.Linearize(in, so)
 		w.Assign2Linearized(in, gs, &out)
 	}
-}
-
-// BenchmarkAssign2Parallel runs the parallel path on the standard
-// benchmark workload (fig1a-uniform, n=10⁴, below the natural
-// threshold) in every lane, so the default snapshot tracks the parallel
-// machinery's cost too.
-func BenchmarkAssign2Parallel(b *testing.B) {
-	b.Run("fig1a-uniform/n=10000", func(b *testing.B) {
-		assign2Steady(b, benchInstance(b, gen.DefaultUniform, 10000), 1)
-	})
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+
 	"aa/internal/alloc"
 	"aa/internal/telemetry"
 	"aa/internal/utility"
@@ -117,8 +119,11 @@ func PolishAllocations(in *Instance, a Assignment) Assignment {
 // whenever the input is; maxMoves bounds the total move count (0 means
 // n·m).
 //
-// Returns the improved assignment and the number of moves applied.
-func Improve(in *Instance, a Assignment, maxMoves int) (Assignment, int) {
+// Returns the improved assignment and the number of moves applied. The
+// search checks ctx once per thread visit and once per swap pass and
+// returns ctx.Err() once it is done, so a deadline bounds the wall time
+// of a search that would otherwise run to its local optimum.
+func Improve(ctx context.Context, in *Instance, a Assignment, maxMoves int) (Assignment, int, error) {
 	start := stageStart()
 	n, m := in.N(), in.M
 	if maxMoves <= 0 {
@@ -140,6 +145,9 @@ func Improve(in *Instance, a Assignment, maxMoves int) (Assignment, int) {
 	for moves < maxMoves {
 		improved := false
 		for i := 0; i < n && moves < maxMoves; i++ {
+			if err := ctx.Err(); err != nil {
+				return Assignment{}, moves, err
+			}
 			from := serverOf(groups, i)
 			without := removeFrom(groups[from], i)
 			fromTotal := groupTotal(in, fs, without)
@@ -166,6 +174,9 @@ func Improve(in *Instance, a Assignment, maxMoves int) (Assignment, int) {
 			}
 		}
 		if !improved && moves < maxMoves {
+			if err := ctx.Err(); err != nil {
+				return Assignment{}, moves, err
+			}
 			improved = swapPass(in, fs, groups, totals, &moves, maxMoves, eps)
 		}
 		if !improved {
@@ -181,7 +192,7 @@ func Improve(in *Instance, a Assignment, maxMoves int) (Assignment, int) {
 		metricLocalSearchMoves.Add(uint64(moves))
 		stageEnd(start, metricLocalSearchSeconds, "core.localsearch", telemetry.SpanContext{}, n)
 	}
-	return out, moves
+	return out, moves, nil
 }
 
 // swapPass applies the first improving pairwise swap it finds, updating

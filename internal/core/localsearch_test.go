@@ -46,7 +46,7 @@ func TestImproveNeverDecreasesUtility(t *testing.T) {
 			AssignRR(in, r),
 		} {
 			before := start.Utility(in)
-			improved, moves := Improve(in, start, 0)
+			improved, moves, _ := Improve(context.Background(), in, start, 0)
 			assertFeasible(t, in, improved, "Improve")
 			after := improved.Utility(in)
 			if after < before*(1-1e-9)-1e-9 {
@@ -61,7 +61,7 @@ func TestImproveRespectsBound(t *testing.T) {
 	r := rng.New(64)
 	in := randomInstance(r, 12, 3, 100)
 	so := SuperOptimal(in)
-	improved, _ := Improve(in, Assign2(in), 0)
+	improved, _, _ := Improve(context.Background(), in, Assign2(in), 0)
 	if u := improved.Utility(in); u > so.Total*(1+1e-9) {
 		t.Errorf("improved utility %v exceeds super-optimal bound %v", u, so.Total)
 	}
@@ -79,7 +79,7 @@ func TestImproveFixesBadAssignment(t *testing.T) {
 		},
 	}
 	bad := Assignment{Server: []int{0, 0}, Alloc: []float64{5, 5}}
-	improved, moves := Improve(in, bad, 0)
+	improved, moves, _ := Improve(context.Background(), in, bad, 0)
 	assertFeasible(t, in, improved, "Improve")
 	if moves < 1 {
 		t.Errorf("expected at least one move, got %d", moves)
@@ -92,7 +92,7 @@ func TestImproveFixesBadAssignment(t *testing.T) {
 func TestImproveMoveLimit(t *testing.T) {
 	r := rng.New(65)
 	in := randomInstance(r, 15, 3, 100)
-	_, moves := Improve(in, AssignRR(in, r), 2)
+	_, moves, _ := Improve(context.Background(), in, AssignRR(in, r), 2)
 	if moves > 2 {
 		t.Errorf("move budget exceeded: %d", moves)
 	}
@@ -102,8 +102,8 @@ func TestImproveAtLocalOptimumIsNoOp(t *testing.T) {
 	// Running Improve twice: the second pass must make zero moves.
 	r := rng.New(66)
 	in := randomInstance(r, 10, 3, 100)
-	once, _ := Improve(in, Assign2(in), 0)
-	again, moves := Improve(in, once, 0)
+	once, _, _ := Improve(context.Background(), in, Assign2(in), 0)
+	again, moves, _ := Improve(context.Background(), in, once, 0)
 	if moves != 0 {
 		t.Errorf("second Improve pass made %d moves", moves)
 	}
@@ -132,7 +132,7 @@ func TestImproveClosesDiscreteGap(t *testing.T) {
 		}
 		in := &Instance{M: m, C: 100, Threads: threads}
 		a2 := Assign2(in)
-		improved, _ := Improve(in, a2, 0)
+		improved, _, _ := Improve(context.Background(), in, a2, 0)
 		opt, err := BranchAndBound(context.Background(), in, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -159,7 +159,7 @@ func BenchmarkImproveN40(b *testing.B) {
 	start := Assign2(in)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Improve(in, start, 0)
+		Improve(context.Background(), in, start, 0)
 	}
 }
 
@@ -218,7 +218,7 @@ func TestImproveSwapFixesTightInstance(t *testing.T) {
 		Alloc:  []float64{6, 4, 4, 4}, // server 0 full, server 1 holds 8/10
 	}
 	assertFeasible(t, in, bad, "start")
-	improved, moves := Improve(in, bad, 0)
+	improved, moves, _ := Improve(context.Background(), in, bad, 0)
 	assertFeasible(t, in, improved, "Improve")
 	// Optimal pairs a 6-knee with a 4-knee per server: utility 20.
 	if u := improved.Utility(in); u < 20-1e-6 {

@@ -34,16 +34,6 @@ type Workspace struct {
 	byUHat uhatSorter
 	byTail tailSorter
 
-	// Parallel Assign2 scratch (parallel.go): the merge ping-pong
-	// buffer, per-chunk sorters (each with its own comparison counter),
-	// per-merge-task counters, and the sharded server heap. Pooled with
-	// the workspace so steady-state parallel solves reuse them.
-	sortScratch []int
-	parUHat     []uhatSorter
-	parTail     []tailSorter
-	taskCmps    []uint64
-	hs          shardedServerHeap
-
 	// Algorithm 1 fast-path scratch.
 	a1servers []serverEntry
 	full      []threadItem

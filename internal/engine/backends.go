@@ -155,7 +155,10 @@ func handleLocalSearch(ctx ctxT, req *Request, resp *Response) error {
 	if err := solveLinearized(ctx, req, resp, false); err != nil {
 		return err
 	}
-	a, moves := core.Improve(req.Instance, resp.Assignment, req.MaxMoves)
+	a, moves, err := core.Improve(ctx, req.Instance, resp.Assignment, req.MaxMoves)
+	if err != nil {
+		return err
+	}
 	resp.Assignment = a
 	resp.Moves = moves
 	finishUtility(req, resp)

@@ -59,7 +59,10 @@ func TestBackendsMatchDirect(t *testing.T) {
 			"ru":      core.AssignRU(in, rng.New(7)),
 			"rr":      core.AssignRR(in, rng.New(7)),
 		}
-		lsWant, _ := core.Improve(in, core.Assign2(in), 0)
+		lsWant, _, err := core.Improve(ctx, in, core.Assign2(in), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
 		direct["ls"] = lsWant
 		for name, want := range direct {
 			resp, err := eng.Solve(ctx, &Request{Instance: in, Backend: name, Seed: 7, WantUtility: true})

@@ -11,8 +11,8 @@ package engine
 //     SolveBatch after Close silently started a fresh pool that nothing
 //     would ever drain (goroutine + queue leak) instead of failing.
 //
-// Both tests fail against the pre-fix engine, as does the exact-backend
-// deadline test at the end of the file.
+// Both tests fail against the pre-fix engine, as do the exact and
+// local-search deadline tests at the end of the file.
 
 import (
 	"context"
@@ -259,5 +259,38 @@ func TestExactBackendHonoursDeadline(t *testing.T) {
 	case <-closed:
 	case <-time.After(time.Second):
 		t.Fatal("Close still waiting on the cancelled exact solve after 1s")
+	}
+}
+
+// TestLocalSearchBackendHonoursDeadline: local search checks ctx once
+// per thread visit and once per swap pass, so a deadline frees the
+// worker promptly. Before Improve took a context the worker ran the
+// search to its local optimum (seconds at this size) after the caller
+// had gone, and Close waited for it.
+func TestLocalSearchBackendHonoursDeadline(t *testing.T) {
+	in, err := gen.Instance(gen.PowerLaw{Alpha: 2, Xmin: 1}, 16, 1000, 200, rng.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := New(Options{Workers: 1})
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err = eng.Submit(ctx, &Request{Instance: in, Backend: "ls"})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("local-search solve under a 20ms deadline returned %v, want context.DeadlineExceeded", err)
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("deadline noticed after %v", elapsed)
+	}
+	closed := make(chan struct{})
+	go func() {
+		eng.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(time.Second):
+		t.Fatal("Close still waiting on the cancelled local-search solve after 1s")
 	}
 }

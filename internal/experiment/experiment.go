@@ -251,7 +251,10 @@ func runTrial(ctx context.Context, spec Spec, sp SweepPoint, r *rng.Rand) (map[s
 	for _, extra := range spec.Extra {
 		switch extra {
 		case "LS":
-			improved, _ := core.Improve(in, a2, 0)
+			improved, _, err := core.Improve(ctx, in, a2, 0)
+			if err != nil {
+				return nil, nil, fmt.Errorf("LS: %w", err)
+			}
 			if check.Enabled() {
 				if err := check.Feasible(in, improved, check.DefaultEps); err != nil {
 					return nil, nil, fmt.Errorf("LS: %w", err)

@@ -16,9 +16,9 @@
 #   BASELINE   baseline path (default bench/baseline.json)
 #   MAX_RATIO  ns/op regression threshold (default 1.20)
 #   EMIT_ONLY  set to 1 to write the snapshot and skip both gates
-#   AA_BENCH_1M    set to 1 to add the n=10^6 tier (serial vs parallel
-#                  Assign2 and the full solve); benchgate then arms the
-#                  2x parallel-speedup floor when run on >= 4 cores
+#   AA_BENCH_1M    set to 1 to add the n=10^6 tier (Assign2 alone and
+#                  the full solve); benchgate then requires both to
+#                  allocate nothing per op
 #   BENCHTIME_1M   per-benchmark budget for the 10^6 tier (default 1x)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -34,13 +34,13 @@ trap 'rm -f "$tmp"' EXIT
 
 echo "bench_regress: core benchmarks (benchtime=$BENCHTIME)..."
 go test -run '^$' \
-  -bench '^Benchmark(Calibrate|SuperOptimal|SuperOptimalRef|Assign1|Assign1Ref|Assign2|Assign2Parallel|Solve|Assign2Warm|Assign2WarmColdRef)$' \
+  -bench '^Benchmark(Calibrate|SuperOptimal|SuperOptimalRef|Assign1|Assign1Ref|Assign2|Solve|Assign2Warm|Assign2WarmColdRef)$' \
   -benchtime "$BENCHTIME" ./internal/core/ | tee -a "$tmp"
 
 if [ "${AA_BENCH_1M:-0}" = 1 ]; then
   echo "bench_regress: million-thread tier (AA_BENCH_1M=1)..."
   AA_BENCH_1M=1 go test -run '^$' \
-    -bench '^Benchmark(Assign2Serial1M|Assign2Parallel1M|Solve1M)$' \
+    -bench '^Benchmark(Assign2Serial1M|Solve1M)$' \
     -benchtime "${BENCHTIME_1M:-1x}" -timeout 30m ./internal/core/ | tee -a "$tmp"
 fi
 
