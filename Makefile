@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet fmtcheck tidy-check race check-smoke fuzz-smoke bench-smoke telemetry-smoke metrics-smoke serve-smoke batch-smoke cache-smoke trace-smoke replay-smoke relay-smoke cover-floor staticcheck vulncheck bench-json bench-regress bench-1m ci bench figures examples cover clean
+.PHONY: all build test vet perfbench-vet fmtcheck tidy-check race check-smoke fuzz-smoke bench-smoke telemetry-smoke metrics-smoke serve-smoke batch-smoke cache-smoke trace-smoke replay-smoke relay-smoke cover-floor staticcheck vulncheck bench-json bench-regress bench-1m ci bench figures examples cover clean
 
 all: build vet fmtcheck test
 
@@ -14,6 +14,12 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# perfbench is its own module (replace aa => ../), outside ./..., so
+# nothing else compiles it; vetting it catches an internal/ API change
+# that would break the benchmark. go vet writes no binary.
+perfbench-vet:
+	cd perfbench && $(GO) vet ./...
 
 # Fail if any file needs gofmt (same check CI runs).
 fmtcheck:
@@ -145,7 +151,7 @@ bench-1m:
 	AA_BENCH_1M=1 ./scripts/bench_regress.sh
 
 # Mirror of .github/workflows/ci.yml.
-ci: build vet fmtcheck tidy-check staticcheck vulncheck race check-smoke fuzz-smoke bench-smoke telemetry-smoke bench-regress metrics-smoke serve-smoke batch-smoke cache-smoke trace-smoke replay-smoke relay-smoke cover-floor
+ci: build vet perfbench-vet fmtcheck tidy-check staticcheck vulncheck race check-smoke fuzz-smoke bench-smoke telemetry-smoke bench-regress metrics-smoke serve-smoke batch-smoke cache-smoke trace-smoke replay-smoke relay-smoke cover-floor
 
 # One benchmark per paper figure/claim plus micro-benchmarks.
 bench:

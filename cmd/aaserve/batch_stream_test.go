@@ -171,6 +171,61 @@ func TestBatchTooLargeChunked(t *testing.T) {
 	}
 }
 
+// TestSolveTooLarge: /solve shares the -max-batch-bytes body cap. A
+// declared Content-Length over the cap is rejected with the typed 413
+// before any body byte is read.
+func TestSolveTooLarge(t *testing.T) {
+	eng := engine.New(engine.Options{Backend: "a2", Workers: 1})
+	t.Cleanup(eng.Close)
+	h := (&server{eng: eng, backend: "a2", maxBatchBytes: 1 << 20}).mux()
+
+	req := httptest.NewRequest(http.MethodPost, "/solve", strings.NewReader(demoInstance))
+	req.ContentLength = 5 << 30 // a 5 GiB declaration, no actual payload
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413: %s", rec.Code, rec.Body)
+	}
+	var e struct {
+		Code  string `json:"code"`
+		Limit int64  `json:"limitBytes"`
+		Size  int64  `json:"sizeBytes"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+		t.Fatalf("413 body is not JSON: %v\n%s", err, rec.Body)
+	}
+	if e.Code != "body_too_large" || e.Limit != 1<<20 || e.Size != 5<<30 {
+		t.Fatalf("typed error %+v", e)
+	}
+}
+
+// TestSolveTooLargeChunked: a chunked /solve body that overruns the cap
+// mid-decode is rejected with the same typed 413, not a 400, while a
+// body under the cap still solves.
+func TestSolveTooLargeChunked(t *testing.T) {
+	ts := newBatchServer(t, int64(len(demoInstance)))
+	if resp, body := postSolve(t, ts, "/solve", demoInstance); resp.StatusCode != http.StatusOK {
+		t.Fatalf("body at the cap: status %d: %s", resp.StatusCode, body)
+	}
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/solve", io.NopCloser(strings.NewReader(demoInstance+"  ")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.ContentLength = -1 // force chunked transfer encoding
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413: %s", resp.StatusCode, data)
+	}
+	if !strings.Contains(string(data), `"code": "body_too_large"`) {
+		t.Fatalf("413 body missing typed code: %s", data)
+	}
+}
+
 // TestBatchStreamLargeBatch runs a batch big enough to exercise real
 // decode/solve/emit overlap through the HTTP stack and checks every
 // element of the response array arrives intact and in order.

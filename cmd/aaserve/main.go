@@ -47,9 +47,10 @@
 // names the field path, like "instio: threads[17].ys: ...", and bytes
 // after the instance or the batch's closing ']' are malformed too) or
 // unknown backends; 413 (typed JSON: error, code, limitBytes) when a
-// batch body exceeds -max-batch-bytes; 422 when a requested check
-// fails; 429 when the solve queue is full (retry later); 504 when the
-// deadline expires mid-solve.
+// request body exceeds -max-batch-bytes, the body cap of both /solve
+// (code body_too_large) and /solve/batch (code batch_too_large); 422
+// when a requested check fails; 429 when the solve queue is full (retry
+// later); 504 when the deadline expires mid-solve.
 //
 // /solve/batch streams: instances are decoded off the wire one at a
 // time through instio.Decoder's fixed 64 KiB window, solved through the
@@ -110,7 +111,7 @@ type server struct {
 	log      *slog.Logger  // JSON access/lifecycle logs; nil = discard
 	health   *serveutil.Health
 
-	maxBatchBytes int64 // /solve/batch body cap; <= 0 = unlimited
+	maxBatchBytes int64 // /solve and /solve/batch body cap; <= 0 = unlimited
 }
 
 // run is the testable body of the command. ready, when non-nil,
@@ -127,7 +128,7 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 		history  = fs.Duration("history-interval", 10*time.Second,
 			"metrics-history snapshot interval for /metrics/history (0 disables)")
 		maxBatchBytes = fs.Int64("max-batch-bytes", 1<<30,
-			"reject /solve/batch bodies larger than this with 413 (0 = unlimited)")
+			"reject /solve and /solve/batch bodies larger than this with 413 (0 = unlimited)")
 		drainGrace = fs.Duration("drain-grace", 0,
 			"on SIGTERM, keep the listener open this long with /readyz already 503 so load balancers eject the node before in-flight draining begins (0 = drain immediately)")
 	)
@@ -261,8 +262,16 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	if !s.limitBody(w, r, "body_too_large") {
+		return
+	}
 	in, err := instio.Decode(r.Body)
 	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeTooLarge(w, "body_too_large", -1, tooBig.Limit)
+			return
+		}
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -310,14 +319,8 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if s.maxBatchBytes > 0 {
-		if r.ContentLength > s.maxBatchBytes {
-			writeBatchTooLarge(w, r.ContentLength, s.maxBatchBytes)
-			return
-		}
-		// Chunked bodies carry no Content-Length; the reader enforces the
-		// same cap as the bytes actually arrive.
-		r.Body = http.MaxBytesReader(w, r.Body, s.maxBatchBytes)
+	if !s.limitBody(w, r, "batch_too_large") {
+		return
 	}
 	ctx := r.Context()
 	if deadline > 0 {
@@ -370,7 +373,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		var bad *batchBodyError
 		switch {
 		case errors.As(err, &tooBig):
-			writeBatchTooLarge(w, -1, tooBig.Limit)
+			writeTooLarge(w, "batch_too_large", -1, tooBig.Limit)
 		case errors.As(err, &bad):
 			http.Error(w, bad.Error(), http.StatusBadRequest)
 		default:
@@ -388,22 +391,40 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// batchErrorJSON is the typed body of request-level batch rejections
-// (today only 413): a machine-readable code plus the configured limit,
-// so clients can split the batch and retry instead of parsing prose.
-type batchErrorJSON struct {
+// limitBody applies the -max-batch-bytes cap to r's body and reports
+// whether the handler may go on. A declared Content-Length over the cap
+// is rejected up front with the typed 413 (code names the route's
+// error), before a byte is read; chunked bodies carry no
+// Content-Length, so the reader enforces the same cap as the bytes
+// arrive and the handler maps its *http.MaxBytesError to the same 413.
+func (s *server) limitBody(w http.ResponseWriter, r *http.Request, code string) bool {
+	if s.maxBatchBytes <= 0 {
+		return true
+	}
+	if r.ContentLength > s.maxBatchBytes {
+		writeTooLarge(w, code, r.ContentLength, s.maxBatchBytes)
+		return false
+	}
+	r.Body = http.MaxBytesReader(w, r.Body, s.maxBatchBytes)
+	return true
+}
+
+// bodyErrorJSON is the typed body of request-level rejections (today
+// only 413): a machine-readable code plus the configured limit, so
+// clients can split the request and retry instead of parsing prose.
+type bodyErrorJSON struct {
 	Error string `json:"error"`
 	Code  string `json:"code"`
 	Limit int64  `json:"limitBytes"`
 	Size  int64  `json:"sizeBytes,omitempty"`
 }
 
-func writeBatchTooLarge(w http.ResponseWriter, size, limit int64) {
+func writeTooLarge(w http.ResponseWriter, code string, size, limit int64) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(http.StatusRequestEntityTooLarge)
-	body := batchErrorJSON{
-		Error: "batch body exceeds the server's -max-batch-bytes limit",
-		Code:  "batch_too_large",
+	body := bodyErrorJSON{
+		Error: "request body exceeds the server's -max-batch-bytes limit",
+		Code:  code,
 		Limit: limit,
 	}
 	if size > 0 {

@@ -14,11 +14,13 @@
 package cloud
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
 
 	"aa/internal/core"
+	"aa/internal/engine"
 	"aa/internal/rng"
 	"aa/internal/utility"
 )
@@ -68,6 +70,23 @@ func (f *Fleet) Instance() (*core.Instance, error) {
 		threads[i] = c.Pay
 	}
 	return &core.Instance{M: f.Machines, C: f.Capacity, Threads: threads}, nil
+}
+
+// SolveRevenue runs the paper's Algorithm 2 on the fleet's AA instance
+// through the shared engine pipeline and returns the provider revenue
+// (= total utility) and the assignment: VMs are sized per-customer
+// instead of snapped to tiers.
+func SolveRevenue(f *Fleet) (float64, core.Assignment, error) {
+	in, err := f.Instance()
+	if err != nil {
+		return 0, core.Assignment{}, err
+	}
+	var resp engine.Response
+	req := engine.Request{Instance: in, Backend: "assign2", WantUtility: true}
+	if err := engine.Default().SolveInto(context.Background(), &req, &resp); err != nil {
+		return 0, core.Assignment{}, err
+	}
+	return resp.Utility, resp.Assignment, nil
 }
 
 // Tier is a fixed instance size with a fixed price — the baseline's

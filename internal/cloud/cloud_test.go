@@ -196,3 +196,32 @@ func TestRandomFleetShape(t *testing.T) {
 		}
 	}
 }
+
+// TestEngineBackendMatchesDirect pins that SolveRevenue is exactly
+// assign2 on the fleet's derived instance, through the engine's assign2
+// backend, and that a malformed fleet fails before reaching the engine.
+func TestEngineBackendMatchesDirect(t *testing.T) {
+	f := RandomFleet(3, 64, 20, 0.3, 0.9, rng.New(21))
+	in, err := f.Instance()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := core.Assign2(in)
+	rev, got, err := SolveRevenue(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want.Server {
+		if got.Server[i] != want.Server[i] || got.Alloc[i] != want.Alloc[i] {
+			t.Fatalf("customer %d: got (%d, %v), want (%d, %v)",
+				i, got.Server[i], got.Alloc[i], want.Server[i], want.Alloc[i])
+		}
+	}
+	if wantRev := want.Utility(in); rev != wantRev {
+		t.Fatalf("revenue %v, want %v", rev, wantRev)
+	}
+
+	if _, _, err := SolveRevenue(&Fleet{Machines: 0, Capacity: 64}); err == nil {
+		t.Fatal("invalid fleet solved without error")
+	}
+}

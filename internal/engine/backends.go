@@ -3,16 +3,14 @@ package engine
 import (
 	"context"
 	"errors"
-	"fmt"
 
 	"aa/internal/core"
 	"aa/internal/rng"
 	"aa/internal/telemetry"
 )
 
-// ErrBadRequest is wrapped by backend errors caused by a malformed
-// request (nil instance, wrong payload type), as opposed to a solve
-// failure.
+// ErrBadRequest is wrapped by errors caused by a malformed request (a
+// missing instance), as opposed to a solve failure.
 var ErrBadRequest = errors.New("engine: bad request")
 
 // The core backends: the paper's two algorithms on the workspace fast
@@ -20,52 +18,52 @@ var ErrBadRequest = errors.New("engine: bad request")
 // branch-and-bound reference, and the four placement heuristics the
 // figures compare against.
 func init() {
-	Register(Backend{
+	register(Backend{
 		Name: "assign2", Aliases: []string{"a2"}, Guaranteed: true,
 		Doc:    "Algorithm 2: sorted placement onto the super-optimal linearization (the paper's recommended solver)",
 		Handle: func(ctx ctxT, req *Request, resp *Response) error { return solveLinearized(ctx, req, resp, false) },
 	})
-	Register(Backend{
+	register(Backend{
 		Name: "assign1", Aliases: []string{"a1"}, Guaranteed: true,
 		Doc:    "Algorithm 1: greedy placement onto the super-optimal linearization",
 		Handle: func(ctx ctxT, req *Request, resp *Response) error { return solveLinearized(ctx, req, resp, true) },
 	})
-	Register(Backend{
+	register(Backend{
 		Name: "polish", Aliases: []string{"a2p"}, Guaranteed: true,
 		Doc:    "Algorithm 2 followed by exact per-server concave re-allocation",
 		Handle: handlePolish,
 	})
-	Register(Backend{
+	register(Backend{
 		Name: "ls", Guaranteed: true,
 		Doc:    "Algorithm 2 followed by single-thread local-search moves (MaxMoves bounds the search)",
 		Handle: handleLocalSearch,
 	})
-	Register(Backend{
+	register(Backend{
 		Name: "greedy", Aliases: []string{"gm"},
 		Doc:    "greedy marginal-gain placement with per-server water-filling",
 		Handle: handleGreedy,
 	})
-	Register(Backend{
+	register(Backend{
 		Name:   "exact",
 		Doc:    "branch-and-bound exact optimum (small instances; MaxNodes bounds the search)",
 		Handle: handleExact,
 	})
-	Register(Backend{
+	register(Backend{
 		Name:   "uu",
 		Doc:    "heuristic: utility-ordered threads onto utilization-ordered servers",
 		Handle: heuristicHandler(func(in *core.Instance, _ *rng.Rand) core.Assignment { return core.AssignUU(in) }),
 	})
-	Register(Backend{
+	register(Backend{
 		Name: "ur", Stochastic: true,
 		Doc:    "heuristic: utility-ordered threads onto random servers (Seed drives the stream)",
 		Handle: heuristicHandler(core.AssignUR),
 	})
-	Register(Backend{
+	register(Backend{
 		Name: "ru", Stochastic: true,
 		Doc:    "heuristic: random threads onto utilization-ordered servers (Seed drives the stream)",
 		Handle: heuristicHandler(core.AssignRU),
 	})
-	Register(Backend{
+	register(Backend{
 		Name: "rr", Stochastic: true,
 		Doc:    "heuristic: random threads onto random servers (Seed drives the stream)",
 		Handle: heuristicHandler(core.AssignRR),
@@ -75,16 +73,15 @@ func init() {
 // ctxT keeps the registration table readable.
 type ctxT = context.Context
 
-// requireInstance validates the request's core instance.
-func requireInstance(req *Request, resp *Response) (*core.Instance, error) {
+// validInstance is every backend's preamble: the request's instance
+// must validate and ctx must still be live. SolveInto has already
+// rejected a nil instance.
+func validInstance(ctx ctxT, req *Request) (*core.Instance, error) {
 	in := req.Instance
-	if in == nil {
-		return nil, fmt.Errorf("%w: backend %q needs a core instance", ErrBadRequest, resp.Backend)
-	}
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	return in, nil
+	return in, ctx.Err()
 }
 
 // solveLinearized is the workspace fast path shared by assign1/assign2
@@ -93,11 +90,8 @@ func requireInstance(req *Request, resp *Response) (*core.Instance, error) {
 // buffer borrowed from the core workspace pool. Zero heap allocations
 // in steady state; results bit-identical to core.Assign1/core.Assign2.
 func solveLinearized(ctx ctxT, req *Request, resp *Response, algo1 bool) error {
-	in, err := requireInstance(req, resp)
+	in, err := validInstance(ctx, req)
 	if err != nil {
-		return err
-	}
-	if err := ctx.Err(); err != nil {
 		return err
 	}
 	w := core.GetWorkspace()
@@ -166,11 +160,8 @@ func handleLocalSearch(ctx ctxT, req *Request, resp *Response) error {
 }
 
 func handleGreedy(ctx ctxT, req *Request, resp *Response) error {
-	in, err := requireInstance(req, resp)
+	in, err := validInstance(ctx, req)
 	if err != nil {
-		return err
-	}
-	if err := ctx.Err(); err != nil {
 		return err
 	}
 	resp.Assignment = core.AssignGreedyMarginal(in)
@@ -179,11 +170,8 @@ func handleGreedy(ctx ctxT, req *Request, resp *Response) error {
 }
 
 func handleExact(ctx ctxT, req *Request, resp *Response) error {
-	in, err := requireInstance(req, resp)
+	in, err := validInstance(ctx, req)
 	if err != nil {
-		return err
-	}
-	if err := ctx.Err(); err != nil {
 		return err
 	}
 	a, err := core.BranchAndBound(ctx, in, req.MaxNodes)
@@ -200,11 +188,8 @@ func handleExact(ctx ctxT, req *Request, resp *Response) error {
 // yields the same assignment regardless of scheduling.
 func heuristicHandler(f func(*core.Instance, *rng.Rand) core.Assignment) Handler {
 	return func(ctx ctxT, req *Request, resp *Response) error {
-		in, err := requireInstance(req, resp)
+		in, err := validInstance(ctx, req)
 		if err != nil {
-			return err
-		}
-		if err := ctx.Err(); err != nil {
 			return err
 		}
 		resp.Assignment = f(in, rng.New(req.Seed))

@@ -31,8 +31,8 @@ import (
 //
 //   - miss: the inner chain solves; the verified response is stored.
 //
-// Requests with NoCache, a nil Instance (variant adapters), a Payload,
-// or an unencodable utility type bypass the cache entirely.
+// Requests with NoCache or an unencodable utility type bypass the cache
+// entirely.
 func withSolveCache(c cache.Cache, warmK int) Middleware {
 	return func(next Handler) Handler {
 		return func(ctx context.Context, req *Request, resp *Response) error {
@@ -55,9 +55,6 @@ func cacheSolve(ctx context.Context, c cache.Cache, warmK int, next Handler, req
 	if req.NoCache {
 		c.NoteBypass()
 		return "bypass", next(ctx, req, resp)
-	}
-	if req.Instance == nil || req.Payload != nil {
-		return "uncacheable", next(ctx, req, resp)
 	}
 	canon, err := cache.CanonicalizeKeyed(req.Instance, c.HashKey())
 	if err != nil {
@@ -144,7 +141,7 @@ func serveEntry(e *cache.Entry, canon *cache.Canonical, req *Request, resp *Resp
 func storeEntry(c cache.Cache, canon *cache.Canonical, key cache.Key, group uint64, req *Request, resp *Response, verified bool) {
 	n := len(canon.Perm)
 	if len(resp.Assignment.Server) != n || len(resp.Assignment.Alloc) != n {
-		return // adapter-shaped response; nothing cacheable
+		return // assignment does not cover the instance; never cache it
 	}
 	if !verified && check.Feasible(req.Instance, resp.Assignment, check.DefaultEps) != nil {
 		return

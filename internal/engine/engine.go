@@ -1,19 +1,19 @@
 // Package engine is the repository's unified solver pipeline: one
 // request/response path that every solve in the tree — the public aa
-// facade, the experiment harness, the workload variant packages, the
-// five CLI binaries and the aaserve service — rides instead of wiring
-// pooling, checking and telemetry per call site.
+// facade, the experiment harness, the variant packages, the CLI
+// binaries and the aaserve service — rides instead of wiring pooling,
+// checking and telemetry per call site.
 //
 // The pieces, bottom up:
 //
-//   - A named-backend registry (see Backend/Register): "assign2" and
+//   - A fixed, named-backend registry (see Backend): "assign2" and
 //     "assign1" are the paper's algorithms on the zero-alloc
 //     core.Workspace fast path, joined by "polish", "ls", "greedy",
-//     "exact" and the four placement heuristics; variant packages
-//     register adapters ("online", "hetero", "multires", "cloud", ...)
-//     from their own init functions and receive their input via
-//     Request.Payload, which keeps the dependency arrow pointing at the
-//     engine rather than out of it.
+//     "exact" and the four placement heuristics. All of them are
+//     registered by this package's init; nothing outside it adds a
+//     backend. Every request carries a *core.Instance: a variant
+//     package (cloud, hosting, online, ...) that reduces to AA builds
+//     the instance itself and names a core backend.
 //
 //   - A middleware chain (Handler/Middleware) composed once at Engine
 //     construction, outermost first: telemetry (aa_engine_* counters,
@@ -44,6 +44,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"sync"
@@ -67,8 +68,8 @@ var ErrClosed = solverpool.ErrClosed
 // Request describes one solve. The zero value plus an Instance is a
 // valid request for the engine's default backend.
 type Request struct {
-	// Instance is the homogeneous AA instance for the core backends.
-	// Variant adapters may leave it nil and use Payload instead.
+	// Instance is the AA instance to solve. SolveInto rejects a request
+	// without one with ErrBadRequest before any layer runs.
 	Instance *core.Instance
 	// Backend names the registry entry to dispatch to; "" uses the
 	// engine's default (normally "assign2"). Aliases resolve.
@@ -101,10 +102,6 @@ type Request struct {
 	// lookup and store), forcing a fresh solve. Meaningless on engines
 	// built without Options.Cache.
 	NoCache bool
-	// Payload carries variant-specific input for adapter backends
-	// (*hetero request, online state, cloud fleet, ...). The core
-	// backends ignore it.
-	Payload any
 
 	// bk is the backend resolved by the engine before the chain runs,
 	// so middleware reads it without repeating the registry lookup.
@@ -171,12 +168,6 @@ func Chain(h Handler, mw ...Middleware) Handler {
 		h = mw[i](h)
 	}
 	return h
-}
-
-// Solver is the engine's public face: anything that can answer a solve
-// request. *Engine implements it.
-type Solver interface {
-	Solve(ctx context.Context, req *Request) (*Response, error)
 }
 
 // Options configure an Engine. The zero value is usable: default
@@ -267,11 +258,15 @@ func dispatch(ctx context.Context, req *Request, resp *Response) error {
 // goroutine, writing into a caller-owned Response. This is the
 // zero-alloc steady-state path: with resp (and the pooled workspace
 // buffers) grown to the workload's size, a workspace-backed solve
-// allocates nothing.
+// allocates nothing. A request without an Instance fails here, once,
+// with ErrBadRequest, so every layer below may rely on one.
 func (e *Engine) SolveInto(ctx context.Context, req *Request, resp *Response) error {
 	bk, err := resolve(req.Backend, e.def)
 	if err != nil {
 		return err
+	}
+	if req.Instance == nil {
+		return fmt.Errorf("%w: request has no instance", ErrBadRequest)
 	}
 	req.bk = bk
 	resp.prepare(bk.Name)
@@ -486,8 +481,9 @@ var (
 )
 
 // Default returns the process-wide shared engine (default options,
-// never closed). The aa facade and the variant packages solve through
-// it.
+// never closed). Callers without an engine of their own solve through
+// it: the aa facade, aasolve, the experiment harness, online re-solves
+// and the variant packages that reduce to an AA instance.
 func Default() *Engine {
 	defaultOnce.Do(func() { defaultEngine = New(Options{}) })
 	return defaultEngine

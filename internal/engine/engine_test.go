@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"aa/internal/cache"
 	"aa/internal/check"
 	"aa/internal/core"
 	"aa/internal/gen"
@@ -153,9 +154,38 @@ func TestCancellation(t *testing.T) {
 	}
 }
 
+// TestBadRequest: a request without an instance fails with
+// ErrBadRequest at SolveInto, on every backend and whichever optional
+// layers the engine carries, so the cache and check layers never see a
+// nil instance.
 func TestBadRequest(t *testing.T) {
-	if _, err := New(Options{}).Solve(context.Background(), &Request{}); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("nil instance returned %v", err)
+	mem, err := cache.New(cache.Config{Mode: cache.ModeMemory, Size: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"cache off", Options{}},
+		{"cache off, check", Options{Check: true}},
+		{"cache on", Options{Cache: mem, WarmK: 4}},
+		{"cache on, check", Options{Cache: mem, WarmK: 4, Check: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := New(tc.opts)
+			defer eng.Close()
+			ctx := context.Background()
+			for _, backend := range Backends() {
+				var resp Response
+				if err := eng.SolveInto(ctx, &Request{Backend: backend}, &resp); !errors.Is(err, ErrBadRequest) {
+					t.Fatalf("%s: nil instance returned %v, want ErrBadRequest", backend, err)
+				}
+			}
+			if _, err := eng.Submit(ctx, &Request{}); !errors.Is(err, ErrBadRequest) {
+				t.Fatalf("Submit: nil instance returned %v, want ErrBadRequest", err)
+			}
+		})
 	}
 }
 
@@ -166,7 +196,7 @@ func TestBadRequest(t *testing.T) {
 var testBlock = make(chan struct{})
 
 func init() {
-	Register(Backend{
+	register(Backend{
 		Name: "test-broken", Doc: "test fixture: returns an infeasible assignment",
 		Handle: func(ctx context.Context, req *Request, resp *Response) error {
 			n := req.Instance.N()
@@ -178,7 +208,7 @@ func init() {
 			return nil
 		},
 	})
-	Register(Backend{
+	register(Backend{
 		Name: "test-block", Doc: "test fixture: blocks until released",
 		Handle: func(ctx context.Context, req *Request, resp *Response) error {
 			<-testBlock
@@ -262,10 +292,11 @@ func TestSubmitBackpressure(t *testing.T) {
 	// prior handler returned before its run's drain loop finished.
 	testBlock = make(chan struct{})
 	eng := New(Options{Workers: 1, QueueDepth: 1})
+	in := corpus(t, 1, 4)[0]
 	errs := make(chan error, 8)
 	for i := 0; i < 8; i++ {
 		go func() {
-			_, err := eng.Submit(context.Background(), &Request{Backend: "test-block"})
+			_, err := eng.Submit(context.Background(), &Request{Instance: in, Backend: "test-block"})
 			errs <- err
 		}()
 	}

@@ -11,7 +11,7 @@ import (
 )
 
 // Engine-wide latency histogram; the per-backend request/failure
-// counters live on the Backend (created at Register time). All of it is
+// counters live on the Backend (created at register time). All of it is
 // recorded only when telemetry is enabled, keeping the disabled path
 // allocation- and syscall-free.
 var engineSolveLat = telemetry.Default.Histogram("aa_engine_solve_latency_seconds", telemetry.LatencyBuckets)
@@ -35,10 +35,8 @@ func withTelemetry(next Handler) Handler {
 		var span telemetry.Span
 		if telemetry.TraceEnabled() {
 			attrs := make([]telemetry.Attr, 0, 5)
-			attrs = append(attrs, telemetry.String("backend", bk.Name))
-			if in := req.Instance; in != nil {
-				attrs = append(attrs, telemetry.Int("n", in.N()), telemetry.Int("m", in.M))
-			}
+			attrs = append(attrs, telemetry.String("backend", bk.Name),
+				telemetry.Int("n", req.Instance.N()), telemetry.Int("m", req.Instance.M))
 			if req.Seed != 0 {
 				attrs = append(attrs, telemetry.Uint64("seed", req.Seed))
 			}
@@ -94,13 +92,9 @@ func withCheck(force bool) Middleware {
 	}
 }
 
-// verify checks a finished core-instance response; adapter backends
-// (nil Instance) verify inside their own domain instead.
+// verify checks a finished response against the request's instance.
 func verify(req *Request, resp *Response) error {
 	in := req.Instance
-	if in == nil {
-		return nil
-	}
 	if err := check.Feasible(in, resp.Assignment, check.DefaultEps); err != nil {
 		return err
 	}

@@ -13,13 +13,10 @@ import (
 // a backend that is not in the registry.
 var ErrUnknownBackend = errors.New("engine: unknown backend")
 
-// Backend is one named solver in the registry. The core algorithms
-// (assign1, assign2, polish, ls, greedy, exact and the four placement
-// heuristics) register themselves from this package; variant packages
-// (online, hetero, multires, cloud, cosched, hosting) register adapters
-// from their own init functions, so the registry's contents follow the
-// importing binary's dependency graph — a binary that never imports
-// internal/hetero does not advertise a "hetero" backend.
+// Backend is one named solver in the registry: assign1, assign2,
+// polish, ls, greedy, exact and the four placement heuristics, all
+// registered by this package's init, so every binary advertises the
+// same set. Each one solves Request.Instance.
 type Backend struct {
 	// Name is the canonical registry key, e.g. "assign2".
 	Name string
@@ -42,7 +39,7 @@ type Backend struct {
 	// scratch (resize, don't assume empty).
 	Handle Handler
 
-	// Per-backend request/failure counters, created at Register time so
+	// Per-backend request/failure counters, created at register time so
 	// every registered backend appears on /metrics at zero.
 	requests *telemetry.Counter
 	failures *telemetry.Counter
@@ -54,13 +51,13 @@ var registry = struct {
 	names []string            // canonical names only, sorted lazily
 }{byKey: make(map[string]*Backend)}
 
-// Register installs a backend under its canonical name and aliases. It
+// register installs a backend under its canonical name and aliases. It
 // panics on an empty name, a nil handler, or any key collision —
 // registration happens from init functions, where a collision is a
 // programming error, not a runtime condition.
-func Register(b Backend) {
+func register(b Backend) {
 	if b.Name == "" || b.Handle == nil {
-		panic("engine: Register needs a name and a handler")
+		panic("engine: register needs a name and a handler")
 	}
 	bk := new(Backend)
 	*bk = b

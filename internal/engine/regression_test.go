@@ -130,7 +130,7 @@ func TestClosedEngineRejectsConcurrentEntryPoints(t *testing.T) {
 var testBatchBlock = make(chan struct{})
 
 func init() {
-	Register(Backend{
+	register(Backend{
 		Name: "test-batch-block", Doc: "test fixture: blocks until released or cancelled",
 		Handle: func(ctx context.Context, req *Request, resp *Response) error {
 			select {

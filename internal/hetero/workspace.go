@@ -1,23 +1,18 @@
 package hetero
 
 import (
-	"context"
-	"fmt"
 	"math"
 	"sort"
 
-	"sync"
-
 	"aa/internal/alloc"
 	"aa/internal/core"
-	"aa/internal/engine"
 	"aa/internal/utility"
 )
 
 // Workspace holds the scratch one heterogeneous solve needs — the
 // capped utility wrappers, the relaxation result, the service order and
-// the residual capacities — so a series of solves (SkewSeries, the
-// engine backend) reuses one arena instead of allocating per instance.
+// the residual capacities — so a series of solves (SkewSeries) reuses
+// one arena instead of allocating per instance.
 // A Workspace is single-goroutine, like core.Workspace.
 type Workspace struct {
 	capped   []capped
@@ -123,38 +118,4 @@ func (w *Workspace) Assign(in *Instance, out *Assignment) float64 {
 		w.residual[j] -= amount
 	}
 	return so.Total
-}
-
-// wsPool recycles workspaces across engine requests; handlers may run
-// concurrently on solver-pool workers, so per-call Get/Put rather than
-// a package singleton.
-var wsPool = sync.Pool{New: func() any { return new(Workspace) }}
-
-func init() {
-	engine.Register(engine.Backend{
-		Name: "hetero",
-		Doc:  "heterogeneous-capacity Algorithm 2 (request Payload: *hetero.Instance)",
-		Handle: func(ctx context.Context, req *engine.Request, resp *engine.Response) error {
-			in, ok := req.Payload.(*Instance)
-			if !ok {
-				return fmt.Errorf("%w: hetero backend needs Payload of type *hetero.Instance", engine.ErrBadRequest)
-			}
-			if err := in.Validate(); err != nil {
-				return fmt.Errorf("%w: %v", engine.ErrBadRequest, err)
-			}
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			ws := wsPool.Get().(*Workspace)
-			defer wsPool.Put(ws)
-			var out Assignment
-			out.Server, out.Alloc = resp.Assignment.Server, resp.Assignment.Alloc
-			resp.Bound = ws.Assign(in, &out)
-			resp.Assignment.Server, resp.Assignment.Alloc = out.Server, out.Alloc
-			if req.WantUtility {
-				resp.Utility = out.Utility(in)
-			}
-			return nil
-		},
-	})
 }

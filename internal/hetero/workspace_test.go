@@ -1,11 +1,8 @@
 package hetero
 
 import (
-	"context"
-	"errors"
 	"testing"
 
-	"aa/internal/engine"
 	"aa/internal/rng"
 )
 
@@ -47,35 +44,5 @@ func TestSkewSolveSteadyStateAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(20, func() { w.Assign(in, &a) })
 	if allocs != 0 {
 		t.Fatalf("workspace Assign allocates %v per op in steady state, want 0", allocs)
-	}
-}
-
-// TestEngineBackend: the hetero adapter solves through the shared
-// pipeline, carrying the instance in the request payload.
-func TestEngineBackend(t *testing.T) {
-	in := randomSkewInstance(rng.New(9), 18, []float64{200, 100, 50, 50})
-	resp, err := engine.New(engine.Options{}).Solve(context.Background(),
-		&engine.Request{Backend: "hetero", Payload: in, WantUtility: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Assign(in)
-	for i := range want.Server {
-		if resp.Assignment.Server[i] != want.Server[i] || resp.Assignment.Alloc[i] != want.Alloc[i] {
-			t.Fatalf("thread %d: got (%d, %v), want (%d, %v)",
-				i, resp.Assignment.Server[i], resp.Assignment.Alloc[i], want.Server[i], want.Alloc[i])
-		}
-	}
-	if so := SuperOptimal(in).Total; resp.Bound != so {
-		t.Fatalf("bound %v, want %v", resp.Bound, so)
-	}
-	if wantU := want.Utility(in); resp.Utility != wantU {
-		t.Fatalf("utility %v, want %v", resp.Utility, wantU)
-	}
-
-	// A payload of the wrong type is a bad request, not a panic.
-	if _, err := engine.New(engine.Options{}).Solve(context.Background(),
-		&engine.Request{Backend: "hetero", Payload: 42}); !errors.Is(err, engine.ErrBadRequest) {
-		t.Fatalf("bad payload returned %v, want ErrBadRequest", err)
 	}
 }

@@ -14,10 +14,12 @@
 package hosting
 
 import (
+	"context"
 	"fmt"
 	"math"
 
 	"aa/internal/core"
+	"aa/internal/engine"
 	"aa/internal/rng"
 	"aa/internal/utility"
 )
@@ -159,6 +161,29 @@ func (d *Deployment) Instance() (*core.Instance, error) {
 		threads[i] = revenueUtility{svc: s, c: d.Capacity}
 	}
 	return &core.Instance{M: d.Hosts, C: d.Capacity, Threads: threads}, nil
+}
+
+// Solution is a solved deployment: the placement, its modeled revenue
+// rate, and the super-optimal upper bound on any placement's revenue.
+type Solution struct {
+	Assignment core.Assignment
+	Revenue    float64 // Σ u_i(alloc_i), $/s under the revenue model
+	Bound      float64 // pooled-capacity upper bound on Revenue
+}
+
+// Solve places the deployment's services with the paper's Algorithm 2
+// on its revenue-rate AA instance, through the shared engine pipeline.
+func (d *Deployment) Solve() (Solution, error) {
+	in, err := d.Instance()
+	if err != nil {
+		return Solution{}, err
+	}
+	var resp engine.Response
+	req := engine.Request{Instance: in, Backend: "assign2", WantUtility: true}
+	if err := engine.Default().SolveInto(context.Background(), &req, &resp); err != nil {
+		return Solution{}, err
+	}
+	return Solution{Assignment: resp.Assignment, Revenue: resp.Utility, Bound: resp.Bound}, nil
 }
 
 // SimResult is the outcome of a queueing simulation.

@@ -1,6 +1,7 @@
 package hosting
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -287,5 +288,51 @@ func TestDiurnalRebalancing(t *testing.T) {
 	}
 	if adaptive < worst*1.05 {
 		t.Logf("note: adaptive %v vs worst frozen %v — phases may be too similar", adaptive, worst)
+	}
+}
+
+// TestDeploymentSolveMatchesDirect pins that Deployment.Solve is exactly
+// assign2 on the deployment's revenue-rate instance, through the
+// engine's assign2 backend, with the super-optimal bound alongside, and
+// that a malformed deployment fails before reaching the engine.
+func TestDeploymentSolveMatchesDirect(t *testing.T) {
+	r := rng.New(23)
+	d := &Deployment{Hosts: 3, Capacity: 100}
+	for i := 0; i < 24; i++ {
+		var c Curve = LinearCurve{PerUnit: r.Uniform(1, 20)}
+		if i%2 == 1 {
+			c = SaturatingCurve{Max: r.Uniform(50, 400), K: r.Uniform(5, 60)}
+		}
+		d.Services = append(d.Services, Service{
+			Name:    fmt.Sprintf("svc%d", i),
+			Demand:  r.Uniform(50, 1000),
+			Revenue: r.Uniform(0.001, 0.05),
+			Curve:   c,
+		})
+	}
+	in, err := d.Instance()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := core.Assign2(in)
+	got, err := d.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want.Server {
+		if got.Assignment.Server[i] != want.Server[i] || got.Assignment.Alloc[i] != want.Alloc[i] {
+			t.Fatalf("service %d: got (%d, %v), want (%d, %v)",
+				i, got.Assignment.Server[i], got.Assignment.Alloc[i], want.Server[i], want.Alloc[i])
+		}
+	}
+	if wantRev := want.Utility(in); got.Revenue != wantRev {
+		t.Fatalf("revenue %v, want %v", got.Revenue, wantRev)
+	}
+	if so := core.SuperOptimal(in).Total; got.Bound != so {
+		t.Fatalf("bound %v, want %v", got.Bound, so)
+	}
+
+	if _, err := (&Deployment{Hosts: 0, Capacity: 100}).Solve(); err == nil {
+		t.Fatal("invalid deployment solved without error")
 	}
 }

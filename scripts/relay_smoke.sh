@@ -58,10 +58,14 @@ go build -o "$tmpdir/aareplay" ./cmd/aareplay
 go build -o "$tmpdir/aagen" ./cmd/aagen
 
 # wait_addr <logfile> <pid>: echo the address from the listening line.
+# The log is created by the child's own 2> redirect, after the fork, so
+# it may not exist yet on the first poll: wait for it like for the line.
 wait_addr() {
     local log="$1" pid="$2" addr="" i=0
     while [ $i -lt 100 ]; do
-        addr="$(sed -n 's|.*listening on http://\([^ ]*\)$|\1|p' "$log" | head -n1)"
+        if [ -f "$log" ]; then
+            addr="$(sed -n 's|.*listening on http://\([^ ]*\)$|\1|p' "$log" | head -n1)"
+        fi
         [ -n "$addr" ] && break
         if ! kill -0 "$pid" 2>/dev/null; then
             echo "relay_smoke: process exited before listening" >&2
