@@ -10,8 +10,8 @@ import (
 // policy has reacted to a populated state, further reactions that do
 // not grow the system (drifts, and full re-solves of a stable thread
 // set) allocate nothing — the instance snapshot, the engine
-// request/response and the per-server reallocation buffers all live in
-// the state's scratch.
+// request/response, Hybrid's super-optimal workspace and the per-server
+// reallocation buffers all live in the state's scratch.
 func TestReactSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -22,14 +22,15 @@ func TestReactSteadyStateAllocs(t *testing.T) {
 	}{
 		{"full-resolve", FullResolve{}},
 		{"incremental", Incremental{}},
+		{"hybrid", Hybrid{Threshold: 0.83}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := NewState(4, 100)
 			r := rng.New(3)
 			for id := 0; id < 24; id++ {
-				s.Threads[id] = randomUtility(r, 100)
+				s.add(id, randomUtility(r, 100))
 			}
-			ev := Event{Time: 1, Kind: Drift, ID: 0, Util: s.Threads[0]}
+			ev := Event{Time: 1, Kind: Drift, ID: 0, Util: s.Funcs()[0]}
 			// Warm: size the scratch and place every thread.
 			FullResolve{}.React(s, ev)
 			tc.policy.React(s, ev)

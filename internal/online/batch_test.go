@@ -50,12 +50,12 @@ func TestArriveBatchSpreads(t *testing.T) {
 	s := NewState(4, 100)
 	batch := batchOf(r, 100, 0, 32)
 	for _, ba := range batch {
-		s.Threads[ba.ID] = ba.Util
+		s.add(ba.ID, ba.Util)
 	}
 	s.placeBatch(batch)
 	used := map[int]int{}
 	for _, ba := range batch {
-		p, ok := s.Place[ba.ID]
+		p, ok := s.Placement(ba.ID)
 		if !ok {
 			t.Fatalf("batch member %d unplaced", ba.ID)
 		}

@@ -2,7 +2,6 @@ package online
 
 import (
 	"errors"
-	"math"
 	"testing"
 
 	"aa/internal/check"
@@ -37,10 +36,9 @@ func TestSimulateCheckedCleanOnRandomChurn(t *testing.T) {
 			if v1 != v0 {
 				t.Errorf("%s: clean timeline grew aa_check_violations_total by %d", p.Name(), v1-v0)
 			}
-			// TotalUtility sums over a map, so the integral can differ by
-			// ULPs between runs; checking must not change anything else.
-			if plain.Migrations != checked.Migrations || plain.FinalThreads != checked.FinalThreads ||
-				math.Abs(plain.UtilityIntegral-checked.UtilityIntegral) > 1e-9*(1+math.Abs(plain.UtilityIntegral)) {
+			// TotalUtility is a fixed-order sum, so checking must not
+			// change a single bit of the result.
+			if plain != checked {
 				t.Errorf("%s: checking changed the result: %+v != %+v", p.Name(), plain, checked)
 			}
 		}
@@ -49,10 +47,10 @@ func TestSimulateCheckedCleanOnRandomChurn(t *testing.T) {
 
 func TestStateCheckCatchesCapViolation(t *testing.T) {
 	s := NewState(2, 100)
-	s.Threads[0] = utility.Linear{Slope: 1, C: 30}
+	s.add(0, utility.Linear{Slope: 1, C: 30})
 	// Past the thread's own cap but within server capacity: invisible to
 	// Validate, caught by the cap-aware Check.
-	s.Place[0] = Placement{Server: 0, Alloc: 50}
+	s.SetPlacement(0, Placement{Server: 0, Alloc: 50})
 	if err := s.Validate(1e-6); err != nil {
 		t.Fatalf("Validate rejected what it historically accepted: %v", err)
 	}
@@ -60,7 +58,7 @@ func TestStateCheckCatchesCapViolation(t *testing.T) {
 		t.Errorf("Check: got %v, want ErrInfeasible", err)
 	}
 
-	s.Place[0] = Placement{Server: 0, Alloc: 30}
+	s.SetPlacement(0, Placement{Server: 0, Alloc: 30})
 	if err := s.Check(check.DefaultEps); err != nil {
 		t.Errorf("feasible placement rejected: %v", err)
 	}

@@ -23,7 +23,7 @@ package online
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"aa/internal/alloc"
@@ -96,30 +96,52 @@ type Placement struct {
 
 // State is the live system: the active threads, their placements and
 // the set of failed servers.
+//
+// The threads live in one id-ordered slot layout: ids is ascending and
+// fs, pl and placed are parallel to it, so slot k is thread ids[k].
+// Every whole-set pass (TotalUtility, Loads, Validate, the instance
+// snapshot, a full re-solve's write-back) is one walk in slot order —
+// ascending-id order, so every float sum has a fixed order and repeated
+// evaluations are bit-identical. Lookups binary-search ids; inserts and
+// removals shift the tails. Ids are arbitrary (recorded traces re-use
+// and interleave them), never assumed to grow.
 type State struct {
-	M       int
-	C       float64
-	Threads map[int]utility.Func
-	Place   map[int]Placement
+	M int
+	C float64
 	// Down marks failed servers; nil (the common case) means all up. A
 	// thread placed on a down server is infeasible — policies must
 	// evacuate on Fail.
 	Down []bool
 
-	// scr holds the scratch a policy reuses across events — the sorted
-	// id order, the instance snapshot, the engine request/response of a
-	// full re-solve, and the per-server reallocation buffers — so a
-	// steady-state event loop performs no per-event heap allocation
-	// (pinned by TestReactStableAllocs). A State is single-goroutine,
-	// like the simulation that owns it.
+	ids    []int
+	fs     []utility.Func
+	pl     []Placement // zero until placed
+	placed []bool
+
+	// gone is the placement the thread of the current Depart event held
+	// when the simulator removed its slot: the policy's reaction (the
+	// incremental re-allocation of the server it left) needs it, and a
+	// departed thread has no slot to keep it in.
+	gone struct {
+		id     int
+		p      Placement
+		placed bool
+	}
+
+	// scr holds the scratch a policy reuses across events — the instance
+	// snapshot, the engine request/response of a full re-solve, the
+	// super-optimal workspace of Hybrid's bound, the load sums and the
+	// per-server reallocation buffers — so a steady-state event loop
+	// performs no per-event heap allocation (pinned by
+	// TestReactSteadyStateAllocs). A State is single-goroutine, like the
+	// simulation that owns it.
 	scr struct {
-		ids     []int
-		uids    []int // TotalUtility's private id order (no aliasing with ids)
-		threads []utility.Func
 		inst    core.Instance
 		req     engine.Request
 		resp    engine.Response
-		members []int
+		ws      core.Workspace
+		loads   []float64
+		members []int // slots on the server being re-allocated
 		capped  []cappedAt
 		fs      []utility.Func
 		dst     []float64
@@ -131,19 +153,75 @@ type State struct {
 
 // NewState returns an empty system of m servers with capacity c.
 func NewState(m int, c float64) *State {
-	return &State{M: m, C: c, Threads: map[int]utility.Func{}, Place: map[int]Placement{}}
+	return &State{M: m, C: c}
 }
 
-// ids returns the active thread ids in ascending order (determinism).
-// The returned slice is scratch owned by the state, valid until the
-// next ids or instance call.
-func (s *State) ids() []int {
-	s.scr.ids = s.scr.ids[:0]
-	for id := range s.Threads {
-		s.scr.ids = append(s.scr.ids, id)
+// Len returns the number of active threads.
+func (s *State) Len() int { return len(s.ids) }
+
+// IDs returns the active thread ids in ascending order. Funcs()[k] is
+// thread IDs()[k]'s utility. Both slices are the state's own: read-only,
+// valid until the next event is applied.
+func (s *State) IDs() []int { return s.ids }
+
+// Funcs returns the active threads' utilities, parallel to IDs.
+func (s *State) Funcs() []utility.Func { return s.fs }
+
+// Placement returns thread id's placement; ok is false when the thread
+// is not active or not placed yet.
+func (s *State) Placement(id int) (p Placement, ok bool) {
+	if k, found := slices.BinarySearch(s.ids, id); found && s.placed[k] {
+		return s.pl[k], true
 	}
-	sort.Ints(s.scr.ids)
-	return s.scr.ids
+	return Placement{}, false
+}
+
+// SetPlacement places active thread id. Only active threads have
+// placements, so placing an unknown id panics.
+func (s *State) SetPlacement(id int, p Placement) {
+	k, found := slices.BinarySearch(s.ids, id)
+	if !found {
+		panic(fmt.Sprintf("online: SetPlacement of inactive thread %d", id))
+	}
+	s.pl[k], s.placed[k] = p, true
+}
+
+// add inserts thread id, unplaced, reporting false if it is already
+// active.
+func (s *State) add(id int, f utility.Func) bool {
+	k, found := slices.BinarySearch(s.ids, id)
+	if found {
+		return false
+	}
+	s.ids = slices.Insert(s.ids, k, id)
+	s.fs = slices.Insert(s.fs, k, f)
+	s.pl = slices.Insert(s.pl, k, Placement{})
+	s.placed = slices.Insert(s.placed, k, false)
+	return true
+}
+
+// depart removes thread id's slot, keeping its last placement in gone
+// for the event's policy reaction. Departing an inactive id is a no-op.
+func (s *State) depart(id int) {
+	s.gone.placed = false
+	k, found := slices.BinarySearch(s.ids, id)
+	if !found {
+		return
+	}
+	s.gone.id, s.gone.p, s.gone.placed = id, s.pl[k], s.placed[k]
+	s.ids = slices.Delete(s.ids, k, k+1)
+	s.fs = slices.Delete(s.fs, k, k+1) // zeroes the vacated tail: no stale reference
+	s.pl = slices.Delete(s.pl, k, k+1)
+	s.placed = slices.Delete(s.placed, k, k+1)
+}
+
+// departed returns the placement thread id held when the current event
+// removed it; ok is false when this event departed no placed thread id.
+func (s *State) departed(id int) (Placement, bool) {
+	if s.gone.placed && s.gone.id == id {
+		return s.gone.p, true
+	}
+	return Placement{}, false
 }
 
 // ServerUp reports whether server j is up.
@@ -197,48 +275,51 @@ func (s *State) upServers() (up, upIdx []int) {
 	return s.scr.up, s.scr.upIdx
 }
 
-// TotalUtility returns the instantaneous utility rate Σ f_i(alloc_i).
-// The sum runs in ascending thread-id order so that repeated
-// evaluations of the same state are bit-identical — the property the
-// replay harness's determinism gate relies on (float addition is not
-// associative, so map order would leak into reports).
+// TotalUtility returns the instantaneous utility rate Σ f_i(alloc_i),
+// an unplaced thread counting at allocation 0. The sum runs in slot
+// (ascending-id) order so that repeated evaluations of the same state
+// are bit-identical — the property the replay harness's determinism
+// gate relies on (float addition is not associative).
 func (s *State) TotalUtility() float64 {
-	s.scr.uids = s.scr.uids[:0]
-	for id := range s.Threads {
-		s.scr.uids = append(s.scr.uids, id)
-	}
-	sort.Ints(s.scr.uids)
 	total := 0.0
-	for _, id := range s.scr.uids {
-		total += s.Threads[id].Value(s.Place[id].Alloc)
+	for k, f := range s.fs {
+		total += f.Value(s.pl[k].Alloc)
 	}
 	return total
 }
 
-// Loads returns the per-server allocation sums. Placements are summed
-// in ascending thread-id order: float addition is not associative, and
-// policies choose servers by comparing these sums, so map-order
-// accumulation would leak ULP-level nondeterminism into placement
-// decisions (the replay determinism gate catches exactly this).
+// Loads returns the per-server allocation sums as a new slice.
+// Placements are summed in slot (ascending-id) order: policies choose
+// servers by comparing these sums, so any other accumulation order would
+// leak ULP-level nondeterminism into placement decisions.
 func (s *State) Loads() []float64 {
-	loads := make([]float64, s.M)
-	ids := make([]int, 0, len(s.Place))
-	for id := range s.Place {
-		ids = append(ids, id)
+	return append([]float64(nil), s.sumLoads()...)
+}
+
+// sumLoads is Loads into state scratch, valid until the next call.
+func (s *State) sumLoads() []float64 {
+	if cap(s.scr.loads) < s.M {
+		s.scr.loads = make([]float64, s.M)
 	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		p := s.Place[id]
-		loads[p.Server] += p.Alloc
+	loads := s.scr.loads[:s.M]
+	clear(loads)
+	for k, p := range s.pl {
+		if s.placed[k] {
+			loads[p.Server] += p.Alloc
+		}
 	}
+	s.scr.loads = loads
 	return loads
 }
 
-// Validate checks the state's placements are feasible.
+// Validate checks the state's placements are feasible: every thread
+// placed on a valid, up server with a non-negative allocation, and no
+// server past its capacity. (A departed thread's slot is gone, so a
+// stale placement cannot exist.)
 func (s *State) Validate(tol float64) error {
-	for id := range s.Threads {
-		p, ok := s.Place[id]
-		if !ok {
+	for k, id := range s.ids {
+		p := s.pl[k]
+		if !s.placed[k] {
 			return fmt.Errorf("online: thread %d unplaced", id)
 		}
 		if p.Server < 0 || p.Server >= s.M {
@@ -251,12 +332,7 @@ func (s *State) Validate(tol float64) error {
 			return fmt.Errorf("online: thread %d negative allocation", id)
 		}
 	}
-	for id := range s.Place {
-		if _, ok := s.Threads[id]; !ok {
-			return fmt.Errorf("online: stale placement for departed thread %d", id)
-		}
-	}
-	for j, load := range s.Loads() {
+	for j, load := range s.sumLoads() {
 		if load > s.C+tol*(1+s.C) {
 			return fmt.Errorf("online: server %d overloaded: %v > %v", j, load, s.C)
 		}
@@ -269,14 +345,14 @@ func (s *State) Validate(tol float64) error {
 // enforces each thread's own utility cap (not just server capacity) and
 // counts the outcome into the aa_check_* metrics.
 func (s *State) Check(eps float64) error {
-	in, ids, _, upIdx := s.instance()
-	if len(ids) == 0 {
+	in, _, upIdx := s.instance()
+	if in.N() == 0 {
 		return nil
 	}
-	a := core.NewAssignment(len(ids))
-	for k, id := range ids {
-		p, ok := s.Place[id]
-		if !ok {
+	a := core.NewAssignment(in.N())
+	for k, id := range s.ids {
+		p := s.pl[k]
+		if !s.placed[k] {
 			return fmt.Errorf("%w: thread %d unplaced", check.ErrInfeasible, id)
 		}
 		if p.Server < 0 || p.Server >= s.M || upIdx[p.Server] < 0 {
@@ -290,33 +366,29 @@ func (s *State) Check(eps float64) error {
 }
 
 // instance builds a core.Instance snapshot over the UP servers only,
-// plus the id order used, the up-server list and its reverse map: the
-// instance's server index j stands for real server up[j]. With no
-// failed servers the mapping is the identity. All four return values
-// are scratch owned by the state, valid until the next instance or ids
-// call.
-func (s *State) instance() (in *core.Instance, ids, up, upIdx []int) {
-	ids = s.ids()
+// plus the up-server list and its reverse map: the instance's server
+// index j stands for real server up[j], and its thread k is slot k.
+// With no failed servers the mapping is the identity. The instance's
+// Threads is the state's own func slice; all three return values are
+// valid until the next instance call or event.
+func (s *State) instance() (in *core.Instance, up, upIdx []int) {
 	up, upIdx = s.upServers()
-	s.scr.threads = s.scr.threads[:0]
-	for _, id := range ids {
-		s.scr.threads = append(s.scr.threads, s.Threads[id])
-	}
-	s.scr.inst = core.Instance{M: len(up), C: s.C, Threads: s.scr.threads}
-	return &s.scr.inst, ids, up, upIdx
+	s.scr.inst = core.Instance{M: len(up), C: s.C, Threads: s.fs}
+	return &s.scr.inst, up, upIdx
 }
 
 // reallocServer re-optimizes allocations within one server, leaving the
-// thread→server map untouched. The capped wrappers, func slice and
-// allocation destination are state scratch (pointers into the capped
-// slice avoid per-member interface boxing), so a steady-state realloc
-// allocates nothing.
+// thread→server map untouched. It finds the server's members with one
+// scan of the slots. The capped wrappers, func slice and allocation
+// destination are state scratch (pointers into the capped slice avoid
+// per-member interface boxing), so a steady-state realloc allocates
+// nothing.
 func (s *State) reallocServer(j int) {
 	scr := &s.scr
 	scr.members = scr.members[:0]
-	for _, id := range s.ids() {
-		if s.Place[id].Server == j {
-			scr.members = append(scr.members, id)
+	for k, p := range s.pl {
+		if s.placed[k] && p.Server == j {
+			scr.members = append(scr.members, k)
 		}
 	}
 	n := len(scr.members)
@@ -329,15 +401,15 @@ func (s *State) reallocServer(j int) {
 	}
 	scr.capped = scr.capped[:n]
 	scr.fs = scr.fs[:n]
-	for k, id := range scr.members {
-		f := s.Threads[id]
-		scr.capped[k] = cappedAt{f: f, c: minFloat(f.Cap(), s.C)}
-		scr.fs[k] = &scr.capped[k]
+	for i, k := range scr.members {
+		f := s.fs[k]
+		scr.capped[i] = cappedAt{f: f, c: minFloat(f.Cap(), s.C)}
+		scr.fs[i] = &scr.capped[i]
 	}
 	res := alloc.ConcaveWith(&scr.allocSc, scr.dst, scr.fs, s.C)
 	scr.dst = res.Alloc
-	for k, id := range scr.members {
-		s.Place[id] = Placement{Server: j, Alloc: res.Alloc[k]}
+	for i, k := range scr.members {
+		s.pl[k].Alloc = res.Alloc[i]
 	}
 }
 
@@ -371,9 +443,10 @@ func (cf cappedAt) Deriv(x float64) float64 {
 func (cf cappedAt) Cap() float64 { return cf.c }
 
 // Policy reacts to an applied event by updating placements. Applying the
-// event (mutating Threads) is the simulator's job; the policy only
-// repairs Place. It returns the set of migrated thread ids (server
-// changes of threads that existed before the event).
+// event (adding, removing or re-measuring threads) is the simulator's
+// job; the policy only repairs placements. It returns the set of
+// migrated thread ids (server changes of threads that existed before
+// the event).
 type Policy interface {
 	Name() string
 	React(s *State, ev Event) (migrated []int)
@@ -407,14 +480,8 @@ func (f FullResolve) engine() *engine.Engine {
 // rejects the solve (a post-solve check violation), placements are left
 // untouched and the simulator's own post-event validation reports it.
 func (f FullResolve) React(s *State, ev Event) []int {
-	// Drop placements of departed threads first.
-	for id := range s.Place {
-		if _, ok := s.Threads[id]; !ok {
-			delete(s.Place, id)
-		}
-	}
-	in, ids, up, _ := s.instance()
-	if len(ids) == 0 || len(up) == 0 {
+	in, up, _ := s.instance()
+	if in.N() == 0 || len(up) == 0 {
 		return nil
 	}
 	s.scr.req = engine.Request{Instance: in}
@@ -423,16 +490,15 @@ func (f FullResolve) React(s *State, ev Event) []int {
 	}
 	a := &s.scr.resp.Assignment
 	var migrated []int
-	for k, id := range ids {
-		old, existed := s.Place[id]
+	for k, id := range s.ids {
 		next := Placement{Server: up[a.Server[k]], Alloc: a.Alloc[k]}
 		// The event's own thread does not count as a migration; for
 		// Fail/Recover the ID is a server, so every move counts.
 		self := id == ev.ID && ev.Kind != Fail && ev.Kind != Recover
-		if existed && !self && old.Server != next.Server {
+		if s.placed[k] && !self && s.pl[k].Server != next.Server {
 			migrated = append(migrated, id)
 		}
-		s.Place[id] = next
+		s.pl[k], s.placed[k] = next, true
 	}
 	return migrated
 }
@@ -466,19 +532,18 @@ func (s *State) leastLoadedUp(loads []float64) int {
 func (Incremental) React(s *State, ev Event) []int {
 	switch ev.Kind {
 	case Arrive:
-		best := s.leastLoadedUp(s.Loads())
+		best := s.leastLoadedUp(s.sumLoads())
 		if best < 0 {
 			return nil // no server up; Validate reports the unplaced thread
 		}
-		s.Place[ev.ID] = Placement{Server: best, Alloc: 0}
+		s.SetPlacement(ev.ID, Placement{Server: best, Alloc: 0})
 		s.reallocServer(best)
 	case Depart:
-		if p, ok := s.Place[ev.ID]; ok {
-			delete(s.Place, ev.ID)
+		if p, ok := s.departed(ev.ID); ok {
 			s.reallocServer(p.Server)
 		}
 	case Drift:
-		if p, ok := s.Place[ev.ID]; ok {
+		if p, ok := s.Placement(ev.ID); ok {
 			s.reallocServer(p.Server)
 		}
 	case Fail:
@@ -499,24 +564,21 @@ func (Incremental) React(s *State, ev Event) []int {
 // estimate would stack the whole cohort on one server — the estimate is
 // what makes a million-thread spin-up come out balanced.
 func (s *State) placeBatch(batch []BatchArrival) {
-	loads := s.Loads()
-	touched := map[int]bool{}
+	loads := s.sumLoads()
+	touched := make([]bool, s.M)
 	for _, ba := range batch {
 		best := s.leastLoadedUp(loads)
 		if best < 0 {
 			return // no server up; Validate reports the unplaced threads
 		}
-		s.Place[ba.ID] = Placement{Server: best, Alloc: 0}
+		s.SetPlacement(ba.ID, Placement{Server: best, Alloc: 0})
 		loads[best] += minFloat(ba.Util.Cap(), s.C)
 		touched[best] = true
 	}
-	order := make([]int, 0, len(touched))
-	for j := range touched {
-		order = append(order, j)
-	}
-	sort.Ints(order)
-	for _, j := range order {
-		s.reallocServer(j)
+	for j, t := range touched {
+		if t {
+			s.reallocServer(j)
+		}
 	}
 }
 
@@ -525,36 +587,27 @@ func (s *State) placeBatch(batch []BatchArrival) {
 // allocation as the load estimate), then re-allocates each touched
 // server. The moved ids are the forced migrations.
 func (s *State) evacuate(j int) []int {
-	var moved []int
-	for _, id := range s.ids() {
-		if s.Place[id].Server == j {
-			moved = append(moved, id)
-		}
-	}
-	if len(moved) == 0 {
+	loads := s.sumLoads()
+	if s.leastLoadedUp(loads) < 0 {
+		// Nowhere to go: leave the placements for Validate to flag.
 		return nil
 	}
-	loads := s.Loads()
-	touched := map[int]bool{}
-	for _, id := range moved {
-		prev := s.Place[id].Alloc
-		best := s.leastLoadedUp(loads)
-		if best < 0 {
-			// Nowhere to go: leave the placement for Validate to flag.
-			return nil
+	var moved []int
+	touched := make([]bool, s.M)
+	for k, p := range s.pl {
+		if !s.placed[k] || p.Server != j {
+			continue
 		}
-		s.Place[id] = Placement{Server: best, Alloc: 0}
-		loads[best] += prev
+		best := s.leastLoadedUp(loads)
+		s.pl[k] = Placement{Server: best, Alloc: 0}
+		loads[best] += p.Alloc
 		touched[best] = true
+		moved = append(moved, s.ids[k])
 	}
-	// Deterministic realloc order.
-	order := make([]int, 0, len(touched))
-	for t := range touched {
-		order = append(order, t)
-	}
-	sort.Ints(order)
-	for _, t := range order {
-		s.reallocServer(t)
+	for t, ok := range touched {
+		if ok {
+			s.reallocServer(t)
+		}
 	}
 	return moved
 }
@@ -573,14 +626,15 @@ type Hybrid struct {
 // Name implements Policy.
 func (h Hybrid) Name() string { return fmt.Sprintf("hybrid(%.2f)", h.Threshold) }
 
-// React implements Policy.
+// React implements Policy. The bound is computed in the state's
+// super-optimal workspace, so a steady-state reaction allocates nothing.
 func (h Hybrid) React(s *State, ev Event) []int {
 	migrated := (Incremental{}).React(s, ev)
-	in, _, up, _ := s.instance()
+	in, up, _ := s.instance()
 	if in.N() == 0 || len(up) == 0 {
 		return migrated
 	}
-	bound := core.SuperOptimal(in).Total
+	bound := s.scr.ws.SuperOptimal(in).Total
 	if bound <= 0 || s.TotalUtility() >= h.Threshold*bound {
 		return migrated
 	}
@@ -615,8 +669,8 @@ type Options struct {
 	Horizon  float64
 	// Hook, when non-nil, is called after each applied event, its
 	// policy reaction and the post-event validation. The hook may read
-	// the state (TotalUtility, Threads, Down, Place) but must not
-	// mutate it.
+	// the state (TotalUtility, IDs, Funcs, Placement, Down) but must
+	// not mutate it.
 	Hook func(info EventInfo, s *State)
 }
 
@@ -650,20 +704,20 @@ func SimulateOpts(m int, c float64, events []Event, policy Policy, opts Options)
 			if ev.Util == nil {
 				return Result{}, fmt.Errorf("online: arrival %d without utility", ev.ID)
 			}
-			if _, exists := s.Threads[ev.ID]; exists {
+			if !s.add(ev.ID, ev.Util) {
 				return Result{}, fmt.Errorf("online: duplicate arrival %d", ev.ID)
 			}
-			s.Threads[ev.ID] = ev.Util
 		case Depart:
-			delete(s.Threads, ev.ID)
+			s.depart(ev.ID)
 		case Drift:
-			if _, exists := s.Threads[ev.ID]; !exists {
+			k, exists := slices.BinarySearch(s.ids, ev.ID)
+			if !exists {
 				continue // drift for a departed thread: ignore
 			}
 			if ev.Util == nil {
 				return Result{}, fmt.Errorf("online: drift %d without utility", ev.ID)
 			}
-			s.Threads[ev.ID] = ev.Util
+			s.fs[k] = ev.Util
 		case Fail:
 			if ev.ID < 0 || ev.ID >= s.M {
 				return Result{}, fmt.Errorf("online: fail of invalid server %d", ev.ID)
@@ -688,10 +742,9 @@ func SimulateOpts(m int, c float64, events []Event, policy Policy, opts Options)
 				if ba.Util == nil {
 					return Result{}, fmt.Errorf("online: batch arrival %d without utility", ba.ID)
 				}
-				if _, exists := s.Threads[ba.ID]; exists {
+				if !s.add(ba.ID, ba.Util) {
 					return Result{}, fmt.Errorf("online: duplicate arrival %d", ba.ID)
 				}
-				s.Threads[ba.ID] = ba.Util
 			}
 		default:
 			return Result{}, fmt.Errorf("online: unknown event kind %v", ev.Kind)
@@ -715,6 +768,6 @@ func SimulateOpts(m int, c float64, events []Event, policy Policy, opts Options)
 	res.UtilityIntegral += s.TotalUtility() * (opts.Horizon - now)
 	res.MigrationCost = float64(res.Migrations) * opts.MoveCost
 	res.Net = res.UtilityIntegral - res.MigrationCost
-	res.FinalThreads = len(s.Threads)
+	res.FinalThreads = s.Len()
 	return res, nil
 }

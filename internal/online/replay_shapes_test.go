@@ -36,7 +36,7 @@ func TestDepartureHeavyDrain(t *testing.T) {
 	for _, p := range allPolicies() {
 		var finalSeen int
 		hook := func(info EventInfo, s *State) {
-			finalSeen = len(s.Threads)
+			finalSeen = s.Len()
 			if err := s.Validate(1e-6); err != nil {
 				t.Fatalf("%s: invalid state after event %d: %v", p.Name(), info.Index, err)
 			}
@@ -105,8 +105,8 @@ func TestFailureEvacuatesAssignedThreads(t *testing.T) {
 				if got := s.UpCount(); got != 2 {
 					t.Fatalf("%s: UpCount %d during failure, want 2", p.Name(), got)
 				}
-				for id, pl := range s.Place {
-					if pl.Server == 1 {
+				for _, id := range s.IDs() {
+					if pl, _ := s.Placement(id); pl.Server == 1 {
 						t.Fatalf("%s: thread %d still on failed server at t=%v", p.Name(), id, info.Event.Time)
 					}
 				}
@@ -180,8 +180,8 @@ func TestLoadsDeterministic(t *testing.T) {
 	r := rng.New(23)
 	s := NewState(4, 100)
 	for id := 0; id < 40; id++ {
-		s.Threads[id] = randomUtility(r, 100)
-		s.Place[id] = Placement{Server: id % 4, Alloc: r.Uniform(0.1, 2.3)}
+		s.add(id, randomUtility(r, 100))
+		s.SetPlacement(id, Placement{Server: id % 4, Alloc: r.Uniform(0.1, 2.3)})
 	}
 	first := s.Loads()
 	for i := 0; i < 50; i++ {

@@ -40,8 +40,8 @@ func TestBigfleetScaled(t *testing.T) {
 }
 
 // TestBigfleetFullSize runs the unshrunken builtin — a 2×10⁵-thread
-// standing fleet whose every full re-solve crosses the parallel Assign2
-// threshold. Minutes of work on a small machine, so opt-in.
+// standing fleet, the largest single re-solves (n = 2×10⁵). Minutes of
+// work on a small machine, so opt-in.
 func TestBigfleetFullSize(t *testing.T) {
 	if os.Getenv("AA_REPLAY_BIGFLEET") == "" {
 		t.Skip("set AA_REPLAY_BIGFLEET=1 to replay the full-size bigfleet scenario")

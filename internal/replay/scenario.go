@@ -345,9 +345,8 @@ func Load(path string) (*Scenario, error) {
 //   - failures: steady load with correlated failure/recovery episodes,
 //   - churn: short-lived threads with heavy drift under the hybrid policy,
 //   - bigfleet: a standing fleet of 2×10⁵ threads admitted in one batch
-//     at t=0 with light churn on top — the million-thread regime the
-//     parallel Assign2 path exists for (every full re-solve crosses the
-//     parallel threshold).
+//     at t=0 with light churn on top — the largest single re-solves
+//     (n = 2×10⁵).
 var builtins = []Scenario{
 	{
 		Name: "diurnal", Servers: 6, Capacity: 1000, Horizon: 86400,

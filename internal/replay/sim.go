@@ -24,7 +24,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"sort"
 	"syscall"
 	"time"
 
@@ -35,7 +34,6 @@ import (
 	"aa/internal/online"
 	"aa/internal/stats"
 	"aa/internal/telemetry"
-	"aa/internal/utility"
 )
 
 // RunOptions parameterize one replay run.
@@ -214,9 +212,8 @@ type accumulator struct {
 	grid    []Sample
 	gridIdx int
 
-	// scratch for the bound instance
-	ids []int
-	fs  []utility.Func
+	threads int            // active threads after the last event
+	ws      core.Workspace // the bound's super-optimal scratch
 
 	obs *solveObserver
 }
@@ -259,7 +256,7 @@ func (a *accumulator) sampleAt(st float64) {
 	}
 	a.grid = append(a.grid, Sample{
 		T:          st,
-		Threads:    len(a.ids),
+		Threads:    a.threads,
 		UpServers:  a.finalUp,
 		QueueDepth: depth,
 		Resolves:   a.resolves,
@@ -282,23 +279,15 @@ func (a *accumulator) hook(info online.EventInfo, s *online.State) {
 	}
 
 	// Recompute the instantaneous utility and super-optimal bound of
-	// the post-event state, in sorted-id order.
-	a.ids = a.ids[:0]
-	a.fs = a.fs[:0]
-	for id := range s.Threads {
-		a.ids = append(a.ids, id)
-	}
-	sortInts(a.ids)
-	for _, id := range a.ids {
-		a.fs = append(a.fs, s.Threads[id])
-	}
+	// the post-event state, in the state's ascending-id order.
+	a.threads = s.Len()
 	up := s.UpCount()
 	a.finalUp = up
 	a.prevUtil = s.TotalUtility()
 	a.prevBound = 0
-	if len(a.fs) > 0 && up > 0 {
-		in := core.Instance{M: up, C: s.C, Threads: a.fs}
-		a.prevBound = core.SuperOptimal(&in).Total
+	if a.threads > 0 && up > 0 {
+		in := core.Instance{M: up, C: s.C, Threads: s.Funcs()}
+		a.prevBound = a.ws.SuperOptimal(&in).Total
 	}
 	a.prevT = t
 	a.migrations += info.Migrated
@@ -307,7 +296,7 @@ func (a *accumulator) hook(info online.EventInfo, s *online.State) {
 	newSolves := a.obs.count - a.lastSolves
 	a.lastSolves = a.obs.count
 	for k := 0; k < newSolves; k++ {
-		nm := float64(len(a.fs) + a.sc.Servers)
+		nm := float64(a.threads + a.sc.Servers)
 		service := a.solveCost * nm * math.Log2(nm+2)
 		if a.busyUntil < t {
 			a.busyUntil = t
@@ -396,23 +385,6 @@ func maxOf(xs []float64) float64 {
 	return m
 }
 
-// sortInts is a tiny insertion sort: the hook's id slice is nearly
-// sorted between events, and avoiding sort.Ints keeps the hook free of
-// interface conversions on the hot path. Large slices (a bigfleet batch
-// arrives in arbitrary map order) fall back to sort.Ints — insertion
-// sort would go quadratic on 10⁵+ unsorted ids.
-func sortInts(xs []int) {
-	if len(xs) > 256 {
-		sort.Ints(xs)
-		return
-	}
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-}
-
 // httpResolve is the remote full-resolve policy: every event snapshots
 // the active set over the up servers, POSTs it to a live aaserve
 // /solve endpoint, and applies the returned assignment. The wire round
@@ -499,29 +471,17 @@ func (*httpResolve) Name() string { return "full-resolve(http)" }
 
 // React implements online.Policy.
 func (p *httpResolve) React(s *online.State, ev online.Event) []int {
-	for id := range s.Place {
-		if _, ok := s.Threads[id]; !ok {
-			delete(s.Place, id)
-		}
-	}
-	var ids, up []int
-	for id := range s.Threads {
-		ids = append(ids, id)
-	}
-	sortInts(ids)
+	var up []int
 	for j := 0; j < s.M; j++ {
 		if s.ServerUp(j) {
 			up = append(up, j)
 		}
 	}
+	ids := s.IDs()
 	if len(ids) == 0 || len(up) == 0 {
 		return nil
 	}
-	fs := make([]utility.Func, len(ids))
-	for k, id := range ids {
-		fs[k] = s.Threads[id]
-	}
-	in := core.Instance{M: len(up), C: s.C, Threads: fs}
+	in := core.Instance{M: len(up), C: s.C, Threads: s.Funcs()}
 
 	var buf bytes.Buffer
 	if err := instio.Encode(&buf, &in); err != nil {
@@ -555,7 +515,7 @@ func (p *httpResolve) React(s *online.State, ev online.Event) []int {
 	}
 	var migrated []int
 	for k, id := range ids {
-		old, existed := s.Place[id]
+		old, existed := s.Placement(id)
 		srv := out.Server[k]
 		if srv < 0 || srv >= len(up) {
 			return migrated
@@ -565,7 +525,7 @@ func (p *httpResolve) React(s *online.State, ev online.Event) []int {
 		if existed && !self && old.Server != next.Server {
 			migrated = append(migrated, id)
 		}
-		s.Place[id] = next
+		s.SetPlacement(id, next)
 	}
 	return migrated
 }

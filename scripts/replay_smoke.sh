@@ -1,12 +1,15 @@
 #!/usr/bin/env bash
 # replay_smoke.sh — the deterministic-replay CI gate.
 #
-# Builds aareplay and runs the diurnal and flash scenario families twice
-# each with the same seed and -canonical (wall-clock section stripped),
-# then byte-compares the two reports: any difference means the replay
-# pipeline leaked nondeterminism (map-order float accumulation, unkeyed
-# randomness, wall-clock in the canonical report) and fails the gate.
-# A recorded-trace round trip rides along as a third family.
+# Builds aareplay and runs the diurnal, flash and failures scenario
+# families twice each with the same seed and -canonical (wall-clock
+# section stripped), then byte-compares the two reports: any difference
+# means the replay pipeline leaked nondeterminism (map-order float
+# accumulation, unkeyed randomness, wall-clock in the canonical report)
+# and fails the gate. Those three run full-resolve; churn (hybrid,
+# drift-heavy) and failures under -policy incremental (the evacuate
+# path) cover the incremental reactions. A recorded-trace round trip
+# rides along as the last family.
 #
 # Environment knobs:
 #   SEED      replay seed (default 1)
@@ -49,6 +52,8 @@ run_twice() {
 run_twice diurnal -scenario diurnal
 run_twice flash -scenario flash
 run_twice failures -scenario failures
+run_twice churn -scenario churn
+run_twice failures-incremental -scenario failures -policy incremental
 
 # Recorded-trace determinism: the same envelope must replay identically.
 cat >"$tmpdir/recorded.json" <<'EOF'
