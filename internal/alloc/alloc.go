@@ -16,6 +16,7 @@ package alloc
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"aa/internal/rng"
@@ -48,16 +49,6 @@ func TotalValue(fs []utility.Func, alloc []float64) float64 {
 	return total
 }
 
-// sumAt returns Σ_i InverseDeriv(f_i, λ) and fills alloc.
-func sumAt(fs []utility.Func, lambda float64, alloc []float64) float64 {
-	sum := 0.0
-	for i, f := range fs {
-		alloc[i] = utility.InverseDeriv(f, lambda, 1e-12)
-		sum += alloc[i]
-	}
-	return sum
-}
-
 // Concave computes a water-filling optimal allocation of budget among the
 // concave utilities fs by bisection on the marginal value λ. Each thread's
 // allocation is capped at its own f.Cap(). The returned allocations sum to
@@ -68,8 +59,8 @@ func sumAt(fs []utility.Func, lambda float64, alloc []float64) float64 {
 // redistribution pass among threads whose marginal equals λ.
 //
 // Concave is exactly ConcaveInto(nil, fs, budget); use ConcaveInto to
-// reuse an allocation slice across solves. ConcaveRef is the unpruned
-// reference implementation kept for differential testing.
+// reuse an allocation slice across solves. check.ConcaveRef is the
+// unpruned reference implementation kept for differential testing.
 func Concave(fs []utility.Func, budget float64) Result {
 	return ConcaveInto(nil, fs, budget)
 }
@@ -79,8 +70,10 @@ func Concave(fs []utility.Func, budget float64) Result {
 // ConcaveWith takes a caller-owned Scratch instead, so parallel solvers
 // can give every worker its own and keep pool traffic (and the cache
 // bouncing it implies) out of their hot loops. The zero value is ready
-// to use; buffers grow on first solve and are reused afterwards. A
-// Scratch is not safe for concurrent use.
+// to use; buffers grow on first solve and are reused afterwards, with
+// append's amortized headroom, so a thread set that grows by one per
+// solve reallocates only now and then. A Scratch is not safe for
+// concurrent use.
 type Scratch struct {
 	caps   []float64
 	active []int
@@ -88,10 +81,8 @@ type Scratch struct {
 
 // grow sizes the scratch for n threads, reusing prior capacity.
 func (sc *Scratch) grow(n int) {
-	if cap(sc.caps) < n {
-		sc.caps = make([]float64, n)
-		sc.active = make([]int, n)
-	}
+	sc.caps = slices.Grow(sc.caps[:0], n)
+	sc.active = slices.Grow(sc.active[:0], n)
 }
 
 var concavePool = sync.Pool{New: func() any { return new(Scratch) }}
@@ -117,82 +108,155 @@ func ConcaveInto(dst []float64, fs []utility.Func, budget float64) Result {
 // the package pool — the parallel-solver form: one Scratch per worker
 // means concurrent solves share no state at all.
 func ConcaveWith(sc *Scratch, dst []float64, fs []utility.Func, budget float64) Result {
+	return concave(sc, dst, nil, fs, budget, 0)
+}
+
+// ConcaveValuesWith is ConcaveWith on a caller-owned Scratch that also
+// returns each thread's value f_i(Alloc[i]) in vals (grown like dst).
+// Total is the index-order sum of exactly those values, so it is
+// bit-identical to ConcaveWith's Total, and a caller that needs both the
+// per-thread values and the total evaluates each thread once.
+//
+// A finite lambdaHint > 0 warm-starts the λ-search from the
+// water-filling price of a previous, nearby solve (Result.Lambda). When
+// only a few utilities changed, Σ x_i(λ_hint) already lands within a
+// few caps of the budget, so a geometric bracket around the hint plus an
+// Illinois-damped false-position refinement reaches the budget-gap
+// tolerance in a handful of O(n) probes instead of the cold search's
+// dozens. The warm result is feasible under exactly the same contract
+// as ConcaveWith (allocations within per-thread caps, Σ x_i ≤ budget up
+// to tolerance) but is NOT bit-identical to a cold solve: its total
+// utility sits within warmRelTol·budget·λ of the cold optimum. Callers
+// that need the cold fixed point (or have no previous price) pass
+// lambdaHint ≤ 0.
+func ConcaveValuesWith(sc *Scratch, dst, vals []float64, fs []utility.Func, budget, lambdaHint float64) (Result, []float64) {
+	res := concave(sc, dst, &vals, fs, budget, lambdaHint)
+	return res, vals
+}
+
+// concave is the one water-filling implementation behind ConcaveWith
+// and ConcaveValuesWith: a finite lambdaHint > 0 runs the warm search,
+// anything else the cold bisection, and both share the probe set and the
+// endgame. vals, when non-nil, receives the per-thread values (see
+// total).
+func concave(sc *Scratch, dst []float64, vals *[]float64, fs []utility.Func, budget, lambdaHint float64) Result {
 	n := len(fs)
-	if cap(dst) >= n {
-		dst = dst[:n]
-	} else {
-		dst = make([]float64, n)
-	}
+	dst = slices.Grow(dst[:0], n)[:n]
 	if n == 0 || budget <= 0 {
-		for i := range dst {
-			dst[i] = 0
+		clear(dst)
+		if vals != nil {
+			total(fs, dst, vals) // the values of the empty allocation; Total stays 0
 		}
 		return Result{Alloc: dst}
 	}
 
 	sc.grow(n)
-	caps := sc.caps[:n]
-	active := sc.active[:0]
+	p := search{fs: fs, dst: dst, caps: sc.caps[:n], active: sc.active[:0]}
 
 	// Trivial case: budget covers every cap.
 	capSum := 0.0
 	for i, f := range fs {
-		caps[i] = f.Cap()
-		capSum += caps[i]
+		p.caps[i] = f.Cap()
+		capSum += p.caps[i]
 	}
 	if capSum <= budget {
-		copy(dst, caps)
-		return Result{Alloc: dst, Total: TotalValue(fs, dst)}
+		copy(dst, p.caps)
+		return Result{Alloc: dst, Total: total(fs, dst, vals)}
 	}
 	for i := range fs {
-		active = append(active, i)
+		p.active = append(p.active, i)
 	}
 
-	// base carries the settled threads' contribution to Σ x_i(λ).
-	base := 0.0
-	sumActive := func(lambda float64) float64 {
-		sum := base
-		for _, i := range active {
-			x := utility.InverseDeriv(fs[i], lambda, 1e-12)
-			dst[i] = x
-			sum += x
-		}
-		return sum
+	var lo, hi float64
+	var iterations int
+	if lambdaHint > 0 && !math.IsInf(lambdaHint, 0) {
+		lo, hi, iterations = p.warm(budget, lambdaHint)
+	} else {
+		lo, hi, iterations = p.cold(budget)
 	}
-	// settleAtZero drops threads the last (over-budget) probe priced out;
-	// every later evaluation uses a λ at least as large, where x_i stays 0.
-	settleAtZero := func() {
-		kept := active[:0]
-		for _, i := range active {
-			if dst[i] != 0 {
-				kept = append(kept, i)
-			}
-		}
-		active = kept
-	}
-	// settleAtCap drops threads the last (within-budget) probe saturated;
-	// every later evaluation uses a λ no larger, where x_i stays Cap_i.
-	settleAtCap := func() {
-		kept := active[:0]
-		for _, i := range active {
-			if dst[i] == caps[i] {
-				base += caps[i]
-			} else {
-				kept = append(kept, i)
-			}
-		}
-		active = kept
-	}
+	p.finish(budget, lo, hi)
+	return Result{Alloc: dst, Total: total(fs, dst, vals), Lambda: hi, Iterations: iterations}
+}
 
-	// Find hi with sumAt(hi) <= budget by doubling. λ = 0 gives capSum >
+// total returns Σ f_i(alloc[i]) in index order. With vals non-nil it
+// also records every term in *vals (grown to len(alloc)), so the sum is
+// exactly the index-order sum of the recorded values.
+func total(fs []utility.Func, alloc []float64, vals *[]float64) float64 {
+	if vals == nil {
+		return TotalValue(fs, alloc)
+	}
+	v := slices.Grow((*vals)[:0], len(alloc))[:len(alloc)]
+	*vals = v
+	sum := 0.0
+	for i, f := range fs {
+		v[i] = f.Value(alloc[i])
+		sum += v[i]
+	}
+	return sum
+}
+
+// search is the pruned λ-search's probe state: dst holds the amounts of
+// the last probe, active the threads not yet settled, and base the
+// settled threads' contribution to Σ x_i(λ).
+type search struct {
+	fs     []utility.Func
+	dst    []float64
+	caps   []float64
+	active []int
+	base   float64
+}
+
+// sum probes λ: it writes x_i(λ) for every active thread into dst and
+// returns Σ x_i(λ) over all threads.
+func (p *search) sum(lambda float64) float64 {
+	fs, dst := p.fs, p.dst
+	sum := p.base
+	for _, i := range p.active {
+		x := utility.InverseDeriv(fs[i], lambda, 1e-12)
+		dst[i] = x
+		sum += x
+	}
+	return sum
+}
+
+// settleAtZero drops threads the last (over-budget) probe priced out;
+// every later evaluation uses a λ at least as large, where x_i stays 0.
+func (p *search) settleAtZero() {
+	kept := p.active[:0]
+	for _, i := range p.active {
+		if p.dst[i] != 0 {
+			kept = append(kept, i)
+		}
+	}
+	p.active = kept
+}
+
+// settleAtCap drops threads the last (within-budget) probe saturated;
+// every later evaluation uses a λ no larger, where x_i stays Cap_i.
+func (p *search) settleAtCap() {
+	kept := p.active[:0]
+	for _, i := range p.active {
+		if p.dst[i] == p.caps[i] {
+			p.base += p.caps[i]
+		} else {
+			kept = append(kept, i)
+		}
+	}
+	p.active = kept
+}
+
+// cold is the cold λ-search: double λ until the sum fits the budget,
+// then bisect the bracket down to float64 noise, so repeated cold solves
+// are bit-identical. It returns the final bracket [lo, hi].
+func (p *search) cold(budget float64) (lo, hi float64, iterations int) {
+	// Find hi with sum(hi) <= budget by doubling. λ = 0 gives capSum >
 	// budget, so the optimal λ is positive. Only the over-budget probes
 	// (the ones that keep the loop running) settle threads: the search
 	// never revisits a λ below the probe that priced a thread out.
-	iterations := 0
-	lo, hi := 0.0, 1.0
-	for sumActive(hi) > budget {
+	lo, hi = 0.0, 1.0
+	for p.sum(hi) > budget {
 		iterations++
-		settleAtZero()
+		p.settleAtZero()
 		lo = hi
 		hi *= 2
 		if hi > 1e18 {
@@ -205,23 +269,27 @@ func ConcaveWith(sc *Scratch, dst []float64, fs []utility.Func, budget float64) 
 	for iter := 0; iter < 200 && hi-lo > 1e-15*(1+hi); iter++ {
 		iterations++
 		mid := 0.5 * (lo + hi)
-		if sumActive(mid) > budget {
+		if p.sum(mid) > budget {
 			lo = mid
-			settleAtZero()
+			p.settleAtZero()
 		} else {
 			hi = mid
-			settleAtCap()
+			p.settleAtCap()
 		}
 	}
+	return lo, hi, iterations
+}
 
-	// Use the feasible end (λ = hi ⇒ sum <= budget), then hand out any
-	// remaining budget to plateau threads: those that would take more at
-	// λ = lo. Giving them the leftovers is optimal because their marginal
-	// utility in the gap is exactly the water level. Settled threads take
-	// nothing in the gap — a thread at its cap has no headroom and a
-	// priced-out thread still prices out at λ = lo — so only the active
-	// set is scanned, in index order as before.
-	sum := sumActive(hi)
+// finish is the endgame of both searches. It uses the feasible end
+// (λ = hi ⇒ sum <= budget), then hands out any remaining budget to
+// plateau threads: those that would take more at λ = lo. Giving them the
+// leftovers is optimal because their marginal utility in the gap is
+// exactly the water level. Settled threads take nothing in the gap — a
+// thread at its cap has no headroom and a priced-out thread still prices
+// out at λ = lo — so only the active set is scanned, in index order.
+func (p *search) finish(budget, lo, hi float64) {
+	dst := p.dst
+	sum := p.sum(hi)
 	if sum > budget {
 		// The doubling search gave up: even at λ = 1e18 the derivatives
 		// are steeper than the water level, so every probed allocation
@@ -231,22 +299,22 @@ func ConcaveWith(sc *Scratch, dst []float64, fs []utility.Func, budget float64) 
 		// the true optimum is bounded by the water-level gap beyond the
 		// deepest probed λ (astronomically small in practice). Lambda
 		// reports that deepest probe so callers can tell this path from
-		// an exact bisection. No thread can be settled at cap here (that
+		// an exact search. No thread can be settled at cap here (that
 		// needs a within-budget probe, which ends the doubling search),
 		// so scaling the whole vector touches only live amounts.
 		scale := budget / sum
 		for i := range dst {
 			dst[i] *= scale
 		}
-		return Result{Alloc: dst, Total: TotalValue(fs, dst), Lambda: hi, Iterations: iterations}
+		return
 	}
 	remaining := budget - sum
 	if remaining > 0 {
-		for _, i := range active {
+		for _, i := range p.active {
 			if remaining <= 1e-12*budget {
 				break
 			}
-			more := utility.InverseDeriv(fs[i], lo, 1e-12) - dst[i]
+			more := utility.InverseDeriv(p.fs[i], lo, 1e-12) - dst[i]
 			if more <= 0 {
 				continue
 			}
@@ -255,7 +323,6 @@ func ConcaveWith(sc *Scratch, dst []float64, fs []utility.Func, budget float64) 
 			remaining -= grant
 		}
 	}
-	return Result{Alloc: dst, Total: TotalValue(fs, dst), Lambda: hi, Iterations: iterations}
 }
 
 // Greedy is Fox's unit-greedy allocator: it repeatedly grants one unit of

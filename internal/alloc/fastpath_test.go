@@ -116,7 +116,7 @@ func TestConcaveMatchesRef(t *testing.T) {
 	corpusThreads(t, func(label string, fs []utility.Func, c float64) {
 		for _, budget := range budgets(fs) {
 			got := alloc.Concave(fs, budget)
-			want := alloc.ConcaveRef(fs, budget)
+			want := check.ConcaveRef(fs, budget)
 			if math.Abs(got.Total-want.Total) > 1e-7*(1+math.Abs(want.Total)) {
 				t.Fatalf("%s n=%d budget=%g: pruned total %v, reference total %v",
 					label, len(fs), budget, got.Total, want.Total)
@@ -162,7 +162,7 @@ func TestConcavePrunedPlateauRedistribution(t *testing.T) {
 	}
 	for _, budget := range []float64{3, 7, 12, 20, 31} {
 		got := alloc.Concave(fs, budget)
-		want := alloc.ConcaveRef(fs, budget)
+		want := check.ConcaveRef(fs, budget)
 		for i := range want.Alloc {
 			if math.Abs(got.Alloc[i]-want.Alloc[i]) > 1e-6*(1+budget) {
 				t.Fatalf("budget=%g thread %d: pruned %v, reference %v",
@@ -172,5 +172,37 @@ func TestConcavePrunedPlateauRedistribution(t *testing.T) {
 		if math.Abs(got.Total-want.Total) > 1e-9*(1+want.Total) {
 			t.Fatalf("budget=%g: pruned total %v, reference total %v", budget, got.Total, want.Total)
 		}
+	}
+}
+
+// TestConcaveWithGrowingAllocs is the allocator half of the growth
+// contract: a caller-owned Scratch and destination re-solving a thread
+// set that gains one thread per call regrow with amortized headroom, so
+// ConcaveWith averages zero allocations per call.
+func TestConcaveWithGrowingAllocs(t *testing.T) {
+	const c, start, runs = 100.0, 1000, 200
+	r := rng.New(18)
+	fs := make([]utility.Func, start+runs+2)
+	for i := range fs {
+		f, err := gen.Thread(gen.PowerLaw{Alpha: 2, Xmin: 1}, c, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs[i] = f
+	}
+	var sc alloc.Scratch
+	var dst []float64
+	n := start
+	solve := func() {
+		res := alloc.ConcaveWith(&sc, dst, fs[:n], 0.25*c*float64(n))
+		dst = res.Alloc
+		n++
+	}
+	solve() // size the buffers
+	if allocs := testing.AllocsPerRun(runs, solve); allocs != 0 {
+		t.Fatalf("growing ConcaveWith allocates %v per op, want 0", allocs)
+	}
+	if len(dst) != n-1 {
+		t.Fatalf("last solve wrote %d amounts, want %d", len(dst), n-1)
 	}
 }

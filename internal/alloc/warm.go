@@ -1,11 +1,5 @@
 package alloc
 
-import (
-	"math"
-
-	"aa/internal/utility"
-)
-
 // warmRelTol is the budget-gap stop criterion of the warm-started
 // λ-search: the search ends once the feasible probe leaves at most
 // warmRelTol·budget of the budget unallocated (the redistribution pass
@@ -15,122 +9,44 @@ import (
 // which is exactly what the solve cache's repair path wants.
 const warmRelTol = 1e-9
 
-// ConcaveWarmInto is ConcaveInto with the λ-search warm-started from
-// the water-filling price of a previous, nearby solve (Result.Lambda).
-// When only a few utilities changed, Σ x_i(λ_hint) already lands within
-// a few caps of the budget, so a geometric bracket around the hint plus
-// an Illinois-damped false-position refinement reaches the budget-gap
-// tolerance in a handful of O(n) probes instead of the cold search's
-// dozens.
-//
-// The result is feasible under exactly the same contract as ConcaveInto
-// (allocations within per-thread caps, Σ x_i ≤ budget up to tolerance)
-// but is NOT bit-identical to a cold solve: its total utility sits
-// within warmRelTol·budget·λ of the cold optimum. Callers that need the
-// cold fixed point (or have no previous price) pass lambdaHint ≤ 0,
-// which falls straight through to ConcaveInto.
-func ConcaveWarmInto(dst []float64, fs []utility.Func, budget, lambdaHint float64) Result {
-	if !(lambdaHint > 0) || math.IsInf(lambdaHint, 0) {
-		return ConcaveInto(dst, fs, budget)
-	}
-	n := len(fs)
-	if cap(dst) >= n {
-		dst = dst[:n]
-	} else {
-		dst = make([]float64, n)
-	}
-	if n == 0 || budget <= 0 {
-		for i := range dst {
-			dst[i] = 0
-		}
-		return Result{Alloc: dst}
-	}
-
-	sc := concavePool.Get().(*Scratch)
-	defer concavePool.Put(sc)
-	sc.grow(n)
-	caps := sc.caps[:n]
-	active := sc.active[:0]
-
-	capSum := 0.0
-	for i, f := range fs {
-		caps[i] = f.Cap()
-		capSum += caps[i]
-	}
-	if capSum <= budget {
-		copy(dst, caps)
-		return Result{Alloc: dst, Total: TotalValue(fs, dst)}
-	}
-	for i := range fs {
-		active = append(active, i)
-	}
-
-	// The probe machinery is identical to ConcaveInto: settled threads
-	// carry their contribution in base and drop out of later probes.
-	base := 0.0
-	sumActive := func(lambda float64) float64 {
-		sum := base
-		for _, i := range active {
-			x := utility.InverseDeriv(fs[i], lambda, 1e-12)
-			dst[i] = x
-			sum += x
-		}
-		return sum
-	}
-	settleAtZero := func() {
-		kept := active[:0]
-		for _, i := range active {
-			if dst[i] != 0 {
-				kept = append(kept, i)
-			}
-		}
-		active = kept
-	}
-	settleAtCap := func() {
-		kept := active[:0]
-		for _, i := range active {
-			if dst[i] == caps[i] {
-				base += caps[i]
-			} else {
-				kept = append(kept, i)
-			}
-		}
-		active = kept
-	}
-
+// warm is the warm-started λ-search: a geometric bracket around the hint,
+// then Illinois-damped false position until the feasible probe is within
+// warmRelTol·budget of the budget. It returns the final bracket [lo, hi]
+// for the shared endgame; if the upward bracketing gave up (λ > 1e18),
+// hi is still over budget and the endgame scales down, as in the cold
+// search.
+func (p *search) warm(budget, lambdaHint float64) (lo, hi float64, iterations int) {
 	tol := warmRelTol * budget
-	iterations := 1
-	gaveUp := false
-	var lo, hi, fLo, fHi, hiSum float64
+	iterations = 1
+	var fLo, fHi, hiSum float64
 
 	// Bracket the optimum geometrically around the hint. Settling follows
 	// the same monotonicity argument as the cold search: an over-budget
 	// probe only ever precedes probes at λ at least as large (zeros stay
 	// zero), a within-budget probe only ever precedes probes at λ no
 	// larger (caps stay capped).
-	if sum := sumActive(lambdaHint); sum > budget {
-		settleAtZero()
+	if sum := p.sum(lambdaHint); sum > budget {
+		p.settleAtZero()
 		lo, fLo = lambdaHint, sum-budget
 		hi = lambdaHint * 2
 		for {
 			iterations++
-			s := sumActive(hi)
+			s := p.sum(hi)
 			if s <= budget {
 				hiSum, fHi = s, s-budget
-				settleAtCap()
+				p.settleAtCap()
 				break
 			}
-			settleAtZero()
+			p.settleAtZero()
 			lo, fLo = hi, s-budget
 			hi *= 2
 			if hi > 1e18 {
-				gaveUp = true // astronomically steep derivatives; mirror the cold scale-down path
-				break
+				return lo, hi, iterations // astronomically steep derivatives; the endgame scales down
 			}
 		}
 	} else {
 		hi, hiSum, fHi = lambdaHint, sum, sum-budget
-		settleAtCap()
+		p.settleAtCap()
 		if budget-sum <= tol {
 			lo, fLo = hi, fHi // already within tolerance; degenerate bracket
 		} else {
@@ -141,14 +57,14 @@ func ConcaveWarmInto(dst []float64, fs []utility.Func, budget, lambdaHint float6
 					lo = 0
 				}
 				iterations++
-				s := sumActive(lo)
+				s := p.sum(lo)
 				if s > budget {
 					fLo = s - budget
-					settleAtZero()
+					p.settleAtZero()
 					break
 				}
 				hi, hiSum, fHi = lo, s, s-budget
-				settleAtCap()
+				p.settleAtCap()
 				if lo == 0 {
 					fLo = fHi // λ = 0 is feasible: the optimum is the bracket itself
 					break
@@ -161,64 +77,35 @@ func ConcaveWarmInto(dst []float64, fs []utility.Func, budget, lambdaHint float6
 	// retained endpoint's residual when the same side wins twice), which
 	// guarantees superlinear convergence where plain secant can stagnate.
 	// The stop test uses the true sum at hi, never the damped residuals.
-	if !gaveUp {
-		side := 0
-		for iter := 0; iter < 200; iter++ {
-			if budget-hiSum <= tol || hi-lo <= 1e-15*(1+hi) {
-				break
+	side := 0
+	for iter := 0; iter < 200; iter++ {
+		if budget-hiSum <= tol || hi-lo <= 1e-15*(1+hi) {
+			break
+		}
+		var mid float64
+		if denom := fLo - fHi; denom > 0 {
+			mid = lo + fLo*(hi-lo)/denom
+		}
+		if !(mid > lo && mid < hi) {
+			mid = 0.5 * (lo + hi)
+		}
+		iterations++
+		s := p.sum(mid)
+		if f := s - budget; f > 0 {
+			lo, fLo = mid, f
+			p.settleAtZero()
+			if side < 0 {
+				fHi *= 0.5
 			}
-			var mid float64
-			if denom := fLo - fHi; denom > 0 {
-				mid = lo + fLo*(hi-lo)/denom
+			side = -1
+		} else {
+			hi, hiSum, fHi = mid, s, f
+			p.settleAtCap()
+			if side > 0 {
+				fLo *= 0.5
 			}
-			if !(mid > lo && mid < hi) {
-				mid = 0.5 * (lo + hi)
-			}
-			iterations++
-			s := sumActive(mid)
-			if f := s - budget; f > 0 {
-				lo, fLo = mid, f
-				settleAtZero()
-				if side < 0 {
-					fHi *= 0.5
-				}
-				side = -1
-			} else {
-				hi, hiSum, fHi = mid, s, f
-				settleAtCap()
-				if side > 0 {
-					fLo *= 0.5
-				}
-				side = +1
-			}
+			side = +1
 		}
 	}
-
-	// Same endgame as ConcaveInto: evaluate the feasible end, scale down
-	// if the doubling search gave up, then redistribute the residual
-	// budget to plateau threads at λ = lo in index order.
-	sum := sumActive(hi)
-	if sum > budget {
-		scale := budget / sum
-		for i := range dst {
-			dst[i] *= scale
-		}
-		return Result{Alloc: dst, Total: TotalValue(fs, dst), Lambda: hi, Iterations: iterations}
-	}
-	remaining := budget - sum
-	if remaining > 0 {
-		for _, i := range active {
-			if remaining <= 1e-12*budget {
-				break
-			}
-			more := utility.InverseDeriv(fs[i], lo, 1e-12) - dst[i]
-			if more <= 0 {
-				continue
-			}
-			grant := math.Min(more, remaining)
-			dst[i] += grant
-			remaining -= grant
-		}
-	}
-	return Result{Alloc: dst, Total: TotalValue(fs, dst), Lambda: hi, Iterations: iterations}
+	return lo, hi, iterations
 }

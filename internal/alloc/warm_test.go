@@ -1,7 +1,7 @@
 package alloc_test
 
 // Tests for the warm-started water-filling search: seeded with a λ hint
-// from a previous solve, ConcaveWarmInto must match the cold solver's
+// from a previous solve, ConcaveValuesWith must match the cold solver's
 // value up to bisection tolerance on the figure corpus — whether the
 // hint is exact, perturbed, or garbage (the fall-through path).
 
@@ -14,13 +14,32 @@ import (
 	"aa/internal/utility"
 )
 
+// concaveWarm is the warm-started solve on a fresh Scratch. It also
+// checks the values contract: vals[i] = f_i(Alloc[i]) and Total is their
+// index-order sum.
+func concaveWarm(t *testing.T, fs []utility.Func, budget, hint float64) alloc.Result {
+	t.Helper()
+	res, vals := alloc.ConcaveValuesWith(new(alloc.Scratch), nil, nil, fs, budget, hint)
+	sum := 0.0
+	for i, f := range fs {
+		if v := f.Value(res.Alloc[i]); vals[i] != v {
+			t.Fatalf("hint %v: vals[%d] = %v, want f(alloc) = %v", hint, i, vals[i], v)
+		}
+		sum += vals[i]
+	}
+	if len(vals) != len(fs) || (budget > 0 && res.Total != sum) {
+		t.Fatalf("hint %v: %d values summing to %v, Total %v", hint, len(vals), sum, res.Total)
+	}
+	return res
+}
+
 // warmAgrees solves cold and warm with the given hint and asserts the
 // warm result is feasible and matches the cold total to a relative
 // tolerance dominated by the two searches' stopping criteria.
 func warmAgrees(t *testing.T, label string, fs []utility.Func, budget, hint float64) {
 	t.Helper()
 	cold := alloc.ConcaveInto(nil, fs, budget)
-	warm := alloc.ConcaveWarmInto(nil, fs, budget, hint)
+	warm := concaveWarm(t, fs, budget, hint)
 	if err := check.Allocation(fs, warm.Alloc, budget, 0); err != nil {
 		t.Fatalf("%s (hint %v): warm allocation infeasible: %v", label, hint, err)
 	}
@@ -49,7 +68,7 @@ func TestConcaveWarmBadHintFallsThrough(t *testing.T) {
 		budget := 0.5 * c
 		cold := alloc.ConcaveInto(nil, fs, budget)
 		for _, hint := range []float64{0, -1, math.Inf(1), math.NaN()} {
-			warm := alloc.ConcaveWarmInto(nil, fs, budget, hint)
+			warm := concaveWarm(t, fs, budget, hint)
 			if len(warm.Alloc) != len(cold.Alloc) {
 				t.Fatalf("%s (hint %v): %d allocs, want %d", label, hint, len(warm.Alloc), len(cold.Alloc))
 			}
@@ -85,7 +104,7 @@ func TestConcaveWarmCheaperWithExactHint(t *testing.T) {
 	})
 	budget := 0.3 * capSum(fs)
 	cold := alloc.ConcaveInto(nil, fs, budget)
-	warm := alloc.ConcaveWarmInto(nil, fs, budget, cold.Lambda)
+	warm := concaveWarm(t, fs, budget, cold.Lambda)
 	if cold.Iterations == 0 {
 		t.Skip("cold solve took the trivial path")
 	}

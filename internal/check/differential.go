@@ -214,7 +214,7 @@ func (rep *DiffReport) checkInstance(where string, in *core.Instance, r *rng.Ran
 
 // checkAlloc cross-checks alloc.Concave against the alloc.Greedy ground
 // truth on the instance's thread set at a 1/256 granularity, and against
-// the retained unpruned bisection alloc.ConcaveRef (the pruning may shift
+// the retained unpruned bisection ConcaveRef (the pruning may shift
 // λ's bisection trajectory, so the comparison is tolerance-based, unlike
 // the bitwise Assign1 differential).
 func (rep *DiffReport) checkAlloc(where string, in *core.Instance, budget, eps float64) {
@@ -228,7 +228,7 @@ func (rep *DiffReport) checkAlloc(where string, in *core.Instance, budget, eps f
 			"%w: Concave total %v below the unit-greedy ground truth %v",
 			ErrDifferential, cc.Total, gr.Total)))
 	}
-	ref := alloc.ConcaveRef(fs, budget)
+	ref := ConcaveRef(fs, budget)
 	if d := math.Abs(cc.Total - ref.Total); d > 1e-7*(1+math.Abs(ref.Total)) {
 		rep.note(where+"/concave-ref", record(fmt.Errorf(
 			"%w: pruned Concave total %v != unpruned reference %v (diff %g)",

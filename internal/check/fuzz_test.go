@@ -82,7 +82,7 @@ func FuzzDifferentialAssign(f *testing.F) {
 		}
 		// gen threads are capped at C, so SuperOptimal's capping wrapper is
 		// a no-op and ConcaveRef over the raw threads is the same problem.
-		refSO := alloc.ConcaveRef(in.Threads, float64(in.M)*in.C)
+		refSO := ConcaveRef(in.Threads, float64(in.M)*in.C)
 		if d := math.Abs(so.Total - refSO.Total); d > 1e-7*(1+math.Abs(refSO.Total)) {
 			t.Fatalf("pruned super-optimal total %v != unpruned reference %v", so.Total, refSO.Total)
 		}

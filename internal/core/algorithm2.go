@@ -1,6 +1,9 @@
 package core
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Assign2 is the paper's Algorithm 2: the O(n (log mC)²) algorithm with
 // the same α = 2(√2−1) approximation ratio as Algorithm 1 (Theorem VI.1).
@@ -68,11 +71,7 @@ func (w *Workspace) assign2(in *Instance, gs []Linearized, tailOrder TailOrder, 
 	// sort.Stable over them visits the same comparison sequence as the
 	// sort.SliceStable closure this replaces (both are stable, so the
 	// permutation is identical too) without its per-call allocations.
-	if cap(w.order) >= n {
-		w.order = w.order[:n]
-	} else {
-		w.order = make([]int, n)
-	}
+	w.order = slices.Grow(w.order[:0], n)[:n]
 	order := w.order
 	for i := range order {
 		order[i] = i
@@ -131,11 +130,7 @@ type serverHeap struct {
 // array when it is large enough. All keys equal means any order is a
 // valid heap.
 func (h *serverHeap) reset(m int, c float64) {
-	if cap(h.entries) >= m {
-		h.entries = h.entries[:m]
-	} else {
-		h.entries = make([]serverEntry, m)
-	}
+	h.entries = slices.Grow(h.entries[:0], m)[:m]
 	for j := range h.entries {
 		h.entries[j] = serverEntry{id: j, residual: c}
 	}

@@ -13,7 +13,6 @@ import (
 	"math"
 	"testing"
 
-	"aa/internal/alloc"
 	"aa/internal/check"
 	"aa/internal/core"
 	"aa/internal/gen"
@@ -169,7 +168,7 @@ func BenchmarkSuperOptimalRef(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				alloc.ConcaveRef(fs, budget)
+				check.ConcaveRef(fs, budget)
 			}
 		})
 	}

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"aa/internal/utility"
 )
@@ -77,19 +78,13 @@ func NewAssignment(n int) Assignment {
 }
 
 // Reset reinitializes the assignment for n threads, reusing the backing
-// arrays when they are large enough — the piece that lets Workspace-based
-// solvers rewrite an Assignment every solve without allocating.
+// arrays when they are large enough and otherwise growing them with
+// append's amortized headroom — the piece that lets Workspace-based
+// solvers rewrite an Assignment every solve without allocating, even
+// when every solve adds a thread.
 func (a *Assignment) Reset(n int) {
-	if cap(a.Server) >= n {
-		a.Server = a.Server[:n]
-	} else {
-		a.Server = make([]int, n)
-	}
-	if cap(a.Alloc) >= n {
-		a.Alloc = a.Alloc[:n]
-	} else {
-		a.Alloc = make([]float64, n)
-	}
+	a.Server = slices.Grow(a.Server[:0], n)[:n]
+	a.Alloc = slices.Grow(a.Alloc[:0], n)[:n]
 	for i := range a.Server {
 		a.Server[i] = -1
 	}

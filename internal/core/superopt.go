@@ -1,9 +1,6 @@
 package core
 
-import (
-	"aa/internal/alloc"
-	"aa/internal/telemetry"
-)
+import "aa/internal/telemetry"
 
 // SuperOpt is the super-optimal relaxation of an AA instance
 // (Definition V.1): the optimal allocation of a single pooled knapsack of
@@ -26,27 +23,13 @@ type SuperOpt struct {
 
 // SuperOptimal computes the super-optimal allocation by water-filling
 // (λ-bisection) over the pooled budget m·C, the same structure as the
-// O(n (log mC)²) algorithm of Galil cited by the paper.
+// O(n (log mC)²) algorithm of Galil cited by the paper. The result owns
+// its slices; only the λ-search scratch is borrowed from the workspace
+// pool.
 func SuperOptimal(in *Instance) SuperOpt {
-	start := stageStart()
-	fs := cappedThreads(in)
-	budget := float64(in.M) * in.C
-	res := alloc.Concave(fs, budget)
-	so := SuperOpt{
-		Alloc:  res.Alloc,
-		Value:  make([]float64, len(fs)),
-		Total:  res.Total,
-		Lambda: res.Lambda,
-	}
-	for i, f := range fs {
-		so.Value[i] = f.Value(res.Alloc[i])
-	}
-	if !start.IsZero() {
-		metricSuperOptCalls.Inc()
-		metricBisectIters.Add(uint64(res.Iterations))
-		stageEnd(start, metricSuperOptSeconds, "core.superopt", telemetry.SpanContext{}, in.N())
-	}
-	return so
+	w := GetWorkspace()
+	defer PutWorkspace(w)
+	return superOptimalWith(in, w.capFuncs(in), &w.allocSc, nil, nil, 0, false, telemetry.SpanContext{})
 }
 
 // Linearized is the two-segment utility g_i from Equation 1 of the paper:

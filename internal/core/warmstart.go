@@ -1,9 +1,8 @@
 package core
 
 import (
+	"slices"
 	"sort"
-
-	"aa/internal/alloc"
 )
 
 // WarmSeed carries the reusable parts of a previous Algorithm 2 solve of
@@ -19,7 +18,7 @@ type WarmSeed struct {
 }
 
 // SuperOptimalWarm is SuperOptimal with the λ-search warm-started from a
-// previous solve's price (alloc.ConcaveWarmInto): a handful of probes
+// previous solve's price (alloc.ConcaveValuesWith): a handful of probes
 // instead of the cold search's dozens when the instance changed by only
 // a few threads. The returned bound is a valid F̂ for ratio checks — the
 // warm allocation is feasible for the pooled relaxation, so its total
@@ -27,27 +26,8 @@ type WarmSeed struct {
 // against it conservative. The returned SuperOpt aliases workspace
 // buffers, like SuperOptimal.
 func (w *Workspace) SuperOptimalWarm(in *Instance, lambdaHint float64) SuperOpt {
-	start := stageStart()
-	fs := w.capFuncs(in)
-	budget := float64(in.M) * in.C
-	res := alloc.ConcaveWarmInto(w.soAlloc, fs, budget, lambdaHint)
-	n := len(fs)
-	valueDst := w.soValue
-	if cap(valueDst) >= n {
-		valueDst = valueDst[:n]
-	} else {
-		valueDst = make([]float64, n)
-	}
-	so := SuperOpt{Alloc: res.Alloc, Value: valueDst, Total: res.Total, Lambda: res.Lambda}
-	for i, f := range fs {
-		so.Value[i] = f.Value(res.Alloc[i])
-	}
+	so := superOptimalWith(in, w.capFuncs(in), &w.allocSc, w.soAlloc, w.soValue, lambdaHint, true, w.span)
 	w.soAlloc, w.soValue = so.Alloc, so.Value
-	if !start.IsZero() {
-		metricSuperOptWarm.Inc()
-		metricBisectIters.Add(uint64(res.Iterations))
-		stageEnd(start, metricSuperOptSeconds, "core.superopt.warm", w.span, n)
-	}
 	return so
 }
 
@@ -71,22 +51,13 @@ func (w *Workspace) Assign2Warm(in *Instance, seed WarmSeed, out *Assignment) Su
 	n, m := in.N(), in.M
 	out.Reset(n)
 
-	if cap(w.a1servers) >= m {
-		w.a1servers = w.a1servers[:m]
-	} else {
-		w.a1servers = make([]serverEntry, m)
-	}
+	w.a1servers = slices.Grow(w.a1servers[:0], m)[:m]
 	servers := w.a1servers
 	for j := range servers {
 		servers[j] = serverEntry{id: j, residual: in.C}
 	}
 
-	if cap(w.order) >= n {
-		w.order = w.order[:0]
-	} else {
-		w.order = make([]int, 0, n)
-	}
-	added := w.order
+	added := slices.Grow(w.order[:0], n)
 	for i := 0; i < n; i++ {
 		if s := seed.Server[i]; s >= 0 {
 			out.Server[i] = s

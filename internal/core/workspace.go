@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 
 	"aa/internal/alloc"
@@ -74,12 +75,8 @@ func PutWorkspace(w *Workspace) {
 // pointer indirection keeps the interface conversion allocation-free.
 func (w *Workspace) capFuncs(in *Instance) []utility.Func {
 	n := in.N()
-	if cap(w.capped) < n {
-		w.capped = make([]cappedFunc, n)
-		w.fs = make([]utility.Func, n)
-	}
-	w.capped = w.capped[:n]
-	w.fs = w.fs[:n]
+	w.capped = slices.Grow(w.capped[:0], n)[:n]
+	w.fs = slices.Grow(w.fs[:0], n)[:n]
 	for i, f := range in.Threads {
 		c := f.Cap()
 		if c > in.C {
@@ -91,35 +88,34 @@ func (w *Workspace) capFuncs(in *Instance) []utility.Func {
 	return w.fs
 }
 
-// superOptimalWith is the shared super-optimal implementation: both the
+// superOptimalWith is the shared super-optimal implementation: the
 // allocating package-level SuperOptimal and the buffer-reusing Workspace
-// method funnel here, so their numerics are identical by construction.
-func superOptimalWith(in *Instance, fs []utility.Func, sc *alloc.Scratch, allocDst, valueDst []float64, parent telemetry.SpanContext) SuperOpt {
+// methods (cold and warm) funnel here, so their numerics are identical
+// by construction. lambdaHint > 0 warm-starts the λ-search
+// (see alloc.ConcaveValuesWith); warm selects the warm metric and
+// span name. One alloc pass yields both the per-thread values and F̂,
+// their index-order sum.
+func superOptimalWith(in *Instance, fs []utility.Func, sc *alloc.Scratch, allocDst, valueDst []float64, lambdaHint float64, warm bool, parent telemetry.SpanContext) SuperOpt {
 	start := stageStart()
-	budget := float64(in.M) * in.C
-	res := alloc.ConcaveWith(sc, allocDst, fs, budget)
-	n := len(fs)
-	if cap(valueDst) >= n {
-		valueDst = valueDst[:n]
-	} else {
-		valueDst = make([]float64, n)
-	}
-	so := SuperOpt{Alloc: res.Alloc, Value: valueDst, Total: res.Total, Lambda: res.Lambda}
-	for i, f := range fs {
-		so.Value[i] = f.Value(res.Alloc[i])
-	}
+	res, vals := alloc.ConcaveValuesWith(sc, allocDst, valueDst, fs, float64(in.M)*in.C, lambdaHint)
 	if !start.IsZero() {
-		metricSuperOptCalls.Inc()
+		name := "core.superopt"
+		if warm {
+			metricSuperOptWarm.Inc()
+			name = "core.superopt.warm"
+		} else {
+			metricSuperOptCalls.Inc()
+		}
 		metricBisectIters.Add(uint64(res.Iterations))
-		stageEnd(start, metricSuperOptSeconds, "core.superopt", parent, in.N())
+		stageEnd(start, metricSuperOptSeconds, name, parent, len(fs))
 	}
-	return so
+	return SuperOpt{Alloc: res.Alloc, Value: vals, Total: res.Total, Lambda: res.Lambda}
 }
 
 // SuperOptimal is the workspace variant of the package-level SuperOptimal;
 // the returned SuperOpt aliases workspace buffers.
 func (w *Workspace) SuperOptimal(in *Instance) SuperOpt {
-	so := superOptimalWith(in, w.capFuncs(in), &w.allocSc, w.soAlloc, w.soValue, w.span)
+	so := superOptimalWith(in, w.capFuncs(in), &w.allocSc, w.soAlloc, w.soValue, 0, false, w.span)
 	w.soAlloc, w.soValue = so.Alloc, so.Value
 	return so
 }
@@ -127,12 +123,7 @@ func (w *Workspace) SuperOptimal(in *Instance) SuperOpt {
 // Linearize is the workspace variant of the package-level Linearize; the
 // returned slice aliases the workspace.
 func (w *Workspace) Linearize(in *Instance, so SuperOpt) []Linearized {
-	n := in.N()
-	if cap(w.gs) >= n {
-		w.gs = w.gs[:n]
-	} else {
-		w.gs = make([]Linearized, n)
-	}
+	w.gs = slices.Grow(w.gs[:0], in.N())[:in.N()]
 	for i := range w.gs {
 		w.gs[i] = Linearized{UHat: so.Value[i], CHat: so.Alloc[i], C: in.C}
 	}
@@ -241,11 +232,7 @@ func (w *Workspace) Assign1Linearized(in *Instance, gs []Linearized, out *Assign
 	n, m := in.N(), in.M
 	out.Reset(n)
 
-	if cap(w.a1servers) >= m {
-		w.a1servers = w.a1servers[:m]
-	} else {
-		w.a1servers = make([]serverEntry, m)
-	}
+	w.a1servers = slices.Grow(w.a1servers[:0], m)[:m]
 	servers := w.a1servers
 	for j := range servers {
 		servers[j] = serverEntry{id: j, residual: in.C}

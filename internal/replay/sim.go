@@ -59,11 +59,24 @@ type RunOptions struct {
 }
 
 // solveObserver collects what the engine middleware (or the HTTP
-// policy) sees per re-solve: the count and the wall latency.
+// policy) sees per re-solve: the count and the wall latency, plus the
+// instance and super-optimal bound of the last in-process solve, so the
+// hook can take F̂ from the solve instead of computing it a second time.
 type solveObserver struct {
 	count    int
 	failures int
 	wallSec  []float64
+
+	// last is the instance of the most recent in-process solve, bound
+	// its Response.Bound; solved is false when that solve failed.
+	last   core.Instance
+	bound  float64
+	solved bool
+
+	// noReuse makes the hook recompute every bound itself (the tests'
+	// reference path); reused counts the bounds taken from a solve.
+	noReuse bool
+	reused  int
 }
 
 func (o *solveObserver) observe(wall time.Duration) {
@@ -84,6 +97,7 @@ func (o *solveObserver) middleware() engine.Middleware {
 			start := time.Now()
 			err := next(ctx, req, resp)
 			o.observe(time.Since(start))
+			o.last, o.bound, o.solved = *req.Instance, resp.Bound, err == nil
 			return err
 		}
 	}
@@ -91,6 +105,11 @@ func (o *solveObserver) middleware() engine.Middleware {
 
 // Run replays the scenario under the options and returns its report.
 func Run(sc *Scenario, opts RunOptions) (*Report, error) {
+	return run(sc, opts, &solveObserver{})
+}
+
+// run is Run with the solve observer supplied by the caller.
+func run(sc *Scenario, opts RunOptions, obs *solveObserver) (*Report, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
@@ -110,7 +129,6 @@ func Run(sc *Scenario, opts RunOptions) (*Report, error) {
 		telemetry.String("scenario", sc.Name), telemetry.Int("events", tstats.Events))
 	defer span.End()
 
-	obs := &solveObserver{}
 	var policy online.Policy
 	if opts.Addr != "" {
 		if sc.policyName() != "full-resolve" {
@@ -143,6 +161,11 @@ func Run(sc *Scenario, opts RunOptions) (*Report, error) {
 	}
 
 	acc := newAccumulator(sc, obs)
+	// A cached engine answers hits and warm starts with a different,
+	// conservative F̂, so only an uncached in-process engine's bound is
+	// the one the hook would compute.
+	acc.reuseBound = !obs.noReuse && opts.Addr == "" &&
+		(opts.Cache == nil || opts.Cache.Mode() == cache.ModeOff)
 	wallStart := time.Now()
 	res, err := online.SimulateOpts(sc.Servers, sc.Capacity, events, policy,
 		online.Options{Horizon: sc.Horizon, Hook: acc.hook})
@@ -212,8 +235,9 @@ type accumulator struct {
 	grid    []Sample
 	gridIdx int
 
-	threads int            // active threads after the last event
-	ws      core.Workspace // the bound's super-optimal scratch
+	threads    int            // active threads after the last event
+	ws         core.Workspace // the bound's super-optimal scratch
+	reuseBound bool           // take F̂ from this event's solve when it matches
 
 	obs *solveObserver
 }
@@ -280,6 +304,8 @@ func (a *accumulator) hook(info online.EventInfo, s *online.State) {
 
 	// Recompute the instantaneous utility and super-optimal bound of
 	// the post-event state, in the state's ascending-id order.
+	newSolves := a.obs.count - a.lastSolves
+	a.lastSolves = a.obs.count
 	a.threads = s.Len()
 	up := s.UpCount()
 	a.finalUp = up
@@ -287,14 +313,17 @@ func (a *accumulator) hook(info online.EventInfo, s *online.State) {
 	a.prevBound = 0
 	if a.threads > 0 && up > 0 {
 		in := core.Instance{M: up, C: s.C, Threads: s.Funcs()}
-		a.prevBound = a.ws.SuperOptimal(&in).Total
+		if newSolves > 0 && a.solvedBound(&in) {
+			a.prevBound = a.obs.bound
+			a.obs.reused++
+		} else {
+			a.prevBound = a.ws.SuperOptimal(&in).Total
+		}
 	}
 	a.prevT = t
 	a.migrations += info.Migrated
 
 	// Charge the virtual solver for any re-solves this event issued.
-	newSolves := a.obs.count - a.lastSolves
-	a.lastSolves = a.obs.count
 	for k := 0; k < newSolves; k++ {
 		nm := float64(a.threads + a.sc.Servers)
 		service := a.solveCost * nm * math.Log2(nm+2)
@@ -309,6 +338,19 @@ func (a *accumulator) hook(info online.EventInfo, s *online.State) {
 	if d := len(a.queue); d > a.queuePeak {
 		a.queuePeak = d
 	}
+}
+
+// solvedBound reports whether the observer's last solve, run during
+// the current event, computed exactly the bound the hook wants for in:
+// reuse is on, the solve succeeded with a bound, and it ran on the same
+// server count, capacity and thread slice. The thread slice is the
+// state's own, unchanged between the policy's solve and the hook, so
+// the solve's cold F̂ is bit-identical to recomputing it here.
+func (a *accumulator) solvedBound(in *core.Instance) bool {
+	o := a.obs
+	return a.reuseBound && o.solved && !math.IsNaN(o.bound) &&
+		o.last.M == in.M && o.last.C == in.C &&
+		len(o.last.Threads) == len(in.Threads) && &o.last.Threads[0] == &in.Threads[0]
 }
 
 // report closes the integrals at the horizon, fills the trajectory tail

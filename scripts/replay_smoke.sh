@@ -8,7 +8,10 @@
 # accumulation, unkeyed randomness, wall-clock in the canonical report)
 # and fails the gate. Those three run full-resolve; churn (hybrid,
 # drift-heavy) and failures under -policy incremental (the evacuate
-# path) cover the incremental reactions. A recorded-trace round trip
+# path) cover the incremental reactions. Without a cache the report's
+# bound F̂ comes from each full re-solve; churn under -policy
+# full-resolve -cache memory (hits and warm starts) covers the path
+# where the report computes F̂ itself. A recorded-trace round trip
 # rides along as the last family.
 #
 # Environment knobs:
@@ -54,6 +57,7 @@ run_twice flash -scenario flash
 run_twice failures -scenario failures
 run_twice churn -scenario churn
 run_twice failures-incremental -scenario failures -policy incremental
+run_twice churn-cached -scenario churn -policy full-resolve -cache memory
 
 # Recorded-trace determinism: the same envelope must replay identically.
 cat >"$tmpdir/recorded.json" <<'EOF'
