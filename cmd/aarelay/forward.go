@@ -73,10 +73,7 @@ func (rl *relay) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if !rl.admit(w, r) {
 		return
 	}
-	if rl.maxBodyBytes > 0 {
-		r.Body = http.MaxBytesReader(w, r.Body, rl.maxBodyBytes)
-	}
-	body, err := io.ReadAll(r.Body)
+	body, err := rl.readBody(w, r)
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -89,7 +86,7 @@ func (rl *relay) handleSolve(w http.ResponseWriter, r *http.Request) {
 
 	// Relay-side exact-hit cache: canonicalize with the cache's key and
 	// answer byte-identically without touching a node. Uncacheable
-	// requests (bad params, undecodable bodies, check=1, cache=bypass)
+	// requests (bad params, bodies the scan rejects, check=1, cache=bypass)
 	// fall through to forwarding — the node is the authority on errors.
 	ck, canon, cacheable := rl.cacheKey(r, body)
 	if cacheable {
@@ -108,6 +105,29 @@ func (rl *relay) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if cacheable && status == http.StatusOK {
 		rl.storeResponse(ck, canon, r, respBody)
 	}
+}
+
+// maxPrealloc caps the buffer a declared Content-Length sizes before
+// any body bytes arrive. The declaration is the client's word, so it
+// buys at most this much memory per connection up front; larger bodies
+// grow as their bytes arrive. It is well above a typical /solve body
+// (tens of KB for n=1000).
+const maxPrealloc = 1 << 20
+
+// readBody buffers a /solve body under the -max-body-bytes cap. A
+// declared Content-Length within the cap sizes the buffer up front, up
+// to maxPrealloc, instead of growing it through the read.
+func (rl *relay) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	if rl.maxBodyBytes > 0 {
+		r.Body = http.MaxBytesReader(w, r.Body, rl.maxBodyBytes)
+	}
+	size := int64(0)
+	if n := r.ContentLength; n > 0 && (rl.maxBodyBytes <= 0 || n <= rl.maxBodyBytes) {
+		size = min(n, maxPrealloc)
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
+	_, err := buf.ReadFrom(r.Body)
+	return buf.Bytes(), err
 }
 
 // forwardSolve runs the failover loop: pick a node, forward, and on
@@ -239,8 +259,9 @@ func copyResponseHeaders(w http.ResponseWriter, resp *http.Response) {
 
 // cacheKey derives the relay cache key for a /solve request, or reports
 // it uncacheable. Mirrors the engine's cacheParams contract: the key is
-// the keyed canonical fingerprint plus the output-relevant parameters,
-// with the seed folded in only for stochastic backends.
+// the keyed fingerprint of the body's wire form (cache.CanonicalizeWire)
+// plus the output-relevant parameters, with the seed folded in only for
+// stochastic backends.
 func (rl *relay) cacheKey(r *http.Request, body []byte) (cache.Key, *cache.Canonical, bool) {
 	if rl.cache.Mode() == cache.ModeOff {
 		return cache.Key{}, nil, false
@@ -275,11 +296,7 @@ func (rl *relay) cacheKey(r *http.Request, body []byte) (cache.Key, *cache.Canon
 			p.Seed = seed
 		}
 	}
-	in, err := instio.Decode(bytes.NewReader(body))
-	if err != nil {
-		return cache.Key{}, nil, false
-	}
-	canon, err := cache.CanonicalizeKeyed(in, rl.cache.HashKey())
+	canon, err := cache.CanonicalizeWire(body, rl.cache.HashKey())
 	if err != nil {
 		return cache.Key{}, nil, false
 	}
@@ -290,8 +307,8 @@ func (rl *relay) cacheKey(r *http.Request, body []byte) (cache.Key, *cache.Canon
 // thread order under key. Responses that do not parse as an assignment
 // of the right arity are silently not cached.
 func (rl *relay) storeResponse(key cache.Key, canon *cache.Canonical, r *http.Request, respBody []byte) {
-	var a instio.AssignmentJSON
-	if err := json.Unmarshal(respBody, &a); err != nil {
+	a, err := instio.DecodeAssignment(respBody)
+	if err != nil {
 		return
 	}
 	n := len(canon.Perm)
@@ -317,9 +334,9 @@ func (rl *relay) storeResponse(key cache.Key, canon *cache.Canonical, r *http.Re
 
 // writeCachedAssignment serves a cache hit byte-identically to the
 // populating node response: the canonical assignment is un-permuted
-// through this request's own Perm and re-encoded with the exact encoder
-// settings aaserve uses — Go's shortest-round-trip float encoding makes
-// decode→re-encode byte-stable, which the relay smoke pins end to end.
+// through this request's own Perm and re-encoded with aaserve's own
+// codec — its shortest-round-trip floats make decode→re-encode
+// byte-stable, which the relay smoke pins end to end.
 func writeCachedAssignment(w http.ResponseWriter, e *cache.Entry, canon *cache.Canonical) {
 	n := len(canon.Perm)
 	out := instio.AssignmentJSON{
@@ -332,10 +349,10 @@ func writeCachedAssignment(w http.ResponseWriter, e *cache.Entry, canon *cache.C
 		out.Server[orig] = e.Server[k]
 		out.Alloc[orig] = e.Alloc[k]
 	}
+	// Stored values came from a node's encoded answer, so they are finite.
+	buf, _ := instio.AppendAssignment(nil, out, "")
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(out)
+	_, _ = w.Write(append(buf, '\n'))
 }
 
 // handleBatch streams /solve/batch through a single node. No mid-stream

@@ -5,7 +5,8 @@
 // (/readyz) and load (the aa_pool_queue_depth gauge from each node's
 // /metrics/history), fails /solve over to the next node on transport
 // errors and backpressure, and answers exact repeats from a relay-side
-// shared cache keyed by the canonical instance fingerprint.
+// shared cache keyed by the fingerprint of the body's validated wire
+// form (cache.CanonicalizeWire), without decoding the instance.
 //
 // Usage:
 //

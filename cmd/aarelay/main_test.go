@@ -1,10 +1,14 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -29,9 +33,10 @@ const demoInstance = `{
 // fakeNode is a minimal aaserve stand-in: a real /solve (through the
 // in-process engine), /readyz, and a solve counter for routing asserts.
 type fakeNode struct {
-	srv    *httptest.Server
-	solves atomic.Int64
-	busy   atomic.Bool // answer 429 on /solve when set
+	srv      *httptest.Server
+	requests atomic.Int64 // /solve requests received
+	solves   atomic.Int64
+	busy     atomic.Bool // answer 429 on /solve when set
 }
 
 func newFakeNode(t *testing.T) *fakeNode {
@@ -42,6 +47,7 @@ func newFakeNode(t *testing.T) *fakeNode {
 		fmt.Fprintln(w, "ok")
 	})
 	mux.HandleFunc("/solve", func(w http.ResponseWriter, r *http.Request) {
+		f.requests.Add(1)
 		if f.busy.Load() {
 			http.Error(w, "queue full", http.StatusTooManyRequests)
 			return
@@ -57,7 +63,10 @@ func newFakeNode(t *testing.T) *fakeNode {
 			return
 		}
 		f.solves.Add(1)
-		_ = instio.EncodeAssignment(w, in, resp.Assignment)
+		// Like aaserve: an answer JSON cannot carry is a 422.
+		if err := instio.EncodeAssignment(w, in, resp.Assignment); errors.Is(err, instio.ErrNonFinite) {
+			http.Error(w, err.Error(), http.StatusUnprocessableEntity)
+		}
 	})
 	mux.HandleFunc("/solve/batch", func(w http.ResponseWriter, r *http.Request) {
 		_, _ = io.Copy(io.Discard, r.Body)
@@ -102,17 +111,22 @@ func startRelay(t *testing.T, args ...string) string {
 
 func postSolve(t *testing.T, addr, query string) (*http.Response, string) {
 	t.Helper()
+	return postBody(t, addr, query, demoInstance)
+}
+
+func postBody(t *testing.T, addr, query, body string) (*http.Response, string) {
+	t.Helper()
 	url := "http://" + addr + "/solve" + query
-	resp, err := http.Post(url, "application/json", strings.NewReader(demoInstance))
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatalf("POST %s: %v", url, err)
 	}
-	body, err := io.ReadAll(resp.Body)
+	data, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return resp, string(body)
+	return resp, string(data)
 }
 
 func TestRelayRoutesAndFailsOver(t *testing.T) {
@@ -232,6 +246,98 @@ func TestRelaySharedCacheExactHit(t *testing.T) {
 	}
 }
 
+// TestRelayCacheKeysWireBytes: the relay keys a body by its threads'
+// exact bytes, checked outside them as the node decodes. A permuted
+// repeat is a hit, byte-identical to the node's own answer for it; a
+// respelled thread is another key, so it misses and reaches the node; a
+// body whose threads match the cached entry but which the node rejects
+// (a duplicate key, trailing bytes) is forwarded and answered 400,
+// never served from the cache.
+func TestRelayCacheKeysWireBytes(t *testing.T) {
+	n := newFakeNode(t)
+	addr := startRelay(t, "-nodes", n.addr(), "-cache", "shared", "-probe-interval", "1h")
+	const (
+		t0 = `{"kind": "linear", "slope": 1.5}`
+		t1 = `{"kind": "log", "scale": 2, "shift": 1}`
+		t2 = `{"kind": "linear", "slope": 0.5}`
+		t3 = `{"kind": "power", "scale": 1, "beta": 0.5}`
+	)
+	body := func(head string, threads ...string) string {
+		return "{" + head + `"threads": [` + strings.Join(threads, ", ") + "]}"
+	}
+	first := body(`"m": 2, "c": 10, `, t0, t1, t2, t3)
+	resp, answer := postBody(t, addr, "", first)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("first solve = %d", resp.StatusCode)
+	}
+
+	// The hit is the first answer, thread j of the permuted body getting
+	// what thread order[j] of the first got, in encoding/json's bytes.
+	permuted, order := body(`"c": 10, "m": 2, `, t3, t1, t0, t2), []int{3, 1, 0, 2}
+	var a instio.AssignmentJSON
+	if err := json.Unmarshal([]byte(answer), &a); err != nil {
+		t.Fatal(err)
+	}
+	want := instio.AssignmentJSON{Utility: a.Utility, Bound: a.Bound}
+	for _, i := range order {
+		want.Server = append(want.Server, a.Server[i])
+		want.Alloc = append(want.Alloc, a.Alloc[i])
+	}
+	var enc strings.Builder
+	e := json.NewEncoder(&enc)
+	e.SetIndent("", "  ")
+	if err := e.Encode(want); err != nil {
+		t.Fatal(err)
+	}
+	reqs := n.requests.Load()
+	resp, hit := postBody(t, addr, "", permuted)
+	if resp.StatusCode != http.StatusOK || n.requests.Load() != reqs {
+		t.Fatalf("permuted repeat = %d, node requests %d -> %d; want a relay hit", resp.StatusCode, reqs, n.requests.Load())
+	}
+	if hit != enc.String() {
+		t.Fatalf("relay hit is not the first answer permuted:\n%q\n%q", hit, enc.String())
+	}
+
+	solves := n.solves.Load()
+	respelled := body(`"m": 2, "c": 10, `, `{"kind": "linear", "slope": 15e-1}`, t1, t2, t3)
+	resp, again := postBody(t, addr, "", respelled)
+	if resp.StatusCode != http.StatusOK || n.solves.Load() != solves+1 {
+		t.Fatalf("respelled thread = %d, node solves %d -> %d; want a miss the node solves", resp.StatusCode, solves, n.solves.Load())
+	}
+	if again != answer {
+		t.Fatalf("the respelled curve got another answer:\n%q\n%q", again, answer)
+	}
+
+	for _, bad := range []string{
+		body(`"m": 2, "c": 10, "m": 2, `, t0, t1, t2, t3),
+		first + " x",
+		first + "{}",
+	} {
+		reqs := n.requests.Load()
+		resp, got := postBody(t, addr, "", bad)
+		if resp.StatusCode != http.StatusBadRequest || n.requests.Load() != reqs+1 {
+			t.Fatalf("%s: status %d (%q), node requests %d -> %d; want the node's 400", bad, resp.StatusCode, got, reqs, n.requests.Load())
+		}
+	}
+}
+
+// TestRelayPassesNonFiniteThrough: the node's 422 for an answer that
+// overflows float64 reaches the client as is and is never cached.
+func TestRelayPassesNonFiniteThrough(t *testing.T) {
+	n := newFakeNode(t)
+	addr := startRelay(t, "-nodes", n.addr(), "-cache", "shared", "-probe-interval", "1h")
+	const inst = `{"m":1,"c":1e308,"threads":[{"kind":"linear","slope":1e308}]}`
+	for i := 1; i <= 2; i++ {
+		resp, body := postBody(t, addr, "", inst)
+		if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(body, "non-finite") {
+			t.Fatalf("request %d: status %d, body %q; want the node's 422", i, resp.StatusCode, body)
+		}
+		if got := n.requests.Load(); got != int64(i) {
+			t.Fatalf("request %d reached the node %d times in all; want every one", i, got)
+		}
+	}
+}
+
 func TestRelayBatchPipe(t *testing.T) {
 	n := newFakeNode(t)
 	addr := startRelay(t, "-nodes", n.addr(), "-probe-interval", "1h")
@@ -274,5 +380,58 @@ func TestRelayFlagValidation(t *testing.T) {
 	}
 	if err := run([]string{"-addr", "127.0.0.1:0", "-nodes", ",,,"}, io.Discard, nil); err == nil {
 		t.Fatal("run with empty node list succeeded")
+	}
+}
+
+// TestRelayBodyLimit: the /solve body cap holds whether the body
+// declares its length (the buffer is then sized up front) or arrives
+// chunked, and a body within it is forwarded whole.
+func TestRelayBodyLimit(t *testing.T) {
+	n := newFakeNode(t)
+	addr := startRelay(t, "-nodes", n.addr(), "-max-body-bytes", strconv.Itoa(len(demoInstance)), "-probe-interval", "1h")
+	if resp, body := postSolve(t, addr, ""); resp.StatusCode != http.StatusOK {
+		t.Fatalf("body at the cap = %d: %s", resp.StatusCode, body)
+	}
+	big := demoInstance + " "
+	for _, chunked := range []bool{false, true} {
+		var r io.Reader = strings.NewReader(big)
+		if chunked {
+			r = io.MultiReader(r) // hides the length, so the client sends it chunked
+		}
+		resp, err := http.Post("http://"+addr+"/solve", "application/json", r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("body over the cap (chunked %v) = %d, want 413", chunked, resp.StatusCode)
+		}
+	}
+}
+
+// TestRelayReadBodyPrealloc: a declared Content-Length sizes the buffer
+// only up to maxPrealloc, so a client that declares a large body and
+// sends nothing pins at most about 1 MiB per connection.
+func TestRelayReadBodyPrealloc(t *testing.T) {
+	if maxPrealloc > 1<<20 {
+		t.Fatalf("maxPrealloc = %d, want <= 1 MiB", maxPrealloc)
+	}
+	rl := &relay{maxBodyBytes: 1 << 30}
+	for _, declared := range []int64{64 << 20, 1 << 30} {
+		r := httptest.NewRequest(http.MethodPost, "/solve", strings.NewReader(""))
+		r.ContentLength = declared
+		body, err := rl.readBody(httptest.NewRecorder(), r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(body) != 0 || cap(body) > maxPrealloc+bytes.MinRead {
+			t.Fatalf("declared %d, sent 0: buffer len %d cap %d, want cap <= %d",
+				declared, len(body), cap(body), maxPrealloc+bytes.MinRead)
+		}
+	}
+	r := httptest.NewRequest(http.MethodPost, "/solve", strings.NewReader(demoInstance))
+	body, err := rl.readBody(httptest.NewRecorder(), r)
+	if err != nil || string(body) != demoInstance {
+		t.Fatalf("readBody = %q, %v", body, err)
 	}
 }

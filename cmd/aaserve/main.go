@@ -49,8 +49,11 @@
 // unknown backends; 413 (typed JSON: error, code, limitBytes) when a
 // request body exceeds -max-batch-bytes, the body cap of both /solve
 // (code body_too_large) and /solve/batch (code batch_too_large); 422
-// when a requested check fails; 429 when the solve queue is full (retry
-// later); 504 when the deadline expires mid-solve.
+// when a requested check fails, or when the answer holds a number JSON
+// cannot carry because the instance overflows float64 (the body names
+// the field, like "instio: utility: non-finite number ..."); 429 when
+// the solve queue is full (retry later); 504 when the deadline expires
+// mid-solve.
 //
 // /solve/batch streams: instances are decoded off the wire one at a
 // time through instio.Decoder's fixed 64 KiB window, solved through the
@@ -58,9 +61,9 @@
 // written as soon as it is ready, so server memory is bounded by the
 // window rather than the batch. The body is
 // the JSON array a json.Encoder with two-space indentation would write
-// for the same assignments; a solve failure after the response has
-// begun aborts the connection mid-array rather than fabricating a
-// status.
+// for the same assignments (instio.AppendAssignment writes each element);
+// a solve failure after the response has begun aborts the connection
+// mid-array rather than fabricating a status.
 //
 // On SIGINT/SIGTERM, /readyz flips to 503 immediately, the listener
 // stays open for -drain-grace (so load balancers and the aarelay prober
@@ -287,7 +290,13 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeSolveError(w, err)
 		return
 	}
-	writeAssignment(w, in, resp)
+	buf, err := instio.AppendAssignment(nil, assignmentJSON(in, resp), "")
+	if err != nil {
+		writeSolveError(w, err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	_, _ = w.Write(append(buf, '\n'))
 }
 
 // batchBodyError marks a request-side decode failure inside the
@@ -306,7 +315,7 @@ func (e *batchBodyError) Unwrap() error { return e.err }
 // proportional to the window (and the largest single instance), not to
 // the batch, while the bytes on the wire are what a json.Encoder with
 // SetIndent("", "  ") writes for the whole []AssignmentJSON:
-// "[\n  ", elements rendered by MarshalIndent at one indent level,
+// "[\n  ", elements in MarshalIndent's layout at one indent level,
 // ",\n  " separators, "\n]\n".
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
@@ -347,19 +356,20 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return &req, nil
 	}
 	started := false
+	var buf []byte // emit is never called concurrently with itself
 	emit := func(req *engine.Request, resp *engine.Response) error {
-		buf, err := json.MarshalIndent(assignmentJSON(req.Instance, resp), "  ", "  ")
+		sep := ",\n  "
+		if !started {
+			sep = "[\n  "
+		}
+		var err error
+		buf, err = instio.AppendAssignment(append(buf[:0], sep...), assignmentJSON(req.Instance, resp), "  ")
 		if err != nil {
 			return err
 		}
-		sep := ",\n  "
 		if !started {
 			w.Header().Set("Content-Type", "application/json; charset=utf-8")
-			sep = "[\n  "
 			started = true
-		}
-		if _, err := io.WriteString(w, sep); err != nil {
-			return err
 		}
 		_, err = w.Write(buf)
 		return err
@@ -459,7 +469,7 @@ func writeSolveError(w http.ResponseWriter, err error) {
 		status = 499 // client went away; nginx's conventional code
 	case errors.Is(err, engine.ErrUnknownBackend), errors.Is(err, engine.ErrBadRequest):
 		status = http.StatusBadRequest
-	case errors.Is(err, check.ErrInfeasible), errors.Is(err, check.ErrRatio):
+	case errors.Is(err, check.ErrInfeasible), errors.Is(err, check.ErrRatio), errors.Is(err, instio.ErrNonFinite):
 		status = http.StatusUnprocessableEntity
 	}
 	http.Error(w, err.Error(), status)
@@ -479,11 +489,4 @@ func assignmentJSON(in *core.Instance, resp *engine.Response) instio.AssignmentJ
 		Utility: resp.Utility,
 		Bound:   bound,
 	}
-}
-
-func writeAssignment(w http.ResponseWriter, in *core.Instance, resp *engine.Response) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(assignmentJSON(in, resp))
 }

@@ -221,3 +221,21 @@ func (w testWriter) Write(p []byte) (int, error) {
 	w.t.Logf("%s", p)
 	return len(p), nil
 }
+
+// TestSolveNonFiniteAnswer: an instance whose answer overflows float64
+// gets the same typed 422 on both routes, with a body naming the field.
+// /solve used to answer an empty 200 and /solve/batch a 500.
+func TestSolveNonFiniteAnswer(t *testing.T) {
+	ts := newTestServer(t)
+	const inst = `{"m":1,"c":1e308,"threads":[{"kind":"linear","slope":1e308}]}`
+	for _, tc := range []struct{ path, body string }{
+		{"/solve", inst},
+		{"/solve/batch", "[" + inst + "]"},
+	} {
+		resp, body := postSolve(t, ts, tc.path, tc.body)
+		if resp.StatusCode != http.StatusUnprocessableEntity ||
+			!strings.Contains(string(body), "instio: utility: non-finite number") {
+			t.Errorf("%s: status %d, body %q; want 422 naming the utility field", tc.path, resp.StatusCode, body)
+		}
+	}
+}

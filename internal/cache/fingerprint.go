@@ -21,6 +21,7 @@ import (
 const (
 	fingerprintVersion      = 2 // v2: binary thread encoding + two-lane 128-bit mixer
 	fingerprintVersionKeyed = 3 // v3: v2 with key-perturbed mixer seeds (CanonicalizeKeyed)
+	fingerprintVersionWire  = 4 // v4: keyed mixer over each thread's wire bytes (CanonicalizeWire)
 )
 
 // Fingerprint identifies a canonical instance: SHA-256 over the scheme
@@ -198,10 +199,10 @@ type Canonical struct {
 	// in the other instance's canonical form, which is what makes
 	// permuted exact hits byte-identical.
 	Perm []int
-	// keyed records whether the hashes came from a non-zero HashKey;
-	// Fingerprint folds it in as a distinct scheme version so keyed and
-	// unkeyed fingerprint spaces can never alias.
-	keyed bool
+	// version is the scheme the hashes came from (fingerprintVersion*);
+	// Fingerprint folds it in so unkeyed, keyed and wire-byte
+	// fingerprint spaces can never alias.
+	version byte
 }
 
 // Canonicalize normalizes an instance for fingerprinting with the
@@ -213,9 +214,7 @@ func Canonicalize(in *core.Instance) (*Canonical, error) {
 }
 
 func canonicalize(in *core.Instance, key *HashKey) (*Canonical, error) {
-	n := in.N()
-	c := &Canonical{M: in.M, C: in.C, Hashes: make([]ThreadHash, n), Perm: make([]int, n)}
-	keys := make([]threadKey, n)
+	keys := make([]threadKey, in.N())
 	var buf []byte
 	for i, f := range in.Threads {
 		var err error
@@ -226,13 +225,20 @@ func canonicalize(in *core.Instance, key *HashKey) (*Canonical, error) {
 		hi, lo := hash128Keyed(buf, key)
 		keys[i] = threadKey{hi: hi, lo: lo, idx: int32(i)}
 	}
+	return fromKeys(in.M, in.C, keys, fingerprintVersion), nil
+}
+
+// fromKeys builds the canonical form from per-thread keys in thread
+// order, sorting keys in place.
+func fromKeys(m int, capacity float64, keys []threadKey, version byte) *Canonical {
 	sortThreadKeys(keys)
+	c := &Canonical{M: m, C: capacity, Hashes: make([]ThreadHash, len(keys)), Perm: make([]int, len(keys)), version: version}
 	for k, tk := range keys {
 		binary.BigEndian.PutUint64(c.Hashes[k][0:8], tk.hi)
 		binary.BigEndian.PutUint64(c.Hashes[k][8:16], tk.lo)
 		c.Perm[k] = int(tk.idx)
 	}
-	return c, nil
+	return c
 }
 
 // Fingerprint hashes the canonical form. Thread order was normalized by
@@ -241,11 +247,7 @@ func canonicalize(in *core.Instance, key *HashKey) (*Canonical, error) {
 func (c *Canonical) Fingerprint() Fingerprint {
 	h := sha256.New()
 	var buf [8]byte
-	if c.keyed {
-		buf[0] = fingerprintVersionKeyed
-	} else {
-		buf[0] = fingerprintVersion
-	}
+	buf[0] = c.version
 	h.Write(buf[:1])
 	binary.LittleEndian.PutUint64(buf[:], uint64(c.M))
 	h.Write(buf[:])

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 
 	"aa/internal/core"
+	"aa/internal/instio"
 )
 
 // HashKey keys the thread-hash mixer. The zero key selects the original
@@ -74,6 +75,29 @@ func CanonicalizeKeyed(in *core.Instance, key HashKey) (*Canonical, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.keyed = !key.IsZero()
+	if !key.IsZero() {
+		c.version = fingerprintVersionKeyed
+	}
 	return c, nil
+}
+
+// CanonicalizeWire is the relay's canonical form, read off a /solve body
+// without decoding it: instio.ScanInstance checks everything outside
+// the thread elements as the node's decoder would, and each thread is
+// identified by a keyed hash of its exact element bytes. Equal bytes
+// under equal m and c decode to the same curve, so a hit is as safe as
+// a decoded fingerprint's; two spellings of one curve ("500" and "5e2",
+// other whitespace) hash apart and miss, never alias. Fingerprints carry
+// their own scheme version, so they never meet the decoded forms'.
+func CanonicalizeWire(body []byte, key HashKey) (*Canonical, error) {
+	w, err := instio.ScanInstance(body)
+	if err != nil {
+		return nil, err
+	}
+	keys := make([]threadKey, len(w.Threads))
+	for i, th := range w.Threads {
+		hi, lo := hash128Keyed(th, &key)
+		keys[i] = threadKey{hi: hi, lo: lo, idx: int32(i)}
+	}
+	return fromKeys(w.M, w.C, keys, fingerprintVersionWire), nil
 }

@@ -2,8 +2,10 @@ package cache
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
+	"aa/internal/instio"
 	"aa/internal/utility"
 )
 
@@ -254,6 +256,74 @@ func TestKeyedExactHitRoundTrip(t *testing.T) {
 		// that original thread's.
 		if got.Server[k] != server[perm[orig]] || got.Alloc[k] != alloc[perm[orig]] {
 			t.Fatalf("canonical position %d served wrong thread's assignment", k)
+		}
+	}
+}
+
+// TestCanonicalizeWire: the wire form identifies threads by their exact
+// element bytes. Reordering the threads, the top-level keys or the
+// whitespace between elements keeps the fingerprint and maps Perm to
+// the new order; respelling one thread's number or whitespace inside it
+// changes it; the scheme never meets the decoded keyed one; and bodies
+// the node would reject outside a thread element do not canonicalize.
+func TestCanonicalizeWire(t *testing.T) {
+	key := KeyFromString("wire")
+	const a, b, c = `{"kind":"linear","slope":500}`, `{"kind":"log","scale":1,"shift":2}`, `{"kind":"power","scale":1,"beta":0.5}`
+	body := `{"m":2,"c":100,"threads":[` + a + `,` + b + `,` + c + `]}`
+	base, err := CanonicalizeWire([]byte(body), key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := base.Fingerprint()
+	perm, err := CanonicalizeWire([]byte(` {"threads":[ `+c+`,`+a+` ,`+b+`],"c":1e2,"m":2}`), key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if perm.Fingerprint() != fp {
+		t.Fatal("a permuted repeat fingerprints differently")
+	}
+	// Canonical position k holds the same thread in both; Perm names
+	// its index in each body.
+	order := map[int]int{2: 0, 0: 1, 1: 2} // index in body → index in the permuted body
+	for k := range base.Perm {
+		if order[base.Perm[k]] != perm.Perm[k] {
+			t.Fatalf("canonical position %d: Perm %d and %d are not the same thread", k, base.Perm[k], perm.Perm[k])
+		}
+	}
+	for _, respelled := range []string{
+		`{"m":2,"c":100,"threads":[{"kind":"linear","slope":5e2},` + b + `,` + c + `]}`,
+		`{"m":2,"c":100,"threads":[{"kind": "linear","slope":500},` + b + `,` + c + `]}`,
+		`{"m":3,"c":100,"threads":[` + a + `,` + b + `,` + c + `]}`,
+	} {
+		w, err := CanonicalizeWire([]byte(respelled), key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w.Fingerprint() == fp {
+			t.Fatalf("%s fingerprints like %s", respelled, body)
+		}
+	}
+	if other, _ := CanonicalizeWire([]byte(body), KeyFromString("other")); other.Fingerprint() == fp {
+		t.Fatal("two keys give one fingerprint")
+	}
+	if zero, _ := CanonicalizeWire([]byte(body), HashKey{}); zero.Fingerprint() == fp {
+		t.Fatal("the zero key gives the keyed fingerprint")
+	}
+	in, err := instio.Decode(strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dec, _ := CanonicalizeKeyed(in, key); dec.Fingerprint() == fp {
+		t.Fatal("the wire and decoded schemes share a fingerprint")
+	}
+	for _, bad := range []string{
+		`{"m":2,"m":2,"c":100,"threads":[` + a + `]}`,
+		`{"m":2,"c":100,"threads":[` + a + `]}x`,
+		`{"m":2,"c":100,"threads":[` + a + `,]}`,
+		`{"m":0,"c":100,"threads":[` + a + `]}`,
+	} {
+		if _, err := CanonicalizeWire([]byte(bad), key); err == nil {
+			t.Fatalf("CanonicalizeWire accepts %s", bad)
 		}
 	}
 }

@@ -41,19 +41,29 @@ func (in *Instance) N() int { return len(in.Threads) }
 // positive capacity, and at least one thread with a non-nil utility.
 // It does not re-verify concavity of each utility (see utility.Validate).
 func (in *Instance) Validate() error {
-	if in.M <= 0 {
-		return fmt.Errorf("core: instance has %d servers, need >= 1", in.M)
-	}
-	if !(in.C > 0) {
-		return fmt.Errorf("core: server capacity %v, need > 0", in.C)
-	}
-	if len(in.Threads) == 0 {
-		return errors.New("core: instance has no threads")
+	if err := ValidateShape(in.M, in.C, len(in.Threads)); err != nil {
+		return err
 	}
 	for i, f := range in.Threads {
 		if f == nil {
 			return fmt.Errorf("core: thread %d has nil utility", i)
 		}
+	}
+	return nil
+}
+
+// ValidateShape checks the instance-level rules of Validate — m >= 1
+// servers, capacity c > 0, n >= 1 threads — for callers that know an
+// instance's shape without holding its utilities.
+func ValidateShape(m int, c float64, n int) error {
+	if m <= 0 {
+		return fmt.Errorf("core: instance has %d servers, need >= 1", m)
+	}
+	if !(c > 0) {
+		return fmt.Errorf("core: server capacity %v, need > 0", c)
+	}
+	if n == 0 {
+		return errors.New("core: instance has no threads")
 	}
 	return nil
 }

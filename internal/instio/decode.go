@@ -118,7 +118,21 @@ type Decoder struct {
 	text    []byte
 	xs, ys  []float64
 	pending []pendingThread
+
+	// Slabs the sampled curves are built into: the unused tails of the
+	// current allocations. Curves handed out earlier own the parts
+	// before them, so the tails carry over from one instance to the
+	// next.
+	curves []utility.Sampled
+	knots  []float64
 }
+
+// Slab sizes: a few large allocations per instance instead of two per
+// sampled thread.
+const (
+	slabCurves = 256
+	slabKnots  = 4096
+)
 
 // NewDecoder returns a decoder reading the JSON array of instances in r;
 // Next returns its elements.
@@ -135,7 +149,8 @@ var decoders = sync.Pool{New: func() any { return NewDecoder(nil) }}
 // surrounding whitespace, and validates it.
 func Decode(r io.Reader) (*core.Instance, error) {
 	d := decoders.Get().(*Decoder)
-	*d = Decoder{r: r, buf: d.buf, text: d.text, xs: d.xs, ys: d.ys, pending: d.pending}
+	*d = Decoder{r: r, buf: d.buf, text: d.text, xs: d.xs, ys: d.ys, pending: d.pending,
+		curves: d.curves, knots: d.knots}
 	in, err := d.instance()
 	if err == nil {
 		err = d.finish()
@@ -329,10 +344,47 @@ type pendingThread struct {
 
 func (d *Decoder) instance() (*core.Instance, error) {
 	in := &core.Instance{}
-	var seen [len(instanceKeys)]bool
-	haveC := false
 	d.pending = d.pending[:0]
-	err := d.object(func(key []byte) error {
+	err := d.instanceObject(&in.M, &in.C, func(haveC bool) error { return d.threads(in, haveC) })
+	if err != nil {
+		return nil, err
+	}
+	for _, p := range d.pending {
+		in.Threads[p.i] = p.t.closed(in.C)
+	}
+	if err := validateShape(in.M, in.C, len(in.Threads)); err != nil {
+		return nil, err
+	}
+	return in, nil
+}
+
+// validateShape applies core.ValidateShape, the instance-level rules of
+// core.Instance.Validate, and names the offending field. Decode and
+// ScanInstance both call it, so the relay's scan rejects exactly the
+// shapes the node does.
+func validateShape(m int, c float64, n int) error {
+	err := core.ValidateShape(m, c, n)
+	if err == nil {
+		return nil
+	}
+	field := "threads"
+	switch {
+	case m <= 0:
+		field = "m"
+	case !(c > 0):
+		field = "c"
+	}
+	return within(err, field)
+}
+
+// instanceObject reads an instance object under the rules Decode and
+// ScanInstance share: keys matched as lookup does, a known key given
+// twice is ErrDuplicateKey, unknown fields are skipped. It reads m and c
+// into *m and *c and hands the threads value to threads, telling it
+// whether "c" came first.
+func (d *Decoder) instanceObject(m *int, c *float64, threads func(haveC bool) error) error {
+	var seen [len(instanceKeys)]bool
+	return d.object(func(key []byte) error {
 		f := lookup(instanceKeys[:], key)
 		if f < 0 {
 			return d.skip(0)
@@ -343,31 +395,58 @@ func (d *Decoder) instance() (*core.Instance, error) {
 		seen[f] = true
 		switch f {
 		case keyM:
-			return within(d.intValue(&in.M), "m")
+			return within(d.intValue(m), "m")
 		case keyC:
-			haveC = true
-			return within(d.floatValue(&in.C), "c")
+			return within(d.floatValue(c), "c")
 		default:
-			return within(d.threads(in, haveC), "threads")
+			return within(threads(seen[keyC]), "threads")
 		}
 	})
+}
+
+// WireInstance is an instance as ScanInstance reads it: m, c, and the
+// exact bytes of each thread element, unbuilt.
+type WireInstance struct {
+	M       int
+	C       float64
+	Threads [][]byte // subslices of the scanned body, in wire order
+}
+
+// ScanInstance reads body, one instance, without building its utilities.
+// Outside the thread elements it applies every rule Decode does: key
+// matching, duplicate keys, unknown fields, trailing data, and
+// validateShape's checks on m, c and the thread count. Each thread
+// element is checked only as JSON and returned as its bytes. Decode builds each
+// thread from its own bytes and the instance's C alone, so bodies with
+// equal m and c and equal thread bytes, in any order, decode to the
+// same instance up to that order — the identity the relay cache keys
+// on.
+func ScanInstance(body []byte) (WireInstance, error) {
+	d := Decoder{buf: body, end: len(body), rerr: io.EOF}
+	var w WireInstance
+	err := d.instanceObject(&w.M, &w.C, func(bool) error {
+		return d.array(func(i int) error {
+			if _, err := d.peek(); err != nil {
+				return within(err, index(i))
+			}
+			start := d.pos
+			if err := d.skip(0); err != nil {
+				return within(err, index(i))
+			}
+			w.Threads = append(w.Threads, body[start:d.pos])
+			return nil
+		})
+	})
+	if err == nil {
+		err = d.finish()
+	}
+	if err == nil {
+		err = validateShape(w.M, w.C, len(w.Threads))
+	}
 	if err != nil {
-		return nil, err
+		return WireInstance{}, d.located(err, -1)
 	}
-	for _, p := range d.pending {
-		in.Threads[p.i] = p.t.closed(in.C)
-	}
-	if err := in.Validate(); err != nil {
-		field := "threads"
-		switch {
-		case in.M <= 0:
-			field = "m"
-		case !(in.C > 0):
-			field = "c"
-		}
-		return nil, within(err, field)
-	}
-	return in, nil
+	return w, nil
 }
 
 // threads reads the threads array, appending each utility to in.
@@ -449,10 +528,24 @@ func (d *Decoder) knotThread(kind byte) (utility.Func, error) {
 		}
 		return f, nil
 	}
-	f, err := utility.NewSampled(d.xs, d.ys)
-	if err != nil {
+	return d.sampled()
+}
+
+// sampled builds a sampled curve from d.xs and d.ys into the slabs,
+// taking a fresh slab when the current one is used up.
+func (d *Decoder) sampled() (utility.Func, error) {
+	n := 3 * len(d.xs)
+	if len(d.curves) == 0 {
+		d.curves = make([]utility.Sampled, slabCurves)
+	}
+	if len(d.knots) < n {
+		d.knots = make([]float64, max(n, slabKnots))
+	}
+	f := &d.curves[0]
+	if err := f.Init(d.xs, d.ys, d.knots[:n:n]); err != nil {
 		return nil, within(err, "ys")
 	}
+	d.curves, d.knots = d.curves[1:], d.knots[n:]
 	return f, nil
 }
 
@@ -538,6 +631,18 @@ func (d *Decoder) floats(dst *[]float64) error {
 	})
 }
 
+// ints is floats for ints.
+func (d *Decoder) ints(dst *[]int) error {
+	return d.array(func(j int) error {
+		var v int
+		if err := d.intValue(&v); err != nil {
+			return within(err, index(j))
+		}
+		*dst = append(*dst, v)
+		return nil
+	})
+}
+
 // numberValue consumes a number, returning what number does, or
 // consumes a null and returns a nil token.
 func (d *Decoder) numberValue() (tok []byte, v float64, exact bool, err error) {
@@ -563,12 +668,15 @@ func (d *Decoder) numberValue() (tok []byte, v float64, exact bool, err error) {
 // more after them. It reports whether the window gained bytes; when it
 // did not, either the window is full or d.rerr says why.
 func (d *Decoder) fill() bool {
+	if d.rerr != nil {
+		return false // nothing more will arrive: keep offsets into buf stable
+	}
 	if d.pos > 0 {
 		d.end = copy(d.buf, d.buf[d.pos:d.end])
 		d.off += int64(d.pos)
 		d.pos = 0
 	}
-	if d.rerr != nil || d.end == len(d.buf) {
+	if d.end == len(d.buf) {
 		return false
 	}
 	for tries := 0; tries < 100; tries++ {
@@ -589,7 +697,7 @@ func (d *Decoder) fill() bool {
 // errEnd is the error for input that stops inside a value.
 func (d *Decoder) errEnd() error {
 	switch {
-	case d.end-d.pos == len(d.buf):
+	case d.end-d.pos == len(d.buf) && d.rerr == nil:
 		return errTooLong
 	case d.rerr == io.EOF:
 		return io.ErrUnexpectedEOF
@@ -797,6 +905,9 @@ func (d *Decoder) number() (tok []byte, v float64, exact bool, err error) {
 			}
 			break // the input ends with the number
 		}
+	}
+	if k >= windowSize {
+		return nil, 0, false, errTooLong // the limit of a streamed read, kept over a buffered one
 	}
 	tok = d.buf[d.pos : d.pos+k]
 	v, exact, ok := scanNumber(tok)

@@ -327,13 +327,15 @@ func TestDecoderChunkingCorpus(t *testing.T) {
 // encoding/json decoder accepts too, with bit-identical M, C and
 // threads. The scanner may reject more (duplicate keys, trailing bytes,
 // deep nesting, numbers longer than its window), never less on valid
-// requests: TestDecodeMatchesReference pins that on the seeds.
+// requests: TestDecodeMatchesReference pins that on the seeds. The same
+// input also holds ScanInstance to checkScan's contract.
 func FuzzDecodeRequest(f *testing.F) {
 	for _, data := range wireCorpus(f) {
 		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := Decode(bytes.NewReader(data))
+		checkScan(t, data, got, err)
 		if err != nil {
 			var e *Error
 			if !errors.As(err, &e) {
@@ -472,5 +474,124 @@ func TestDecodeNextWrapper(t *testing.T) {
 	}
 	if _, err := DecodeNext(dec); err == nil {
 		t.Fatal("DecodeNext read past the array")
+	}
+}
+
+// TestDecodeSampledAllocs pins the slab layout of decoded sampled
+// curves: a few allocations per 256 threads, where building each curve
+// on its own took three (the curve, its interpolant and its knots).
+func TestDecodeSampledAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
+	const n = 1000
+	in, err := gen.Instance(gen.Discrete{L: 1, Gamma: 0.5, Theta: 4}, 16, 1000, n, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := compact(t, encodeBytes(t, in))
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := Decode(bytes.NewReader(body)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("Decode of %d sampled threads: %.0f allocs", n, allocs)
+	// A curve slab and a knot slab per 256 threads, plus the instance
+	// and the growth of its thread slice.
+	if limit := float64(2*(n/256) + 16); allocs > limit {
+		t.Fatalf("Decode of %d sampled threads made %.0f allocations, want at most %.0f", n, allocs, limit)
+	}
+}
+
+// checkScan holds ScanInstance to its contract against Decode's result
+// on the same body (in, err): where Decode accepts, the scan returns
+// the same m and c and thread elements that decode alone to the same
+// threads; where the scan accepts and Decode does not, the fault lies
+// inside a thread element. So a body can differ from an accepted one
+// only inside its thread elements and still pass the scan.
+func checkScan(t *testing.T, data []byte, in *core.Instance, err error) {
+	t.Helper()
+	w, serr := ScanInstance(data)
+	if serr != nil {
+		var e *Error
+		if !errors.As(serr, &e) {
+			t.Fatalf("scan error %v (%T) is not an *Error", serr, serr)
+		}
+		if err == nil {
+			t.Fatalf("ScanInstance rejects (%v) what Decode accepts:\n%q", serr, data)
+		}
+		return
+	}
+	if err != nil {
+		var e *Error
+		if !errors.As(err, &e) || !strings.HasPrefix(e.Path, "threads[") {
+			t.Fatalf("ScanInstance accepts a body Decode rejects outside the thread elements (%v):\n%q", err, data)
+		}
+		return
+	}
+	if w.M != in.M || !sameBits(w.C, in.C) || len(w.Threads) != in.N() {
+		t.Fatalf("scan m=%d c=%v n=%d, Decode m=%d c=%v n=%d:\n%q", w.M, w.C, len(w.Threads), in.M, in.C, in.N(), data)
+	}
+	c := strconv.FormatFloat(w.C, 'g', -1, 64)
+	for i, th := range w.Threads {
+		one, err := Decode(strings.NewReader(`{"m":1,"c":` + c + `,"threads":[` + string(th) + `]}`))
+		if err != nil {
+			t.Fatalf("thread %d element %q does not decode alone: %v", i, th, err)
+		}
+		if diff := sameInstance(&core.Instance{M: 1, C: w.C, Threads: in.Threads[i : i+1]}, one); diff != "" {
+			t.Fatalf("thread %d element %q decodes alone to a different thread: %s", i, th, diff)
+		}
+	}
+}
+
+// TestScanInstance: the corpus holds checkScan's contract, and the scan
+// rejects every instance-level fault Decode does, wherever the thread
+// elements themselves are fine.
+func TestScanInstance(t *testing.T) {
+	for _, data := range wireCorpus(t) {
+		in, err := Decode(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkScan(t, data, in, nil)
+	}
+	const th = `{"kind":"linear","slope":1}`
+	for _, bad := range []string{
+		``, `[]`, `{"m":2,"c":100}`, `{"m":2,"c":100,"threads":[]}`, `{"m":2,"c":100,"threads":null}`,
+		`{"m":0,"c":100,"threads":[` + th + `]}`, `{"m":2,"c":-1,"threads":[` + th + `]}`,
+		`{"m":2,"m":2,"c":100,"threads":[` + th + `]}`, `{"m":2,"c":100,"C":100,"threads":[` + th + `]}`,
+		`{"m":2,"c":100,"threads":[` + th + `],"threads":[` + th + `]}`,
+		`{"m":2,"c":100,"threads":[` + th + `]} x`, `{"m":2,"c":100,"threads":[` + th + `]}{}`,
+		`{"m":2.5,"c":100,"threads":[` + th + `]}`, `{"m":2,"c":1e400,"threads":[` + th + `]}`,
+		`{"m":2,"c":100,"threads":[` + th + `,]}`, `{"m":2,"c":100,"threads":[{"kind":"linear",}]}`,
+		`{"m":2,"c":100,"threads":[` + th + `],"x":[1,}`,
+		`{"m":2,"c":0.` + strings.Repeat("0", windowSize) + `1,"threads":[` + th + `]}`,
+	} {
+		if _, err := ScanInstance([]byte(bad)); err == nil {
+			t.Errorf("ScanInstance accepts %.80q", bad)
+		}
+		if _, err := Decode(strings.NewReader(bad)); err == nil {
+			t.Errorf("Decode accepts %.80q", bad)
+		}
+	}
+	// The instance-level rules are core.ValidateShape's on both paths,
+	// so the scan reports them in Decode's words.
+	for _, bad := range []string{
+		`{"m":0,"c":100,"threads":[` + th + `]}`, `{"m":2,"c":-1,"threads":[` + th + `]}`,
+		`{"m":2,"c":100,"threads":[]}`,
+	} {
+		_, serr := ScanInstance([]byte(bad))
+		_, derr := Decode(strings.NewReader(bad))
+		if serr == nil || derr == nil || serr.Error() != derr.Error() {
+			t.Errorf("%s: scan error %v, Decode error %v", bad, serr, derr)
+		}
+	}
+	w, err := ScanInstance([]byte(` {"threads":[ ` + th + ` , {"kind":"log","scale":1,"shift":2}],"x":{},"M":3,"c":5e1}` + "\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.M != 3 || w.C != 50 || len(w.Threads) != 2 || string(w.Threads[0]) != th ||
+		string(w.Threads[1]) != `{"kind":"log","scale":1,"shift":2}` {
+		t.Fatalf("scan = %+v", w)
 	}
 }

@@ -5,7 +5,10 @@
 // plus piecewise-linear and PCHIP-sampled curves. Encode writes it with
 // encoding/json; Decode and Decoder read it with a single-pass byte
 // scanner that builds each utility as its object closes, so decoding
-// costs little more than parsing the numbers.
+// costs little more than parsing the numbers, and ScanInstance runs the
+// same scanner without building anything. Answers travel as
+// AssignmentJSON through one reflection-free codec, AppendAssignment
+// and DecodeAssignment.
 package instio
 
 import (
@@ -39,7 +42,9 @@ type instanceJSON struct {
 	Threads []threadJSON `json:"threads"`
 }
 
-// AssignmentJSON is the wire form of a solution, returned by aasolve.
+// AssignmentJSON is the wire form of a solution: aaserve's /solve answer
+// and aasolve's -json output. AppendAssignment and DecodeAssignment are
+// its codec; the tags keep encoding/json readers of it working.
 type AssignmentJSON struct {
 	Server  []int     `json:"server"`
 	Alloc   []float64 `json:"alloc"`
@@ -184,18 +189,4 @@ func Encode(w io.Writer, in *core.Instance) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(ij)
-}
-
-// EncodeAssignment writes a solved assignment (with its utility and the
-// super-optimal bound) as JSON.
-func EncodeAssignment(w io.Writer, in *core.Instance, a core.Assignment) error {
-	out := AssignmentJSON{
-		Server:  a.Server,
-		Alloc:   a.Alloc,
-		Utility: a.Utility(in),
-		Bound:   core.SuperOptimal(in).Total,
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }

@@ -175,13 +175,30 @@ func NewPCHIP(xs, ys []float64) (*PCHIP, error) {
 	if err := validate(xs, ys); err != nil {
 		return nil, err
 	}
+	p := new(PCHIP)
+	p.init(xs, ys, make([]float64, 3*len(xs)))
+	return p, nil
+}
+
+// Init builds the interpolant NewPCHIP would into p, keeping the copied
+// knots and the slopes in buf, which must hold at least 3*len(xs)
+// values and is owned by p from then on. Batch builders use it to lay
+// many curves out in a few large allocations.
+func (p *PCHIP) Init(xs, ys, buf []float64) error {
+	if err := validate(xs, ys); err != nil {
+		return err
+	}
+	p.init(xs, ys, buf)
+	return nil
+}
+
+func (p *PCHIP) init(xs, ys, buf []float64) {
 	n := len(xs)
-	buf := make([]float64, 3*n)
-	p := &PCHIP{xs: buf[:n:n], ys: buf[n : 2*n : 2*n], d: buf[2*n:]}
+	buf = buf[: 3*n : 3*n]
+	*p = PCHIP{xs: buf[:n:n], ys: buf[n : 2*n : 2*n], d: buf[2*n:]}
 	copy(p.xs, xs)
 	copy(p.ys, ys)
 	pchipSlopes(p.d, p.xs, p.ys)
-	return p, nil
 }
 
 // pchipSlopes writes the Fritsch–Carlson limited derivatives into d. The

@@ -18,7 +18,6 @@ package replay
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -542,12 +541,17 @@ func (p *httpResolve) React(s *online.State, ev online.Event) []int {
 		return nil
 	}
 	defer resp.Body.Close()
-	var out instio.AssignmentJSON
 	if resp.StatusCode != http.StatusOK {
 		p.obs.fail()
 		return nil
 	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(&out); err != nil {
+	body, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	if err != nil {
+		p.obs.fail()
+		return nil
+	}
+	out, err := instio.DecodeAssignment(body)
+	if err != nil {
 		p.obs.fail()
 		return nil
 	}

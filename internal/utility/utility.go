@@ -356,7 +356,7 @@ func (p *PiecewiseLinear) InverseDeriv(lambda float64) float64 {
 // concave data in practice but is not guaranteed pointwise; Validate can
 // check it numerically when required.
 type Sampled struct {
-	curve *interp.PCHIP
+	curve interp.PCHIP
 	c     float64
 }
 
@@ -364,22 +364,33 @@ type Sampled struct {
 // first knot must be at x = 0 and the data nonnegative and nondecreasing;
 // the last knot defines Cap().
 func NewSampled(xs, ys []float64) (*Sampled, error) {
+	s := new(Sampled)
+	if err := s.Init(xs, ys, make([]float64, 3*len(xs))); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Init builds the curve NewSampled would into s, with its knots and
+// slopes in buf (interp.PCHIP.Init: at least 3*len(xs) values, owned by
+// s from then on), so a decoder can build many curves into a few slabs.
+func (s *Sampled) Init(xs, ys, buf []float64) error {
 	if len(xs) == 0 || xs[0] != 0 {
-		return nil, errors.New("utility: sampled curve must start at x=0")
+		return errors.New("utility: sampled curve must start at x=0")
 	}
 	for _, y := range ys {
 		if y < 0 {
-			return nil, errors.New("utility: negative utility value")
+			return errors.New("utility: negative utility value")
 		}
 	}
 	if !interp.IsMonotoneNondecreasing(ys) {
-		return nil, errors.New("utility: values must be nondecreasing")
+		return errors.New("utility: values must be nondecreasing")
 	}
-	curve, err := interp.NewPCHIP(xs, ys)
-	if err != nil {
-		return nil, fmt.Errorf("utility: %w", err)
+	if err := s.curve.Init(xs, ys, buf); err != nil {
+		return fmt.Errorf("utility: %w", err)
 	}
-	return &Sampled{curve: curve, c: xs[len(xs)-1]}, nil
+	s.c = xs[len(xs)-1]
+	return nil
 }
 
 // Value evaluates the interpolated curve at x.
