@@ -47,17 +47,21 @@ check-smoke:
 # Ten seconds of fuzzing per target: the concave-allocation invariants,
 # the check-layer targets, PCHIP monotonicity, the wire decoder
 # (differential against encoding/json, and batch framing across read
-# boundaries) and the assignment codec (differential against
-# encoding/json both ways). go test allows one -fuzz match per
-# invocation, hence the separate runs.
+# boundaries), the assignment codec (differential against
+# encoding/json both ways) and the number scanner (the JSON grammar and
+# strconv.ParseFloat's bits). go test allows one -fuzz match per
+# invocation, hence the separate runs. Minimizing a new input gets 2s
+# (the default, 60s, can take the whole window), so each target keeps
+# fuzzing; every run's last "fuzz:" line shows its execs and new inputs.
 fuzz-smoke:
-	$(GO) test -run='^$$' -fuzz=FuzzConcaveFeasibleAndDominant -fuzztime=10s ./internal/alloc
-	$(GO) test -run='^$$' -fuzz=FuzzFeasibleConcave -fuzztime=10s ./internal/check
-	$(GO) test -run='^$$' -fuzz=FuzzDifferentialAssign -fuzztime=10s ./internal/check
-	$(GO) test -run='^$$' -fuzz=FuzzPCHIPMonotone -fuzztime=10s ./internal/interp
-	$(GO) test -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=10s ./internal/instio
-	$(GO) test -run='^$$' -fuzz=FuzzBatchStream -fuzztime=10s ./internal/instio
-	$(GO) test -run='^$$' -fuzz=FuzzAssignmentCodec -fuzztime=10s ./internal/instio
+	$(GO) test -run='^$$' -fuzz=FuzzConcaveFeasibleAndDominant -fuzztime=10s -fuzzminimizetime=2s ./internal/alloc
+	$(GO) test -run='^$$' -fuzz=FuzzFeasibleConcave -fuzztime=10s -fuzzminimizetime=2s ./internal/check
+	$(GO) test -run='^$$' -fuzz=FuzzDifferentialAssign -fuzztime=10s -fuzzminimizetime=2s ./internal/check
+	$(GO) test -run='^$$' -fuzz=FuzzPCHIPMonotone -fuzztime=10s -fuzzminimizetime=2s ./internal/interp
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=10s -fuzzminimizetime=2s ./internal/instio
+	$(GO) test -run='^$$' -fuzz=FuzzBatchStream -fuzztime=10s -fuzzminimizetime=2s ./internal/instio
+	$(GO) test -run='^$$' -fuzz=FuzzAssignmentCodec -fuzztime=10s -fuzzminimizetime=2s ./internal/instio
+	$(GO) test -run='^$$' -fuzz=FuzzScanNumber -fuzztime=10s -fuzzminimizetime=2s ./internal/instio
 
 # Every benchmark compiled and run once.
 bench-smoke:

@@ -96,6 +96,27 @@ func TestBatchStreamErrors(t *testing.T) {
 	}
 }
 
+// TestDecodeErrorBodyPinned: a body the decoder rejects inside a
+// number gets a 400 whose body is byte-for-byte what the decoder with
+// only an isolated-token number read produced, on both routes.
+func TestDecodeErrorBodyPinned(t *testing.T) {
+	ts := newBatchServer(t, 0)
+	for _, tc := range []struct{ path, body, want string }{
+		{"/solve/batch", `[{"m":2,"c":100,"threads":[{"kind":"linear","slope":1},{"kind":"linear","slope":1.5e+}]}]`,
+			"batch body: instio: instance 0: threads[1].slope: invalid number \"1.5e+\" at offset 80\n"},
+		{"/solve/batch", `[{"m":2,"c":1e309,"threads":[{"kind":"linear","slope":1}]}]`,
+			"batch body: instio: instance 0: c: number 1e309 out of float64 range\n"},
+		{"/solve", `{"m":2,"c":12`, "instio: unexpected EOF\n"},
+		{"/solve", `{"m":2,"c":1.5e+,"threads":[{"kind":"linear","slope":1}]}`,
+			"instio: c: invalid number \"1.5e+\" at offset 11\n"},
+	} {
+		resp, body := postSolve(t, ts, tc.path, tc.body)
+		if resp.StatusCode != http.StatusBadRequest || string(body) != tc.want {
+			t.Errorf("%s %s: %d %q, want 400 %q", tc.path, tc.body, resp.StatusCode, body, tc.want)
+		}
+	}
+}
+
 // A batch with a decode failure after valid elements: by then part of
 // the 200 response is on the wire, so the server aborts the connection
 // rather than dressing the truncated array up as a success.

@@ -593,11 +593,12 @@ func (d *Decoder) kindValue(t *wireThread) error {
 }
 
 func (d *Decoder) floatValue(dst *float64) error {
-	tok, v, exact, err := d.numberValue()
+	tok, num, err := d.numberValue()
 	if err != nil || tok == nil {
 		return err
 	}
-	if !exact {
+	v, ok := num.float()
+	if !ok {
 		if v, err = strconv.ParseFloat(string(tok), 64); err != nil {
 			return fmt.Errorf("number %s out of float64 range", tok)
 		}
@@ -607,7 +608,7 @@ func (d *Decoder) floatValue(dst *float64) error {
 }
 
 func (d *Decoder) intValue(dst *int) error {
-	tok, _, _, err := d.numberValue()
+	tok, _, err := d.numberValue()
 	if err != nil || tok == nil {
 		return err
 	}
@@ -645,18 +646,18 @@ func (d *Decoder) ints(dst *[]int) error {
 
 // numberValue consumes a number, returning what number does, or
 // consumes a null and returns a nil token.
-func (d *Decoder) numberValue() (tok []byte, v float64, exact bool, err error) {
+func (d *Decoder) numberValue() (tok []byte, num decimal, err error) {
 	c, err := d.peek()
 	if err != nil {
-		return nil, 0, false, err
+		return nil, num, err
 	}
 	switch {
 	case c == '-' || isDigit(c):
 		return d.number()
 	case c == 'n':
-		return nil, 0, false, d.literal("null")
+		return nil, num, d.literal("null")
 	default:
-		return nil, 0, false, d.badChar(c, "looking for a number")
+		return nil, num, d.badChar(c, "looking for a number")
 	}
 }
 
@@ -711,7 +712,20 @@ func (d *Decoder) badChar(c byte, context string) error {
 }
 
 // peek skips whitespace and returns the next byte without consuming it.
-func (d *Decoder) peek() (byte, error) {
+// Between tokens that byte is usually in the window and not whitespace,
+// and this head returns it without a call: it is written to stay within
+// the compiler's inlining budget (go build -gcflags=-m lists it).
+func (d *Decoder) peek() (c byte, err error) {
+	if d.pos < d.end {
+		c = d.buf[d.pos]
+	}
+	if c <= ' ' {
+		c, err = d.peekSlow()
+	}
+	return
+}
+
+func (d *Decoder) peekSlow() (byte, error) {
 	for {
 		for d.pos < d.end {
 			switch c := d.buf[d.pos]; c {
@@ -868,7 +882,7 @@ func (d *Decoder) skip(depth int) error {
 		_, err := d.str(false)
 		return err
 	case c == '-' || isDigit(c):
-		_, _, _, err := d.number()
+		_, _, err := d.number()
 		return err
 	case c == 't':
 		return d.literal("true")
@@ -881,16 +895,18 @@ func (d *Decoder) skip(depth int) error {
 	}
 }
 
-func isDigit(c byte) bool { return '0' <= c && c <= '9' }
-
-func isNumByte(c byte) bool {
-	return isDigit(c) || c == '-' || c == '+' || c == '.' || c == 'e' || c == 'E'
-}
-
 // number consumes the number starting at d.pos. It returns the token's
-// bytes, valid until the window next refills, and its value when
-// scanNumber could compute it exactly.
-func (d *Decoder) number() (tok []byte, v float64, exact bool, err error) {
+// bytes, valid until the window next refills, and its digits. A number
+// that ends inside the window is read in one pass; one that touches the
+// window's end, or is malformed, is isolated as the longest run of
+// number bytes first, and that whole run must be one number.
+func (d *Decoder) number() (tok []byte, num decimal, err error) {
+	n, num, ok := scanNumber(d.buf[d.pos:d.end])
+	if ok && d.pos+n < d.end && n < windowSize && !isNumByte(d.buf[d.pos+n]) {
+		tok = d.buf[d.pos : d.pos+n]
+		d.pos += n
+		return tok, num, nil
+	}
 	k := 0
 	for {
 		for d.pos+k < d.end && isNumByte(d.buf[d.pos+k]) {
@@ -901,110 +917,20 @@ func (d *Decoder) number() (tok []byte, v float64, exact bool, err error) {
 		}
 		if !d.fill() {
 			if d.rerr != io.EOF {
-				return nil, 0, false, d.errEnd()
+				return nil, num, d.errEnd()
 			}
 			break // the input ends with the number
 		}
 	}
 	if k >= windowSize {
-		return nil, 0, false, errTooLong // the limit of a streamed read, kept over a buffered one
+		return nil, num, errTooLong // the limit of a streamed read, kept over a buffered one
 	}
 	tok = d.buf[d.pos : d.pos+k]
-	v, exact, ok := scanNumber(tok)
-	if !ok {
-		return nil, 0, false, fmt.Errorf("invalid number %q at offset %d", tok, d.off+int64(d.pos))
+	if n, num, ok = scanNumber(tok); !ok || n != k {
+		return nil, num, fmt.Errorf("invalid number %q at offset %d", tok, d.off+int64(d.pos))
 	}
 	d.pos += k
-	return tok, v, exact, nil
-}
-
-// pow10 holds the powers of ten that float64 represents exactly.
-var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
-	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
-
-// scanNumber reports whether b is a JSON number,
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and computes its value
-// when that takes one correctly rounded operation on exact operands: a
-// digit string below 2^53 times or divided by 10^0..10^22. The correctly
-// rounded result is unique, so it has the bits strconv.ParseFloat would
-// return; exact is false when the caller needs ParseFloat.
-func scanNumber(b []byte) (v float64, exact, ok bool) {
-	const maxMant = 1 << 53
-	i, neg := 0, false
-	if i < len(b) && b[i] == '-' {
-		i, neg = 1, true
-	}
-	var mant uint64
-	exact = true
-	exp := 0 // decimal exponent of the last accumulated digit
-	digit := func(c byte, frac bool) {
-		if !exact {
-			return
-		}
-		mant = mant*10 + uint64(c-'0')
-		exact = mant < maxMant
-		if frac {
-			exp--
-		}
-	}
-	switch {
-	case i == len(b):
-		return 0, false, false
-	case b[i] == '0':
-		i++
-	case isDigit(b[i]):
-		for ; i < len(b) && isDigit(b[i]); i++ {
-			digit(b[i], false)
-		}
-	default:
-		return 0, false, false
-	}
-	if i < len(b) && b[i] == '.' {
-		i++
-		j := i
-		for ; i < len(b) && isDigit(b[i]); i++ {
-			digit(b[i], true)
-		}
-		if i == j {
-			return 0, false, false
-		}
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		sign := 1
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			if b[i] == '-' {
-				sign = -1
-			}
-			i++
-		}
-		j, e := i, 0
-		for ; i < len(b) && isDigit(b[i]); i++ {
-			if e < 1000 {
-				e = e*10 + int(b[i]-'0')
-			}
-		}
-		if i == j {
-			return 0, false, false
-		}
-		exp += sign * e
-	}
-	if i != len(b) {
-		return 0, false, false
-	}
-	if !exact || exp < -22 || exp > 22 {
-		return 0, false, true
-	}
-	v = float64(mant)
-	if exp < 0 {
-		v /= pow10[-exp]
-	} else {
-		v *= pow10[exp]
-	}
-	if neg {
-		v = -v
-	}
-	return v, true, true
+	return tok, num, nil
 }
 
 // str consumes the string whose opening quote is at d.pos. With keep it

@@ -134,6 +134,7 @@ func TestDecodeErrorPaths(t *testing.T) {
 		{"fractional m", `{"m":1.5}`, `instio: m: number 1.5 is not an int`, nil},
 		{"huge c", `{"m":1,"c":1e999}`, `instio: c: number 1e999 out of float64 range`, nil},
 		{"bad number", `{"m":01}`, `instio: m: invalid number "01"`, nil},
+		{"fifth exponent digit", `{"m":1,"c":0.` + strings.Repeat("0", 1233) + `1e12345}`, `instio: c: number 0.00`, nil},
 		{"zero m", `{"m":0,"c":1,"threads":[{"kind":"linear"}]}`, `instio: m: core: instance has 0 servers`, nil},
 		{"no c", `{"m":1,"threads":[{"kind":"linear"}]}`, `instio: c: core: server capacity 0`, nil},
 		{"no threads", `{"m":1,"c":1,"threads":[]}`, `instio: threads: core: instance has no threads`, nil},
@@ -408,7 +409,7 @@ func BenchmarkDecodeBatch(b *testing.B) {
 	}
 }
 
-// TestScanNumberMatchesParseFloat: the exact fast path returns
+// TestScanNumberMatchesParseFloat: the one-pass finish returns
 // strconv.ParseFloat's bits wherever it claims a value, and defers
 // to it elsewhere.
 func TestScanNumberMatchesParseFloat(t *testing.T) {
@@ -429,10 +430,11 @@ func TestScanNumberMatchesParseFloat(t *testing.T) {
 	}
 	exact := 0
 	for _, s := range toks {
-		v, ok, valid := scanNumber([]byte(s))
-		if !valid {
+		n, num, valid := scanNumber([]byte(s))
+		if !valid || n != len(s) {
 			t.Fatalf("%s: rejected a valid number", s)
 		}
+		v, ok := num.float()
 		if !ok {
 			continue
 		}
@@ -446,7 +448,7 @@ func TestScanNumberMatchesParseFloat(t *testing.T) {
 		t.Fatalf("fast path took only %d of %d numbers", exact, len(toks))
 	}
 	for _, s := range []string{"", "-", "01", "+1", ".5", "1.", "1e", "1e+", "--1", "1.2.3", "1e5e5", "0x10", "1_0"} {
-		if _, _, valid := scanNumber([]byte(s)); valid {
+		if n, _, valid := scanNumber([]byte(s)); valid && n == len(s) {
 			t.Errorf("%q accepted as a JSON number", s)
 		}
 	}

@@ -41,6 +41,14 @@ type ServeConfig struct {
 	ShutdownTimeout time.Duration
 }
 
+// readHeaderTimeout bounds how long a request header may take to
+// arrive, counted from accept for a connection's first request and from
+// the first bytes of each later one: a client that sends half a header
+// and stops loses its connection instead of holding a goroutine and its
+// buffers forever. Bodies stay untimed (a streamed /solve/batch body may
+// take minutes), and so do idle keep-alive connections.
+var readHeaderTimeout = 10 * time.Second
+
 // ListenAndServe runs the shared serve lifecycle: bind, announce,
 // serve until SIGINT/SIGTERM, then drain — flip readiness, hold the
 // drain grace, and http.Server.Shutdown (which closes the listener
@@ -57,7 +65,7 @@ func ListenAndServe(cfg ServeConfig) error {
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: cfg.Handler}
+	httpSrv := &http.Server{Handler: cfg.Handler, ReadHeaderTimeout: readHeaderTimeout}
 	fmt.Fprintf(cfg.Stderr, "%s: listening on http://%s\n", cfg.Name, ln.Addr())
 	if cfg.Ready != nil {
 		cfg.Ready <- ln.Addr().String()

@@ -2,8 +2,10 @@ package serveutil
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -141,5 +143,57 @@ func TestListenAndServeBadAddr(t *testing.T) {
 	err := ListenAndServe(ServeConfig{Name: "x", Addr: "256.256.256.256:1", Stderr: io.Discard})
 	if err == nil {
 		t.Fatal("expected listen error")
+	}
+}
+
+// TestListenAndServeDropsTricklingHeader: a client that sends half a
+// request header and stops has its connection closed once the header
+// deadline passes.
+func TestListenAndServeDropsTricklingHeader(t *testing.T) {
+	defer func(d time.Duration) { readHeaderTimeout = d }(readHeaderTimeout)
+	readHeaderTimeout = 200 * time.Millisecond
+	ready := make(chan string, 1)
+	done := make(chan error, 1)
+	go func() {
+		done <- ListenAndServe(ServeConfig{
+			Name: "testsrv", Addr: "127.0.0.1:0", Handler: http.NotFoundHandler(),
+			Stderr: io.Discard, Ready: ready,
+		})
+	}()
+	var addr string
+	select {
+	case addr = <-ready:
+	case err := <-done:
+		t.Fatalf("server exited early: %v", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("never ready")
+	}
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /solve HTTP/1.1\r\nHost: x\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	_, err = io.ReadAll(conn)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("connection still open %v after half a header", time.Since(start).Round(time.Millisecond))
+	}
+	if err := syscall.Kill(syscall.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("ListenAndServe returned %v", err)
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatal("no clean shutdown")
 	}
 }
