@@ -40,9 +40,12 @@ race:
 	$(GO) test -race ./...
 
 # Differential-verification harness over every figure workload, plus the
-# solver invariant property tests (mirrors the CI check-smoke step).
+# solver invariant property tests, plus DESIGN.md §10's rule that only
+# the core and the engine call core.Assign1/core.Assign2 (mirrors the CI
+# check-smoke steps).
 check-smoke:
 	$(GO) test -run='TestDifferential|TestSolversSatisfyInvariants' -count=1 ./internal/check
+	./scripts/callsites.sh
 
 # Ten seconds of fuzzing per target: the concave-allocation invariants,
 # the check-layer targets, PCHIP monotonicity, the wire decoder
@@ -113,9 +116,8 @@ replay-smoke:
 relay-smoke:
 	./scripts/relay_smoke.sh
 
-# Statement-coverage floors for internal/replay, internal/online,
-# internal/telemetry, internal/cache, internal/router and
-# internal/ratelimit.
+# Statement-coverage floors for the packages listed in
+# scripts/coverage_floor.sh.
 cover-floor:
 	./scripts/coverage_floor.sh
 

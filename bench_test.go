@@ -184,15 +184,12 @@ func BenchmarkAblationAssignmentVsAllocation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rr := make([]int, in.N())
-	for i := range rr {
-		rr[i] = i % in.M
-	}
 	var a2U, bestAllocU, uuU float64
 	for i := 0; i < b.N; i++ {
 		a2U = core.Assign2(in).Utility(in)
-		bestAllocU = core.AssignBestAlloc(in, rr).Utility(in)
-		uuU = core.AssignUU(in).Utility(in)
+		uu := core.AssignUU(in)
+		bestAllocU = core.PolishAllocations(in, uu).Utility(in)
+		uuU = uu.Utility(in)
 	}
 	if uuU > 0 {
 		b.ReportMetric(a2U/uuU, "A2/UU")

@@ -162,7 +162,7 @@ func (rep *DiffReport) checkInstance(where string, in *core.Instance, r *rng.Ran
 	// retained quadratic reference bit for bit — same servers, same
 	// amounts — on every corpus instance, not merely equal utility.
 	fastA1 := core.Assign1Linearized(in, gs)
-	refA1 := core.Assign1LinearizedRef(in, gs)
+	refA1 := Assign1LinearizedRef(in, gs)
 	for i := range refA1.Server {
 		if fastA1.Server[i] != refA1.Server[i] || fastA1.Alloc[i] != refA1.Alloc[i] {
 			rep.note(where+"/a1-fastref", record(fmt.Errorf(

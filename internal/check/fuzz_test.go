@@ -73,7 +73,7 @@ func FuzzDifferentialAssign(f *testing.F) {
 		gs := core.Linearize(in, so)
 		a1 := core.Assign1Linearized(in, gs)
 		a2 := core.Assign2Linearized(in, gs)
-		refA1 := core.Assign1LinearizedRef(in, gs)
+		refA1 := Assign1LinearizedRef(in, gs)
 		for i := range refA1.Server {
 			if a1.Server[i] != refA1.Server[i] || a1.Alloc[i] != refA1.Alloc[i] {
 				t.Fatalf("thread %d: fast Assign1 (%d,%v) != reference (%d,%v)",

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"aa/internal/alloc"
+	"aa/internal/core"
 	"aa/internal/utility"
 )
 
@@ -97,4 +98,87 @@ func sumAt(fs []utility.Func, lambda float64, x []float64) float64 {
 		sum += x[i]
 	}
 	return sum
+}
+
+// Assign1Ref is core.Assign1 running on the O(mn²) reference
+// implementation — the textbook transcription of the paper's pseudocode.
+// It is the oracle for differential tests of the heap-based fast path
+// and the "before" side of its benchmarks; solve paths use core.Assign1.
+func Assign1Ref(in *core.Instance) core.Assignment {
+	so := core.SuperOptimal(in)
+	gs := core.Linearize(in, so)
+	return Assign1LinearizedRef(in, gs)
+}
+
+// Assign1LinearizedRef is the reference implementation behind Assign1Ref.
+//
+// Its per-pass scans pick, among the unassigned threads, the full
+// candidate maximizing g(ĉ) — or, when none fits, the thread maximizing
+// the utility of the fullest server's leftovers R. For that second pick it
+// compares ramp slopes rather than the values g_i(R): with ĉ_i > R ≥ 0
+// every candidate's value is slope_i·R, so the ranking is the same, but
+// comparing slopes directly cannot disagree with the fast path over a
+// rounding flip in the multiplication by R (and when R = 0 every remaining
+// thread receives zero on the same server, so any pick order yields the
+// identical assignment).
+func Assign1LinearizedRef(in *core.Instance, gs []core.Linearized) core.Assignment {
+	n, m := in.N(), in.M
+	out := core.NewAssignment(n)
+	residual := make([]float64, m)
+	for j := range residual {
+		residual[j] = in.C
+	}
+	assigned := make([]bool, n)
+
+	for remaining := n; remaining > 0; remaining-- {
+		// Phase 1 candidate: unassigned thread with the greatest g_i(ĉ_i)
+		// among those whose ĉ_i still fits on some server. Track the
+		// fullest feasible server for the tie-breaking placement.
+		bestFull, bestFullServer := -1, -1
+		var bestFullVal float64
+		// Phase 2 candidate: pair (i, j) maximizing g_i(C_j); since no
+		// server fits ĉ_i, g_i(C_j) = slope_i · C_j, maximized at the
+		// fullest server, so only the fullest server matters per thread.
+		maxServer, maxResidual := 0, residual[0]
+		for j := 1; j < m; j++ {
+			if residual[j] > maxResidual {
+				maxServer, maxResidual = j, residual[j]
+			}
+		}
+		bestPartial := -1
+		var bestPartialVal float64
+
+		for i := 0; i < n; i++ {
+			if assigned[i] {
+				continue
+			}
+			g := gs[i]
+			if g.CHat <= maxResidual {
+				// Thread fits somewhere (in particular on maxServer).
+				if bestFull < 0 || g.UHat > bestFullVal {
+					bestFull, bestFullVal, bestFullServer = i, g.UHat, maxServer
+				}
+				continue
+			}
+			if v := g.Slope(); bestPartial < 0 || v > bestPartialVal {
+				bestPartial, bestPartialVal = i, v
+			}
+		}
+
+		var pick, server int
+		var amount float64
+		if bestFull >= 0 {
+			pick, server, amount = bestFull, bestFullServer, gs[bestFull].CHat
+		} else {
+			pick, server, amount = bestPartial, maxServer, maxResidual
+		}
+		assigned[pick] = true
+		out.Server[pick] = server
+		out.Alloc[pick] = amount
+		residual[server] -= amount
+		if residual[server] < 0 {
+			residual[server] = 0 // float guard
+		}
+	}
+	return out
 }

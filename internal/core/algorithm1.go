@@ -1,7 +1,5 @@
 package core
 
-import "aa/internal/telemetry"
-
 // Assign1 is the paper's Algorithm 1: the greedy on the linearized
 // problem, achieving total utility at least α = 2(√2−1) ≈ 0.828 times
 // optimal (Theorem V.16).
@@ -19,10 +17,11 @@ import "aa/internal/telemetry"
 // per-pass server sweep, and two priority queues over threads — full
 // candidates by g(ĉ), the rest by ramp slope — replace the per-pass thread
 // sweep. The max residual only shrinks, so each thread crosses from "fits"
-// to "doesn't fit" at most once and the queues migrate lazily. Assign1Ref
-// retains the quadratic implementation; the two are byte-identical on any
-// linearization with ĉ_i ∈ [0, C] (which Linearize guarantees), a property
-// the differential tests assert across the figure corpus.
+// to "doesn't fit" at most once and the queues migrate lazily.
+// check.Assign1Ref retains the quadratic implementation; the two are
+// byte-identical on any linearization with ĉ_i ∈ [0, C] (which Linearize
+// guarantees), a property the differential tests assert across the
+// figure corpus.
 func Assign1(in *Instance) Assignment {
 	so := SuperOptimal(in)
 	gs := Linearize(in, so)
@@ -40,103 +39,5 @@ func Assign1Linearized(in *Instance, gs []Linearized) Assignment {
 	defer PutWorkspace(w)
 	var out Assignment
 	w.Assign1Linearized(in, gs, &out)
-	return out
-}
-
-// Assign1Ref is Assign1 running on the retained O(mn²) reference
-// implementation — the textbook transcription of the paper's pseudocode.
-// It exists as the oracle for differential tests of the heap-based fast
-// path and for before/after benchmarks; solve paths should use Assign1.
-func Assign1Ref(in *Instance) Assignment {
-	so := SuperOptimal(in)
-	gs := Linearize(in, so)
-	return Assign1LinearizedRef(in, gs)
-}
-
-// Assign1LinearizedRef is the reference implementation behind Assign1Ref.
-//
-// Its per-pass scans pick, among the unassigned threads, the full
-// candidate maximizing g(ĉ) — or, when none fits, the thread maximizing
-// the utility of the fullest server's leftovers R. For that second pick it
-// compares ramp slopes rather than the values g_i(R): with ĉ_i > R ≥ 0
-// every candidate's value is slope_i·R, so the ranking is the same, but
-// comparing slopes directly cannot disagree with the fast path over a
-// rounding flip in the multiplication by R (and when R = 0 every remaining
-// thread receives zero on the same server, so any pick order yields the
-// identical assignment).
-func Assign1LinearizedRef(in *Instance, gs []Linearized) Assignment {
-	start := stageStart()
-	n, m := in.N(), in.M
-	out := NewAssignment(n)
-	residual := make([]float64, m)
-	for j := range residual {
-		residual[j] = in.C
-	}
-	assigned := make([]bool, n)
-
-	// Work counters for the loops actually run, flushed once at the end:
-	// fit-checks are (unassigned thread, fullest server) examinations,
-	// server ops the residual-scan steps of each pass.
-	var fitChecks, serverOps uint64
-
-	for remaining := n; remaining > 0; remaining-- {
-		// Phase 1 candidate: unassigned thread with the greatest g_i(ĉ_i)
-		// among those whose ĉ_i still fits on some server. Track the
-		// fullest feasible server for the tie-breaking placement.
-		bestFull, bestFullServer := -1, -1
-		var bestFullVal float64
-		// Phase 2 candidate: pair (i, j) maximizing g_i(C_j); since no
-		// server fits ĉ_i, g_i(C_j) = slope_i · C_j, maximized at the
-		// fullest server, so only the fullest server matters per thread.
-		maxServer, maxResidual := 0, residual[0]
-		for j := 1; j < m; j++ {
-			serverOps++
-			if residual[j] > maxResidual {
-				maxServer, maxResidual = j, residual[j]
-			}
-		}
-		bestPartial := -1
-		var bestPartialVal float64
-
-		for i := 0; i < n; i++ {
-			if assigned[i] {
-				continue
-			}
-			fitChecks++
-			g := gs[i]
-			if g.CHat <= maxResidual {
-				// Thread fits somewhere (in particular on maxServer).
-				if bestFull < 0 || g.UHat > bestFullVal {
-					bestFull, bestFullVal, bestFullServer = i, g.UHat, maxServer
-				}
-				continue
-			}
-			if v := g.Slope(); bestPartial < 0 || v > bestPartialVal {
-				bestPartial, bestPartialVal = i, v
-			}
-		}
-
-		var pick, server int
-		var amount float64
-		if bestFull >= 0 {
-			pick, server, amount = bestFull, bestFullServer, gs[bestFull].CHat
-		} else {
-			pick, server, amount = bestPartial, maxServer, maxResidual
-		}
-		assigned[pick] = true
-		out.Server[pick] = server
-		out.Alloc[pick] = amount
-		residual[server] -= amount
-		if residual[server] < 0 {
-			residual[server] = 0 // float guard
-		}
-	}
-	if !start.IsZero() {
-		metricAssign1Calls.Inc()
-		metricAssign1Passes.Add(uint64(n))
-		metricAssign1FitChecks.Add(fitChecks)
-		metricAssign1ServerOps.Add(serverOps)
-		stageEnd(start, metricAssign1Seconds, "core.assign1", telemetry.SpanContext{}, n)
-	}
 	return out
 }

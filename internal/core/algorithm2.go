@@ -23,54 +23,39 @@ func Assign2(in *Instance) Assignment {
 // utilities, letting callers share one super-optimal computation across
 // several algorithms.
 func Assign2Linearized(in *Instance, gs []Linearized) Assignment {
-	return assign2WithTailOrder(in, gs, TailBySlope)
-}
-
-// TailOrder selects how Algorithm 2's line 2 orders threads m+1..n; only
-// TailBySlope carries the paper's guarantee, the others exist for the
-// ablation study (ext-tail in DESIGN.md).
-type TailOrder int
-
-// Tail orderings for the ablation.
-const (
-	// TailBySlope is the paper's rule: nonincreasing g(ĉ)/ĉ.
-	TailBySlope TailOrder = iota
-	// TailByUHat skips line 2 entirely (tail stays sorted by g(ĉ)).
-	TailByUHat
-	// TailByCHatDesc orders by super-optimal allocation, biggest first.
-	TailByCHatDesc
-)
-
-// Assign2TailOrder runs Algorithm 2 with a pluggable line-2 ordering —
-// the ablation knob for quantifying how much the paper's slope re-sort
-// contributes.
-func Assign2TailOrder(in *Instance, tailOrder TailOrder) Assignment {
-	so := SuperOptimal(in)
-	gs := Linearize(in, so)
-	return assign2WithTailOrder(in, gs, tailOrder)
-}
-
-func assign2WithTailOrder(in *Instance, gs []Linearized, tailOrder TailOrder) Assignment {
 	w := GetWorkspace()
 	defer PutWorkspace(w)
 	var out Assignment
-	w.assign2(in, gs, tailOrder, &out)
+	w.Assign2Linearized(in, gs, &out)
 	return out
 }
 
-// assign2 is the implementation behind Assign2Linearized and the ablation
-// entry points, reusing the workspace's order slice, sorters and server
-// heap so steady-state re-solves allocate nothing beyond the caller's out.
-func (w *Workspace) assign2(in *Instance, gs []Linearized, tailOrder TailOrder, out *Assignment) {
+// assign2 is Algorithm 2 over servers of capacities caps: the ordering
+// step (lines 1–2) then the serving step (lines 3–10). It reuses the
+// workspace's order slice, sorters and server heap, so steady-state
+// re-solves allocate nothing beyond the caller's out.
+func (w *Workspace) assign2(gs []Linearized, caps []float64, out *Assignment) {
 	start := stageStart()
-	n, m := in.N(), in.M
-	out.Reset(n)
+	sortCmps := w.order2(gs, len(caps))
+	w.serve2(gs, w.order, caps, out)
+	if !start.IsZero() {
+		n := len(gs)
+		metricAssign2Calls.Inc()
+		metricAssign2SortCmps.Add(sortCmps)
+		// n updateTop calls plus every sift-down swap the heap performed.
+		metricAssign2HeapOps.Add(uint64(n) + uint64(w.h2.swaps))
+		stageEnd(start, metricAssign2Seconds, "core.assign2", w.span, n)
+	}
+}
 
-	// Line 1: order all threads by g_i(ĉ_i), nonincreasing. The sorters
-	// are concrete sort.Interface values held in the workspace —
-	// sort.Stable over them visits the same comparison sequence as the
-	// sort.SliceStable closure this replaces (both are stable, so the
-	// permutation is identical too) without its per-call allocations.
+// order2 is Algorithm 2's ordering step: w.order becomes every thread by
+// nonincreasing g_i(ĉ_i) (line 1), with the tail beyond the first m
+// re-sorted by nonincreasing ramp slope (line 2). The sorters are
+// concrete sort.Interface values held in the workspace: sort.Stable over
+// them gives the permutation sort.SliceStable would, without its
+// per-call allocations. It returns the number of comparisons made.
+func (w *Workspace) order2(gs []Linearized, m int) uint64 {
+	n := len(gs)
 	w.order = slices.Grow(w.order[:0], n)[:n]
 	order := w.order
 	for i := range order {
@@ -78,24 +63,22 @@ func (w *Workspace) assign2(in *Instance, gs []Linearized, tailOrder TailOrder, 
 	}
 	w.byUHat = uhatSorter{order: order, gs: gs}
 	sort.Stable(&w.byUHat)
-	sortCmps := w.byUHat.cmps
-	// Line 2: re-sort the tail (threads m+1..n in that ordering).
+	cmps := w.byUHat.cmps
 	if n > m {
-		switch tailOrder {
-		case TailBySlope, TailByCHatDesc:
-			w.byTail = tailSorter{order: order[m:], gs: gs, byCHat: tailOrder == TailByCHatDesc}
-			sort.Stable(&w.byTail)
-			sortCmps += w.byTail.cmps
-		case TailByUHat:
-			// Keep the line-1 ordering.
-		}
+		w.byTail = tailSorter{order: order[m:], gs: gs}
+		sort.Stable(&w.byTail)
+		cmps += w.byTail.cmps
 	}
+	return cmps
+}
 
-	// Lines 3–4: max-heap of residual server capacities.
-	w.h2.reset(m, in.C)
+// serve2 is Algorithm 2's serving step (lines 3–10): server j starts
+// with residual caps[j], and each thread, in the given order, takes
+// min(ĉ_i, residual) from the server with the most resource left.
+func (w *Workspace) serve2(gs []Linearized, order []int, caps []float64, out *Assignment) {
+	out.Reset(len(gs))
 	h := &w.h2
-
-	// Lines 5–10: serve threads in order from the fullest server.
+	h.reset(caps)
 	for _, i := range order {
 		srv := h.peek()
 		amount := gs[i].CHat
@@ -105,13 +88,6 @@ func (w *Workspace) assign2(in *Instance, gs []Linearized, tailOrder TailOrder, 
 		out.Server[i] = srv.id
 		out.Alloc[i] = amount
 		h.updateTop(srv.residual - amount)
-	}
-	if !start.IsZero() {
-		metricAssign2Calls.Inc()
-		metricAssign2SortCmps.Add(sortCmps)
-		// n updateTop calls plus every sift-down swap they performed.
-		metricAssign2HeapOps.Add(uint64(n) + uint64(h.swaps))
-		stageEnd(start, metricAssign2Seconds, "core.assign2", w.span, n)
 	}
 }
 
@@ -126,15 +102,19 @@ type serverHeap struct {
 	swaps   int // sift-down swaps, for the heap-operations telemetry
 }
 
-// reset refills the heap with m servers at residual c, reusing the entry
-// array when it is large enough. All keys equal means any order is a
-// valid heap.
-func (h *serverHeap) reset(m int, c float64) {
-	h.entries = slices.Grow(h.entries[:0], m)[:m]
-	for j := range h.entries {
+// reset refills the heap with server j at residual caps[j], reusing the
+// entry array when it is large enough, and heapifies it. Heapify swaps
+// only on a strictly larger child, so equal capacities leave the servers
+// in id order.
+func (h *serverHeap) reset(caps []float64) {
+	h.entries = slices.Grow(h.entries[:0], len(caps))[:len(caps)]
+	for j, c := range caps {
 		h.entries[j] = serverEntry{id: j, residual: c}
 	}
 	h.swaps = 0
+	for i := len(caps)/2 - 1; i >= 0; i-- {
+		h.siftDown(i)
+	}
 }
 
 // peek returns the server with the most remaining resource.
@@ -143,8 +123,12 @@ func (h *serverHeap) peek() serverEntry { return h.entries[0] }
 // updateTop replaces the top's residual and restores the heap property.
 func (h *serverHeap) updateTop(newResidual float64) {
 	h.entries[0].residual = newResidual
+	h.siftDown(0)
+}
+
+// siftDown restores the heap property below position i.
+func (h *serverHeap) siftDown(i int) {
 	n := len(h.entries)
-	i := 0
 	for {
 		l, r := 2*i+1, 2*i+2
 		largest := i

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"sort"
 	"testing"
 	"time"
 
@@ -310,15 +311,14 @@ func TestUURoundRobinShape(t *testing.T) {
 	}
 }
 
-func TestAssignBestAllocDominatesEqualSplit(t *testing.T) {
+func TestPolishAllocationsDominatesEqualSplit(t *testing.T) {
 	base := rng.New(42)
 	for trial := 0; trial < 20; trial++ {
 		r := base.Split(uint64(trial))
 		in := randomInstance(r, 12, 3, 100)
-		servers := roundRobin(in)
 		uu := AssignUU(in)
-		ba := AssignBestAlloc(in, servers)
-		assertFeasible(t, in, ba, "AssignBestAlloc")
+		ba := PolishAllocations(in, uu)
+		assertFeasible(t, in, ba, "PolishAllocations")
 		if ba.Utility(in) < uu.Utility(in)*(1-1e-9)-1e-9 {
 			t.Errorf("trial %d: optimal per-server alloc %v < equal split %v",
 				trial, ba.Utility(in), uu.Utility(in))
@@ -567,9 +567,10 @@ func TestAblationTailOrdering(t *testing.T) {
 			threads[i] = utility.CappedLinear{Slope: v / 50, Knee: r.Uniform(10, c), C: c}
 		}
 		in := &Instance{M: m, C: c, Threads: threads}
-		bySlope += Assign2TailOrder(in, TailBySlope).Utility(in)
-		byUHat += Assign2TailOrder(in, TailByUHat).Utility(in)
-		byCHat += Assign2TailOrder(in, TailByCHatDesc).Utility(in)
+		gs := Linearize(in, SuperOptimal(in))
+		bySlope += Assign2Linearized(in, gs).Utility(in)
+		byUHat += assign2TailBy(in, gs, nil).Utility(in)
+		byCHat += assign2TailBy(in, gs, chatKey).Utility(in)
 	}
 	t.Logf("ablation mean utility: slope-sort %.2f, no re-sort %.2f, size-sort %.2f",
 		bySlope/trials, byUHat/trials, byCHat/trials)
@@ -599,8 +600,8 @@ func TestAblationTailOrdering(t *testing.T) {
 		{UHat: 1, CHat: 1.0, C: 1},   // slope 1, but larger UHat
 		{UHat: 0.9, CHat: 0.3, C: 1}, // slope 3
 	}
-	withSort := assign2WithTailOrder(in2, gs, TailBySlope).Utility(in2)
-	withoutSort := assign2WithTailOrder(in2, gs, TailByUHat).Utility(in2)
+	withSort := Assign2Linearized(in2, gs).Utility(in2)
+	withoutSort := assign2TailBy(in2, gs, nil).Utility(in2)
 	if withSort <= withoutSort {
 		t.Errorf("crafted instance: slope sort (%v) should beat unsorted tail (%v)",
 			withSort, withoutSort)
@@ -608,10 +609,31 @@ func TestAblationTailOrdering(t *testing.T) {
 	// All variants stay feasible and bounded (smoke assertion).
 	r := base.Split(999)
 	in := randomInstance(r, 24, 3, 100)
-	for _, to := range []TailOrder{TailBySlope, TailByUHat, TailByCHatDesc} {
-		a := Assign2TailOrder(in, to)
-		assertFeasible(t, in, a, "Assign2TailOrder")
+	gs = Linearize(in, SuperOptimal(in))
+	for _, a := range []Assignment{Assign2Linearized(in, gs), assign2TailBy(in, gs, nil), assign2TailBy(in, gs, chatKey)} {
+		assertFeasible(t, in, a, "tail-order ablation")
 	}
+}
+
+func chatKey(g Linearized) float64 { return g.CHat }
+
+// assign2TailBy is Algorithm 2 with line 2 replaced for the ablation:
+// the tail (threads m+1..n of the g(ĉ) order) is stably re-sorted by
+// key, nonincreasing, or left in g(ĉ) order when key is nil. The serving
+// step is the production one.
+func assign2TailBy(in *Instance, gs []Linearized, key func(Linearized) float64) Assignment {
+	order := make([]int, len(gs))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return gs[order[a]].UHat > gs[order[b]].UHat })
+	if key != nil && len(order) > in.M {
+		tail := order[in.M:]
+		sort.SliceStable(tail, func(a, b int) bool { return key(gs[tail[a]]) > key(gs[tail[b]]) })
+	}
+	var out Assignment
+	NewWorkspace().serve2(gs, order, in.serverCaps(), &out)
+	return out
 }
 
 // Regression guard for numeric-domain hangs: a large capacity (1e9) once

@@ -137,7 +137,7 @@ func BenchmarkAssign1Ref(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				core.Assign1LinearizedRef(in, gs)
+				check.Assign1LinearizedRef(in, gs)
 			}
 		})
 	}

@@ -26,7 +26,6 @@ func Exhaustive(in *Instance) (Assignment, error) {
 	if space := symmetricSpace(n, m); space > ExactLimit {
 		return Assignment{}, fmt.Errorf("core: exhaustive search space ~%d exceeds limit %d", space, ExactLimit)
 	}
-	fs := cappedThreads(in)
 	servers := make([]int, n)
 	best := NewAssignment(n)
 	bestUtil := math.Inf(-1)
@@ -34,7 +33,7 @@ func Exhaustive(in *Instance) (Assignment, error) {
 	var recurse func(i, maxUsed int)
 	recurse = func(i, maxUsed int) {
 		if i == n {
-			util, allocs := evaluatePartition(in, fs, servers)
+			util, allocs := evaluatePartition(in, servers)
 			if util > bestUtil {
 				bestUtil = util
 				copy(best.Server, servers)
@@ -83,28 +82,9 @@ func symmetricSpace(n, m int) int {
 
 // evaluatePartition computes the optimal total utility of a fixed
 // thread→server map by solving each server's concave allocation.
-func evaluatePartition(in *Instance, fs []utility.Func, servers []int) (float64, []float64) {
-	groups := make([][]int, in.M)
-	for i, s := range servers {
-		groups[s] = append(groups[s], i)
-	}
+func evaluatePartition(in *Instance, servers []int) (float64, []float64) {
 	allocs := make([]float64, len(servers))
-	total := 0.0
-	for _, group := range groups {
-		if len(group) == 0 {
-			continue
-		}
-		gfs := make([]utility.Func, len(group))
-		for k, i := range group {
-			gfs[k] = fs[i]
-		}
-		res := alloc.Concave(gfs, in.C)
-		total += res.Total
-		for k, i := range group {
-			allocs[i] = res.Alloc[k]
-		}
-	}
-	return total, allocs
+	return Split(in.Threads, Groups(servers, in.M), in.serverCaps(), SplitConcave, nil, allocs), allocs
 }
 
 // BranchAndBound finds an optimal assignment by depth-first search with
@@ -125,6 +105,7 @@ func BranchAndBound(ctx context.Context, in *Instance, maxNodes int) (Assignment
 	}
 	n, m := in.N(), in.M
 	fs := cappedThreads(in)
+	caps := in.serverCaps()
 
 	// Explore large consumers first: deeper pruning near the root.
 	so := SuperOptimal(in)
@@ -167,7 +148,7 @@ func BranchAndBound(ctx context.Context, in *Instance, maxNodes int) (Assignment
 					servers[i] = j
 				}
 			}
-			util, allocs := evaluatePartition(in, fs, servers)
+			util, allocs := evaluatePartition(in, servers)
 			if util > bestUtil {
 				bestUtil = util
 				copy(best.Server, servers)
@@ -175,7 +156,7 @@ func BranchAndBound(ctx context.Context, in *Instance, maxNodes int) (Assignment
 			}
 			return nil
 		}
-		if bound(in, fs, groups, order[depth:]) <= bestUtil+1e-9 {
+		if bound(in, fs, caps, groups, order[depth:]) <= bestUtil+1e-9 {
 			return nil
 		}
 		i := order[depth]
@@ -208,18 +189,8 @@ func BranchAndBound(ctx context.Context, in *Instance, maxNodes int) (Assignment
 // bound returns the admissible upper bound for completing a partial
 // assignment: each existing group solved alone on a full server, plus the
 // unassigned threads pooled on the whole cluster.
-func bound(in *Instance, fs []utility.Func, groups [][]int, unassigned []int) float64 {
-	total := 0.0
-	for _, group := range groups {
-		if len(group) == 0 {
-			continue
-		}
-		gfs := make([]utility.Func, len(group))
-		for k, i := range group {
-			gfs[k] = fs[i]
-		}
-		total += alloc.Concave(gfs, in.C).Total
-	}
+func bound(in *Instance, fs []utility.Func, caps []float64, groups [][]int, unassigned []int) float64 {
+	total := Split(in.Threads, groups, caps, SplitConcave, nil, nil)
 	if len(unassigned) > 0 {
 		ufs := make([]utility.Func, len(unassigned))
 		for k, i := range unassigned {

@@ -29,7 +29,7 @@ func TestAssign1FastMatchesRefFigureCorpus(t *testing.T) {
 				so := core.SuperOptimal(in)
 				gs := core.Linearize(in, so)
 				fast := core.Assign1Linearized(in, gs)
-				ref := core.Assign1LinearizedRef(in, gs)
+				ref := check.Assign1LinearizedRef(in, gs)
 				for i := range ref.Server {
 					if fast.Server[i] != ref.Server[i] || fast.Alloc[i] != ref.Alloc[i] {
 						t.Fatalf("%s m=%d n=%d trial=%d thread %d: fast (%d,%v) != ref (%d,%v)",

@@ -1,4 +1,4 @@
-package core
+package core_test
 
 // Differential tests for the heap-based Assign1 fast path against the
 // retained quadratic reference, and for the Workspace solve methods
@@ -10,11 +10,13 @@ import (
 	"math"
 	"testing"
 
+	"aa/internal/check"
+	"aa/internal/core"
 	"aa/internal/rng"
 	"aa/internal/utility"
 )
 
-func assertIdenticalAssignments(t *testing.T, label string, got, want Assignment) {
+func assertIdenticalAssignments(t *testing.T, label string, got, want core.Assignment) {
 	t.Helper()
 	if len(got.Server) != len(want.Server) || len(got.Alloc) != len(want.Alloc) {
 		t.Fatalf("%s: assignment sizes differ: (%d,%d) vs (%d,%d)",
@@ -37,11 +39,11 @@ func TestAssign1FastMatchesRefRandom(t *testing.T) {
 		r := base.Split(uint64(trial))
 		m := 1 + r.Intn(8)
 		n := 1 + r.Intn(60)
-		in := randomInstance(r, n, m, 100)
-		so := SuperOptimal(in)
-		gs := Linearize(in, so)
-		fast := Assign1Linearized(in, gs)
-		ref := Assign1LinearizedRef(in, gs)
+		in := core.RandomInstance(r, n, m, 100)
+		so := core.SuperOptimal(in)
+		gs := core.Linearize(in, so)
+		fast := core.Assign1Linearized(in, gs)
+		ref := check.Assign1LinearizedRef(in, gs)
 		assertIdenticalAssignments(t, "random", fast, ref)
 	}
 }
@@ -56,38 +58,38 @@ func TestAssign1FastMatchesRefAdversarialTies(t *testing.T) {
 	cases := []struct {
 		name string
 		m    int
-		gs   []Linearized
+		gs   []core.Linearized
 	}{
-		{"equal-uhat", 2, []Linearized{
+		{"equal-uhat", 2, []core.Linearized{
 			{UHat: 5, CHat: 4, C: c}, {UHat: 5, CHat: 4, C: c}, {UHat: 5, CHat: 4, C: c},
 			{UHat: 5, CHat: 4, C: c}, {UHat: 5, CHat: 4, C: c}, {UHat: 5, CHat: 4, C: c},
 		}},
-		{"equal-slope-partials", 1, []Linearized{
+		{"equal-slope-partials", 1, []core.Linearized{
 			{UHat: 8, CHat: 8, C: c}, {UHat: 6, CHat: 6, C: c},
 			{UHat: 9, CHat: 9, C: c}, {UHat: 3, CHat: 3, C: c},
 		}},
-		{"degenerate-chat-zero", 2, []Linearized{
+		{"degenerate-chat-zero", 2, []core.Linearized{
 			{UHat: 1, CHat: 0, C: c}, {UHat: 7, CHat: 9, C: c},
 			{UHat: 2, CHat: 0, C: c}, {UHat: 7, CHat: 9, C: c},
 		}},
-		{"pinned-at-capacity", 3, []Linearized{
+		{"pinned-at-capacity", 3, []core.Linearized{
 			{UHat: 4, CHat: c, C: c}, {UHat: 4, CHat: c, C: c}, {UHat: 4, CHat: c, C: c},
 			{UHat: 4, CHat: c, C: c}, {UHat: 1, CHat: 2, C: c},
 		}},
-		{"zero-residual-endgame", 1, []Linearized{
+		{"zero-residual-endgame", 1, []core.Linearized{
 			{UHat: 10, CHat: c, C: c}, {UHat: 3, CHat: 5, C: c},
 			{UHat: 2, CHat: 5, C: c}, {UHat: 2, CHat: 5, C: c},
 		}},
-		{"thread-starved", 5, []Linearized{{UHat: 2, CHat: 3, C: c}}},
+		{"thread-starved", 5, []core.Linearized{{UHat: 2, CHat: 3, C: c}}},
 	}
 	for _, tc := range cases {
 		threads := make([]utility.Func, len(tc.gs))
 		for i := range threads {
 			threads[i] = utility.Linear{Slope: 1, C: c}
 		}
-		in := &Instance{M: tc.m, C: c, Threads: threads}
-		fast := Assign1Linearized(in, tc.gs)
-		ref := Assign1LinearizedRef(in, tc.gs)
+		in := &core.Instance{M: tc.m, C: c, Threads: threads}
+		fast := core.Assign1Linearized(in, tc.gs)
+		ref := check.Assign1LinearizedRef(in, tc.gs)
 		assertIdenticalAssignments(t, tc.name, fast, ref)
 	}
 }
@@ -96,14 +98,14 @@ func TestAssign1FastMatchesRefAdversarialTies(t *testing.T) {
 // reused Workspace (dirty buffers, varying sizes) and demands bit-identical
 // results versus the allocating package-level calls at every stage.
 func TestWorkspaceSolveMatchesPackageLevel(t *testing.T) {
-	w := NewWorkspace()
-	var a1, a2 Assignment // reused dirty across trials
+	w := core.NewWorkspace()
+	var a1, a2 core.Assignment // reused dirty across trials
 	base := rng.New(77)
 	for trial := 0; trial < 40; trial++ {
 		r := base.Split(uint64(trial))
-		in := randomInstance(r, 1+r.Intn(50), 1+r.Intn(6), 100)
+		in := core.RandomInstance(r, 1+r.Intn(50), 1+r.Intn(6), 100)
 
-		so := SuperOptimal(in)
+		so := core.SuperOptimal(in)
 		wso := w.SuperOptimal(in)
 		if so.Total != wso.Total {
 			t.Fatalf("trial %d: workspace SuperOptimal total %v != %v", trial, wso.Total, so.Total)
@@ -115,7 +117,7 @@ func TestWorkspaceSolveMatchesPackageLevel(t *testing.T) {
 			}
 		}
 
-		gs := Linearize(in, so)
+		gs := core.Linearize(in, so)
 		wgs := w.Linearize(in, wso)
 		for i := range gs {
 			if gs[i] != wgs[i] {
@@ -124,15 +126,15 @@ func TestWorkspaceSolveMatchesPackageLevel(t *testing.T) {
 		}
 
 		w.Assign1Linearized(in, wgs, &a1)
-		assertIdenticalAssignments(t, "workspace-assign1", a1, Assign1Linearized(in, gs))
+		assertIdenticalAssignments(t, "workspace-assign1", a1, core.Assign1Linearized(in, gs))
 		w.Assign2Linearized(in, wgs, &a2)
-		assertIdenticalAssignments(t, "workspace-assign2", a2, Assign2Linearized(in, gs))
+		assertIdenticalAssignments(t, "workspace-assign2", a2, core.Assign2Linearized(in, gs))
 	}
 }
 
 // TestAssignmentReset covers the buffer-reuse rules.
 func TestAssignmentReset(t *testing.T) {
-	var a Assignment
+	var a core.Assignment
 	a.Reset(3)
 	if len(a.Server) != 3 || len(a.Alloc) != 3 {
 		t.Fatalf("Reset(3) sized (%d,%d)", len(a.Server), len(a.Alloc))

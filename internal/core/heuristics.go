@@ -3,9 +3,7 @@ package core
 import (
 	"math"
 
-	"aa/internal/alloc"
 	"aa/internal/rng"
-	"aa/internal/utility"
 )
 
 // The four heuristics the paper compares against in §VII. Each combines
@@ -15,22 +13,22 @@ import (
 
 // AssignUU is uniform assignment + uniform allocation.
 func AssignUU(in *Instance) Assignment {
-	return heuristic(in, roundRobin(in), equalAlloc, nil)
+	return splitAssignment(in, Groups(roundRobin(in), in.M), SplitEqual, nil)
 }
 
 // AssignUR is uniform assignment + random allocation.
 func AssignUR(in *Instance, r *rng.Rand) Assignment {
-	return heuristic(in, roundRobin(in), randomAlloc, r)
+	return splitAssignment(in, Groups(roundRobin(in), in.M), SplitRandom, r)
 }
 
 // AssignRU is random assignment + uniform allocation.
 func AssignRU(in *Instance, r *rng.Rand) Assignment {
-	return heuristic(in, randomServers(in, r), equalAlloc, r)
+	return splitAssignment(in, Groups(randomServers(in, r), in.M), SplitEqual, nil)
 }
 
 // AssignRR is random assignment + random allocation.
 func AssignRR(in *Instance, r *rng.Rand) Assignment {
-	return heuristic(in, randomServers(in, r), randomAlloc, r)
+	return splitAssignment(in, Groups(randomServers(in, r), in.M), SplitRandom, r)
 }
 
 // roundRobin maps thread i to server i mod m.
@@ -49,73 +47,6 @@ func randomServers(in *Instance, r *rng.Rand) []int {
 		servers[i] = r.Intn(in.M)
 	}
 	return servers
-}
-
-type allocRule func(fs []utility.Func, budget float64, r *rng.Rand) alloc.Result
-
-func equalAlloc(fs []utility.Func, budget float64, _ *rng.Rand) alloc.Result {
-	return alloc.EqualSplit(fs, budget)
-}
-
-func randomAlloc(fs []utility.Func, budget float64, r *rng.Rand) alloc.Result {
-	return alloc.RandomSplit(fs, budget, r)
-}
-
-// heuristic applies a fixed thread→server map and a per-server allocation
-// rule.
-func heuristic(in *Instance, servers []int, rule allocRule, r *rng.Rand) Assignment {
-	n := in.N()
-	out := NewAssignment(n)
-	copy(out.Server, servers)
-	fs := cappedThreads(in)
-	// Group threads per server.
-	groups := make([][]int, in.M)
-	for i, s := range servers {
-		groups[s] = append(groups[s], i)
-	}
-	for _, group := range groups {
-		if len(group) == 0 {
-			continue
-		}
-		gfs := make([]utility.Func, len(group))
-		for k, i := range group {
-			gfs[k] = fs[i]
-		}
-		res := rule(gfs, in.C, r)
-		for k, i := range group {
-			out.Alloc[i] = res.Alloc[k]
-		}
-	}
-	return out
-}
-
-// AssignBestAlloc keeps a heuristic's thread→server map but replaces its
-// allocation step with the optimal per-server concave allocation. It
-// isolates how much of AA's advantage comes from joint assignment versus
-// allocation alone — the ablation DESIGN.md calls out.
-func AssignBestAlloc(in *Instance, servers []int) Assignment {
-	n := in.N()
-	out := NewAssignment(n)
-	copy(out.Server, servers)
-	fs := cappedThreads(in)
-	groups := make([][]int, in.M)
-	for i, s := range servers {
-		groups[s] = append(groups[s], i)
-	}
-	for _, group := range groups {
-		if len(group) == 0 {
-			continue
-		}
-		gfs := make([]utility.Func, len(group))
-		for k, i := range group {
-			gfs[k] = fs[i]
-		}
-		res := alloc.Concave(gfs, in.C)
-		for k, i := range group {
-			out.Alloc[i] = res.Alloc[k]
-		}
-	}
-	return out
 }
 
 // AssignFixedRequest is the strawman from the paper's introduction:

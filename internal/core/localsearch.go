@@ -3,9 +3,7 @@ package core
 import (
 	"context"
 
-	"aa/internal/alloc"
 	"aa/internal/telemetry"
-	"aa/internal/utility"
 )
 
 // AssignGreedyMarginal is a natural stronger baseline not in the paper:
@@ -20,19 +18,14 @@ import (
 // slower than Algorithm 2 and with no approximation guarantee.
 func AssignGreedyMarginal(in *Instance) Assignment {
 	n, m := in.N(), in.M
-	fs := cappedThreads(in)
 	so := SuperOptimal(in)
 
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
-	standalone := make([]float64, n)
-	for i, f := range fs {
-		standalone[i] = f.Value(so.Alloc[i])
-	}
-	for a := 1; a < n; a++ { // insertion sort desc
-		for b := a; b > 0 && standalone[order[b]] > standalone[order[b-1]]; b-- {
+	for a := 1; a < n; a++ { // insertion sort by standalone utility desc
+		for b := a; b > 0 && so.Value[order[b]] > so.Value[order[b-1]]; b-- {
 			order[b], order[b-1] = order[b-1], order[b]
 		}
 	}
@@ -43,7 +36,7 @@ func AssignGreedyMarginal(in *Instance) Assignment {
 		bestJ, bestDelta, bestTotal := 0, -1.0, 0.0
 		for j := 0; j < m; j++ {
 			cand := append(append([]int(nil), groups[j]...), i)
-			total := groupTotal(in, fs, cand)
+			total := groupTotal(in, cand)
 			if delta := total - totals[j]; delta > bestDelta {
 				bestJ, bestDelta, bestTotal = j, delta, total
 			}
@@ -51,40 +44,12 @@ func AssignGreedyMarginal(in *Instance) Assignment {
 		groups[bestJ] = append(groups[bestJ], i)
 		totals[bestJ] = bestTotal
 	}
-
-	out := NewAssignment(n)
-	for j, group := range groups {
-		applyGroupAllocation(in, fs, group, j, &out)
-	}
-	return out
+	return splitAssignment(in, groups, SplitConcave, nil)
 }
 
 // groupTotal is the optimal utility of a thread group sharing one server.
-func groupTotal(in *Instance, fs []utility.Func, group []int) float64 {
-	if len(group) == 0 {
-		return 0
-	}
-	gfs := make([]utility.Func, len(group))
-	for k, i := range group {
-		gfs[k] = fs[i]
-	}
-	return alloc.Concave(gfs, in.C).Total
-}
-
-// applyGroupAllocation writes a group's optimal allocation into out.
-func applyGroupAllocation(in *Instance, fs []utility.Func, group []int, server int, out *Assignment) {
-	if len(group) == 0 {
-		return
-	}
-	gfs := make([]utility.Func, len(group))
-	for k, i := range group {
-		gfs[k] = fs[i]
-	}
-	res := alloc.Concave(gfs, in.C)
-	for k, i := range group {
-		out.Server[i] = server
-		out.Alloc[i] = res.Alloc[k]
-	}
+func groupTotal(in *Instance, group []int) float64 {
+	return Split(in.Threads, [][]int{group}, []float64{in.C}, SplitConcave, nil, nil)
 }
 
 // PolishAllocations keeps an assignment's thread→server map but
@@ -93,20 +58,11 @@ func applyGroupAllocation(in *Instance, fs []utility.Func, group []int, server i
 // linearized surrogates; polishing reclaims whatever the surrogate left
 // behind (including server residuals the linearized greedy never
 // assigns). Utility never decreases, and the α guarantee is preserved
-// because the input assignment stays feasible.
+// because the input assignment stays feasible. Applied to a heuristic's
+// placement, it isolates how much of AA's advantage comes from joint
+// assignment versus allocation alone (the ext-ablation study).
 func PolishAllocations(in *Instance, a Assignment) Assignment {
-	n, m := in.N(), in.M
-	fs := cappedThreads(in)
-	out := NewAssignment(n)
-	copy(out.Server, a.Server)
-	groups := make([][]int, m)
-	for i, s := range a.Server {
-		groups[s] = append(groups[s], i)
-	}
-	for j, group := range groups {
-		applyGroupAllocation(in, fs, group, j, &out)
-	}
-	return out
+	return splitAssignment(in, Groups(a.Server, in.M), SplitConcave, nil)
 }
 
 // Improve post-optimizes an assignment by local search with two move
@@ -129,15 +85,10 @@ func Improve(ctx context.Context, in *Instance, a Assignment, maxMoves int) (Ass
 	if maxMoves <= 0 {
 		maxMoves = n * m
 	}
-	fs := cappedThreads(in)
-
-	groups := make([][]int, m)
-	for i, s := range a.Server {
-		groups[s] = append(groups[s], i)
-	}
+	groups := Groups(a.Server, m)
 	totals := make([]float64, m)
 	for j := range groups {
-		totals[j] = groupTotal(in, fs, groups[j])
+		totals[j] = groupTotal(in, groups[j])
 	}
 
 	moves := 0
@@ -150,7 +101,7 @@ func Improve(ctx context.Context, in *Instance, a Assignment, maxMoves int) (Ass
 			}
 			from := serverOf(groups, i)
 			without := removeFrom(groups[from], i)
-			fromTotal := groupTotal(in, fs, without)
+			fromTotal := groupTotal(in, without)
 			bestJ, bestGain := -1, eps
 			var bestToTotal float64
 			for j := 0; j < m; j++ {
@@ -158,7 +109,7 @@ func Improve(ctx context.Context, in *Instance, a Assignment, maxMoves int) (Ass
 					continue
 				}
 				cand := append(append([]int(nil), groups[j]...), i)
-				toTotal := groupTotal(in, fs, cand)
+				toTotal := groupTotal(in, cand)
 				gain := (fromTotal + toTotal) - (totals[from] + totals[j])
 				if gain > bestGain {
 					bestJ, bestGain, bestToTotal = j, gain, toTotal
@@ -177,17 +128,14 @@ func Improve(ctx context.Context, in *Instance, a Assignment, maxMoves int) (Ass
 			if err := ctx.Err(); err != nil {
 				return Assignment{}, moves, err
 			}
-			improved = swapPass(in, fs, groups, totals, &moves, maxMoves, eps)
+			improved = swapPass(in, groups, totals, &moves, maxMoves, eps)
 		}
 		if !improved {
 			break
 		}
 	}
 
-	out := NewAssignment(n)
-	for j, group := range groups {
-		applyGroupAllocation(in, fs, group, j, &out)
-	}
+	out := splitAssignment(in, groups, SplitConcave, nil)
 	if !start.IsZero() {
 		metricLocalSearchMoves.Add(uint64(moves))
 		stageEnd(start, metricLocalSearchSeconds, "core.localsearch", telemetry.SpanContext{}, n)
@@ -197,7 +145,7 @@ func Improve(ctx context.Context, in *Instance, a Assignment, maxMoves int) (Ass
 
 // swapPass applies the first improving pairwise swap it finds, updating
 // groups/totals in place. Returns whether a swap was applied.
-func swapPass(in *Instance, fs []utility.Func, groups [][]int, totals []float64, moves *int, maxMoves int, eps float64) bool {
+func swapPass(in *Instance, groups [][]int, totals []float64, moves *int, maxMoves int, eps float64) bool {
 	m := len(groups)
 	for ja := 0; ja < m; ja++ {
 		for jb := ja + 1; jb < m; jb++ {
@@ -205,8 +153,8 @@ func swapPass(in *Instance, fs []utility.Func, groups [][]int, totals []float64,
 				for _, k := range groups[jb] {
 					aSwap := append(removeFrom(groups[ja], i), k)
 					bSwap := append(removeFrom(groups[jb], k), i)
-					aTotal := groupTotal(in, fs, aSwap)
-					bTotal := groupTotal(in, fs, bSwap)
+					aTotal := groupTotal(in, aSwap)
+					bTotal := groupTotal(in, bSwap)
 					gain := (aTotal + bTotal) - (totals[ja] + totals[jb])
 					if gain > eps {
 						groups[ja] = aSwap

@@ -29,7 +29,7 @@ type SuperOpt struct {
 func SuperOptimal(in *Instance) SuperOpt {
 	w := GetWorkspace()
 	defer PutWorkspace(w)
-	return superOptimalWith(in, w.capFuncs(in), &w.allocSc, nil, nil, 0, false, telemetry.SpanContext{})
+	return superOptimalWith(w.capFuncs(in.Threads, in.C), &w.allocSc, nil, nil, float64(in.M)*in.C, 0, false, telemetry.SpanContext{})
 }
 
 // Linearized is the two-segment utility g_i from Equation 1 of the paper:

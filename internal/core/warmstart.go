@@ -26,9 +26,7 @@ type WarmSeed struct {
 // against it conservative. The returned SuperOpt aliases workspace
 // buffers, like SuperOptimal.
 func (w *Workspace) SuperOptimalWarm(in *Instance, lambdaHint float64) SuperOpt {
-	so := superOptimalWith(in, w.capFuncs(in), &w.allocSc, w.soAlloc, w.soValue, lambdaHint, true, w.span)
-	w.soAlloc, w.soValue = so.Alloc, so.Value
-	return so
+	return w.superOptimal(in.Threads, in.C, float64(in.M)*in.C, lambdaHint, true)
 }
 
 // Assign2Warm repairs a cached Algorithm 2 assignment for an instance
@@ -108,8 +106,10 @@ func heapifyServers(s []serverEntry) {
 	}
 }
 
-// siftDownServer restores the server-heap order below position i.
-func siftDownServer(s []serverEntry, i int) {
+// siftDownServer restores the server-heap order below position i and
+// returns the number of swaps it made.
+func siftDownServer(s []serverEntry, i int) int {
+	swaps := 0
 	for {
 		l, r := 2*i+1, 2*i+2
 		best := i
@@ -120,9 +120,10 @@ func siftDownServer(s []serverEntry, i int) {
 			best = r
 		}
 		if best == i {
-			return
+			return swaps
 		}
 		s[i], s[best] = s[best], s[i]
+		swaps++
 		i = best
 	}
 }

@@ -31,6 +31,7 @@ type Workspace struct {
 
 	// Algorithm 2 scratch.
 	order  []int
+	caps   []float64 // per-server capacities of a homogeneous solve
 	h2     serverHeap
 	byUHat uhatSorter
 	byTail tailSorter
@@ -70,19 +71,16 @@ func PutWorkspace(w *Workspace) {
 	workspacePool.Put(w)
 }
 
-// capFuncs fills the workspace's capped wrappers for the instance and
-// returns them as []utility.Func of pointers into the workspace — the
-// pointer indirection keeps the interface conversion allocation-free.
-func (w *Workspace) capFuncs(in *Instance) []utility.Func {
-	n := in.N()
+// capFuncs fills the workspace's capped wrappers, thread i capped at
+// min(its own cap, c), and returns them as []utility.Func of pointers
+// into the workspace — the pointer indirection keeps the interface
+// conversion allocation-free.
+func (w *Workspace) capFuncs(threads []utility.Func, c float64) []utility.Func {
+	n := len(threads)
 	w.capped = slices.Grow(w.capped[:0], n)[:n]
 	w.fs = slices.Grow(w.fs[:0], n)[:n]
-	for i, f := range in.Threads {
-		c := f.Cap()
-		if c > in.C {
-			c = in.C
-		}
-		w.capped[i] = cappedFunc{f: f, c: c}
+	for i, f := range threads {
+		w.capped[i] = cappedFunc{f: f, c: min(f.Cap(), c)}
 		w.fs[i] = &w.capped[i]
 	}
 	return w.fs
@@ -90,14 +88,15 @@ func (w *Workspace) capFuncs(in *Instance) []utility.Func {
 
 // superOptimalWith is the shared super-optimal implementation: the
 // allocating package-level SuperOptimal and the buffer-reusing Workspace
-// methods (cold and warm) funnel here, so their numerics are identical
-// by construction. lambdaHint > 0 warm-starts the λ-search
-// (see alloc.ConcaveValuesWith); warm selects the warm metric and
-// span name. One alloc pass yields both the per-thread values and F̂,
-// their index-order sum.
-func superOptimalWith(in *Instance, fs []utility.Func, sc *alloc.Scratch, allocDst, valueDst []float64, lambdaHint float64, warm bool, parent telemetry.SpanContext) SuperOpt {
+// methods (cold, warm and AssignCapacities) funnel here, so their
+// numerics are identical by construction. budget is the pooled capacity
+// (m·C for a homogeneous instance). lambdaHint > 0 warm-starts the
+// λ-search (see alloc.ConcaveValuesWith); warm selects the warm metric
+// and span name. One alloc pass yields both the per-thread values and
+// F̂, their index-order sum.
+func superOptimalWith(fs []utility.Func, sc *alloc.Scratch, allocDst, valueDst []float64, budget, lambdaHint float64, warm bool, parent telemetry.SpanContext) SuperOpt {
 	start := stageStart()
-	res, vals := alloc.ConcaveValuesWith(sc, allocDst, valueDst, fs, float64(in.M)*in.C, lambdaHint)
+	res, vals := alloc.ConcaveValuesWith(sc, allocDst, valueDst, fs, budget, lambdaHint)
 	if !start.IsZero() {
 		name := "core.superopt"
 		if warm {
@@ -115,7 +114,13 @@ func superOptimalWith(in *Instance, fs []utility.Func, sc *alloc.Scratch, allocD
 // SuperOptimal is the workspace variant of the package-level SuperOptimal;
 // the returned SuperOpt aliases workspace buffers.
 func (w *Workspace) SuperOptimal(in *Instance) SuperOpt {
-	so := superOptimalWith(in, w.capFuncs(in), &w.allocSc, w.soAlloc, w.soValue, 0, false, w.span)
+	return w.superOptimal(in.Threads, in.C, float64(in.M)*in.C, 0, false)
+}
+
+// superOptimal runs superOptimalWith on the workspace's buffers and keeps
+// them for the next call.
+func (w *Workspace) superOptimal(threads []utility.Func, c, budget, lambdaHint float64, warm bool) SuperOpt {
+	so := superOptimalWith(w.capFuncs(threads, c), &w.allocSc, w.soAlloc, w.soValue, budget, lambdaHint, warm, w.span)
 	w.soAlloc, w.soValue = so.Alloc, so.Value
 	return so
 }
@@ -123,14 +128,32 @@ func (w *Workspace) SuperOptimal(in *Instance) SuperOpt {
 // Linearize is the workspace variant of the package-level Linearize; the
 // returned slice aliases the workspace.
 func (w *Workspace) Linearize(in *Instance, so SuperOpt) []Linearized {
-	w.gs = slices.Grow(w.gs[:0], in.N())[:in.N()]
+	return w.linearize(so, in.C)
+}
+
+func (w *Workspace) linearize(so SuperOpt, c float64) []Linearized {
+	n := len(so.Alloc)
+	w.gs = slices.Grow(w.gs[:0], n)[:n]
 	for i := range w.gs {
-		w.gs[i] = Linearized{UHat: so.Value[i], CHat: so.Alloc[i], C: in.C}
+		w.gs[i] = Linearized{UHat: so.Value[i], CHat: so.Alloc[i], C: c}
 	}
 	if telemetry.Enabled() {
 		metricLinearizeCalls.Inc()
 	}
 	return w.gs
+}
+
+// AssignCapacities runs super-optimal → linearize → Algorithm 2 for
+// servers of capacities caps, the paper's §VIII heterogeneous case: the
+// relaxation shares budget among the threads capped at c, and Algorithm
+// 2 serves them from server residuals that start at caps. A homogeneous
+// instance is caps = (C, …, C), c = C, budget = m·C. It writes the
+// assignment into out and returns the relaxation it linearized, which
+// aliases the workspace.
+func (w *Workspace) AssignCapacities(threads []utility.Func, caps []float64, c, budget float64, out *Assignment) SuperOpt {
+	so := w.superOptimal(threads, c, budget, 0, false)
+	w.assign2(w.linearize(so, c), caps, out)
+	return so
 }
 
 // threadItem is one entry of the fast path's thread priority queues: key
@@ -205,24 +228,7 @@ func serverBefore(a, b serverEntry) bool {
 // returning the number of swaps for the server-ops telemetry.
 func siftTopServer(s []serverEntry, newResidual float64) int {
 	s[0].residual = newResidual
-	swaps := 0
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		best := i
-		if l < len(s) && serverBefore(s[l], s[best]) {
-			best = l
-		}
-		if r < len(s) && serverBefore(s[r], s[best]) {
-			best = r
-		}
-		if best == i {
-			return swaps
-		}
-		s[i], s[best] = s[best], s[i]
-		swaps++
-		i = best
-	}
+	return siftDownServer(s, 0)
 }
 
 // Assign1Linearized is the workspace variant of the package-level fast
@@ -316,7 +322,11 @@ func (w *Workspace) Assign1Linearized(in *Instance, gs []Linearized, out *Assign
 // Assign2Linearized is the workspace variant of the package-level
 // Assign2Linearized, writing the assignment into out.
 func (w *Workspace) Assign2Linearized(in *Instance, gs []Linearized, out *Assignment) {
-	w.assign2(in, gs, TailBySlope, out)
+	w.caps = slices.Grow(w.caps[:0], in.M)[:in.M]
+	for j := range w.caps {
+		w.caps[j] = in.C
+	}
+	w.assign2(gs, w.caps, out)
 }
 
 // uhatSorter orders thread indices by nonincreasing g(ĉ) (Algorithm 2,
@@ -336,21 +346,16 @@ func (s *uhatSorter) Less(a, b int) bool {
 }
 func (s *uhatSorter) Swap(a, b int) { s.order[a], s.order[b] = s.order[b], s.order[a] }
 
-// tailSorter orders the tail (Algorithm 2, line 2) by the ablation's
-// TailOrder: nonincreasing slope (the paper's rule) or nonincreasing ĉ.
+// tailSorter orders the tail by nonincreasing slope (Algorithm 2, line 2).
 type tailSorter struct {
-	order  []int
-	gs     []Linearized
-	byCHat bool
-	cmps   uint64
+	order []int
+	gs    []Linearized
+	cmps  uint64
 }
 
 func (s *tailSorter) Len() int { return len(s.order) }
 func (s *tailSorter) Less(a, b int) bool {
 	s.cmps++
-	if s.byCHat {
-		return s.gs[s.order[a]].CHat > s.gs[s.order[b]].CHat
-	}
 	return s.gs[s.order[a]].Slope() > s.gs[s.order[b]].Slope()
 }
 func (s *tailSorter) Swap(a, b int) { s.order[a], s.order[b] = s.order[b], s.order[a] }

@@ -6,18 +6,18 @@
 // The super-optimal relaxation generalizes directly (pool Σ C_j with
 // per-thread cap max_j C_j), and Algorithm 2's structure — serve threads
 // in order of linearized utility from the server with the most remaining
-// resource — carries over unchanged. The paper's approximation proof
-// does not (Lemmas V.5–V.8 use capacity homogeneity), so the guarantee
-// here is empirical; the tests calibrate it against exact solutions on
-// small instances, and with equal capacities the algorithm reduces
-// exactly to the homogeneous Algorithm 2.
+// resource — carries over unchanged, so this package runs core's
+// Algorithm 2 with each server starting at its own capacity. The paper's
+// approximation proof does not carry over (Lemmas V.5–V.8 use capacity
+// homogeneity), so the guarantee here is empirical; the tests calibrate
+// it against exact solutions on small instances. With equal capacities
+// the algorithm is the homogeneous Algorithm 2.
 package hetero
 
 import (
 	"fmt"
 	"math"
 
-	"aa/internal/alloc"
 	"aa/internal/core"
 	"aa/internal/utility"
 )
@@ -115,45 +115,14 @@ func (a Assignment) Validate(in *Instance, tol float64) error {
 	return nil
 }
 
-// capped restricts a utility to cap (threads can use at most the largest
-// server's capacity in the relaxation, and at most their server's in an
-// assignment).
-type capped struct {
-	f utility.Func
-	c float64
-}
-
-func (cf capped) Value(x float64) float64 {
-	if x > cf.c {
-		x = cf.c
-	}
-	return cf.f.Value(x)
-}
-
-func (cf capped) Deriv(x float64) float64 {
-	if x >= cf.c {
-		return 0
-	}
-	return cf.f.Deriv(x)
-}
-
-func (cf capped) Cap() float64 { return cf.c }
-
-func (cf capped) InverseDeriv(lambda float64) float64 {
-	x := utility.InverseDeriv(cf.f, lambda, 1e-12)
-	if x > cf.c {
-		return cf.c
-	}
-	return x
-}
-
 // SuperOptimal computes the heterogeneous relaxation: allocate the
 // pooled capacity Σ C_j with per-thread cap max_j C_j. Its total is an
-// upper bound on any feasible assignment's utility. Series callers
-// should hold a Workspace and call its method instead.
+// upper bound on any feasible assignment's utility. It runs the whole
+// solve and keeps the bound; Workspace.Assign returns both.
 func SuperOptimal(in *Instance) core.SuperOpt {
 	var w Workspace
-	return w.SuperOptimal(in)
+	var a Assignment
+	return w.assign(in, &a)
 }
 
 // Assign generalizes Algorithm 2: sort threads by linearized utility
@@ -168,35 +137,16 @@ func Assign(in *Instance) Assignment {
 	return out
 }
 
-func argmax(xs []float64) int {
-	best := 0
-	for j := 1; j < len(xs); j++ {
-		if xs[j] > xs[best] {
-			best = j
-		}
-	}
-	return best
-}
-
 // AssignRoundRobin is the heterogeneous analogue of UU: threads go round
 // robin over servers and each server's capacity is split equally — the
 // naive practice that ignores both utilities and capacity skew.
 func AssignRoundRobin(in *Instance) Assignment {
 	n, m := in.N(), in.M()
 	out := Assignment{Server: make([]int, n), Alloc: make([]float64, n)}
-	counts := make([]int, m)
-	for i := 0; i < n; i++ {
+	for i := range out.Server {
 		out.Server[i] = i % m
-		counts[i%m]++
 	}
-	for i := 0; i < n; i++ {
-		s := out.Server[i]
-		share := in.Caps[s] / float64(counts[s])
-		if c := in.Threads[i].Cap(); share > c {
-			share = c
-		}
-		out.Alloc[i] = share
-	}
+	core.Split(in.Threads, core.Groups(out.Server, m), in.Caps, core.SplitEqual, nil, out.Alloc)
 	return out
 }
 
@@ -219,28 +169,7 @@ func AssignProportional(in *Instance) Assignment {
 		out.Server[i] = best
 		counts[best]++
 	}
-	// Optimal concave split within each server.
-	groups := make([][]int, m)
-	for i, s := range out.Server {
-		groups[s] = append(groups[s], i)
-	}
-	for s, group := range groups {
-		if len(group) == 0 {
-			continue
-		}
-		fs := make([]utility.Func, len(group))
-		for k, i := range group {
-			c := in.Threads[i].Cap()
-			if c > in.Caps[s] {
-				c = in.Caps[s]
-			}
-			fs[k] = capped{f: in.Threads[i], c: c}
-		}
-		res := alloc.Concave(fs, in.Caps[s])
-		for k, i := range group {
-			out.Alloc[i] = res.Alloc[k]
-		}
-	}
+	core.Split(in.Threads, core.Groups(out.Server, m), in.Caps, core.SplitConcave, nil, out.Alloc)
 	return out
 }
 
@@ -280,30 +209,9 @@ func Exhaustive(in *Instance) (Assignment, error) {
 	return best, nil
 }
 
+// evaluate is the optimal utility of a fixed thread→server map, and
+// the allocation that attains it.
 func evaluate(in *Instance, servers []int) (float64, []float64) {
-	groups := make([][]int, in.M())
-	for i, s := range servers {
-		groups[s] = append(groups[s], i)
-	}
 	allocs := make([]float64, len(servers))
-	total := 0.0
-	for s, group := range groups {
-		if len(group) == 0 {
-			continue
-		}
-		fs := make([]utility.Func, len(group))
-		for k, i := range group {
-			c := in.Threads[i].Cap()
-			if c > in.Caps[s] {
-				c = in.Caps[s]
-			}
-			fs[k] = capped{f: in.Threads[i], c: c}
-		}
-		res := alloc.Concave(fs, in.Caps[s])
-		total += res.Total
-		for k, i := range group {
-			allocs[i] = res.Alloc[k]
-		}
-	}
-	return total, allocs
+	return core.Split(in.Threads, core.Groups(servers, in.M()), in.Caps, core.SplitConcave, nil, allocs), allocs
 }

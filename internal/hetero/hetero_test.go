@@ -96,19 +96,22 @@ func TestSuperOptimalIsUpperBound(t *testing.T) {
 	}
 }
 
-// With equal capacities the heterogeneous algorithm must match the
-// homogeneous Algorithm 2 exactly.
+// With equal capacities the heterogeneous algorithm is the homogeneous
+// Algorithm 2: the same servers and the same allocation bits.
 func TestReducesToHomogeneousAlgorithm2(t *testing.T) {
 	base := rng.New(4)
-	for trial := 0; trial < 15; trial++ {
+	for trial := 0; trial < 100; trial++ {
 		r := base.Split(uint64(trial))
 		const c = 100.0
 		in := randomInstance(r, 3+r.Intn(15), []float64{c, c, c})
 		coreIn := &core.Instance{M: 3, C: c, Threads: in.Threads}
-		want := core.Assign2(coreIn).Utility(coreIn)
-		got := Assign(in).Utility(in)
-		if math.Abs(got-want) > 1e-9*(1+want) {
-			t.Errorf("trial %d: hetero %v != homogeneous %v", trial, got, want)
+		want := core.Assign2(coreIn)
+		got := Assign(in)
+		for i := range want.Server {
+			if got.Server[i] != want.Server[i] || math.Float64bits(got.Alloc[i]) != math.Float64bits(want.Alloc[i]) {
+				t.Fatalf("trial %d thread %d: hetero (server %d, alloc %v) != homogeneous (server %d, alloc %v)",
+					trial, i, got.Server[i], got.Alloc[i], want.Server[i], want.Alloc[i])
+			}
 		}
 	}
 }

@@ -32,6 +32,8 @@ FLOORS="
 ./internal/engine 85
 ./internal/solverpool 94
 ./internal/instio 85
+./internal/core 89
+./internal/hetero 91
 "
 
 fail=0
