@@ -12,6 +12,7 @@ import (
 	"aa/internal/core"
 	"aa/internal/gen"
 	"aa/internal/rng"
+	"aa/internal/telemetry"
 )
 
 // corpus generates mixed instances across the figure workloads.
@@ -328,7 +329,8 @@ func TestSubmitBackpressure(t *testing.T) {
 
 // TestSolveIntoZeroAllocs pins the steady-state allocation contract of
 // the full pipeline (resolve → telemetry → cancel → check → workspace
-// solve).
+// solve), with telemetry off and with metrics on and tracing off — the
+// configuration aaserve and aarelay run every request in.
 func TestSolveIntoZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -338,15 +340,21 @@ func TestSolveIntoZeroAllocs(t *testing.T) {
 	req := &Request{Instance: in}
 	var resp Response
 	ctx := context.Background()
-	if err := eng.SolveInto(ctx, req, &resp); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(50, func() {
+	for _, metrics := range []bool{false, true} {
+		if metrics {
+			telemetry.Enable()
+		}
 		if err := eng.SolveInto(ctx, req, &resp); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("SolveInto allocates %v per op in steady state, want 0", allocs)
+		allocs := testing.AllocsPerRun(50, func() {
+			if err := eng.SolveInto(ctx, req, &resp); err != nil {
+				t.Fatal(err)
+			}
+		})
+		telemetry.Disable()
+		if allocs != 0 {
+			t.Fatalf("SolveInto (metrics %v) allocates %v per op in steady state, want 0", metrics, allocs)
+		}
 	}
 }

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"sort"
 	"strings"
 	"testing"
 
+	"aa/internal/core"
 	"aa/internal/telemetry"
 )
 
@@ -181,5 +183,89 @@ func TestSubmitPropagatesSpanAcrossPool(t *testing.T) {
 	}
 	if got, want := byName["engine.solve"].Parent, byName["caller.submit"].Span; got != want {
 		t.Errorf("engine.solve parent = %q, want submitting span %q", got, want)
+	}
+}
+
+// traceStructure solves, with tracing on, one instance through a cached
+// engine three times — a checked miss, an exact hit and a warm start on
+// a churned copy — and returns one line per span in emission order:
+// its name, its parent's name and its sorted attribute keys. Span and
+// trace IDs, times and attribute values are left out, so two runs with
+// the same inputs must give the same lines.
+func traceStructure(t *testing.T) []string {
+	t.Helper()
+	telemetry.Enable()
+	defer telemetry.Disable()
+	var buf bytes.Buffer
+	telemetry.SetTraceWriter(&buf)
+	defer telemetry.SetTraceWriter(nil)
+
+	eng, c := newCached(t, 8)
+	ctx := context.Background()
+	ins := corpus(t, 4, 60)
+	in := ins[0]
+	for _, inst := range []*core.Instance{in, in, churn(in, ins[3], 3)} {
+		if _, err := eng.Solve(ctx, &Request{Instance: inst, Check: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := c.Stats(); st.Hits != 1 || st.WarmStarts != 1 {
+		t.Fatalf("want one hit and one warm start, got %+v", st)
+	}
+
+	recs := decodeTrace(t, &buf)
+	names := map[string]string{}
+	for _, r := range recs {
+		names[r.Span] = r.Name
+	}
+	var lines []string
+	for _, r := range recs {
+		if r.Type != "span" {
+			continue
+		}
+		parent := "-"
+		if r.Parent != "" {
+			parent = names[r.Parent]
+		}
+		keys := make([]string, 0, len(r.Attrs))
+		for k := range r.Attrs {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		lines = append(lines, r.Name+" <- "+parent+" ["+strings.Join(keys, ",")+"]")
+	}
+	return lines
+}
+
+// TestTraceStructurePinned pins the span tree of a traced solve through
+// the cache, the check and the warm-start path: names, parent links and
+// attribute keys, in emission order. It runs twice and both runs must
+// match each other and the pinned structure.
+func TestTraceStructurePinned(t *testing.T) {
+	want := []string{
+		// Miss: the cache layer runs the checked inner chain.
+		"core.superopt <- engine.dispatch [n]",
+		"core.assign2 <- engine.dispatch [n]",
+		"engine.dispatch <- engine.cache [backend,ok]",
+		"engine.check <- engine.cache [ok]",
+		"engine.cache <- engine.solve [ok,outcome]",
+		"engine.solve <- - [backend,check,m,n,ok]",
+		// Exact hit: served from the cache layer.
+		"engine.cache <- engine.solve [ok,outcome]",
+		"engine.solve <- - [backend,check,m,n,ok]",
+		// Warm start: the repair runs under the cache span.
+		"core.superopt.warm <- engine.cache [n]",
+		"core.assign2.warm <- engine.cache [n]",
+		"engine.cache <- engine.solve [ok,outcome]",
+		"engine.solve <- - [backend,check,m,n,ok]",
+	}
+	first := traceStructure(t)
+	second := traceStructure(t)
+	if strings.Join(first, "\n") != strings.Join(second, "\n") {
+		t.Fatalf("trace structure differs between runs:\n%s\n--- vs ---\n%s",
+			strings.Join(first, "\n"), strings.Join(second, "\n"))
+	}
+	if strings.Join(first, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("trace structure:\n%s\nwant:\n%s", strings.Join(first, "\n"), strings.Join(want, "\n"))
 	}
 }
