@@ -377,7 +377,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 		defer telemetry.Disable()
 		telemetry.SetTraceWriter(io.Discard)
 		defer telemetry.SetTraceWriter(nil)
-		ctx, span := telemetry.StartSpanCtx(context.Background(), "bench.caller")
+		ctx, span := telemetry.NewStage("bench.caller", nil).Start(context.Background())
 		defer span.End()
 		b.ReportAllocs()
 		b.ResetTimer()

@@ -26,8 +26,8 @@ var (
 	metricRequests    = telemetry.Default.Counter("aa_relay_requests_total")
 	metricRateLimited = telemetry.Default.Counter("aa_relay_rate_limited_total")
 	metricFailovers   = telemetry.Default.Counter("aa_relay_failovers_total")
-	metricNoNodes     = telemetry.Default.Counter("aa_relay_no_nodes_total")
-	metricBusy        = telemetry.Default.Counter("aa_relay_all_busy_total")
+
+	stageForward = telemetry.NewStage("relay.forward", nil)
 )
 
 // admit applies the per-client token bucket; a false return means the
@@ -145,11 +145,9 @@ func (rl *relay) forwardSolve(w http.ResponseWriter, r *http.Request, body []byt
 			// Every node tried or unready. All-busy is backpressure the
 			// client can retry; otherwise the cluster is unreachable.
 			if sawBusy {
-				metricBusy.Inc()
 				w.Header().Set("Retry-After", "1")
 				http.Error(w, "all nodes at capacity, retry later", http.StatusTooManyRequests)
 			} else {
-				metricNoNodes.Inc()
 				http.Error(w, "no ready nodes", http.StatusBadGateway)
 			}
 			return 0, nil, false
@@ -198,23 +196,16 @@ func (rl *relay) forwardSolve(w http.ResponseWriter, r *http.Request, body []byt
 // relay.forward child) and the request ID so one client request is one
 // connected trace tree across relay and nodes.
 func (rl *relay) forwardOnce(r *http.Request, node router.Node, path string, body []byte) (*http.Response, error) {
-	ctx := r.Context()
-	var span telemetry.Span
-	traced := telemetry.TraceEnabled()
-	if traced {
-		ctx, span = telemetry.StartSpanCtx(ctx, "relay.forward",
-			telemetry.String("node", node.Name),
-			telemetry.String("addr", node.Addr))
-	}
+	ctx, sp := stageForward.Start(r.Context())
+	defer sp.End()
+	sp.Str("node", node.Name)
+	sp.Str("addr", node.Addr)
 	url := "http://" + node.Addr + path
 	if q := r.URL.RawQuery; q != "" {
 		url += "?" + q
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
-		if traced {
-			span.End()
-		}
 		return nil, err
 	}
 	if ct := r.Header.Get("Content-Type"); ct != "" {
@@ -227,13 +218,10 @@ func (rl *relay) forwardOnce(r *http.Request, node router.Node, path string, bod
 		req.Header.Set(serveutil.HeaderTraceparent, sc.Traceparent())
 	}
 	resp, err := rl.client.Do(req)
-	if traced {
-		if resp != nil {
-			span.AddAttrs(telemetry.Int("status", resp.StatusCode))
-		}
-		span.AddAttrs(telemetry.Bool("ok", err == nil))
-		span.End()
+	if resp != nil {
+		sp.Int("status", resp.StatusCode)
 	}
+	sp.Bool("ok", err == nil)
 	return resp, err
 }
 
@@ -370,7 +358,6 @@ func (rl *relay) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	node, err := rl.rt.Pick(nil)
 	if err != nil {
-		metricNoNodes.Inc()
 		http.Error(w, "no ready nodes", http.StatusBadGateway)
 		return
 	}

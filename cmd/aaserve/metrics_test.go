@@ -24,30 +24,19 @@ var metricNames = []string{
 	"aa_cache_warm_starts_total counter",
 	"aa_check_total counter",
 	"aa_check_violations_total counter",
-	"aa_core_assign1_fit_checks_total counter",
-	"aa_core_assign1_greedy_passes_total counter",
 	"aa_core_assign1_seconds histogram",
-	"aa_core_assign1_server_ops_total counter",
-	"aa_core_assign1_total counter",
-	"aa_core_assign2_heap_operations_total counter",
 	"aa_core_assign2_seconds histogram",
-	"aa_core_assign2_sort_comparisons_total counter",
 	"aa_core_assign2_total counter",
 	"aa_core_bisection_iterations_total counter",
-	"aa_core_exact_nodes_total counter",
 	"aa_core_linearize_total counter",
-	"aa_core_localsearch_moves_total counter",
 	"aa_core_localsearch_seconds histogram",
 	"aa_core_superopt_seconds histogram",
 	"aa_core_superopt_total counter",
-	"aa_core_superopt_warm_total counter",
-	"aa_core_warm_repairs_total counter",
 	"aa_engine_failures_total counter",
 	"aa_engine_requests_total counter",
 	"aa_engine_solve_latency_seconds histogram",
 	"aa_pool_cancelled_total counter",
 	"aa_pool_completed_total counter",
-	"aa_pool_enqueue_latency_seconds histogram",
 	"aa_pool_failed_total counter",
 	"aa_pool_queue_depth gauge",
 	"aa_pool_rejected_total counter",

@@ -86,6 +86,9 @@ func Parse(fs *flag.FlagSet, args []string, stderr io.Writer) error {
 	return nil
 }
 
+// stageProcess is the root span of a -trace-out run.
+var stageProcess = telemetry.NewStage("process", nil)
+
 // Start turns the parsed common flags on: the metrics endpoint and
 // trace sink via telemetry.Setup, the continuous profiler when
 // ProfileDir is set, and process-wide invariant checking when Check is
@@ -113,11 +116,9 @@ func (c *Common) Start(name string, stderr io.Writer) (func(), error) {
 		}
 		logf("telemetry: writing pprof profiles to %s\n", c.ProfileDir)
 	}
-	var procSpan telemetry.Span
-	if telemetry.TraceEnabled() {
-		procSpan = telemetry.StartSpan("process", telemetry.String("binary", name))
-		telemetry.SetProcessParent(procSpan.Context())
-	}
+	procSpan := stageProcess.StartIn(telemetry.SpanContext{})
+	procSpan.Str("binary", name)
+	telemetry.SetProcessParent(procSpan.Context())
 	if c.Check {
 		check.Enable()
 	}

@@ -87,7 +87,8 @@ func TestStartTraceOutOpensProcessRoot(t *testing.T) {
 	if !telemetry.ProcessParent().Valid() {
 		t.Fatal("Start did not install a process-wide parent span")
 	}
-	telemetry.StartSpan("orphan.work").End()
+	work := telemetry.NewStage("orphan.work", nil).StartIn(telemetry.SpanContext{})
+	work.End()
 	shutdown()
 	if telemetry.TraceEnabled() {
 		t.Error("shutdown left tracing enabled")

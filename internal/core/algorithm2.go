@@ -3,6 +3,8 @@ package core
 import (
 	"slices"
 	"sort"
+
+	"aa/internal/telemetry"
 )
 
 // Assign2 is the paper's Algorithm 2: the O(n (log mC)²) algorithm with
@@ -35,17 +37,14 @@ func Assign2Linearized(in *Instance, gs []Linearized) Assignment {
 // workspace's order slice, sorters and server heap, so steady-state
 // re-solves allocate nothing beyond the caller's out.
 func (w *Workspace) assign2(gs []Linearized, caps []float64, out *Assignment) {
-	start := stageStart()
-	sortCmps := w.order2(gs, len(caps))
+	sp := stageAssign2.StartIn(w.span)
+	w.order2(gs, len(caps))
 	w.serve2(gs, w.order, caps, out)
-	if !start.IsZero() {
-		n := len(gs)
+	if telemetry.Enabled() {
 		metricAssign2Calls.Inc()
-		metricAssign2SortCmps.Add(sortCmps)
-		// n updateTop calls plus every sift-down swap the heap performed.
-		metricAssign2HeapOps.Add(uint64(n) + uint64(w.h2.swaps))
-		stageEnd(start, metricAssign2Seconds, "core.assign2", w.span, n)
 	}
+	sp.Int("n", len(gs))
+	sp.End()
 }
 
 // order2 is Algorithm 2's ordering step: w.order becomes every thread by
@@ -53,8 +52,8 @@ func (w *Workspace) assign2(gs []Linearized, caps []float64, out *Assignment) {
 // re-sorted by nonincreasing ramp slope (line 2). The sorters are
 // concrete sort.Interface values held in the workspace: sort.Stable over
 // them gives the permutation sort.SliceStable would, without its
-// per-call allocations. It returns the number of comparisons made.
-func (w *Workspace) order2(gs []Linearized, m int) uint64 {
+// per-call allocations.
+func (w *Workspace) order2(gs []Linearized, m int) {
 	n := len(gs)
 	w.order = slices.Grow(w.order[:0], n)[:n]
 	order := w.order
@@ -63,13 +62,10 @@ func (w *Workspace) order2(gs []Linearized, m int) uint64 {
 	}
 	w.byUHat = uhatSorter{order: order, gs: gs}
 	sort.Stable(&w.byUHat)
-	cmps := w.byUHat.cmps
 	if n > m {
 		w.byTail = tailSorter{order: order[m:], gs: gs}
 		sort.Stable(&w.byTail)
-		cmps += w.byTail.cmps
 	}
-	return cmps
 }
 
 // serve2 is Algorithm 2's serving step (lines 3–10): server j starts
@@ -99,7 +95,6 @@ type serverEntry struct {
 
 type serverHeap struct {
 	entries []serverEntry
-	swaps   int // sift-down swaps, for the heap-operations telemetry
 }
 
 // reset refills the heap with server j at residual caps[j], reusing the
@@ -111,7 +106,6 @@ func (h *serverHeap) reset(caps []float64) {
 	for j, c := range caps {
 		h.entries[j] = serverEntry{id: j, residual: c}
 	}
-	h.swaps = 0
 	for i := len(caps)/2 - 1; i >= 0; i-- {
 		h.siftDown(i)
 	}
@@ -142,7 +136,6 @@ func (h *serverHeap) siftDown(i int) {
 			return
 		}
 		h.entries[i], h.entries[largest] = h.entries[largest], h.entries[i]
-		h.swaps++
 		i = largest
 	}
 }

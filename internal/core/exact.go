@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"aa/internal/alloc"
-	"aa/internal/telemetry"
 	"aa/internal/utility"
 )
 
@@ -177,9 +176,6 @@ func BranchAndBound(ctx context.Context, in *Instance, maxNodes int) (Assignment
 		return nil
 	}
 	err := recurse(0)
-	if telemetry.Enabled() {
-		metricExactNodes.Add(uint64(nodes))
-	}
 	if err != nil {
 		return Assignment{}, err
 	}

@@ -80,7 +80,7 @@ func PolishAllocations(in *Instance, a Assignment) Assignment {
 // returns ctx.Err() once it is done, so a deadline bounds the wall time
 // of a search that would otherwise run to its local optimum.
 func Improve(ctx context.Context, in *Instance, a Assignment, maxMoves int) (Assignment, int, error) {
-	start := stageStart()
+	sp := stageLocalSearch.StartIn(telemetry.SpanContext{})
 	n, m := in.N(), in.M
 	if maxMoves <= 0 {
 		maxMoves = n * m
@@ -136,10 +136,8 @@ func Improve(ctx context.Context, in *Instance, a Assignment, maxMoves int) (Ass
 	}
 
 	out := splitAssignment(in, groups, SplitConcave, nil)
-	if !start.IsZero() {
-		metricLocalSearchMoves.Add(uint64(moves))
-		stageEnd(start, metricLocalSearchSeconds, "core.localsearch", telemetry.SpanContext{}, n)
-	}
+	sp.Int("n", n)
+	sp.End()
 	return out, moves, nil
 }
 

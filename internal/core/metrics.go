@@ -1,19 +1,16 @@
 package core
 
-import (
-	"time"
+import "aa/internal/telemetry"
 
-	"aa/internal/telemetry"
-)
-
-// Solver-stage metrics (aa_core_*), registered once at init in the
-// process-wide telemetry registry. Recording is guarded by
-// telemetry.Enabled() at every call site, so the disabled path costs a
-// single atomic load per stage; work counters that would burden inner
-// loops are accumulated in locals (or derived arithmetically) and
-// flushed once per call.
+// Solver-stage telemetry (aa_core_*), registered once at init in the
+// process-wide telemetry registry. Each timed stage is a
+// telemetry.Stage: one start/end pair feeds its latency histogram and,
+// when tracing, its span, parented to the request span the engine
+// planted in the workspace (SetSpanContext) or, at package-level entry
+// points, to the process default. With telemetry off a stage costs one
+// atomic load.
 //
-// Naming scheme: aa_core_<stage>_<what>_total for work counters,
+// Naming scheme: aa_core_<stage>_total for call counters,
 // aa_core_<stage>_seconds for stage-latency histograms (see DESIGN.md
 // §7).
 var (
@@ -23,63 +20,17 @@ var (
 	// O(n (log mC)²) complexity claim.
 	metricBisectIters    = telemetry.Default.Counter("aa_core_bisection_iterations_total")
 	metricLinearizeCalls = telemetry.Default.Counter("aa_core_linearize_total")
+	metricAssign2Calls   = telemetry.Default.Counter("aa_core_assign2_total")
 
-	metricAssign1Calls = telemetry.Default.Counter("aa_core_assign1_total")
-	// Greedy passes are Algorithm 1's outer iterations (one per thread).
-	// Fit-checks and server ops count the work each implementation
-	// actually performed, accumulated inside the loops rather than derived
-	// from a formula: the reference scan fit-checks every unassigned
-	// thread against the fullest server (n(n+1)/2 total) and walks all
-	// m−1 other servers per pass, while the heap fast path fit-checks only
-	// the full-queue tops it inspects (≤ 2n total) and counts one server
-	// heap update plus its sift-down swaps per pass. The gap between the
-	// two is the measured face of the O(mn²) → O((n+m) log(n+m)) rewrite.
-	metricAssign1Passes    = telemetry.Default.Counter("aa_core_assign1_greedy_passes_total")
-	metricAssign1FitChecks = telemetry.Default.Counter("aa_core_assign1_fit_checks_total")
-	metricAssign1ServerOps = telemetry.Default.Counter("aa_core_assign1_server_ops_total")
+	superOptSeconds = telemetry.Default.Histogram("aa_core_superopt_seconds", telemetry.LatencyBuckets)
+	assign2Seconds  = telemetry.Default.Histogram("aa_core_assign2_seconds", telemetry.LatencyBuckets)
 
-	metricAssign2Calls = telemetry.Default.Counter("aa_core_assign2_total")
-	// Sort comparisons (lines 1–2 of Algorithm 2) plus heap operations
-	// (one updateTop per thread plus every sift-down swap) — the
-	// observable behind the O(n log n + n log m) assignment phase.
-	metricAssign2SortCmps = telemetry.Default.Counter("aa_core_assign2_sort_comparisons_total")
-	metricAssign2HeapOps  = telemetry.Default.Counter("aa_core_assign2_heap_operations_total")
-
-	// Warm-start re-solve counters: λ-searches seeded from a cached price
-	// and cache-repair passes over changed threads (see internal/cache).
-	metricSuperOptWarm = telemetry.Default.Counter("aa_core_superopt_warm_total")
-	metricWarmRepairs  = telemetry.Default.Counter("aa_core_warm_repairs_total")
-
-	metricExactNodes       = telemetry.Default.Counter("aa_core_exact_nodes_total")
-	metricLocalSearchMoves = telemetry.Default.Counter("aa_core_localsearch_moves_total")
-
-	metricSuperOptSeconds    = telemetry.Default.Histogram("aa_core_superopt_seconds", telemetry.LatencyBuckets)
-	metricAssign1Seconds     = telemetry.Default.Histogram("aa_core_assign1_seconds", telemetry.LatencyBuckets)
-	metricAssign2Seconds     = telemetry.Default.Histogram("aa_core_assign2_seconds", telemetry.LatencyBuckets)
-	metricLocalSearchSeconds = telemetry.Default.Histogram("aa_core_localsearch_seconds", telemetry.LatencyBuckets)
+	stageSuperOpt     = telemetry.NewStage("core.superopt", superOptSeconds)
+	stageSuperOptWarm = telemetry.NewStage("core.superopt.warm", superOptSeconds)
+	stageAssign1      = telemetry.NewStage("core.assign1",
+		telemetry.Default.Histogram("aa_core_assign1_seconds", telemetry.LatencyBuckets))
+	stageAssign2     = telemetry.NewStage("core.assign2", assign2Seconds)
+	stageAssign2Warm = telemetry.NewStage("core.assign2.warm", assign2Seconds)
+	stageLocalSearch = telemetry.NewStage("core.localsearch",
+		telemetry.Default.Histogram("aa_core_localsearch_seconds", telemetry.LatencyBuckets))
 )
-
-// stageStart returns the stage start time when telemetry is on, the
-// zero time otherwise; stageEnd flushes the latency histogram and an
-// optional trace span. The pair keeps the time.Now calls off the
-// disabled path.
-func stageStart() time.Time {
-	if telemetry.Enabled() {
-		return time.Now()
-	}
-	return time.Time{}
-}
-
-// stageEnd flushes the latency histogram and, when tracing is on, a
-// span parented to parent — the request span the engine planted in the
-// workspace (SetSpanContext), or the zero SpanContext at package-level
-// entry points, which falls back to the process-wide parent.
-func stageEnd(start time.Time, h *telemetry.Histogram, span string, parent telemetry.SpanContext, n int) {
-	if start.IsZero() {
-		return
-	}
-	h.Observe(time.Since(start).Seconds())
-	if telemetry.TraceEnabled() {
-		telemetry.EmitSpanIn(parent, span, start, telemetry.Int("n", n))
-	}
-}

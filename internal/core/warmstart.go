@@ -45,7 +45,7 @@ func (w *Workspace) Assign2Warm(in *Instance, seed WarmSeed, out *Assignment) Su
 	so := w.SuperOptimalWarm(in, seed.Lambda)
 	gs := w.Linearize(in, so)
 
-	start := stageStart()
+	sp := stageAssign2Warm.StartIn(w.span)
 	n, m := in.N(), in.M
 	out.Reset(n)
 
@@ -89,11 +89,8 @@ func (w *Workspace) Assign2Warm(in *Instance, seed WarmSeed, out *Assignment) Su
 		siftTopServer(servers, top.residual-amount)
 	}
 	w.order = added[:0]
-
-	if !start.IsZero() {
-		metricWarmRepairs.Inc()
-		stageEnd(start, metricAssign2Seconds, "core.assign2.warm", w.span, len(added))
-	}
+	sp.Int("n", len(added))
+	sp.End()
 	return so
 }
 
@@ -106,10 +103,8 @@ func heapifyServers(s []serverEntry) {
 	}
 }
 
-// siftDownServer restores the server-heap order below position i and
-// returns the number of swaps it made.
-func siftDownServer(s []serverEntry, i int) int {
-	swaps := 0
+// siftDownServer restores the server-heap order below position i.
+func siftDownServer(s []serverEntry, i int) {
 	for {
 		l, r := 2*i+1, 2*i+2
 		best := i
@@ -120,10 +115,9 @@ func siftDownServer(s []serverEntry, i int) int {
 			best = r
 		}
 		if best == i {
-			return swaps
+			return
 		}
 		s[i], s[best] = s[best], s[i]
-		swaps++
 		i = best
 	}
 }

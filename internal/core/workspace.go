@@ -91,23 +91,24 @@ func (w *Workspace) capFuncs(threads []utility.Func, c float64) []utility.Func {
 // methods (cold, warm and AssignCapacities) funnel here, so their
 // numerics are identical by construction. budget is the pooled capacity
 // (m·C for a homogeneous instance). lambdaHint > 0 warm-starts the
-// λ-search (see alloc.ConcaveValuesWith); warm selects the warm metric
-// and span name. One alloc pass yields both the per-thread values and
-// F̂, their index-order sum.
+// λ-search (see alloc.ConcaveValuesWith); warm selects the warm stage.
+// One alloc pass yields both the per-thread values and F̂, their
+// index-order sum.
 func superOptimalWith(fs []utility.Func, sc *alloc.Scratch, allocDst, valueDst []float64, budget, lambdaHint float64, warm bool, parent telemetry.SpanContext) SuperOpt {
-	start := stageStart()
+	stage := stageSuperOpt
+	if warm {
+		stage = stageSuperOptWarm
+	}
+	sp := stage.StartIn(parent)
 	res, vals := alloc.ConcaveValuesWith(sc, allocDst, valueDst, fs, budget, lambdaHint)
-	if !start.IsZero() {
-		name := "core.superopt"
-		if warm {
-			metricSuperOptWarm.Inc()
-			name = "core.superopt.warm"
-		} else {
+	if telemetry.Enabled() {
+		if !warm {
 			metricSuperOptCalls.Inc()
 		}
 		metricBisectIters.Add(uint64(res.Iterations))
-		stageEnd(start, metricSuperOptSeconds, name, parent, len(fs))
 	}
+	sp.Int("n", len(fs))
+	sp.End()
 	return SuperOpt{Alloc: res.Alloc, Value: vals, Total: res.Total, Lambda: res.Lambda}
 }
 
@@ -224,17 +225,16 @@ func serverBefore(a, b serverEntry) bool {
 	return a.residual > b.residual || (a.residual == b.residual && a.id < b.id)
 }
 
-// siftTopServer lowers the top server's residual and restores the heap,
-// returning the number of swaps for the server-ops telemetry.
-func siftTopServer(s []serverEntry, newResidual float64) int {
+// siftTopServer lowers the top server's residual and restores the heap.
+func siftTopServer(s []serverEntry, newResidual float64) {
 	s[0].residual = newResidual
-	return siftDownServer(s, 0)
+	siftDownServer(s, 0)
 }
 
 // Assign1Linearized is the workspace variant of the package-level fast
 // Assign1Linearized, writing the assignment into out (resized as needed).
 func (w *Workspace) Assign1Linearized(in *Instance, gs []Linearized, out *Assignment) {
-	start := stageStart()
+	sp := stageAssign1.StartIn(w.span)
 	n, m := in.N(), in.M
 	out.Reset(n)
 
@@ -264,7 +264,6 @@ func (w *Workspace) Assign1Linearized(in *Instance, gs []Linearized, out *Assign
 	heapifyItems(full)
 	heapifyItems(partial)
 
-	var fitChecks, serverOps uint64
 	for remaining := n; remaining > 0; remaining-- {
 		top := servers[0]
 		maxResidual := top.residual
@@ -276,7 +275,6 @@ func (w *Workspace) Assign1Linearized(in *Instance, gs []Linearized, out *Assign
 		// full candidate is always the true maximum over the threads that
 		// actually still fit.
 		for len(full) > 0 {
-			fitChecks++
 			if gs[full[0].idx].CHat <= maxResidual {
 				break
 			}
@@ -306,17 +304,11 @@ func (w *Workspace) Assign1Linearized(in *Instance, gs []Linearized, out *Assign
 		if newResidual < 0 {
 			newResidual = 0 // float guard
 		}
-		serverOps += uint64(siftTopServer(servers, newResidual)) + 1
+		siftTopServer(servers, newResidual)
 	}
 	w.full, w.partial = full[:0], partial[:0]
-
-	if !start.IsZero() {
-		metricAssign1Calls.Inc()
-		metricAssign1Passes.Add(uint64(n))
-		metricAssign1FitChecks.Add(fitChecks)
-		metricAssign1ServerOps.Add(serverOps)
-		stageEnd(start, metricAssign1Seconds, "core.assign1", w.span, n)
-	}
+	sp.Int("n", n)
+	sp.End()
 }
 
 // Assign2Linearized is the workspace variant of the package-level
@@ -336,12 +328,10 @@ func (w *Workspace) Assign2Linearized(in *Instance, gs []Linearized, out *Assign
 type uhatSorter struct {
 	order []int
 	gs    []Linearized
-	cmps  uint64
 }
 
 func (s *uhatSorter) Len() int { return len(s.order) }
 func (s *uhatSorter) Less(a, b int) bool {
-	s.cmps++
 	return s.gs[s.order[a]].UHat > s.gs[s.order[b]].UHat
 }
 func (s *uhatSorter) Swap(a, b int) { s.order[a], s.order[b] = s.order[b], s.order[a] }
@@ -350,12 +340,10 @@ func (s *uhatSorter) Swap(a, b int) { s.order[a], s.order[b] = s.order[b], s.ord
 type tailSorter struct {
 	order []int
 	gs    []Linearized
-	cmps  uint64
 }
 
 func (s *tailSorter) Len() int { return len(s.order) }
 func (s *tailSorter) Less(a, b int) bool {
-	s.cmps++
 	return s.gs[s.order[a]].Slope() > s.gs[s.order[b]].Slope()
 }
 func (s *tailSorter) Swap(a, b int) { s.order[a], s.order[b] = s.order[b], s.order[a] }

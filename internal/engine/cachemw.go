@@ -36,14 +36,11 @@ import (
 func withSolveCache(c cache.Cache, warmK int) Middleware {
 	return func(next Handler) Handler {
 		return func(ctx context.Context, req *Request, resp *Response) error {
-			if !telemetry.TraceEnabled() {
-				_, err := cacheSolve(ctx, c, warmK, next, req, resp)
-				return err
-			}
-			ctx, span := telemetry.StartSpanCtx(ctx, "engine.cache")
+			ctx, sp := stageCache.Start(ctx)
 			outcome, err := cacheSolve(ctx, c, warmK, next, req, resp)
-			span.AddAttrs(telemetry.String("outcome", outcome), telemetry.Bool("ok", err == nil))
-			span.End()
+			sp.Str("outcome", outcome)
+			sp.Bool("ok", err == nil)
+			sp.End()
 			return err
 		}
 	}

@@ -52,7 +52,6 @@ import (
 	"aa/internal/cache"
 	"aa/internal/core"
 	"aa/internal/solverpool"
-	"aa/internal/telemetry"
 )
 
 // ErrQueueFull is the backpressure signal from Submit, re-exported from
@@ -244,13 +243,11 @@ func New(opts Options) *Engine {
 // backend, under an engine.dispatch child span when tracing is on so
 // the trace separates queueing/checking overhead from backend time.
 func dispatch(ctx context.Context, req *Request, resp *Response) error {
-	if !telemetry.TraceEnabled() {
-		return req.bk.Handle(ctx, req, resp)
-	}
-	ctx, span := telemetry.StartSpanCtx(ctx, "engine.dispatch", telemetry.String("backend", req.bk.Name))
+	ctx, sp := stageDispatch.Start(ctx)
+	sp.Str("backend", req.bk.Name)
 	err := req.bk.Handle(ctx, req, resp)
-	span.AddAttrs(telemetry.Bool("ok", err == nil))
-	span.End()
+	sp.Bool("ok", err == nil)
+	sp.End()
 	return err
 }
 

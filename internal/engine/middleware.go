@@ -3,18 +3,24 @@ package engine
 import (
 	"context"
 	"math"
-	"time"
 
 	"aa/internal/check"
 	"aa/internal/core"
 	"aa/internal/telemetry"
 )
 
-// Engine-wide latency histogram; the per-backend request/failure
-// counters live on the Backend (created at register time). All of it is
-// recorded only when telemetry is enabled, keeping the disabled path
-// allocation- and syscall-free.
-var engineSolveLat = telemetry.Default.Histogram("aa_engine_solve_latency_seconds", telemetry.LatencyBuckets)
+// The engine's timed layers. engine.solve feeds the engine-wide latency
+// histogram; the per-backend request/failure counters live on the
+// Backend (created at register time). All of it is recorded only when
+// telemetry is enabled, keeping the disabled path allocation- and
+// syscall-free.
+var (
+	stageSolve = telemetry.NewStage("engine.solve",
+		telemetry.Default.Histogram("aa_engine_solve_latency_seconds", telemetry.LatencyBuckets))
+	stageCache    = telemetry.NewStage("engine.cache", nil)
+	stageCheck    = telemetry.NewStage("engine.check", nil)
+	stageDispatch = telemetry.NewStage("engine.dispatch", nil)
+)
 
 // withTelemetry is the outermost layer: it counts every request —
 // including ones that die on cancellation before dispatch — into the
@@ -26,28 +32,22 @@ var engineSolveLat = telemetry.Default.Histogram("aa_engine_solve_latency_second
 // (dispatch, the solver stages, checking) parents under it.
 func withTelemetry(next Handler) Handler {
 	return func(ctx context.Context, req *Request, resp *Response) error {
-		if !telemetry.Enabled() {
-			return next(ctx, req, resp)
-		}
 		bk := req.bk
-		bk.requests.Inc()
-		start := time.Now()
-		var span telemetry.Span
-		if telemetry.TraceEnabled() {
-			attrs := make([]telemetry.Attr, 0, 5)
-			attrs = append(attrs, telemetry.String("backend", bk.Name),
-				telemetry.Int("n", req.Instance.N()), telemetry.Int("m", req.Instance.M))
-			if req.Seed != 0 {
-				attrs = append(attrs, telemetry.Uint64("seed", req.Seed))
-			}
-			attrs = append(attrs, telemetry.Bool("check", req.Check))
-			ctx, span = telemetry.StartSpanCtx(ctx, "engine.solve", attrs...)
+		if telemetry.Enabled() {
+			bk.requests.Inc()
 		}
+		ctx, sp := stageSolve.Start(ctx)
+		sp.Str("backend", bk.Name)
+		sp.Int("n", req.Instance.N())
+		sp.Int("m", req.Instance.M)
+		if req.Seed != 0 {
+			sp.Uint64("seed", req.Seed)
+		}
+		sp.Bool("check", req.Check)
 		err := next(ctx, req, resp)
-		engineSolveLat.Observe(time.Since(start).Seconds())
-		span.AddAttrs(telemetry.Bool("ok", err == nil))
-		span.End()
-		if err != nil {
+		sp.Bool("ok", err == nil)
+		sp.End()
+		if err != nil && telemetry.Enabled() {
 			bk.failures.Inc()
 		}
 		return err
@@ -80,14 +80,11 @@ func withCheck(force bool) Middleware {
 			if err != nil || !(force || req.Check || check.Enabled()) {
 				return err
 			}
-			if !telemetry.TraceEnabled() {
-				return verify(req, resp)
-			}
-			_, span := telemetry.StartSpanCtx(ctx, "engine.check")
-			verr := verify(req, resp)
-			span.AddAttrs(telemetry.Bool("ok", verr == nil))
-			span.End()
-			return verr
+			_, sp := stageCheck.Start(ctx)
+			err = verify(req, resp)
+			sp.Bool("ok", err == nil)
+			sp.End()
+			return err
 		}
 	}
 }

@@ -135,7 +135,7 @@ func TestSolveInheritsCallerSpan(t *testing.T) {
 	eng := New(Options{})
 	in := corpus(t, 1, 20)[0]
 
-	ctx, caller := telemetry.StartSpanCtx(context.Background(), "caller.request")
+	ctx, caller := telemetry.NewStage("caller.request", nil).Start(context.Background())
 	if _, err := eng.Solve(ctx, &Request{Instance: in}); err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestSubmitPropagatesSpanAcrossPool(t *testing.T) {
 	defer eng.Close()
 	in := corpus(t, 1, 20)[0]
 
-	ctx, caller := telemetry.StartSpanCtx(context.Background(), "caller.submit")
+	ctx, caller := telemetry.NewStage("caller.submit", nil).Start(context.Background())
 	if _, err := eng.Submit(ctx, &Request{Instance: in}); err != nil {
 		t.Fatal(err)
 	}

@@ -94,6 +94,9 @@ func Run(spec Spec, seed uint64, workers int) (*Result, error) {
 	return RunContext(context.Background(), spec, seed, workers)
 }
 
+// stagePoint is the trace span around one sweep position.
+var stagePoint = telemetry.NewStage("experiment.point", nil)
+
 // RunContext is Run with cancellation: trials fan out across a
 // solverpool with the given worker count, and a cancelled or expired
 // ctx aborts the remaining trials promptly and returns ctx's error.
@@ -116,13 +119,10 @@ func RunContext(ctx context.Context, spec Spec, seed uint64, workers int) (*Resu
 		// per-figure point counter, and (inside runPoint) a per-point
 		// trial counter — all labeled so a /metrics scrape or a trace
 		// file attributes solver work to the figure that caused it.
-		var span telemetry.Span
-		if telemetry.TraceEnabled() {
-			span = telemetry.StartSpan("experiment.point",
-				telemetry.String("fig", spec.ID),
-				telemetry.Float("param", sp.Param),
-				telemetry.Int("n", sp.N))
-		}
+		span := stagePoint.StartIn(telemetry.SpanContext{})
+		span.Str("fig", spec.ID)
+		span.Float("param", sp.Param)
+		span.Int("n", sp.N)
 		if telemetry.Enabled() {
 			telemetry.Default.Counter(telemetry.Label("aa_experiment_points_total", "fig", spec.ID)).Inc()
 		}

@@ -102,6 +102,13 @@ func (o *solveObserver) middleware() engine.Middleware {
 	}
 }
 
+// The replay's trace spans: one per run and, in remote mode, one per
+// re-solve event (its traceparent links the serving node's spans).
+var (
+	stageRun   = telemetry.NewStage("replay.run", nil)
+	stageEvent = telemetry.NewStage("replay.event", nil)
+)
+
 // Run replays the scenario under the options and returns its report.
 func Run(sc *Scenario, opts RunOptions) (*Report, error) {
 	return run(sc, opts, &solveObserver{})
@@ -124,8 +131,9 @@ func run(sc *Scenario, opts RunOptions, obs *solveObserver) (*Report, error) {
 		tstats = statsOf(events, sc.Horizon)
 	}
 
-	span := telemetry.StartSpan("replay.run",
-		telemetry.String("scenario", sc.Name), telemetry.Int("events", tstats.Events))
+	span := stageRun.StartIn(telemetry.SpanContext{})
+	span.Str("scenario", sc.Name)
+	span.Int("events", tstats.Events)
 	defer span.End()
 
 	var policy online.Policy
@@ -528,12 +536,10 @@ func (p *httpResolve) React(s *online.State, ev online.Event) []int {
 	if err := instio.Encode(&buf, &in); err != nil {
 		return nil
 	}
-	var span telemetry.Span
-	if telemetry.TraceEnabled() {
-		span = telemetry.StartSpanIn(p.parent, "replay.event",
-			telemetry.Int("n", len(ids)), telemetry.Int("m", len(up)))
-		defer span.End()
-	}
+	span := stageEvent.StartIn(p.parent)
+	span.Int("n", len(ids))
+	span.Int("m", len(up))
+	defer span.End()
 	start := time.Now()
 	resp := p.post(buf.Bytes(), span.Context().Traceparent())
 	if resp == nil {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"aa/internal/telemetry"
 )
 
 // The determinism contract (mgpusim idiom): running the same scenario
@@ -197,5 +199,33 @@ func TestRunHTTPRequiresFullResolve(t *testing.T) {
 	sc.Policy = "incremental"
 	if _, err := Run(sc, RunOptions{Seed: 1, Addr: "localhost:0"}); err == nil {
 		t.Fatal("incremental policy against -addr accepted")
+	}
+}
+
+// TestRunCountsIntoTelemetry: with telemetry on, a run adds one to
+// aa_replay_runs_total and its report's event and re-solve counts to
+// aa_replay_events_total and aa_replay_resolves_total, each labelled by
+// scenario.
+func TestRunCountsIntoTelemetry(t *testing.T) {
+	telemetry.Enable()
+	defer telemetry.Disable()
+	sc := shrink(t, "flash")
+	counter := func(name string) *telemetry.Counter {
+		return telemetry.Default.Counter(telemetry.Label(name, "scenario", sc.Name))
+	}
+	runs, events, resolves := counter("aa_replay_runs_total"), counter("aa_replay_events_total"), counter("aa_replay_resolves_total")
+	runs0, events0, resolves0 := runs.Value(), events.Value(), resolves.Value()
+	rep, err := Run(sc, RunOptions{Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := runs.Value() - runs0; got != 1 {
+		t.Errorf("aa_replay_runs_total moved by %d, want 1", got)
+	}
+	if got := events.Value() - events0; got != uint64(rep.Trace.Events) {
+		t.Errorf("aa_replay_events_total moved by %d, report has %d events", got, rep.Trace.Events)
+	}
+	if got := resolves.Value() - resolves0; got != uint64(rep.Solves.Resolves) || got == 0 {
+		t.Errorf("aa_replay_resolves_total moved by %d, report has %d re-solves", got, rep.Solves.Resolves)
 	}
 }

@@ -14,6 +14,9 @@ import (
 	"aa/internal/telemetry"
 )
 
+// stageRequest is the http.request span around every request.
+var stageRequest = telemetry.NewStage("http.request", nil)
+
 // Request/response header names.
 const (
 	HeaderTraceparent = "traceparent"
@@ -75,19 +78,20 @@ func WithObservability(log *slog.Logger, next http.Handler) http.Handler {
 		w.Header().Set(HeaderRequestID, reqID)
 
 		ctx := r.Context()
-		var span telemetry.Span
-		traced := telemetry.TraceEnabled()
-		if traced {
+		if telemetry.TraceEnabled() {
 			if sc, err := telemetry.ParseTraceparent(r.Header.Get(HeaderTraceparent)); err == nil {
 				// The remote caller's span becomes the parent; a missing or
 				// malformed header falls through to the process default.
 				ctx = telemetry.ContextWithSpan(ctx, sc)
 			}
-			ctx, span = telemetry.StartSpanCtx(ctx, "http.request",
-				telemetry.String("method", r.Method),
-				telemetry.String("path", r.URL.Path),
-				telemetry.String("request_id", reqID))
-			w.Header().Set(HeaderTraceparent, span.Context().Traceparent())
+		}
+		ctx, sp := stageRequest.Start(ctx)
+		sp.Str("method", r.Method)
+		sp.Str("path", r.URL.Path)
+		sp.Str("request_id", reqID)
+		sc := sp.Context()
+		if sc.Valid() {
+			w.Header().Set(HeaderTraceparent, sc.Traceparent())
 		}
 
 		sw := &statusWriter{ResponseWriter: w}
@@ -97,10 +101,9 @@ func WithObservability(log *slog.Logger, next http.Handler) http.Handler {
 		}
 		elapsed := time.Since(start)
 
-		if traced {
-			span.AddAttrs(telemetry.Int("status", sw.status), telemetry.Int("bytes", sw.bytes))
-			span.End()
-		}
+		sp.Int("status", sw.status)
+		sp.Int("bytes", sw.bytes)
+		sp.End()
 		attrs := []slog.Attr{
 			slog.String("request_id", reqID),
 			slog.String("method", r.Method),
@@ -110,7 +113,7 @@ func WithObservability(log *slog.Logger, next http.Handler) http.Handler {
 			slog.Duration("duration", elapsed),
 			slog.String("remote", r.RemoteAddr),
 		}
-		if sc := span.Context(); sc.Valid() {
+		if sc.Valid() {
 			attrs = append(attrs,
 				slog.String("trace_id", sc.TraceID.String()),
 				slog.String("span_id", sc.SpanID.String()))

@@ -25,8 +25,8 @@
 //
 //   - Observable. The process-wide telemetry registry carries the pool
 //     metrics (aa_pool_*): submitted/rejected/completed/cancelled/failed
-//     counters, a live queue-depth gauge, and enqueue/run latency
-//     histograms, aggregated across every pool in the process.
+//     counters, a live queue-depth gauge, and a run-latency histogram,
+//     aggregated across every pool in the process.
 package solverpool
 
 import (
@@ -34,7 +34,6 @@ import (
 	"errors"
 	"runtime"
 	"sync"
-	"time"
 
 	"aa/internal/telemetry"
 )
@@ -57,8 +56,10 @@ var (
 	poolCancelled  = telemetry.Default.Counter("aa_pool_cancelled_total")
 	poolFailed     = telemetry.Default.Counter("aa_pool_failed_total")
 	poolQueueDepth = telemetry.Default.Gauge("aa_pool_queue_depth")
-	poolEnqueueLat = telemetry.Default.Histogram("aa_pool_enqueue_latency_seconds", telemetry.LatencyBuckets)
-	poolSolveLat   = telemetry.Default.Histogram("aa_pool_solve_latency_seconds", telemetry.LatencyBuckets)
+	// stageRun times each task; it has no span (the engine's own stages
+	// trace the solve a task runs).
+	stageRun = telemetry.NewStage("",
+		telemetry.Default.Histogram("aa_pool_solve_latency_seconds", telemetry.LatencyBuckets))
 )
 
 // Sentinel errors returned by submission.
@@ -137,13 +138,12 @@ func (p *Pool) worker() {
 // queued (see Task).
 func run(j job) {
 	poolQueueDepth.Add(-1)
+	sp := stageRun.StartIn(telemetry.SpanContext{})
+	err := j.task(j.ctx)
+	sp.End()
 	if !telemetry.Enabled() {
-		_ = j.task(j.ctx)
 		return
 	}
-	start := time.Now()
-	err := j.task(j.ctx)
-	poolSolveLat.Observe(time.Since(start).Seconds())
 	switch {
 	case err == nil:
 		poolCompleted.Inc()
@@ -176,9 +176,7 @@ func (p *Pool) Submit(ctx context.Context, task Task) error {
 	default:
 		if telemetry.Enabled() {
 			poolRejected.Inc()
-			if telemetry.TraceEnabled() {
-				telemetry.Event("pool.reject")
-			}
+			telemetry.Event("pool.reject")
 		}
 		return ErrQueueFull
 	}
@@ -193,19 +191,11 @@ func (p *Pool) Enqueue(ctx context.Context, task Task) error {
 	if p.closed {
 		return ErrClosed
 	}
-	// The blocking wait below IS the backpressure; its duration is the
-	// enqueue-latency histogram. time.Now stays off the disabled path.
-	tele := telemetry.Enabled()
-	var start time.Time
-	if tele {
-		start = time.Now()
-	}
 	select {
 	case p.jobs <- job{ctx: ctx, task: task}:
 		poolQueueDepth.Add(1)
-		if tele {
+		if telemetry.Enabled() {
 			poolSubmitted.Inc()
-			poolEnqueueLat.Observe(time.Since(start).Seconds())
 		}
 		return nil
 	case <-ctx.Done():

@@ -1,9 +1,6 @@
 package telemetry
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // BenchmarkEnabledCheck is the cost every instrumented region pays when
 // telemetry is off: one atomic load and a branch.
@@ -42,18 +39,16 @@ func BenchmarkHistogramObserve(b *testing.B) {
 }
 
 // BenchmarkGuardedObserve is the full hot-path pattern the solver uses:
-// check, time, observe — compared against BenchmarkEnabledCheck it
-// shows what flipping the switch costs.
+// one untraced stage, started and ended — compared against
+// BenchmarkEnabledCheck it shows what flipping the switch costs.
 func BenchmarkGuardedObserve(b *testing.B) {
 	Enable()
 	defer Disable()
-	h := NewHistogram(LatencyBuckets)
-	c := new(Counter)
+	stage := NewStage("bench.stage", NewHistogram(LatencyBuckets))
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if Enabled() {
-			start := time.Now()
-			c.Inc()
-			h.Observe(time.Since(start).Seconds())
-		}
+		sp := stage.StartIn(SpanContext{})
+		sp.Int("n", i)
+		sp.End()
 	}
 }

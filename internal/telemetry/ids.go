@@ -47,8 +47,8 @@ const FlagSampled = 0x01
 
 // SpanContext identifies one span within one trace — the part of a
 // span that crosses process boundaries. It is what context.Context
-// carries between StartSpanCtx calls and what traceparent encodes on
-// the wire.
+// carries between nested Stage.Start calls and what traceparent encodes
+// on the wire.
 type SpanContext struct {
 	TraceID TraceID
 	SpanID  SpanID
@@ -186,14 +186,14 @@ func NewTraceID() TraceID {
 
 // NewRoot returns a fresh root span context: new trace, new span, the
 // sampled flag set. Use it to mint a trace without emitting a span
-// (cliutil's process root goes through StartSpan instead).
+// (cliutil's process root goes through a Stage instead).
 func NewRoot() SpanContext {
 	return SpanContext{TraceID: NewTraceID(), SpanID: NewSpanID(), Flags: FlagSampled}
 }
 
 // procParent is the process-wide default parent: spans started without
-// an explicit parent (StartSpan, the solver-stage EmitSpan sites)
-// become its children instead of isolated roots. cliutil installs the
+// an explicit parent (Stage.StartIn with the zero SpanContext, the
+// solver stages outside an engine request) become its children instead of isolated roots. cliutil installs the
 // per-invocation "process" root span here, which is what links every
 // span of a CLI run into one trace with no per-binary changes.
 var procParent atomic.Pointer[SpanContext]

@@ -5,11 +5,12 @@
 //
 // Design points, in the order they matter:
 //
-//   - Near-zero cost when disabled. The package starts disabled; hot
-//     paths guard their instrumentation behind Enabled(), a single
-//     atomic load, so a binary that never opts in pays one predictable
-//     branch per instrumented region (see BenchmarkEnabledCheck and the
-//     root BenchmarkTelemetryOverhead for the proof).
+//   - Near-zero cost when disabled. The package starts disabled; a
+//     timed layer is a Stage, whose Start returns an inert Span after
+//     one atomic load of Enabled(), so a binary that never opts in pays
+//     one predictable branch per instrumented region (see
+//     BenchmarkEnabledCheck and the root BenchmarkTelemetryOverhead for
+//     the proof).
 //
 //   - Allocation-free on the hot path. Counter.Add, Gauge.Set and
 //     Histogram.Observe are plain atomic operations on pre-allocated
@@ -26,8 +27,12 @@
 //     plus the bounded snapshot ring behind /metrics/history (see
 //     Registry.StartHistory).
 //
+//   - One stage per timed layer. A Stage pairs a span name with the
+//     layer's latency histogram (if it has one); Start/End feed both
+//     over the same interval.
+//
 //   - Request-scoped tracing. Spans carry trace/span/parent identity,
-//     nest through context.Context (StartSpanCtx/SpanFromContext), link
+//     nest through context.Context (Stage.Start/SpanFromContext), link
 //     under a process-wide default parent when no context is at hand
 //     (SetProcessParent), and cross process boundaries as W3C
 //     traceparent headers (SpanContext.Traceparent/ParseTraceparent).

@@ -285,11 +285,15 @@ func TestEnableDisable(t *testing.T) {
 }
 
 func TestTraceSpansAndEvents(t *testing.T) {
+	Enable()
+	defer Disable()
 	var buf bytes.Buffer
 	SetTraceWriter(&buf)
 	defer SetTraceWriter(nil)
-	sp := StartSpan("core.solve", String("fig", "fig1a"), Int("n", 40))
-	Event("pool.reject", Float("depth", 8))
+	sp := NewStage("core.solve", nil).StartIn(SpanContext{})
+	sp.Str("fig", "fig1a")
+	sp.Int("n", 40)
+	Event("pool.reject")
 	sp.End()
 
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
@@ -319,11 +323,13 @@ func TestTraceSpansAndEvents(t *testing.T) {
 }
 
 func TestTraceDisabledIsInert(t *testing.T) {
+	Enable()
+	defer Disable()
 	SetTraceWriter(nil)
 	if TraceEnabled() {
 		t.Fatal("trace enabled with no writer")
 	}
-	sp := StartSpan("should.not.panic")
+	sp := NewStage("should.not.panic", nil).StartIn(SpanContext{})
 	sp.End()
 	Event("also.fine")
 }

@@ -11,17 +11,18 @@ import (
 
 // The trace sink is process-wide, like the registry: spans and events
 // append JSONL records to the writer installed with SetTraceWriter.
-// Writes are serialized by a mutex; with no writer installed, StartSpan
-// and Event are a single atomic pointer load.
+// Writes are serialized by a mutex; with no writer installed, a stage
+// emits no span and Event is a single atomic pointer load.
 //
 // Span records form trees (schema v2, DESIGN.md §12): every span
 // carries a trace ID, its own span ID and its parent's span ID, so a
 // JSONL file — or several files from different processes joined on
 // trace_id — reconstructs into one request tree. Parents propagate
 // three ways, in priority order: explicitly via context.Context
-// (StartSpanCtx), through the process-wide default parent
-// (SetProcessParent, installed by cliutil for every -trace-out run),
-// or not at all, in which case the span roots a fresh trace.
+// (Stage.Start) or a SpanContext (Stage.StartIn), through the
+// process-wide default parent (SetProcessParent, installed by cliutil
+// for every -trace-out run), or not at all, in which case the span
+// roots a fresh trace.
 
 type traceSink struct {
 	mu       sync.Mutex
@@ -83,30 +84,10 @@ func DetachTraceWriter() error {
 	return nil
 }
 
-// TraceEnabled reports whether a trace writer is installed. Hot paths
-// guard span creation behind it.
+// TraceEnabled reports whether a trace writer is installed. Callers
+// guard work that only a trace needs (a ctx lookup, a header parse)
+// behind it; stages check it themselves.
 func TraceEnabled() bool { return sink.Load() != nil }
-
-// Attr is one key/value attribute on a span or event.
-type Attr struct {
-	Key string
-	Val any
-}
-
-// String builds a string attribute.
-func String(k, v string) Attr { return Attr{Key: k, Val: v} }
-
-// Int builds an integer attribute.
-func Int(k string, v int) Attr { return Attr{Key: k, Val: v} }
-
-// Uint64 builds an unsigned integer attribute (seeds, IDs).
-func Uint64(k string, v uint64) Attr { return Attr{Key: k, Val: v} }
-
-// Float builds a float attribute.
-func Float(k string, v float64) Attr { return Attr{Key: k, Val: v} }
-
-// Bool builds a boolean attribute.
-func Bool(k string, v bool) Attr { return Attr{Key: k, Val: v} }
 
 // record is the JSONL schema (v2) shared by spans and events. Times
 // are Unix microseconds; Dur is microseconds and present only on
@@ -141,17 +122,6 @@ func emit(rec record) {
 	_ = s.enc.Encode(rec)
 }
 
-func attrMap(attrs []Attr) map[string]any {
-	if len(attrs) == 0 {
-		return nil
-	}
-	m := make(map[string]any, len(attrs))
-	for _, a := range attrs {
-		m[a.Key] = a.Val
-	}
-	return m
-}
-
 // spanCtxKey carries a SpanContext in a context.Context.
 type spanCtxKey struct{}
 
@@ -169,154 +139,15 @@ func SpanFromContext(ctx context.Context) SpanContext {
 	return sc
 }
 
-// Span is an in-flight trace span. The zero Span (returned when tracing
-// is off) is inert: End is a no-op, Context returns the zero context.
-type Span struct {
-	name   string
-	start  time.Time
-	attrs  []Attr
-	sc     SpanContext
-	parent SpanID
-}
-
-// Context returns the span's identity — what a caller propagates to
-// children, injects into a traceparent header, or logs for
-// correlation.
-func (s *Span) Context() SpanContext { return s.sc }
-
-// AddAttrs appends attributes to an in-flight span (results known only
-// at End time: status codes, error flags). No-op on the inert zero
-// span.
-func (s *Span) AddAttrs(attrs ...Attr) {
-	if s.start.IsZero() {
-		return
-	}
-	s.attrs = append(s.attrs, attrs...)
-}
-
-// newSpan builds a live span under parent (with the usual fallback
-// chain); callers have already checked that a sink is installed.
-func newSpan(parent SpanContext, name string, attrs []Attr) Span {
-	sc, pid := childOf(parent)
-	return Span{name: name, start: time.Now(), attrs: attrs, sc: sc, parent: pid}
-}
-
-// StartSpan opens a span parented to the process-wide default parent
-// (or rooting a fresh trace when none is installed). Callers on hot
-// paths should guard with TraceEnabled() to avoid constructing the
-// attrs slice when tracing is off; StartSpan itself also returns an
-// inert span in that case.
-func StartSpan(name string, attrs ...Attr) Span {
-	if sink.Load() == nil {
-		return Span{}
-	}
-	return newSpan(SpanContext{}, name, attrs)
-}
-
-// StartSpanIn opens a span under an explicit parent span context.
-func StartSpanIn(parent SpanContext, name string, attrs ...Attr) Span {
-	if sink.Load() == nil {
-		return Span{}
-	}
-	return newSpan(parent, name, attrs)
-}
-
-// StartSpanCtx opens a span as a child of whatever span ctx carries
-// (falling back to the process parent, then to a fresh root) and
-// returns ctx re-wrapped to carry the new span, so nested calls build
-// the tree automatically. With tracing off it returns ctx unchanged
-// and the inert zero span — no allocation, one atomic load.
-func StartSpanCtx(ctx context.Context, name string, attrs ...Attr) (context.Context, Span) {
-	if sink.Load() == nil {
-		return ctx, Span{}
-	}
-	s := newSpan(SpanFromContext(ctx), name, attrs)
-	return ContextWithSpan(ctx, s.sc), s
-}
-
-// End closes the span and appends its JSONL record.
-func (s Span) End() {
-	if s.start.IsZero() {
-		return
-	}
-	emit(record{
-		Type:   "span",
-		Name:   s.name,
-		Trace:  s.sc.TraceID.String(),
-		Span:   s.sc.SpanID.String(),
-		Parent: parentHex(s.parent),
-		TS:     s.start.UnixMicro(),
-		Dur:    float64(time.Since(s.start).Nanoseconds()) / 1e3,
-		Attrs:  attrMap(s.attrs),
-	})
-}
-
-func parentHex(id SpanID) string {
-	if id.IsZero() {
-		return ""
-	}
-	return id.String()
-}
-
-// EmitSpan appends a span record for a region that began at start,
-// for callers that track the start time themselves (the solver stages
-// do, to share one time.Now with their latency histograms). The span
-// parents to the process default, like StartSpan.
-func EmitSpan(name string, start time.Time, attrs ...Attr) {
-	EmitSpanIn(SpanContext{}, name, start, attrs...)
-}
-
-// EmitSpanIn is EmitSpan under an explicit parent span context: the
-// solver stages pass the request span planted in their workspace so
-// core.superopt/core.assign* become children of the engine root.
-func EmitSpanIn(parent SpanContext, name string, start time.Time, attrs ...Attr) {
-	if sink.Load() == nil {
-		return
-	}
-	sc, pid := childOf(parent)
-	emit(record{
-		Type:   "span",
-		Name:   name,
-		Trace:  sc.TraceID.String(),
-		Span:   sc.SpanID.String(),
-		Parent: parentHex(pid),
-		TS:     start.UnixMicro(),
-		Dur:    float64(time.Since(start).Nanoseconds()) / 1e3,
-		Attrs:  attrMap(attrs),
-	})
-}
-
 // Event appends an instantaneous JSONL event, tagged with the process
 // default parent's trace/span (when one is installed) so events
 // correlate with the spans around them.
-func Event(name string, attrs ...Attr) {
-	eventIn(ProcessParent(), name, attrs)
-}
-
-// EventCtx appends an instantaneous JSONL event tagged with the span
-// carried by ctx, so the event lands inside the enclosing span.
-func EventCtx(ctx context.Context, name string, attrs ...Attr) {
+func Event(name string) {
 	if sink.Load() == nil {
 		return
 	}
-	sc := SpanFromContext(ctx)
-	if !sc.Valid() {
-		sc = ProcessParent()
-	}
-	eventIn(sc, name, attrs)
-}
-
-func eventIn(sc SpanContext, name string, attrs []Attr) {
-	if sink.Load() == nil {
-		return
-	}
-	rec := record{
-		Type:  "event",
-		Name:  name,
-		TS:    time.Now().UnixMicro(),
-		Attrs: attrMap(attrs),
-	}
-	if sc.Valid() {
+	rec := record{Type: "event", Name: name, TS: time.Now().UnixMicro()}
+	if sc := ProcessParent(); sc.Valid() {
 		rec.Trace = sc.TraceID.String()
 		rec.Span = sc.SpanID.String()
 	}

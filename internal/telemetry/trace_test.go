@@ -114,14 +114,26 @@ func TestNewIDsAreUniqueAndNonzero(t *testing.T) {
 	}
 }
 
+// start opens a span-only stage named name under ctx.
+func start(ctx context.Context, name string) (context.Context, Span) {
+	return NewStage(name, nil).Start(ctx)
+}
+
+// startIn opens a span-only stage named name under parent.
+func startIn(parent SpanContext, name string) Span {
+	return NewStage(name, nil).StartIn(parent)
+}
+
 func TestSpanTreeLinkage(t *testing.T) {
+	Enable()
+	defer Disable()
 	var buf bytes.Buffer
 	SetTraceWriter(&buf)
 	defer SetTraceWriter(nil)
 
-	ctx, root := StartSpanCtx(context.Background(), "root")
-	ctx2, child := StartSpanCtx(ctx, "child")
-	_, grandchild := StartSpanCtx(ctx2, "grandchild")
+	ctx, root := start(context.Background(), "root")
+	ctx2, child := start(ctx, "child")
+	_, grandchild := start(ctx2, "grandchild")
 	grandchild.End()
 	child.End()
 	root.End()
@@ -155,19 +167,21 @@ func TestSpanTreeLinkage(t *testing.T) {
 }
 
 func TestProcessParentLinksOrphans(t *testing.T) {
+	Enable()
+	defer Disable()
 	var buf bytes.Buffer
 	SetTraceWriter(&buf)
 	defer SetTraceWriter(nil)
 
-	proc := StartSpan("process")
+	proc := startIn(SpanContext{}, "process")
 	SetProcessParent(proc.Context())
 	defer SetProcessParent(SpanContext{})
 
-	orphan := StartSpan("solver.stage")
+	orphan := startIn(SpanContext{}, "solver.stage")
 	orphan.End()
 	Event("pool.reject")
 	SetProcessParent(SpanContext{})
-	fresh := StartSpan("fresh.root")
+	fresh := startIn(SpanContext{}, "fresh.root")
 	fresh.End()
 	proc.End()
 
@@ -195,52 +209,78 @@ func TestProcessParentLinksOrphans(t *testing.T) {
 	}
 }
 
-func TestStartSpanCtxDisabledIsInert(t *testing.T) {
-	SetTraceWriter(nil)
+// TestStageDisabledIsInert: with telemetry off a stage leaves ctx
+// alone, returns an inert span and records nothing, even with a trace
+// writer installed.
+func TestStageDisabledIsInert(t *testing.T) {
+	Disable()
+	var buf bytes.Buffer
+	SetTraceWriter(&buf)
+	defer SetTraceWriter(nil)
+	h := NewHistogram(LatencyBuckets)
 	ctx := context.Background()
-	ctx2, sp := StartSpanCtx(ctx, "off")
+	ctx2, sp := NewStage("off", h).Start(ctx)
 	if ctx2 != ctx {
-		t.Error("StartSpanCtx rewrapped ctx with tracing off")
+		t.Error("Start rewrapped ctx with telemetry off")
 	}
 	if sp.Context().Valid() {
 		t.Error("inert span has a valid context")
 	}
-	sp.AddAttrs(Int("n", 1)) // must not panic
+	sp.Int("n", 1) // must not panic
 	sp.End()
+	if h.Count() != 0 || buf.Len() != 0 {
+		t.Errorf("disabled stage recorded: %d observations, trace %q", h.Count(), buf.String())
+	}
 	if SpanFromContext(ctx).Valid() {
 		t.Error("empty ctx carries a span")
 	}
 }
 
-func TestEventCtxTagsEnclosingSpan(t *testing.T) {
+// TestStageFeedsHistogramWithoutTracing: with metrics on and no trace
+// writer a stage observes its histogram once per End, carries no span
+// context, and setting attributes allocates nothing. A histogram-only
+// stage (no name) never emits a span, even while tracing.
+func TestStageFeedsHistogramWithoutTracing(t *testing.T) {
+	Enable()
+	defer Disable()
+	h := NewHistogram(LatencyBuckets)
+	stage := NewStage("timed", h)
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(100, func() {
+		ctx2, sp := stage.Start(ctx)
+		sp.Int("n", 1<<20)
+		sp.Str("outcome", "miss")
+		sp.End()
+		if ctx2 != ctx || sp.Context().Valid() {
+			t.Fatal("untraced stage carries a span")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("untraced stage allocates %v per op, want 0", allocs)
+	}
+	if h.Count() != 101 {
+		t.Errorf("histogram count %d, want 101", h.Count())
+	}
+
 	var buf bytes.Buffer
 	SetTraceWriter(&buf)
 	defer SetTraceWriter(nil)
-
-	ctx, sp := StartSpanCtx(context.Background(), "enclosing")
-	EventCtx(ctx, "inner.event")
+	hOnly := NewHistogram(LatencyBuckets)
+	sp := NewStage("", hOnly).StartIn(SpanContext{})
 	sp.End()
-
-	recs := decodeRecords(t, &buf)
-	byName := map[string]map[string]any{}
-	for _, r := range recs {
-		byName[str(r, "name")] = r
-	}
-	sc := sp.Context()
-	if got := str(byName["inner.event"], "trace_id"); got != sc.TraceID.String() {
-		t.Errorf("event trace_id = %q, want %q", got, sc.TraceID.String())
-	}
-	if got := str(byName["inner.event"], "span_id"); got != sc.SpanID.String() {
-		t.Errorf("event span_id = %q, want enclosing span %q", got, sc.SpanID.String())
+	if hOnly.Count() != 1 || buf.Len() != 0 {
+		t.Errorf("histogram-only stage: %d observations, trace %q", hOnly.Count(), buf.String())
 	}
 }
 
 func TestDetachTraceWriterFlushesBuffered(t *testing.T) {
+	Enable()
+	defer Disable()
 	var raw bytes.Buffer
 	bw := bufio.NewWriter(&raw)
 	SetTraceWriter(bw)
 
-	sp := StartSpan("buffered.span")
+	sp := startIn(SpanContext{}, "buffered.span")
 	sp.End()
 	if err := DetachTraceWriter(); err != nil {
 		t.Fatalf("DetachTraceWriter: %v", err)
@@ -253,7 +293,8 @@ func TestDetachTraceWriterFlushesBuffered(t *testing.T) {
 		t.Fatalf("flushed records = %v, want the buffered span", recs)
 	}
 	// Emitting after detach drops whole records — nothing new appears.
-	StartSpan("dropped").End()
+	dropped := startIn(SpanContext{}, "dropped")
+	dropped.End()
 	Event("dropped.event")
 	if got := len(decodeRecords(t, &raw)); got != 1 {
 		t.Fatalf("post-detach emits leaked: %d records", got)
@@ -264,13 +305,20 @@ func TestDetachTraceWriterFlushesBuffered(t *testing.T) {
 	}
 }
 
-func TestEmitSpanInLinksParent(t *testing.T) {
+// TestStageStartInLinksParent: a stage started under an explicit parent
+// span context (how the solver stages parent to the request span in
+// their workspace) links to it and carries its attributes.
+func TestStageStartInLinksParent(t *testing.T) {
+	Enable()
+	defer Disable()
 	var buf bytes.Buffer
 	SetTraceWriter(&buf)
 	defer SetTraceWriter(nil)
 
-	parent := StartSpan("request")
-	EmitSpanIn(parent.Context(), "core.stage", parent.start, Int("n", 7))
+	parent := startIn(SpanContext{}, "request")
+	stage := startIn(parent.Context(), "core.stage")
+	stage.Int("n", 7)
+	stage.End()
 	parent.End()
 
 	recs := decodeRecords(t, &buf)

@@ -72,7 +72,8 @@ for want in \
     aa_pool_submitted_total \
     aa_pool_queue_depth \
     aa_pool_solve_latency_seconds_bucket \
-    aa_experiment_points_total; do
+    aa_experiment_points_total \
+    aa_experiment_trials_total; do
     if ! grep -q "^$want" "$metrics" && ! grep -q "^${want}{" "$metrics"; then
         echo "metrics_smoke: MISSING $want" >&2
         status=1

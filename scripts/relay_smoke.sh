@@ -17,8 +17,10 @@
 #   4. Least-loaded routing: with one node's solver pool saturated,
 #      fresh solves must shift to the other nodes — asserted from each
 #      node's own aa_engine_requests_total counters.
-#   5. Rate limiting: a second relay with -rate/-burst must answer 429
-#      with a Retry-After header once the client's bucket is empty.
+#   5. Failover and rate limiting: a second relay that still counts a
+#      stopped node ready must fail over off it, then answer 429 with a
+#      Retry-After header once the client's bucket is empty; its
+#      aa_relay_* and aa_router_* counters must all have moved.
 #   6. One trace tree: the union of the replay client's, the relay's
 #      and every node's JSONL trace files must form a single connected
 #      tree — every parent span resolves in the union, node requests
@@ -226,18 +228,28 @@ for p in "${slow_pids[@]}"; do
     wait "$p" 2>/dev/null || true
 done
 
-# --- 5. Rate limiting on a second relay. ------------------------------
-"$tmpdir/aarelay" -addr 127.0.0.1:0 -nodes "$n3" -rate 0.5 -burst 1 \
-    2>"$tmpdir/relay2.log" &
+# --- 5. Failover and rate limiting on a second relay. ----------------
+# relay2 fronts n2 and n3 and probes only at startup, so it still counts
+# n2 ready after n2 stops: its first request (round-robin starts at n2)
+# meets a refused connection, marks n2 down and fails over to n3. The
+# client's second request finds its token bucket empty.
+"$tmpdir/aarelay" -addr 127.0.0.1:0 -nodes "$n2,$n3" -strategy round-robin \
+    -probe-interval 1h -rate 0.5 -burst 1 2>"$tmpdir/relay2.log" &
 relay2_pid=$!
 pids+=("$relay2_pid")
 relay2="$(wait_addr "$tmpdir/relay2.log" "$relay2_pid")"
+kill -TERM "$n2_pid" 2>/dev/null || true
+wait "$n2_pid" 2>/dev/null || {
+    echo "relay_smoke: restarted n2 did not drain cleanly after SIGTERM" >&2
+    exit 1
+}
+pids=("$n1_pid" "$n3_pid" "$relay_pid" "$relay2_pid")
 code1="$(curl -s -o /dev/null -w '%{http_code}' -X POST \
     --data-binary @"$tmpdir/repeat.json" "http://$relay2/solve")"
 code2="$(curl -s -D "$tmpdir/limited.headers" -o /dev/null -w '%{http_code}' \
     -X POST --data-binary @"$tmpdir/repeat.json" "http://$relay2/solve")"
 if [ "$code1" != 200 ] || [ "$code2" != 429 ]; then
-    echo "relay_smoke: FAIL: rate limit codes $code1,$code2 (want 200,429)" >&2
+    echo "relay_smoke: FAIL: failover/rate limit codes $code1,$code2 (want 200,429)" >&2
     exit 1
 fi
 grep -iq '^retry-after: [0-9]' "$tmpdir/limited.headers" || {
@@ -245,7 +257,21 @@ grep -iq '^retry-after: [0-9]' "$tmpdir/limited.headers" || {
     cat "$tmpdir/limited.headers" >&2
     exit 1
 }
-echo "relay_smoke: rate limit 429 with Retry-After"
+curl -fsS "http://$relay2/metrics" >"$tmpdir/relay2.metrics"
+for want in \
+    aa_relay_requests_total \
+    aa_relay_failovers_total \
+    aa_relay_rate_limited_total \
+    aa_router_picks_total \
+    aa_router_node_failures_total \
+    aa_router_probes_total; do
+    if ! grep -Eq "^$want [1-9]" "$tmpdir/relay2.metrics"; then
+        echo "relay_smoke: FAIL: $want did not move" >&2
+        grep '^aa_r' "$tmpdir/relay2.metrics" >&2
+        exit 1
+    fi
+done
+echo "relay_smoke: failover off a stopped node, 429 with Retry-After, relay counters moved"
 
 # --- Drain everything so the trace sinks flush. -----------------------
 for p in "${pids[@]}"; do

@@ -5,7 +5,9 @@
 # generates a figure-corpus instance, POSTs it to /solve with checking
 # on, and fails unless the response is a feasible assignment (utility
 # within the super-optimal bound, every thread placed) and the live
-# /metrics exposition shows the engine pipeline counters moving. Ends
+# /metrics exposition shows the engine pipeline counters, the failure
+# counter (after an exhausted node budget) and every solver stage's
+# latency histogram moving. Ends
 # with a SIGTERM and requires a clean drain. Run from the repository
 # root; CI runs it after the metrics smoke.
 set -euo pipefail
@@ -86,7 +88,26 @@ if ! curl -fsS -X POST --data-binary @"$tmpdir/batch.json" \
     exit 1
 fi
 
-# The live exposition must show the engine pipeline counters moving.
+# Algorithm 1 and local search, so every solver stage has run once.
+for backend in a1 ls; do
+    if ! curl -fsS -o /dev/null -X POST --data-binary @"$tmpdir/instance.json" \
+        "http://$addr/solve?backend=$backend"; then
+        echo "serve_smoke: $backend solve failed" >&2
+        exit 1
+    fi
+done
+
+# A branch-and-bound solve over a one-node budget fails inside the
+# engine: a 500, and a counted failure.
+code="$(curl -s -o /dev/null -w '%{http_code}' -X POST \
+    --data-binary @"$tmpdir/instance.json" "http://$addr/solve?backend=exact&maxnodes=1")"
+if [ "$code" != 500 ]; then
+    echo "serve_smoke: exhausted node budget answered $code, want 500" >&2
+    exit 1
+fi
+
+# The live exposition must show the engine pipeline counters and every
+# solver stage's latency histogram moving.
 curl -fsS "http://$addr/metrics" >"$tmpdir/metrics.txt"
 status=0
 for want in \
@@ -99,10 +120,18 @@ for want in \
         status=1
     fi
 done
-if ! grep -E '^aa_engine_requests_total\{backend="assign2"\} [1-9]' "$tmpdir/metrics.txt" >/dev/null; then
-    echo "serve_smoke: assign2 request counter did not move" >&2
-    status=1
-fi
+for moved in \
+    'aa_engine_requests_total\{backend="assign2"\}' \
+    'aa_engine_failures_total\{backend="exact"\}' \
+    aa_core_superopt_seconds_count \
+    aa_core_assign1_seconds_count \
+    aa_core_assign2_seconds_count \
+    aa_core_localsearch_seconds_count; do
+    if ! grep -Eq "^$moved [1-9]" "$tmpdir/metrics.txt"; then
+        echo "serve_smoke: $moved did not move" >&2
+        status=1
+    fi
+done
 if [ "$status" != 0 ]; then
     echo "--- scraped exposition ---" >&2
     cat "$tmpdir/metrics.txt" >&2
