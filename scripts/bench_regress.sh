@@ -55,12 +55,21 @@ if [ "${EMIT_ONLY:-0}" = 1 ]; then
   exit 0
 fi
 
-go run ./cmd/benchgate -speedups -current "$OUT"
+# Run both gates even when the first fails, so one log always shows
+# both outcomes; exit non-zero if either failed.
+speedups=0
+go run ./cmd/benchgate -speedups -current "$OUT" || speedups=$?
 
+compare=0
 if [ -f "$BASELINE" ]; then
   go run ./cmd/benchgate -compare -baseline "$BASELINE" -current "$OUT" \
-    -max-ratio "${MAX_RATIO:-1.20}"
+    -max-ratio "${MAX_RATIO:-1.20}" || compare=$?
 else
   echo "bench_regress: no baseline at $BASELINE; skipping compare" \
     "(commit $OUT as bench/baseline.json to arm the gate)"
+fi
+
+echo "bench_regress: speedup gate exit $speedups, baseline compare exit $compare"
+if [ "$speedups" != 0 ] || [ "$compare" != 0 ]; then
+  exit 1
 fi
