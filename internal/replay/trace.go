@@ -12,6 +12,7 @@ import (
 	"os"
 	"sort"
 
+	"aa/internal/gen"
 	"aa/internal/online"
 	"aa/internal/rng"
 	"aa/internal/utility"
@@ -68,7 +69,7 @@ func Trace(sc *Scenario, seed uint64) ([]online.Event, TraceStats, error) {
 		init := base.SplitPath(streamInitial)
 		batch := make([]online.BatchArrival, k)
 		for i := 0; i < k; i++ {
-			f, err := genThread(dist, sc.Capacity, init.Split(uint64(i)))
+			f, err := gen.Thread(dist, sc.Capacity, init.Split(uint64(i)))
 			if err != nil {
 				return nil, TraceStats{}, fmt.Errorf("replay: initial thread %d utility: %w", i, err)
 			}
@@ -94,7 +95,7 @@ func Trace(sc *Scenario, seed uint64) ([]online.Event, TraceStats, error) {
 		if arr.Float64() >= sc.Arrivals.Rate(t)/lambdaMax {
 			continue
 		}
-		f, err := genThread(dist, sc.Capacity, util.Split(uint64(id)))
+		f, err := gen.Thread(dist, sc.Capacity, util.Split(uint64(id)))
 		if err != nil {
 			return nil, TraceStats{}, fmt.Errorf("replay: thread %d utility: %w", id, err)
 		}
@@ -158,7 +159,7 @@ func Trace(sc *Scenario, seed uint64) ([]online.Event, TraceStats, error) {
 			victim := active[dr.Intn(len(active))]
 			// Draw the re-measured curve from the drift stream itself:
 			// it advances, so repeated drifts of one thread differ.
-			f, err := genThread(dist, sc.Capacity, dr)
+			f, err := gen.Thread(dist, sc.Capacity, dr)
 			if err != nil {
 				return nil, TraceStats{}, fmt.Errorf("replay: drift utility: %w", err)
 			}
@@ -168,22 +169,6 @@ func Trace(sc *Scenario, seed uint64) ([]online.Event, TraceStats, error) {
 
 	sortEvents(events)
 	return events, statsOf(events, sc.Horizon), nil
-}
-
-// genThread mirrors gen.Thread but keeps the draw order explicit so the
-// per-thread stream is self-contained.
-func genThread(dist distSampler, c float64, r *rng.Rand) (utility.Func, error) {
-	v := dist.Sample(r)
-	w := dist.Sample(r)
-	if w > v {
-		v, w = w, v
-	}
-	return utility.NewSampled([]float64{0, c / 2, c}, []float64{0, v, v + w})
-}
-
-// distSampler is the slice of gen.Dist the generator needs.
-type distSampler interface {
-	Sample(r *rng.Rand) float64
 }
 
 // curveVW reconstructs the paper's three-point PCHIP utility through
