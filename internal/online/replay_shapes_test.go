@@ -6,6 +6,7 @@ package online
 // hold assigned threads — exercised here against every policy.
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -190,6 +191,30 @@ func TestLoadsDeterministic(t *testing.T) {
 			if first[j] != again[j] {
 				t.Fatalf("Loads()[%d] changed between calls: %v vs %v", j, first[j], again[j])
 			}
+		}
+	}
+}
+
+// TestLeastLoadedTiesOnRoundOff: two full servers whose loads differ
+// by one ULP are equally loaded, so an arrival lands on the lower id
+// rather than on whichever side the allocation's round-off fell.
+func TestLeastLoadedTiesOnRoundOff(t *testing.T) {
+	const c = 10.0
+	for _, low := range []int{0, 1} {
+		s := NewState(3, c)
+		s.SetServerDown(0, true)
+		for j := 1; j <= 2; j++ {
+			s.add(j, utility.Linear{Slope: 1, C: c})
+			load := c
+			if j == 1+low {
+				load = math.Nextafter(c, 0)
+			}
+			s.SetPlacement(j, Placement{Server: j, Alloc: load})
+		}
+		s.add(3, utility.Linear{Slope: 1, C: c})
+		(Incremental{}).React(s, Event{Kind: Arrive, ID: 3})
+		if p, _ := s.Placement(3); p.Server != 1 {
+			t.Fatalf("one-ULP lighter server %d: arrival went to server %d, want 1 (lowest up id)", 1+low, p.Server)
 		}
 	}
 }
