@@ -249,7 +249,9 @@ func copyResponseHeaders(w http.ResponseWriter, resp *http.Response) {
 // it uncacheable. Mirrors the engine's cacheParams contract: the key is
 // the keyed fingerprint of the body's wire form (cache.CanonicalizeWire)
 // plus the output-relevant parameters, with the seed folded in only for
-// stochastic backends.
+// stochastic backends. A request without a backend is solved by the
+// nodes' -backend default, which the relay does not know: it is keyed
+// under the empty name, apart from every named backend, with its seed.
 func (rl *relay) cacheKey(r *http.Request, body []byte) (cache.Key, *cache.Canonical, bool) {
 	if rl.cache.Mode() == cache.ModeOff {
 		return cache.Key{}, nil, false
@@ -258,15 +260,15 @@ func (rl *relay) cacheKey(r *http.Request, body []byte) (cache.Key, *cache.Canon
 	if q.Get("check") == "1" || q.Get("cache") == "bypass" {
 		return cache.Key{}, nil, false
 	}
-	backend := q.Get("backend")
-	if backend == "" {
-		backend = "a2" // aaserve's default backend flag default
+	var p cache.Params
+	stochastic := true
+	if backend := q.Get("backend"); backend != "" {
+		bk, ok := engine.Lookup(backend)
+		if !ok {
+			return cache.Key{}, nil, false
+		}
+		p.Backend, stochastic = bk.Name, bk.Stochastic
 	}
-	bk, ok := engine.Lookup(backend)
-	if !ok {
-		return cache.Key{}, nil, false
-	}
-	p := cache.Params{Backend: bk.Name}
 	if v := q.Get("maxnodes"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil {
@@ -274,7 +276,7 @@ func (rl *relay) cacheKey(r *http.Request, body []byte) (cache.Key, *cache.Canon
 		}
 		p.MaxNodes = n
 	}
-	if bk.Stochastic {
+	if stochastic {
 		p.Seed = 1 // aaserve's default
 		if v := q.Get("seed"); v != "" {
 			seed, err := strconv.ParseUint(v, 10, 64)

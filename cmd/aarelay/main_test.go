@@ -31,7 +31,8 @@ const demoInstance = `{
 }`
 
 // fakeNode is a minimal aaserve stand-in: a real /solve (through the
-// in-process engine), /readyz, and a solve counter for routing asserts.
+// in-process engine, honouring ?backend= over the node's default),
+// /readyz, and a solve counter for routing asserts.
 type fakeNode struct {
 	srv      *httptest.Server
 	requests atomic.Int64 // /solve requests received
@@ -39,7 +40,11 @@ type fakeNode struct {
 	busy     atomic.Bool // answer 429 on /solve when set
 }
 
-func newFakeNode(t *testing.T) *fakeNode {
+func newFakeNode(t *testing.T) *fakeNode { return newFakeNodeBackend(t, "") }
+
+// newFakeNodeBackend is newFakeNode for a node started with -backend
+// def.
+func newFakeNodeBackend(t *testing.T, def string) *fakeNode {
 	t.Helper()
 	f := &fakeNode{}
 	mux := http.NewServeMux()
@@ -57,7 +62,11 @@ func newFakeNode(t *testing.T) *fakeNode {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		resp, err := engine.Default().Solve(r.Context(), &engine.Request{Instance: in})
+		backend := r.URL.Query().Get("backend")
+		if backend == "" {
+			backend = def
+		}
+		resp, err := engine.Default().Solve(r.Context(), &engine.Request{Instance: in, Backend: backend})
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
@@ -243,6 +252,25 @@ func TestRelaySharedCacheExactHit(t *testing.T) {
 	_, _ = postSolve(t, addr, "?cache=bypass")
 	if n.solves.Load() != before+1 {
 		t.Fatalf("cache=bypass did not reach the node (solves %d)", n.solves.Load())
+	}
+}
+
+// TestRelayCacheKeysAbsentBackendApart: nodes started with -backend
+// greedy answer a request without a backend with greedy's assignment. A
+// repeat of that request is a hit, but a later ?backend=a2 request must
+// reach a node, not be served the greedy answer from the cache.
+func TestRelayCacheKeysAbsentBackendApart(t *testing.T) {
+	n := newFakeNodeBackend(t, "greedy")
+	addr := startRelay(t, "-nodes", n.addr(), "-cache", "shared", "-probe-interval", "1h")
+	_, first := postSolve(t, addr, "")
+	reqs := n.requests.Load()
+	if _, again := postSolve(t, addr, ""); again != first || n.requests.Load() != reqs {
+		t.Fatalf("repeat without a backend: node requests %d -> %d; want a byte-identical relay hit", reqs, n.requests.Load())
+	}
+	resp, _ := postSolve(t, addr, "?backend=a2")
+	if resp.StatusCode != http.StatusOK || n.requests.Load() != reqs+1 {
+		t.Fatalf("?backend=a2 after a default-backend solve = %d, node requests %d -> %d; want it solved by the node",
+			resp.StatusCode, reqs, n.requests.Load())
 	}
 }
 

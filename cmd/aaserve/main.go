@@ -469,7 +469,8 @@ func writeSolveError(w http.ResponseWriter, err error) {
 		status = 499 // client went away; nginx's conventional code
 	case errors.Is(err, engine.ErrUnknownBackend), errors.Is(err, engine.ErrBadRequest):
 		status = http.StatusBadRequest
-	case errors.Is(err, check.ErrInfeasible), errors.Is(err, check.ErrRatio), errors.Is(err, instio.ErrNonFinite):
+	case errors.Is(err, check.ErrInfeasible), errors.Is(err, check.ErrRatio), errors.Is(err, instio.ErrNonFinite),
+		errors.Is(err, core.ErrNodeLimit):
 		status = http.StatusUnprocessableEntity
 	}
 	http.Error(w, err.Error(), status)

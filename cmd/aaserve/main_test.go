@@ -110,6 +110,13 @@ func TestSolveErrors(t *testing.T) {
 		{"/solve?backend=nope", demoInstance, http.StatusBadRequest},
 		{"/solve?deadline=bogus", demoInstance, http.StatusBadRequest},
 		{"/solve?seed=minus", demoInstance, http.StatusBadRequest},
+		// The client's own branch-and-bound budget running out is its
+		// error, not the server's. No split of these knees fills both
+		// servers, so the root's bound cannot prune the search.
+		{"/solve?backend=exact&maxnodes=1", `{"m": 2, "c": 5, "threads": [
+			{"kind": "cappedLinear", "slope": 1, "knee": 3}, {"kind": "cappedLinear", "slope": 1, "knee": 3},
+			{"kind": "cappedLinear", "slope": 1, "knee": 3}, {"kind": "cappedLinear", "slope": 1, "knee": 1}]}`,
+			http.StatusUnprocessableEntity},
 		{"/solve/batch", "[]", http.StatusBadRequest},
 		{"/solve/batch", `[{"m": 0, "c": 1, "threads": []}]`, http.StatusBadRequest},
 		// Bytes after the instance, or after the batch's closing ']',

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"sort"
 	"testing"
@@ -243,8 +244,8 @@ func TestExhaustiveRefusesHugeInstance(t *testing.T) {
 func TestBranchAndBoundNodeLimit(t *testing.T) {
 	r := rng.New(35)
 	in := randomInstance(r, 12, 4, 50)
-	if _, err := BranchAndBound(context.Background(), in, 3); err == nil {
-		t.Error("expected node-limit error")
+	if _, err := BranchAndBound(context.Background(), in, 3); !errors.Is(err, ErrNodeLimit) {
+		t.Errorf("err = %v, want ErrNodeLimit", err)
 	}
 }
 
@@ -632,7 +633,8 @@ func assign2TailBy(in *Instance, gs []Linearized, key func(Linearized) float64) 
 		sort.SliceStable(tail, func(a, b int) bool { return key(gs[tail[a]]) > key(gs[tail[b]]) })
 	}
 	var out Assignment
-	NewWorkspace().serve2(gs, order, in.serverCaps(), &out)
+	w := NewWorkspace()
+	w.serve2(gs, order, w.uniformCaps(in.M, in.C), &out)
 	return out
 }
 

@@ -2,12 +2,14 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
-
-	"aa/internal/alloc"
-	"aa/internal/utility"
 )
+
+// ErrNodeLimit is wrapped by BranchAndBound's error when the search
+// outgrows its node budget: the caller's own limit, not a solver fault.
+var ErrNodeLimit = errors.New("core: branch-and-bound node limit")
 
 // ExactLimit caps the search space of Exhaustive; beyond it the solver
 // refuses rather than burning unbounded CPU (the problem is NP-hard,
@@ -25,14 +27,17 @@ func Exhaustive(in *Instance) (Assignment, error) {
 	if space := symmetricSpace(n, m); space > ExactLimit {
 		return Assignment{}, fmt.Errorf("core: exhaustive search space ~%d exceeds limit %d", space, ExactLimit)
 	}
+	w := GetWorkspace()
+	defer PutWorkspace(w)
 	servers := make([]int, n)
+	allocs := make([]float64, n)
 	best := NewAssignment(n)
 	bestUtil := math.Inf(-1)
 
 	var recurse func(i, maxUsed int)
 	recurse = func(i, maxUsed int) {
 		if i == n {
-			util, allocs := evaluatePartition(in, servers)
+			util := w.evaluatePartition(in, servers, allocs)
 			if util > bestUtil {
 				bestUtil = util
 				copy(best.Server, servers)
@@ -80,10 +85,10 @@ func symmetricSpace(n, m int) int {
 }
 
 // evaluatePartition computes the optimal total utility of a fixed
-// thread→server map by solving each server's concave allocation.
-func evaluatePartition(in *Instance, servers []int) (float64, []float64) {
-	allocs := make([]float64, len(servers))
-	return Split(in.Threads, Groups(servers, in.M), in.serverCaps(), SplitConcave, nil, allocs), allocs
+// thread→server map by solving each server's concave allocation, and
+// writes the allocation that attains it into allocs.
+func (w *Workspace) evaluatePartition(in *Instance, servers []int, allocs []float64) float64 {
+	return w.split(in.Threads, Groups(servers, in.M), w.uniformCaps(in.M, in.C), SplitConcave, nil, allocs)
 }
 
 // BranchAndBound finds an optimal assignment by depth-first search with
@@ -95,16 +100,17 @@ func evaluatePartition(in *Instance, servers []int) (float64, []float64) {
 //
 // both terms of which only over-estimate the achievable utility, so
 // pruning is safe. maxNodes limits the search (0 means ExactLimit);
-// exceeding it returns an error. The search checks ctx every 1024 nodes
-// and returns ctx.Err() once it is done, so a deadline bounds the wall
-// time of a large search, not just its node count.
+// exceeding it returns an error wrapping ErrNodeLimit. The search checks
+// ctx every 1024 nodes and returns ctx.Err() once it is done, so a
+// deadline bounds the wall time of a large search, not just its node
+// count.
 func BranchAndBound(ctx context.Context, in *Instance, maxNodes int) (Assignment, error) {
 	if maxNodes <= 0 {
 		maxNodes = ExactLimit
 	}
 	n, m := in.N(), in.M
-	fs := cappedThreads(in)
-	caps := in.serverCaps()
+	w := GetWorkspace()
+	defer PutWorkspace(w)
 
 	// Explore large consumers first: deeper pruning near the root.
 	so := SuperOptimal(in)
@@ -119,6 +125,8 @@ func BranchAndBound(ctx context.Context, in *Instance, maxNodes int) (Assignment
 	}
 
 	groups := make([][]int, m)
+	servers := make([]int, n)
+	allocs := make([]float64, n)
 	best := NewAssignment(n)
 	bestUtil := math.Inf(-1)
 	nodes := 0
@@ -133,7 +141,7 @@ func BranchAndBound(ctx context.Context, in *Instance, maxNodes int) (Assignment
 	recurse = func(depth int) error {
 		nodes++
 		if nodes > maxNodes {
-			return fmt.Errorf("core: branch-and-bound exceeded %d nodes", maxNodes)
+			return fmt.Errorf("%w: exceeded %d nodes", ErrNodeLimit, maxNodes)
 		}
 		if nodes&1023 == 0 {
 			if err := ctx.Err(); err != nil {
@@ -141,13 +149,12 @@ func BranchAndBound(ctx context.Context, in *Instance, maxNodes int) (Assignment
 			}
 		}
 		if depth == n {
-			servers := make([]int, n)
 			for j, g := range groups {
 				for _, i := range g {
 					servers[i] = j
 				}
 			}
-			util, allocs := evaluatePartition(in, servers)
+			util := w.evaluatePartition(in, servers, allocs)
 			if util > bestUtil {
 				bestUtil = util
 				copy(best.Server, servers)
@@ -155,7 +162,7 @@ func BranchAndBound(ctx context.Context, in *Instance, maxNodes int) (Assignment
 			}
 			return nil
 		}
-		if bound(in, fs, caps, groups, order[depth:]) <= bestUtil+1e-9 {
+		if w.bound(in, groups, order[depth:]) <= bestUtil+1e-9 {
 			return nil
 		}
 		i := order[depth]
@@ -185,14 +192,10 @@ func BranchAndBound(ctx context.Context, in *Instance, maxNodes int) (Assignment
 // bound returns the admissible upper bound for completing a partial
 // assignment: each existing group solved alone on a full server, plus the
 // unassigned threads pooled on the whole cluster.
-func bound(in *Instance, fs []utility.Func, caps []float64, groups [][]int, unassigned []int) float64 {
-	total := Split(in.Threads, groups, caps, SplitConcave, nil, nil)
+func (w *Workspace) bound(in *Instance, groups [][]int, unassigned []int) float64 {
+	total := w.split(in.Threads, groups, w.uniformCaps(in.M, in.C), SplitConcave, nil, nil)
 	if len(unassigned) > 0 {
-		ufs := make([]utility.Func, len(unassigned))
-		for k, i := range unassigned {
-			ufs[k] = fs[i]
-		}
-		total += alloc.Concave(ufs, float64(in.M)*in.C).Total
+		total += w.SplitGroup(in.Threads, unassigned, in.C, float64(in.M)*in.C, SplitConcave, nil).Total
 	}
 	return total
 }

@@ -33,3 +33,34 @@ func TestWorkspaceGrowingInstanceAllocs(t *testing.T) {
 		t.Fatalf("last solve assigned %d threads, want %d", len(out.Server), n-1)
 	}
 }
+
+// TestSplitGroupZeroAllocs pins the per-server split's contract: once
+// the workspace has split a group as large as the next, SplitGroup
+// allocates nothing, and each group's split is bit-identical to Split's
+// share of the same placement.
+func TestSplitGroupZeroAllocs(t *testing.T) {
+	in := randomInstance(rng.New(25), 40, 4, 100)
+	groups := Groups(roundRobin(in), in.M)
+	want := make([]float64, in.N())
+	wantTotal := Split(in.Threads, groups, []float64{in.C, in.C, in.C, in.C}, SplitConcave, nil, want)
+	w := NewWorkspace()
+	split := func() {
+		total := 0.0
+		for _, group := range groups {
+			res := w.SplitGroup(in.Threads, group, in.C, in.C, SplitConcave, nil)
+			total += res.Total
+			for k, i := range group {
+				if res.Alloc[k] != want[i] {
+					t.Fatalf("thread %d: SplitGroup %v, Split %v", i, res.Alloc[k], want[i])
+				}
+			}
+		}
+		if total != wantTotal {
+			t.Fatalf("SplitGroup total %v, Split %v", total, wantTotal)
+		}
+	}
+	split() // size the scratch
+	if allocs := testing.AllocsPerRun(50, split); allocs != 0 {
+		t.Fatalf("SplitGroup allocates %v per group set in steady state, want 0", allocs)
+	}
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 
 	"aa/internal/telemetry"
 )
@@ -30,13 +31,16 @@ func AssignGreedyMarginal(in *Instance) Assignment {
 		}
 	}
 
+	w := GetWorkspace()
+	defer PutWorkspace(w)
 	groups := make([][]int, m)
 	totals := make([]float64, m)
+	var cand []int
 	for _, i := range order {
 		bestJ, bestDelta, bestTotal := 0, -1.0, 0.0
 		for j := 0; j < m; j++ {
-			cand := append(append([]int(nil), groups[j]...), i)
-			total := groupTotal(in, cand)
+			cand = append(append(cand[:0], groups[j]...), i)
+			total := w.SplitGroup(in.Threads, cand, in.C, in.C, SplitConcave, nil).Total
 			if delta := total - totals[j]; delta > bestDelta {
 				bestJ, bestDelta, bestTotal = j, delta, total
 			}
@@ -45,11 +49,6 @@ func AssignGreedyMarginal(in *Instance) Assignment {
 		totals[bestJ] = bestTotal
 	}
 	return splitAssignment(in, groups, SplitConcave, nil)
-}
-
-// groupTotal is the optimal utility of a thread group sharing one server.
-func groupTotal(in *Instance, group []int) float64 {
-	return Split(in.Threads, [][]int{group}, []float64{in.C}, SplitConcave, nil, nil)
 }
 
 // PolishAllocations keeps an assignment's thread→server map but
@@ -85,12 +84,21 @@ func Improve(ctx context.Context, in *Instance, a Assignment, maxMoves int) (Ass
 	if maxMoves <= 0 {
 		maxMoves = n * m
 	}
+	w := GetWorkspace()
+	defer PutWorkspace(w)
+	price := func(group []int) float64 {
+		return w.SplitGroup(in.Threads, group, in.C, in.C, SplitConcave, nil).Total
+	}
 	groups := Groups(a.Server, m)
+	server := slices.Clone(a.Server)
 	totals := make([]float64, m)
 	for j := range groups {
-		totals[j] = groupTotal(in, groups[j])
+		totals[j] = price(groups[j])
 	}
 
+	// cand is the scratch every priced group is built in, in the order
+	// the move would leave it.
+	var cand []int
 	moves := 0
 	const eps = 1e-9
 	for moves < maxMoves {
@@ -99,25 +107,27 @@ func Improve(ctx context.Context, in *Instance, a Assignment, maxMoves int) (Ass
 			if err := ctx.Err(); err != nil {
 				return Assignment{}, moves, err
 			}
-			from := serverOf(groups, i)
-			without := removeFrom(groups[from], i)
-			fromTotal := groupTotal(in, without)
+			from := server[i]
+			at := slices.Index(groups[from], i)
+			cand = append(append(cand[:0], groups[from][:at]...), groups[from][at+1:]...)
+			fromTotal := price(cand)
 			bestJ, bestGain := -1, eps
 			var bestToTotal float64
 			for j := 0; j < m; j++ {
 				if j == from {
 					continue
 				}
-				cand := append(append([]int(nil), groups[j]...), i)
-				toTotal := groupTotal(in, cand)
+				cand = append(append(cand[:0], groups[j]...), i)
+				toTotal := price(cand)
 				gain := (fromTotal + toTotal) - (totals[from] + totals[j])
 				if gain > bestGain {
 					bestJ, bestGain, bestToTotal = j, gain, toTotal
 				}
 			}
 			if bestJ >= 0 {
-				groups[from] = without
+				groups[from] = slices.Delete(groups[from], at, at+1)
 				groups[bestJ] = append(groups[bestJ], i)
+				server[i] = bestJ
 				totals[from] = fromTotal
 				totals[bestJ] = bestToTotal
 				moves++
@@ -128,7 +138,7 @@ func Improve(ctx context.Context, in *Instance, a Assignment, maxMoves int) (Ass
 			if err := ctx.Err(); err != nil {
 				return Assignment{}, moves, err
 			}
-			improved = swapPass(in, groups, totals, &moves, maxMoves, eps)
+			improved = swapPass(groups, totals, server, price, &moves, maxMoves, eps)
 		}
 		if !improved {
 			break
@@ -142,21 +152,25 @@ func Improve(ctx context.Context, in *Instance, a Assignment, maxMoves int) (Ass
 }
 
 // swapPass applies the first improving pairwise swap it finds, updating
-// groups/totals in place. Returns whether a swap was applied.
-func swapPass(in *Instance, groups [][]int, totals []float64, moves *int, maxMoves int, eps float64) bool {
+// groups/totals/server in place. Returns whether a swap was applied.
+func swapPass(groups [][]int, totals []float64, server []int, price func([]int) float64, moves *int, maxMoves int, eps float64) bool {
 	m := len(groups)
+	var cand []int
 	for ja := 0; ja < m; ja++ {
 		for jb := ja + 1; jb < m; jb++ {
-			for _, i := range groups[ja] {
-				for _, k := range groups[jb] {
-					aSwap := append(removeFrom(groups[ja], i), k)
-					bSwap := append(removeFrom(groups[jb], k), i)
-					aTotal := groupTotal(in, aSwap)
-					bTotal := groupTotal(in, bSwap)
+			for ka, i := range groups[ja] {
+				for kb, k := range groups[jb] {
+					// Each side without its thread, the other's appended.
+					a, b := groups[ja], groups[jb]
+					cand = append(append(append(cand[:0], a[:ka]...), a[ka+1:]...), k)
+					aTotal := price(cand)
+					cand = append(append(append(cand[:0], b[:kb]...), b[kb+1:]...), i)
+					bTotal := price(cand)
 					gain := (aTotal + bTotal) - (totals[ja] + totals[jb])
 					if gain > eps {
-						groups[ja] = aSwap
-						groups[jb] = bSwap
+						groups[ja] = append(slices.Delete(a, ka, ka+1), k)
+						groups[jb] = append(slices.Delete(b, kb, kb+1), i)
+						server[i], server[k] = jb, ja
 						totals[ja], totals[jb] = aTotal, bTotal
 						*moves++
 						return true
@@ -169,25 +183,4 @@ func swapPass(in *Instance, groups [][]int, totals []float64, moves *int, maxMov
 		}
 	}
 	return false
-}
-
-func serverOf(groups [][]int, thread int) int {
-	for j, group := range groups {
-		for _, i := range group {
-			if i == thread {
-				return j
-			}
-		}
-	}
-	return -1
-}
-
-func removeFrom(group []int, thread int) []int {
-	out := make([]int, 0, len(group))
-	for _, i := range group {
-		if i != thread {
-			out = append(out, i)
-		}
-	}
-	return out
 }

@@ -153,48 +153,3 @@ func (a Assignment) Validate(in *Instance, tol float64) error {
 	}
 	return nil
 }
-
-// cappedFunc restricts a utility's domain to the server capacity C, so a
-// thread whose Func was defined over a larger domain still respects the
-// model's f : [0, C] → ℝ≥0.
-type cappedFunc struct {
-	f utility.Func
-	c float64
-}
-
-func (cf cappedFunc) Value(x float64) float64 {
-	if x > cf.c {
-		x = cf.c
-	}
-	return cf.f.Value(x)
-}
-
-func (cf cappedFunc) Deriv(x float64) float64 {
-	if x >= cf.c {
-		return 0
-	}
-	return cf.f.Deriv(x)
-}
-
-func (cf cappedFunc) Cap() float64 { return cf.c }
-
-func (cf cappedFunc) InverseDeriv(lambda float64) float64 {
-	x := utility.InverseDeriv(cf.f, lambda, 1e-12)
-	if x > cf.c {
-		return cf.c
-	}
-	return x
-}
-
-// cappedThreads wraps every thread utility so its cap is min(own cap, C).
-func cappedThreads(in *Instance) []utility.Func {
-	fs := make([]utility.Func, in.N())
-	for i, f := range in.Threads {
-		c := f.Cap()
-		if c > in.C {
-			c = in.C
-		}
-		fs[i] = cappedFunc{f: f, c: c}
-	}
-	return fs
-}

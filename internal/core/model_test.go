@@ -92,26 +92,27 @@ func TestNewAssignmentUnassigned(t *testing.T) {
 	}
 }
 
+// TestCappedThreadsRestrictDomain: a thread whose curve was defined
+// over a wider domain than C is capped at C — as a utility.Capped curve
+// and in the workspace's per-server split.
 func TestCappedThreadsRestrictDomain(t *testing.T) {
-	in := &Instance{
-		M: 1,
-		C: 10,
-		Threads: []utility.Func{
-			utility.Linear{Slope: 2, C: 100}, // wider domain than C
-		},
-	}
-	fs := cappedThreads(in)
-	if got := fs[0].Cap(); got != 10 {
+	f := utility.Linear{Slope: 2, C: 100} // wider domain than C
+	capped := utility.Capped{F: f, C: 10}
+	if got := capped.Cap(); got != 10 {
 		t.Errorf("capped Cap() = %v, want 10", got)
 	}
-	if got := fs[0].Value(50); got != 20 {
+	if got := capped.Value(50); got != 20 {
 		t.Errorf("capped Value(50) = %v, want f(10)=20", got)
 	}
-	if got := fs[0].Deriv(10); got != 0 {
+	if got := capped.Deriv(10); got != 0 {
 		t.Errorf("capped Deriv(10) = %v, want 0", got)
 	}
-	if got := fs[0].(utility.DerivInverter).InverseDeriv(1); got != 10 {
+	if got := capped.InverseDeriv(1); got != 10 {
 		t.Errorf("capped InverseDeriv(1) = %v, want 10", got)
+	}
+	res := NewWorkspace().SplitGroup([]utility.Func{f}, []int{0}, 10, 10, SplitConcave, nil)
+	if res.Alloc[0] != 10 || res.Total != 20 {
+		t.Errorf("SplitGroup on a 10-unit server = %v (total %v), want [10] (total 20)", res.Alloc, res.Total)
 	}
 }
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"aa/internal/alloc"
 	"aa/internal/rng"
 	"aa/internal/utility"
@@ -37,36 +39,22 @@ func Groups(servers []int, m int) [][]int {
 // lists them. Servers are visited in ascending id order and empty ones
 // are skipped, so SplitRandom draws from r in that order. Split writes
 // each thread's allocation into allocs when it is non-nil and returns
-// the total utility, summed server by server.
+// the total utility, summed server by server. It runs on a pooled
+// Workspace.
 func Split(threads []utility.Func, groups [][]int, caps []float64, rule SplitRule, r *rng.Rand, allocs []float64) float64 {
-	size := 0
-	for _, group := range groups {
-		size += len(group)
-	}
-	// One backing array for every group's wrappers; fs holds pointers
-	// into it, so no wrapper is boxed on its own.
-	capped := make([]cappedFunc, size)
-	fs := make([]utility.Func, size)
+	w := GetWorkspace()
+	defer PutWorkspace(w)
+	return w.split(threads, groups, caps, rule, r, allocs)
+}
+
+// split is Split on the workspace: one SplitGroup per non-empty server.
+func (w *Workspace) split(threads []utility.Func, groups [][]int, caps []float64, rule SplitRule, r *rng.Rand, allocs []float64) float64 {
 	total := 0.0
 	for j, group := range groups {
 		if len(group) == 0 {
 			continue
 		}
-		gfs := fs[:len(group)]
-		for k, i := range group {
-			capped[k] = cappedFunc{f: threads[i], c: min(threads[i].Cap(), caps[j])}
-			gfs[k] = &capped[k]
-		}
-		capped, fs = capped[len(group):], fs[len(group):]
-		var res alloc.Result
-		switch rule {
-		case SplitEqual:
-			res = alloc.EqualSplit(gfs, caps[j])
-		case SplitRandom:
-			res = alloc.RandomSplit(gfs, caps[j], r)
-		default:
-			res = alloc.Concave(gfs, caps[j])
-		}
+		res := w.SplitGroup(threads, group, caps[j], caps[j], rule, r)
 		total += res.Total
 		if allocs != nil {
 			for k, i := range group {
@@ -75,6 +63,32 @@ func Split(threads []utility.Func, groups [][]int, caps []float64, rule SplitRul
 		}
 	}
 	return total
+}
+
+// SplitGroup is the one per-server split every solver shares: the
+// threads group lists, each capped at min(its own cap, c), share budget
+// by rule, in the order the group lists them. Result.Alloc[k] is
+// thread group[k]'s share. Under SplitConcave the wrappers, the
+// λ-search scratch and the allocation are workspace scratch, so a
+// steady-state call allocates nothing; Result.Alloc is valid until the
+// next call on w.
+func (w *Workspace) SplitGroup(threads []utility.Func, group []int, c, budget float64, rule SplitRule, r *rng.Rand) alloc.Result {
+	n := len(group)
+	w.capped = slices.Grow(w.capped[:0], n)[:n]
+	w.fs = slices.Grow(w.fs[:0], n)[:n]
+	for k, i := range group {
+		w.capped[k] = utility.Capped{F: threads[i], C: min(threads[i].Cap(), c)}
+		w.fs[k] = &w.capped[k]
+	}
+	switch rule {
+	case SplitEqual:
+		return alloc.EqualSplit(w.fs, budget)
+	case SplitRandom:
+		return alloc.RandomSplit(w.fs, budget, r)
+	}
+	res := alloc.ConcaveWith(&w.allocSc, w.dst, w.fs, budget)
+	w.dst = res.Alloc
+	return res
 }
 
 // splitAssignment places groups[j] on server j and splits each server's
@@ -86,15 +100,8 @@ func splitAssignment(in *Instance, groups [][]int, rule SplitRule, r *rng.Rand) 
 			out.Server[i] = j
 		}
 	}
-	Split(in.Threads, groups, in.serverCaps(), rule, r, out.Alloc)
+	w := GetWorkspace()
+	defer PutWorkspace(w)
+	w.split(in.Threads, groups, w.uniformCaps(in.M, in.C), rule, r, out.Alloc)
 	return out
-}
-
-// serverCaps returns every server's capacity: m copies of C.
-func (in *Instance) serverCaps() []float64 {
-	caps := make([]float64, in.M)
-	for j := range caps {
-		caps[j] = in.C
-	}
-	return caps
 }

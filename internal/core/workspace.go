@@ -22,8 +22,9 @@ import (
 // method call on the same Workspace; callers that retain results must copy
 // them or use the allocating package-level functions.
 type Workspace struct {
-	capped  []cappedFunc
+	capped  []utility.Capped
 	fs      []utility.Func // fs[i] = &capped[i]: no per-element boxing
+	dst     []float64      // SplitGroup's allocation
 	soAlloc []float64
 	soValue []float64
 	gs      []Linearized
@@ -31,7 +32,7 @@ type Workspace struct {
 
 	// Algorithm 2 scratch.
 	order  []int
-	caps   []float64 // per-server capacities of a homogeneous solve
+	caps   []float64 // per-server capacities of a homogeneous solve (uniformCaps)
 	h2     serverHeap
 	byUHat uhatSorter
 	byTail tailSorter
@@ -65,7 +66,7 @@ func GetWorkspace() *Workspace { return workspacePool.Get().(*Workspace) }
 // caller objects alive.
 func PutWorkspace(w *Workspace) {
 	for i := range w.capped {
-		w.capped[i].f = nil
+		w.capped[i].F = nil
 	}
 	w.span = telemetry.SpanContext{} // don't leak a request's span to the next borrower
 	workspacePool.Put(w)
@@ -80,7 +81,7 @@ func (w *Workspace) capFuncs(threads []utility.Func, c float64) []utility.Func {
 	w.capped = slices.Grow(w.capped[:0], n)[:n]
 	w.fs = slices.Grow(w.fs[:0], n)[:n]
 	for i, f := range threads {
-		w.capped[i] = cappedFunc{f: f, c: min(f.Cap(), c)}
+		w.capped[i] = utility.Capped{F: f, C: min(f.Cap(), c)}
 		w.fs[i] = &w.capped[i]
 	}
 	return w.fs
@@ -314,11 +315,17 @@ func (w *Workspace) Assign1Linearized(in *Instance, gs []Linearized, out *Assign
 // Assign2Linearized is the workspace variant of the package-level
 // Assign2Linearized, writing the assignment into out.
 func (w *Workspace) Assign2Linearized(in *Instance, gs []Linearized, out *Assignment) {
-	w.caps = slices.Grow(w.caps[:0], in.M)[:in.M]
+	w.assign2(gs, w.uniformCaps(in.M, in.C), out)
+}
+
+// uniformCaps returns m copies of c, the server capacities of a
+// homogeneous instance, in workspace scratch.
+func (w *Workspace) uniformCaps(m int, c float64) []float64 {
+	w.caps = slices.Grow(w.caps[:0], m)[:m]
 	for j := range w.caps {
-		w.caps[j] = in.C
+		w.caps[j] = c
 	}
-	w.assign2(gs, w.caps, out)
+	return w.caps
 }
 
 // uhatSorter orders thread indices by nonincreasing g(ĉ) (Algorithm 2,

@@ -299,7 +299,10 @@ func (e *Engine) lazyPool() (*solverpool.Pool, error) {
 // returns ErrQueueFull when the bounded queue is at capacity (the
 // backpressure signal a service turns into 429/503), ctx.Err() for a
 // dead request, and otherwise waits for the result. The wait honors
-// ctx even while a worker is still chewing.
+// ctx even while a worker is still chewing. A request the pool turns
+// away because its context is already dead still runs through the
+// chain on the caller's goroutine, so the telemetry layer counts it
+// and the cancellation layer fails it before any work.
 func (e *Engine) Submit(ctx context.Context, req *Request) (*Response, error) {
 	type result struct {
 		resp *Response
@@ -316,6 +319,9 @@ func (e *Engine) Submit(ctx context.Context, req *Request) (*Response, error) {
 		return err
 	})
 	if err != nil {
+		if ctx.Err() != nil && errors.Is(err, ctx.Err()) {
+			return e.Solve(ctx, req)
+		}
 		return nil, err
 	}
 	select {

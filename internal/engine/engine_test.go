@@ -327,6 +327,30 @@ func TestSubmitBackpressure(t *testing.T) {
 	eng.Close()
 }
 
+// TestSubmitDeadContextCounted: a request whose deadline has already
+// passed never reaches the pool, but the engine's request and failure
+// counters still count it.
+func TestSubmitDeadContextCounted(t *testing.T) {
+	telemetry.Enable()
+	defer telemetry.Disable()
+	eng := New(Options{Workers: 1})
+	defer eng.Close()
+	bk, _ := Lookup("assign2")
+	requests, failures := bk.requests.Value(), bk.failures.Value()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
+	defer cancel()
+	<-ctx.Done()
+	if _, err := eng.Submit(ctx, &Request{Instance: corpus(t, 1, 4)[0]}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("expired submit returned %v, want context.DeadlineExceeded", err)
+	}
+	if got := bk.requests.Value() - requests; got != 1 {
+		t.Errorf("aa_engine_requests_total moved by %d, want 1", got)
+	}
+	if got := bk.failures.Value() - failures; got != 1 {
+		t.Errorf("aa_engine_failures_total moved by %d, want 1", got)
+	}
+}
+
 // TestSolveIntoZeroAllocs pins the steady-state allocation contract of
 // the full pipeline (resolve → telemetry → cancel → check → workspace
 // solve), with telemetry off and with metrics on and tracing off — the

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"aa/internal/core"
 	"aa/internal/rng"
 	"aa/internal/utility"
 )
@@ -241,5 +242,32 @@ func TestPolicyNames(t *testing.T) {
 	}
 	if got := (Hybrid{Threshold: 0.83}).Name(); got != fmt.Sprintf("hybrid(%.2f)", 0.83) {
 		t.Error(got)
+	}
+}
+
+// TestReallocServerMatchesSplit: re-allocating one server gives every
+// member the bits core.Split gives the same group (its slots in slot
+// order) on a server of capacity C.
+func TestReallocServerMatchesSplit(t *testing.T) {
+	const m, c = 3, 100.0
+	r := rng.New(31)
+	s := NewState(m, c)
+	for id := 0; id < 30; id++ {
+		s.add(3*id+1, randomUtility(r, 1.5*c)) // some curves reach past C
+		s.SetPlacement(3*id+1, Placement{Server: r.Intn(m)})
+	}
+	groups := make([][]int, m)
+	for k, p := range s.pl {
+		groups[p.Server] = append(groups[p.Server], k)
+	}
+	want := make([]float64, s.Len())
+	core.Split(s.Funcs(), groups, []float64{c, c, c}, core.SplitConcave, nil, want)
+	for j := 0; j < m; j++ {
+		s.reallocServer(j)
+	}
+	for k, id := range s.IDs() {
+		if p, _ := s.Placement(id); p.Alloc != want[k] {
+			t.Fatalf("thread %d: reallocServer %v, core.Split %v", id, p.Alloc, want[k])
+		}
 	}
 }

@@ -563,6 +563,39 @@ func (m Min) Cap() float64 {
 	return c
 }
 
+// Capped restricts a utility's domain to [0, C], the model's
+// f : [0, C] → ℝ≥0 for a thread whose F was defined over a larger
+// domain (C no larger than F.Cap()). Every allocation on one server of
+// capacity C runs on Capped curves.
+type Capped struct {
+	F Func
+	C float64
+}
+
+// Value returns F(min(x, C)).
+func (cf Capped) Value(x float64) float64 {
+	if x > cf.C {
+		x = cf.C
+	}
+	return cf.F.Value(x)
+}
+
+// Deriv returns F'(x) inside the domain and 0 from C on.
+func (cf Capped) Deriv(x float64) float64 {
+	if x >= cf.C {
+		return 0
+	}
+	return cf.F.Deriv(x)
+}
+
+// Cap returns C.
+func (cf Capped) Cap() float64 { return cf.C }
+
+// InverseDeriv inverts F' (in closed form when F has one), clamped to C.
+func (cf Capped) InverseDeriv(lambda float64) float64 {
+	return min(InverseDeriv(cf.F, lambda, 1e-12), cf.C)
+}
+
 // Offset adds a constant Base >= 0 to a utility: f(0) > 0 is allowed by
 // the model (the paper only requires nonnegativity).
 type Offset struct {

@@ -1,20 +1,43 @@
 #!/usr/bin/env bash
-# callsites.sh — the call-site rule of DESIGN.md §10: every solve outside
-# internal/core and internal/engine goes through the engine, so no other
-# non-test Go file calls core.Assign1 or core.Assign2 directly. Prints
+# callsites.sh — the call-site rules of DESIGN.md §10. Every solve
+# outside internal/core and internal/engine goes through the engine, so
+# no other non-test Go file calls core.Assign1 or core.Assign2 directly.
+# Every split of a server (or pool) among its threads goes through
+# core's per-server split, so no non-test Go file outside internal/alloc,
+# internal/core and internal/check calls the water-filling allocator
+# (alloc.Concave, ConcaveWith, ConcaveInto, ConcaveValuesWith). Prints
 # each offending line and exits 1 if one appears.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-hits="$(git ls-files '*.go' |
-    grep -v '_test\.go$' |
-    grep -v -e '^internal/core/' -e '^internal/engine/' |
-    xargs grep -nE '\bcore\.Assign[12]\(' |
-    grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)"
+# hits PATTERN DIR... prints the non-comment lines of non-test Go files
+# outside the given directories that match PATTERN.
+hits() {
+    local pattern=$1
+    shift
+    local excl=()
+    for d in "$@"; do
+        excl+=(-e "^$d/")
+    done
+    git ls-files '*.go' |
+        grep -v '_test\.go$' |
+        grep -v "${excl[@]}" |
+        xargs grep -nE "$pattern" |
+        grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true
+}
 
-if [ -n "$hits" ]; then
+status=0
+solve="$(hits '\bcore\.Assign[12]\(' internal/core internal/engine)"
+if [ -n "$solve" ]; then
     echo "callsites: FAIL: direct core.Assign1/core.Assign2 calls outside internal/core and internal/engine (solve through internal/engine):" >&2
-    echo "$hits" >&2
-    exit 1
+    echo "$solve" >&2
+    status=1
 fi
-echo "callsites: ok"
+split="$(hits '\balloc\.Concave(With|Into|ValuesWith)?\(' internal/alloc internal/core internal/check)"
+if [ -n "$split" ]; then
+    echo "callsites: FAIL: alloc.Concave* calls outside internal/alloc, internal/core and internal/check (split through core.Workspace.SplitGroup):" >&2
+    echo "$split" >&2
+    status=1
+fi
+[ "$status" = 0 ] && echo "callsites: ok"
+exit "$status"

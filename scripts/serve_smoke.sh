@@ -98,11 +98,11 @@ for backend in a1 ls; do
 done
 
 # A branch-and-bound solve over a one-node budget fails inside the
-# engine: a 500, and a counted failure.
+# engine: a 422 (the client's own limit), and a counted failure.
 code="$(curl -s -o /dev/null -w '%{http_code}' -X POST \
     --data-binary @"$tmpdir/instance.json" "http://$addr/solve?backend=exact&maxnodes=1")"
-if [ "$code" != 500 ]; then
-    echo "serve_smoke: exhausted node budget answered $code, want 500" >&2
+if [ "$code" != 422 ]; then
+    echo "serve_smoke: exhausted node budget answered $code, want 422" >&2
     exit 1
 fi
 
