@@ -62,17 +62,16 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("aabench", flag.ContinueOnError)
 	var (
-		fig      = fs.String("fig", "all", "figure id to run, or 'all'")
-		trials   = fs.Int("trials", experiment.DefaultTrials, "random trials per sweep point")
-		seed     = fs.Uint64("seed", 1, "base random seed")
-		workers  = fs.Int("workers", 0, "solver pool workers (0 = GOMAXPROCS)")
-		parallel = fs.Int("parallel", 0, "deprecated alias for -workers")
-		timeout  = fs.Duration("timeout", 0, "overall deadline for the run (0 = none)")
-		csvDir   = fs.String("csv", "", "directory to write per-figure CSV files (optional)")
-		ext      = fs.Bool("ext", false, "with -fig all, also run the extension experiments")
-		plot     = fs.Bool("plot", false, "render each figure as an ASCII chart as well")
-		rom      = fs.Bool("rom", false, "also print the ratio-of-means estimator table")
-		verbose  = fs.Bool("v", false, "print a one-line telemetry summary to stderr at exit")
+		fig     = fs.String("fig", "all", "figure id to run, or 'all'")
+		trials  = fs.Int("trials", experiment.DefaultTrials, "random trials per sweep point")
+		seed    = fs.Uint64("seed", 1, "base random seed")
+		workers = fs.Int("workers", 0, "solver pool workers (0 = GOMAXPROCS)")
+		timeout = fs.Duration("timeout", 0, "overall deadline for the run (0 = none)")
+		csvDir  = fs.String("csv", "", "directory to write per-figure CSV files (optional)")
+		ext     = fs.Bool("ext", false, "with -fig all, also run the extension experiments")
+		plot    = fs.Bool("plot", false, "render each figure as an ASCII chart as well")
+		rom     = fs.Bool("rom", false, "also print the ratio-of-means estimator table")
+		verbose = fs.Bool("v", false, "print a one-line telemetry summary to stderr at exit")
 	)
 	var common cliutil.Common
 	common.AddFlags(fs)
@@ -81,9 +80,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return nil
 		}
 		return err
-	}
-	if *workers == 0 {
-		*workers = *parallel
 	}
 	shutdown, err := common.Start("aabench", stderr)
 	if err != nil {

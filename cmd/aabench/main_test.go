@@ -108,13 +108,18 @@ func TestRunTimeoutExpires(t *testing.T) {
 	}
 }
 
-func TestRunParallelAliasStillWorks(t *testing.T) {
+// TestRunWorkersFlag: -workers sets the pool size; the deleted
+// -parallel alias is now an unknown flag.
+func TestRunWorkersFlag(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-fig", "fig2b", "-trials", "2", "-parallel", "2"}, &out, io.Discard); err != nil {
+	if err := run([]string{"-fig", "fig2b", "-trials", "2", "-workers", "2"}, &out, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "fig2b") {
 		t.Errorf("output:\n%s", out.String())
+	}
+	if err := run([]string{"-fig", "fig2b", "-trials", "2", "-parallel", "2"}, io.Discard, io.Discard); err == nil {
+		t.Error("-parallel accepted; the alias is deleted")
 	}
 }
 

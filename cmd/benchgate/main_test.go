@@ -89,3 +89,24 @@ func TestParseBenchTextProcs(t *testing.T) {
 		t.Fatalf("benchmarks = %+v", snap.Benchmarks)
 	}
 }
+
+// TestAssign2RefFloor: the plain Algorithm 2 ordering must take at
+// least 3× the priced-out fast path's time at n = 10⁴.
+func TestAssign2RefFloor(t *testing.T) {
+	const ref, fast = "BenchmarkAssign2Ref/fig2a-powerlaw2.0/n=10000", "BenchmarkAssign2/fig2a-powerlaw2.0/n=10000"
+	for _, tc := range []struct {
+		refNs   float64
+		wantErr bool
+	}{{200e3, false}, {90e3, false}, {80e3, true}} {
+		s := &Snapshot{Benchmarks: map[string]Bench{ref: {NsPerOp: tc.refNs}, fast: {NsPerOp: 30e3}}}
+		var got []string
+		for _, e := range assertSpeedups(s) {
+			if strings.Contains(e, "Assign2Ref") {
+				got = append(got, e)
+			}
+		}
+		if (len(got) > 0) != tc.wantErr {
+			t.Errorf("ref %v ns vs fast 30000 ns: errors %v, wantErr=%v", tc.refNs, got, tc.wantErr)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package check
 import (
 	"context"
 	"math"
+	"sort"
 	"testing"
 
 	"aa/internal/alloc"
@@ -53,8 +54,9 @@ func FuzzFeasibleConcave(f *testing.F) {
 // FuzzDifferentialAssign fuzzes the assignment pipeline on small gen
 // instances: Assign1/Assign2 must be feasible and honor α·F̂ ≤ F ≤ F̂,
 // neither may beat the branch-and-bound exact optimum, the heap-based
-// Assign1 must match the quadratic reference bit for bit, and the pruned
-// λ-bisection must agree with the unpruned reference water-filling.
+// Assign1 must match the quadratic reference and Assign2 the paper's
+// plain ordering (assign2Ref) bit for bit, and the pruned λ-bisection
+// must agree with the unpruned reference water-filling.
 func FuzzDifferentialAssign(f *testing.F) {
 	f.Add(uint64(1), uint8(2), uint8(5), uint8(0))
 	f.Add(uint64(3), uint8(3), uint8(6), uint8(2))
@@ -78,6 +80,13 @@ func FuzzDifferentialAssign(f *testing.F) {
 			if a1.Server[i] != refA1.Server[i] || a1.Alloc[i] != refA1.Alloc[i] {
 				t.Fatalf("thread %d: fast Assign1 (%d,%v) != reference (%d,%v)",
 					i, a1.Server[i], a1.Alloc[i], refA1.Server[i], refA1.Alloc[i])
+			}
+		}
+		refA2 := assign2Ref(gs, in.M, in.C)
+		for i := range refA2.Server {
+			if a2.Server[i] != refA2.Server[i] || math.Float64bits(a2.Alloc[i]) != math.Float64bits(refA2.Alloc[i]) {
+				t.Fatalf("thread %d: Assign2 (%d,%v) != reference (%d,%v)",
+					i, a2.Server[i], a2.Alloc[i], refA2.Server[i], refA2.Alloc[i])
 			}
 		}
 		// gen threads are capped at C, so SuperOptimal's capping wrapper is
@@ -113,4 +122,56 @@ func FuzzDifferentialAssign(f *testing.F) {
 			t.Fatalf("a2 utility %v beats the exact optimum %v", u, fExact)
 		}
 	})
+}
+
+// assign2Ref is the paper's Algorithm 2 as written, on m servers of
+// capacity c: every thread stably sorted by g(ĉ), the tail beyond the
+// first m stably re-sorted by ramp slope, then each thread in turn
+// served min(ĉ, residual) from the top of a binary max-heap of
+// residuals. The heap follows core's rule of swapping only on a
+// strictly larger child, which fixes which of several equally full
+// servers is the top.
+func assign2Ref(gs []core.Linearized, m int, c float64) core.Assignment {
+	order := make([]int, len(gs))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return gs[order[a]].UHat > gs[order[b]].UHat })
+	if len(order) > m {
+		tail := order[m:]
+		sort.SliceStable(tail, func(a, b int) bool { return gs[tail[a]].Slope() > gs[tail[b]].Slope() })
+	}
+	ids := make([]int, m)
+	residual := make([]float64, m)
+	for j := range ids {
+		ids[j], residual[j] = j, c
+	}
+	siftDown := func(i int) {
+		for {
+			l, r, largest := 2*i+1, 2*i+2, i
+			if l < m && residual[l] > residual[largest] {
+				largest = l
+			}
+			if r < m && residual[r] > residual[largest] {
+				largest = r
+			}
+			if largest == i {
+				return
+			}
+			ids[i], ids[largest] = ids[largest], ids[i]
+			residual[i], residual[largest] = residual[largest], residual[i]
+			i = largest
+		}
+	}
+	out := core.NewAssignment(len(gs))
+	for _, i := range order {
+		amount := gs[i].CHat
+		if amount > residual[0] {
+			amount = residual[0]
+		}
+		out.Server[i], out.Alloc[i] = ids[0], amount
+		residual[0] -= amount
+		siftDown(0)
+	}
+	return out
 }

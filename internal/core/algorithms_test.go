@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"sort"
 	"testing"
 	"time"
 
@@ -570,8 +569,9 @@ func TestAblationTailOrdering(t *testing.T) {
 		in := &Instance{M: m, C: c, Threads: threads}
 		gs := Linearize(in, SuperOptimal(in))
 		bySlope += Assign2Linearized(in, gs).Utility(in)
-		byUHat += assign2TailBy(in, gs, nil).Utility(in)
-		byCHat += assign2TailBy(in, gs, chatKey).Utility(in)
+		caps := NewWorkspace().uniformCaps(m, c)
+		byUHat += assign2TailBy(gs, caps, nil).Utility(in)
+		byCHat += assign2TailBy(gs, caps, chatKey).Utility(in)
 	}
 	t.Logf("ablation mean utility: slope-sort %.2f, no re-sort %.2f, size-sort %.2f",
 		bySlope/trials, byUHat/trials, byCHat/trials)
@@ -602,7 +602,7 @@ func TestAblationTailOrdering(t *testing.T) {
 		{UHat: 0.9, CHat: 0.3, C: 1}, // slope 3
 	}
 	withSort := Assign2Linearized(in2, gs).Utility(in2)
-	withoutSort := assign2TailBy(in2, gs, nil).Utility(in2)
+	withoutSort := assign2TailBy(gs, []float64{1}, nil).Utility(in2)
 	if withSort <= withoutSort {
 		t.Errorf("crafted instance: slope sort (%v) should beat unsorted tail (%v)",
 			withSort, withoutSort)
@@ -611,32 +611,13 @@ func TestAblationTailOrdering(t *testing.T) {
 	r := base.Split(999)
 	in := randomInstance(r, 24, 3, 100)
 	gs = Linearize(in, SuperOptimal(in))
-	for _, a := range []Assignment{Assign2Linearized(in, gs), assign2TailBy(in, gs, nil), assign2TailBy(in, gs, chatKey)} {
+	caps := NewWorkspace().uniformCaps(in.M, in.C)
+	for _, a := range []Assignment{Assign2Linearized(in, gs), assign2TailBy(gs, caps, nil), assign2TailBy(gs, caps, chatKey)} {
 		assertFeasible(t, in, a, "tail-order ablation")
 	}
 }
 
 func chatKey(g Linearized) float64 { return g.CHat }
-
-// assign2TailBy is Algorithm 2 with line 2 replaced for the ablation:
-// the tail (threads m+1..n of the g(ĉ) order) is stably re-sorted by
-// key, nonincreasing, or left in g(ĉ) order when key is nil. The serving
-// step is the production one.
-func assign2TailBy(in *Instance, gs []Linearized, key func(Linearized) float64) Assignment {
-	order := make([]int, len(gs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return gs[order[a]].UHat > gs[order[b]].UHat })
-	if key != nil && len(order) > in.M {
-		tail := order[in.M:]
-		sort.SliceStable(tail, func(a, b int) bool { return key(gs[tail[a]]) > key(gs[tail[b]]) })
-	}
-	var out Assignment
-	w := NewWorkspace()
-	w.serve2(gs, order, w.uniformCaps(in.M, in.C), &out)
-	return out
-}
 
 // Regression guard for numeric-domain hangs: a large capacity (1e9) once
 // spun the generic derivative bisection forever (absolute tolerance below

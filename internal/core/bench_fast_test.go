@@ -104,6 +104,30 @@ func BenchmarkAssign2(b *testing.B) {
 	})
 }
 
+// BenchmarkAssign2Fallback is BenchmarkAssign2 on the power-law
+// workload with every seventh curve shifted up by f(0) = 10⁶, so a
+// priced-out thread outranks the priced-in ones and Algorithm 2 sorts
+// every thread: the full path plus the fast path's one O(n) check.
+func BenchmarkAssign2Fallback(b *testing.B) {
+	for _, n := range benchSizes {
+		b.Run(fmt.Sprintf("fig2a-powerlaw2.0-shifted/n=%d", n), func(b *testing.B) {
+			in := shiftEvery(benchInstance(b, gen.PowerLaw{Alpha: 2, Xmin: 1}, n), 7, 1e6)
+			w := core.NewWorkspace()
+			gs := w.Linearize(in, w.SuperOptimal(in))
+			if w.Assign2PricedOut(gs, uniformCaps(in.M, in.C)) {
+				b.Fatal("shifted instance takes the priced-out fast path")
+			}
+			var out core.Assignment
+			w.Assign2Linearized(in, gs, &out) // size the workspace before counting allocs
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w.Assign2Linearized(in, gs, &out)
+			}
+		})
+	}
+}
+
 // BenchmarkSolve is the full steady-state pipeline — super-optimal bound,
 // linearization, Algorithm 2 — through one reused workspace, the hot loop
 // a solverpool worker runs per request.
@@ -138,6 +162,25 @@ func BenchmarkAssign1Ref(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				check.Assign1LinearizedRef(in, gs)
+			}
+		})
+	}
+}
+
+// BenchmarkAssign2Ref is the paper's plain Algorithm 2 (both stable
+// sorts over all n threads, then the heap) on the power-law workload,
+// where the super-optimal price zeroes out most threads: the "before"
+// side of the priced-out fast path's speedup floor.
+func BenchmarkAssign2Ref(b *testing.B) {
+	for _, n := range benchSizes {
+		b.Run(fmt.Sprintf("fig2a-powerlaw2.0/n=%d", n), func(b *testing.B) {
+			in := benchInstance(b, gen.PowerLaw{Alpha: 2, Xmin: 1}, n)
+			gs := core.Linearize(in, core.SuperOptimal(in))
+			caps := uniformCaps(in.M, in.C)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				core.Assign2Reference(gs, caps)
 			}
 		})
 	}

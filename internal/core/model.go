@@ -93,14 +93,20 @@ func NewAssignment(n int) Assignment {
 // solvers rewrite an Assignment every solve without allocating, even
 // when every solve adds a thread.
 func (a *Assignment) Reset(n int) {
-	a.Server = slices.Grow(a.Server[:0], n)[:n]
-	a.Alloc = slices.Grow(a.Alloc[:0], n)[:n]
+	a.resize(n)
 	for i := range a.Server {
 		a.Server[i] = -1
 	}
 	for i := range a.Alloc {
 		a.Alloc[i] = 0
 	}
+}
+
+// resize sets both slices to length n, reusing their capacity, and
+// leaves their contents unspecified: for a caller that writes every entry.
+func (a *Assignment) resize(n int) {
+	a.Server = slices.Grow(a.Server[:0], n)[:n]
+	a.Alloc = slices.Grow(a.Alloc[:0], n)[:n]
 }
 
 // Utility returns the total utility Σ f_i(Alloc[i]) of the assignment

@@ -1,12 +1,15 @@
 package core
 
-// A literal, unoptimized translation of the paper's Algorithm 1
-// pseudocode, kept as a fidelity oracle: the production Assign1
-// (which only examines the fullest server, an O(m)-per-iteration
+// Literal, unoptimized translations of the paper's Algorithm 1 and 2
+// pseudocode, kept as fidelity oracles. The production Assign1 (which
+// only examines the fullest server, an O(m)-per-iteration
 // simplification justified in its comments) must make exactly the same
-// choices under the same tie-breaking.
+// choices under the same tie-breaking, and the production Assign2
+// (which skips the threads the super-optimal price zeroes out) must
+// give the same servers and allocation bits.
 
 import (
+	"sort"
 	"testing"
 
 	"aa/internal/rng"
@@ -106,4 +109,40 @@ func TestAssign1MatchesLiteralPseudocode(t *testing.T) {
 			t.Errorf("trial %d: production %v != reference %v", trial, prod, ref)
 		}
 	}
+}
+
+// assign2Reference is the paper's Algorithm 2 as written, over servers
+// of capacities caps: every thread stably sorted by g(ĉ), the tail
+// beyond the first m stably re-sorted by ramp slope, then each thread
+// in turn served min(ĉ, residual) from the server heap's top.
+func assign2Reference(gs []Linearized, caps []float64) Assignment {
+	return assign2TailBy(gs, caps, Linearized.Slope)
+}
+
+// assign2TailBy is assign2Reference with line 2's key swapped for the
+// tail-order ablation: the tail is stably re-sorted by key,
+// nonincreasing, or left in g(ĉ) order when key is nil.
+func assign2TailBy(gs []Linearized, caps []float64, key func(Linearized) float64) Assignment {
+	order := make([]int, len(gs))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return gs[order[a]].UHat > gs[order[b]].UHat })
+	if key != nil && len(order) > len(caps) {
+		tail := order[len(caps):]
+		sort.SliceStable(tail, func(a, b int) bool { return key(gs[tail[a]]) > key(gs[tail[b]]) })
+	}
+	out := NewAssignment(len(gs))
+	var h serverHeap
+	h.reset(caps)
+	for _, i := range order {
+		srv := h.peek()
+		amount := gs[i].CHat
+		if amount > srv.residual {
+			amount = srv.residual
+		}
+		out.Server[i], out.Alloc[i] = srv.id, amount
+		h.updateTop(srv.residual - amount)
+	}
+	return out
 }

@@ -616,13 +616,15 @@ type Result struct {
 
 // EventInfo is the per-event observation delivered to an Options.Hook:
 // which timeline entry was just applied, how many threads the policy
-// migrated, and how long the policy's React took in wall time (the
-// replay harness turns that into solve-latency percentiles; it is NOT
-// deterministic and must stay out of any byte-compared report).
+// migrated, the post-event utility rate s.TotalUtility(), and how long
+// the policy's React took in wall time (the replay harness turns that
+// into solve-latency percentiles; it is NOT deterministic and must stay
+// out of any byte-compared report).
 type EventInfo struct {
 	Index     int
 	Event     Event
 	Migrated  int
+	Utility   float64
 	ReactWall time.Duration
 }
 
@@ -633,8 +635,8 @@ type Options struct {
 	Horizon  float64
 	// Hook, when non-nil, is called after each applied event, its
 	// policy reaction and the post-event validation. The hook may read
-	// the state (TotalUtility, IDs, Funcs, Placement, Down) but must
-	// not mutate it.
+	// the state (IDs, Funcs, Placement, Down; EventInfo.Utility is its
+	// TotalUtility) but must not mutate it.
 	Hook func(info EventInfo, s *State)
 }
 
@@ -652,7 +654,9 @@ func Simulate(m int, c float64, events []Event, policy Policy, moveCost, horizon
 func SimulateOpts(m int, c float64, events []Event, policy Policy, opts Options) (Result, error) {
 	s := NewState(m, c)
 	var res Result
-	now := 0.0
+	// rate is s.TotalUtility() as of the last applied event, evaluated
+	// once per event: between events the state does not change.
+	now, rate := 0.0, s.TotalUtility()
 	for i, ev := range events {
 		if ev.Time >= opts.Horizon {
 			break
@@ -660,7 +664,7 @@ func SimulateOpts(m int, c float64, events []Event, policy Policy, opts Options)
 		if ev.Time < now {
 			return Result{}, fmt.Errorf("online: events out of order at t=%v", ev.Time)
 		}
-		res.UtilityIntegral += s.TotalUtility() * (ev.Time - now)
+		res.UtilityIntegral += rate * (ev.Time - now)
 		now = ev.Time
 
 		switch ev.Kind {
@@ -725,11 +729,12 @@ func SimulateOpts(m int, c float64, events []Event, policy Policy, opts Options)
 				return Result{}, fmt.Errorf("online: after t=%v: %w", ev.Time, err)
 			}
 		}
+		rate = s.TotalUtility()
 		if opts.Hook != nil {
-			opts.Hook(EventInfo{Index: i, Event: ev, Migrated: len(migrated), ReactWall: wall}, s)
+			opts.Hook(EventInfo{Index: i, Event: ev, Migrated: len(migrated), Utility: rate, ReactWall: wall}, s)
 		}
 	}
-	res.UtilityIntegral += s.TotalUtility() * (opts.Horizon - now)
+	res.UtilityIntegral += rate * (opts.Horizon - now)
 	res.MigrationCost = float64(res.Migrations) * opts.MoveCost
 	res.Net = res.UtilityIntegral - res.MigrationCost
 	res.FinalThreads = s.Len()

@@ -271,3 +271,66 @@ func TestReallocServerMatchesSplit(t *testing.T) {
 		}
 	}
 }
+
+// countingLinear is a linear utility that counts its Value calls.
+type countingLinear struct {
+	utility.Linear
+	calls *int
+}
+
+func (f countingLinear) Value(x float64) float64 {
+	*f.calls++
+	return f.Linear.Value(x)
+}
+
+// parkPolicy places every thread on server 0 with an equal share of C,
+// calling no utility method.
+type parkPolicy struct{ share float64 }
+
+func (parkPolicy) Name() string { return "park" }
+
+func (p parkPolicy) React(s *State, ev Event) []int {
+	for _, id := range s.IDs() {
+		s.SetPlacement(id, Placement{Server: 0, Alloc: p.share})
+	}
+	return nil
+}
+
+// TestSimulateOneUtilityPassPerEvent: the simulator evaluates the
+// state's utility once per applied event and hands it to the hook, so
+// a run with n threads sees n Value calls per event, not one pass for
+// the interval before the event and another for the hook.
+func TestSimulateOneUtilityPassPerEvent(t *testing.T) {
+	const n, c, drifts = 40, 10.0, 25
+	calls := 0
+	util := func(i int) utility.Func {
+		return countingLinear{Linear: utility.Linear{Slope: float64(1 + i%3), C: c}, calls: &calls}
+	}
+	batch := make([]BatchArrival, n)
+	for i := range batch {
+		batch[i] = BatchArrival{ID: i, Util: util(i)}
+	}
+	events := []Event{{Time: 1, Kind: ArriveBatch, ID: -1, Batch: batch}}
+	for k := 0; k < drifts; k++ {
+		events = append(events, Event{Time: float64(2 + k), Kind: Drift, ID: k % n, Util: util(k + 1)})
+	}
+	want := 0.0 // the utility integral, from the hook's rates
+	hook := func(info EventInfo, s *State) {
+		end := 100.0
+		if info.Index+1 < len(events) {
+			end = events[info.Index+1].Time
+		}
+		want += info.Utility * (end - info.Event.Time)
+	}
+	res, err := SimulateOpts(2, c, events, parkPolicy{share: c / n}, Options{Horizon: 100, Hook: hook})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wantCalls := n * len(events); calls != wantCalls {
+		t.Errorf("%d Value calls over %d events of %d threads, want %d (one pass per event)",
+			calls, len(events), n, wantCalls)
+	}
+	if res.UtilityIntegral != want {
+		t.Errorf("utility integral %v, the hook's rates integrate to %v", res.UtilityIntegral, want)
+	}
+}

@@ -316,7 +316,7 @@ func (a *accumulator) hook(info online.EventInfo, s *online.State) {
 	a.threads = s.Len()
 	up := s.UpCount()
 	a.finalUp = up
-	a.prevUtil = s.TotalUtility()
+	a.prevUtil = info.Utility
 	a.prevBound = 0
 	if a.threads > 0 && up > 0 {
 		in := core.Instance{M: up, C: s.C, Threads: s.Funcs()}

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Benchmark-regression gate: run the solver-core benchmark matrix (solve,
 # superopt, assign1, assign2 across the six figure workloads at n in
-# {100, 1k, 10k}, the retained reference implementations, the machine
+# {100, 1k, 10k}, assign2 on an instance that defeats its priced-out
+# fast path, the retained reference implementations, the machine
 # calibration probe, the zero-alloc session solve, and the solve-cache
 # rungs: warm repair vs cold at the core, exact-hit/warm-start/cold
 # through the engine), emit a
@@ -34,7 +35,7 @@ trap 'rm -f "$tmp"' EXIT
 
 echo "bench_regress: core benchmarks (benchtime=$BENCHTIME)..."
 go test -run '^$' \
-  -bench '^Benchmark(Calibrate|SuperOptimal|SuperOptimalRef|Assign1|Assign1Ref|Assign2|Solve|Assign2Warm|Assign2WarmColdRef)$' \
+  -bench '^Benchmark(Calibrate|SuperOptimal|SuperOptimalRef|Assign1|Assign1Ref|Assign2|Assign2Ref|Assign2Fallback|Solve|Assign2Warm|Assign2WarmColdRef)$' \
   -benchtime "$BENCHTIME" ./internal/core/ | tee -a "$tmp"
 
 if [ "${AA_BENCH_1M:-0}" = 1 ]; then
