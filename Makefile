@@ -42,12 +42,14 @@ race:
 # Differential-verification harness over every figure workload, plus the
 # solver invariant property tests, plus DESIGN.md §10's rule that only
 # the core and the engine call core.Assign1/core.Assign2, plus the rule
-# that every registered aa_* metric has a reader (mirrors the CI
+# that every registered aa_* metric has a reader, plus the rule that no
+# exported func in internal/ is named only by tests (mirrors the CI
 # check-smoke steps).
 check-smoke:
 	$(GO) test -run='TestDifferential|TestSolversSatisfyInvariants' -count=1 ./internal/check
 	./scripts/callsites.sh
 	./scripts/metric_readers.sh
+	./scripts/test_only_exports.sh
 
 # Ten seconds of fuzzing per target: the concave-allocation invariants,
 # the check-layer targets, PCHIP monotonicity, the wire decoder

@@ -21,7 +21,7 @@
 // -fig all is selected.
 //
 // Observability: -metrics-addr serves live Prometheus text at
-// /metrics, expvar JSON at /vars and /debug/vars, and net/http/pprof
+// /metrics, standard expvar JSON at /debug/vars, and net/http/pprof
 // at /debug/pprof while the run executes (use :0 for an ephemeral
 // port; the bound address is printed to stderr). -trace-out appends
 // one JSONL span/event per solver stage and sweep point for offline

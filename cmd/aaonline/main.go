@@ -17,7 +17,7 @@
 // with -workers goroutines (0 = GOMAXPROCS); the tables are identical
 // for every worker count. -timeout bounds the whole run. -csv writes
 // both tables as CSV files into the given directory. -metrics-addr
-// serves live /metrics, /vars and /debug/pprof while the simulation
+// serves live /metrics and /debug/pprof while the simulation
 // runs; -trace-out appends solver-stage span events as JSONL.
 // -check (or AA_CHECK=1) runs the cap-aware feasibility invariants of
 // internal/check on the live state after every event, failing the run

@@ -31,7 +31,7 @@
 //	GET  /backends        proxied from the first ready node
 //	GET  /healthz         relay liveness
 //	GET  /readyz          relay readiness (503 once SIGTERM drain starts)
-//	GET  /metrics         the relay's own telemetry (plus /vars, /debug/*)
+//	GET  /metrics         the relay's own telemetry (plus /debug/*)
 //
 // Rate limiting: -rate N -burst B gives every client (keyed by remote
 // IP) a token bucket of B tokens refilling at N/s; exhausted buckets
@@ -132,8 +132,9 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 
 	// The relay's cache is meaningful only in shared (keyed) mode:
 	// memory mode's unkeyed fingerprints must not be derived from
-	// untrusted cross-client bodies, so anything but off is upgraded.
-	if m := cache.Mode(cacheFlags.Mode); m != cache.ModeOff && m != "" && m != cache.ModeShared {
+	// untrusted cross-client bodies, so memory is upgraded. Any other
+	// mode reaches cache.New, which rejects an unknown one.
+	if cache.Mode(cacheFlags.Mode) == cache.ModeMemory {
 		fmt.Fprintf(stderr, "aarelay: -cache %s upgraded to shared (relay caches are always keyed)\n", cacheFlags.Mode)
 		cacheFlags.Mode = string(cache.ModeShared)
 	}

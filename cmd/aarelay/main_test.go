@@ -411,6 +411,26 @@ func TestRelayFlagValidation(t *testing.T) {
 	}
 }
 
+// TestRelayRejectsUnknownCacheMode: a mistyped -cache fails the way
+// aaserve's does instead of starting a shared cache.
+func TestRelayRejectsUnknownCacheMode(t *testing.T) {
+	ready := make(chan string, 1)
+	done := make(chan error, 1)
+	go func() {
+		done <- run([]string{"-addr", "127.0.0.1:0", "-nodes", "a:1", "-cache", "bogus"}, io.Discard, ready)
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "unknown mode") {
+			t.Fatalf("run with -cache bogus = %v, want cache.New's unknown-mode error", err)
+		}
+	case addr := <-ready:
+		t.Fatalf("relay started on %s with -cache bogus", addr)
+	case <-time.After(10 * time.Second):
+		t.Fatal("run with -cache bogus neither failed nor started")
+	}
+}
+
 // TestRelayBodyLimit: the /solve body cap holds whether the body
 // declares its length (the buffer is then sized up front) or arrives
 // chunked, and a body within it is forwarded whole.

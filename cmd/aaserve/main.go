@@ -17,9 +17,9 @@
 //	GET  /backends        the solver registry: one line per backend
 //	GET  /healthz         liveness probe (200 for the life of the process)
 //	GET  /readyz          readiness probe (503 from SIGTERM-drain start)
-//	GET  /metrics         Prometheus text exposition (plus /vars,
-//	                      /debug/vars and /debug/pprof/), the same handler
-//	                      the -metrics-addr flag serves elsewhere
+//	GET  /metrics         Prometheus text exposition (plus /debug/vars
+//	                      and /debug/pprof/), the same handler the
+//	                      -metrics-addr flag serves elsewhere
 //	GET  /metrics/history JSON ring of periodic metric snapshots
 //	                      (-history-interval apart; ?last=N limits)
 //
@@ -207,7 +207,7 @@ func (s *server) mux() http.Handler {
 	}
 	mux.HandleFunc("/healthz", health.LivenessHandler())
 	mux.HandleFunc("/readyz", health.ReadinessHandler())
-	// The telemetry handler owns /metrics, /vars, /debug/* and the
+	// The telemetry handler owns /metrics, /debug/* and the
 	// index; mounting it at / keeps this binary's exposition identical
 	// to every other binary's -metrics-addr endpoint.
 	mux.Handle("/", telemetry.Handler(telemetry.Default))

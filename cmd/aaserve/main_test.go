@@ -164,10 +164,10 @@ func TestBatchEndpoint(t *testing.T) {
 func TestAuxiliaryEndpoints(t *testing.T) {
 	ts := newTestServer(t)
 	for path, want := range map[string]string{
-		"/healthz":  "ok",
-		"/backends": "assign2",
-		"/metrics":  "aa_",
-		"/vars":     "{",
+		"/healthz":    "ok",
+		"/backends":   "assign2",
+		"/metrics":    "aa_",
+		"/debug/vars": "memstats",
 	} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {

@@ -15,7 +15,7 @@
 // greedy, ...). Beyond the paper's algorithms, a2p is Algorithm 2 +
 // allocation polish and ls is Algorithm 2 + relocation/swap local
 // search; gm is the marginal-gain greedy baseline. -metrics-addr serves
-// live /metrics, /vars and /debug/pprof while solving; -trace-out
+// live /metrics and /debug/pprof while solving; -trace-out
 // appends solver-stage span events as JSONL (useful for profiling a
 // single large instance). -check (or AA_CHECK=1) verifies the solution
 // through the engine's check middleware: strict feasibility for every

@@ -58,16 +58,27 @@ func TotalValue(fs []utility.Func, alloc []float64) float64 {
 // the derivatives (piecewise-linear utilities) are handled by a final
 // redistribution pass among threads whose marginal equals λ.
 //
-// Concave is exactly ConcaveInto(nil, fs, budget); use ConcaveInto to
-// reuse an allocation slice across solves. check.ConcaveRef is the
-// unpruned reference implementation kept for differential testing.
+// It prunes the λ-search: the per-thread amount x_i(λ) =
+// InverseDeriv_i(λ) is nonincreasing in λ, so once a probe on a branch
+// that only raises λ finds x_i = 0 the thread is settled at 0 for the
+// rest of the search, and once a probe on a branch that only lowers λ
+// finds x_i = Cap_i the thread is settled at its cap. Settled threads
+// drop out of the active set and later probes never re-evaluate them;
+// their sum is carried as a constant. Probe cost decays from O(n) toward
+// O(#threads interior at the optimum), which on capacity-tight workloads
+// is a small fraction of n.
+//
+// Concave borrows its Scratch from an internal pool; ConcaveWith takes a
+// caller-owned one. check.ConcaveRef is the unpruned reference
+// implementation kept for differential testing.
 func Concave(fs []utility.Func, budget float64) Result {
-	return ConcaveInto(nil, fs, budget)
+	sc := concavePool.Get().(*Scratch)
+	defer concavePool.Put(sc)
+	return ConcaveWith(sc, nil, fs, budget)
 }
 
-// Scratch is the per-solve working set of the pruned bisection. The
-// package-level entry points borrow one from an internal pool;
-// ConcaveWith takes a caller-owned Scratch instead, so parallel solvers
+// Scratch is the per-solve working set of the pruned bisection. Concave
+// borrows one from an internal pool; ConcaveWith takes a caller-owned Scratch instead, so parallel solvers
 // can give every worker its own and keep pool traffic (and the cache
 // bouncing it implies) out of their hot loops. The zero value is ready
 // to use; buffers grow on first solve and are reused afterwards, with
@@ -87,26 +98,11 @@ func (sc *Scratch) grow(n int) {
 
 var concavePool = sync.Pool{New: func() any { return new(Scratch) }}
 
-// ConcaveInto is Concave writing the allocation into dst (grown if its
-// capacity is short, so pass a slice with capacity >= len(fs) for an
-// allocation-free solve). It prunes the λ-search: the per-thread amount
-// x_i(λ) = InverseDeriv_i(λ) is nonincreasing in λ, so once a probe on a
-// branch that only raises λ finds x_i = 0 the thread is settled at 0 for
-// the rest of the search, and once a probe on a branch that only lowers λ
-// finds x_i = Cap_i the thread is settled at its cap. Settled threads drop
-// out of the active set and later probes never re-evaluate them; their sum
-// is carried as a constant. Probe cost decays from O(n) toward O(#threads
-// interior at the optimum), which on capacity-tight workloads is a small
-// fraction of n.
-func ConcaveInto(dst []float64, fs []utility.Func, budget float64) Result {
-	sc := concavePool.Get().(*Scratch)
-	defer concavePool.Put(sc)
-	return ConcaveWith(sc, dst, fs, budget)
-}
-
-// ConcaveWith is ConcaveInto using a caller-owned Scratch instead of
-// the package pool — the parallel-solver form: one Scratch per worker
-// means concurrent solves share no state at all.
+// ConcaveWith is Concave on a caller-owned Scratch instead of the
+// package pool, writing the allocation into dst (grown if its capacity
+// is short, so pass a slice with capacity >= len(fs) for an
+// allocation-free solve) — the parallel-solver form: one Scratch per
+// worker means concurrent solves share no state at all.
 func ConcaveWith(sc *Scratch, dst []float64, fs []utility.Func, budget float64) Result {
 	return concave(sc, dst, nil, fs, budget, 0)
 }

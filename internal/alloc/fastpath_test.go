@@ -1,8 +1,8 @@
 package alloc_test
 
-// Differential tests for the pruned water-filling fast path: ConcaveInto
-// must be byte-identical with Concave (same code, shared scratch
-// semantics), and both must agree with the retained unpruned reference
+// Differential tests for the pruned water-filling fast path: ConcaveWith
+// on a reused Scratch and destination must be byte-identical with
+// Concave (same code, pooled scratch), and both must agree with the retained unpruned reference
 // ConcaveRef up to bisection tolerance, across the six figure workload
 // distributions of the paper's evaluation.
 
@@ -50,25 +50,26 @@ func budgets(fs []utility.Func) []float64 {
 	return []float64{1e-6 * capSum, 0.25 * capSum, 0.8 * capSum, capSum, 1.5 * capSum}
 }
 
-// TestConcaveIntoMatchesConcave pins the tentpole's safety requirement:
-// reusing a dirty destination slice across solves yields bit-for-bit the
-// allocation a fresh Concave call produces.
-func TestConcaveIntoMatchesConcave(t *testing.T) {
+// TestConcaveWithMatchesConcave: reusing a dirty Scratch and destination
+// slice across solves yields bit-for-bit the allocation a fresh Concave
+// call produces.
+func TestConcaveWithMatchesConcave(t *testing.T) {
+	var sc alloc.Scratch
 	dst := []float64{} // grown on first use, then reused dirty
 	corpusThreads(t, func(label string, fs []utility.Func, c float64) {
 		for _, budget := range budgets(fs) {
 			want := alloc.Concave(fs, budget)
-			got := alloc.ConcaveInto(dst, fs, budget)
+			got := alloc.ConcaveWith(&sc, dst, fs, budget)
 			dst = got.Alloc // keep the dirty buffer for the next solve
 			if got.Total != want.Total || got.Lambda != want.Lambda ||
 				got.Iterations != want.Iterations {
-				t.Fatalf("%s n=%d budget=%g: ConcaveInto result (%v,%v,%d) != Concave (%v,%v,%d)",
+				t.Fatalf("%s n=%d budget=%g: ConcaveWith result (%v,%v,%d) != Concave (%v,%v,%d)",
 					label, len(fs), budget, got.Total, got.Lambda, got.Iterations,
 					want.Total, want.Lambda, want.Iterations)
 			}
 			for i := range want.Alloc {
 				if got.Alloc[i] != want.Alloc[i] {
-					t.Fatalf("%s n=%d budget=%g thread %d: ConcaveInto %v != Concave %v",
+					t.Fatalf("%s n=%d budget=%g thread %d: ConcaveWith %v != Concave %v",
 						label, len(fs), budget, i, got.Alloc[i], want.Alloc[i])
 				}
 			}
@@ -76,17 +77,18 @@ func TestConcaveIntoMatchesConcave(t *testing.T) {
 	})
 }
 
-// TestConcaveIntoGrowsShortDst covers the resize rule: a dst with
+// TestConcaveWithGrowsShortDst covers the resize rule: a dst with
 // insufficient capacity is replaced, one with spare capacity is reused in
 // place and truncated to n.
-func TestConcaveIntoGrowsShortDst(t *testing.T) {
+func TestConcaveWithGrowsShortDst(t *testing.T) {
 	fs := []utility.Func{
 		utility.Linear{Slope: 2, C: 10},
 		utility.Log{Scale: 3, Shift: 1, C: 10},
 		utility.Power{Scale: 1, Beta: 0.5, C: 10},
 	}
+	var sc alloc.Scratch
 	short := make([]float64, 1)
-	res := alloc.ConcaveInto(short, fs, 12)
+	res := alloc.ConcaveWith(&sc, short, fs, 12)
 	if len(res.Alloc) != len(fs) {
 		t.Fatalf("grown dst has length %d, want %d", len(res.Alloc), len(fs))
 	}
@@ -94,7 +96,7 @@ func TestConcaveIntoGrowsShortDst(t *testing.T) {
 	for i := range long {
 		long[i] = math.NaN() // poison: stale entries must all be overwritten
 	}
-	res2 := alloc.ConcaveInto(long, fs, 12)
+	res2 := alloc.ConcaveWith(&sc, long, fs, 12)
 	if len(res2.Alloc) != len(fs) {
 		t.Fatalf("truncated dst has length %d, want %d", len(res2.Alloc), len(fs))
 	}

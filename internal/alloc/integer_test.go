@@ -1,5 +1,9 @@
 package alloc
 
+// The integer water-fill as a test oracle. No solve path runs it (the
+// solvers water-fill the continuous relaxation), so it lives here,
+// checked against Fox's unit greedy and the exact DP.
+
 import (
 	"math"
 	"testing"
@@ -7,6 +11,108 @@ import (
 	"aa/internal/rng"
 	"aa/internal/utility"
 )
+
+// IntegerWaterfill allocates an integer budget of resource units among
+// concave utilities, exactly, in O(n (log C)²) time — the structure of
+// Galil's algorithm cited by the paper for computing super-optimal
+// allocations: bisection on the marginal value λ, where each thread's
+// demand at λ (the largest unit count whose marginal gain is still ≥ λ)
+// is found by an inner binary search over the nonincreasing per-unit
+// gains, plus an exact completion pass for threads sitting on the final
+// marginal plateau.
+//
+// For concave utilities it returns the same total as Greedy (Fox's
+// O(B log n) unit greedy) but its runtime is logarithmic, not linear,
+// in the budget — the reason the paper cites it for C = 1000 and beyond.
+func IntegerWaterfill(fs []utility.Func, budget int) Result {
+	n := len(fs)
+	alloc := make([]float64, n)
+	if n == 0 || budget <= 0 {
+		return Result{Alloc: alloc}
+	}
+
+	caps := make([]int, n)
+	capSum := 0
+	maxGain := 0.0
+	for i, f := range fs {
+		caps[i] = int(f.Cap())
+		capSum += caps[i]
+		if g := f.Value(1) - f.Value(0); g > maxGain {
+			maxGain = g
+		}
+	}
+	if capSum <= budget {
+		for i := range fs {
+			alloc[i] = float64(caps[i])
+		}
+		return Result{Alloc: alloc, Total: TotalValue(fs, alloc)}
+	}
+
+	// demand(λ) = largest x ≤ cap with f(x) − f(x−1) ≥ λ, by binary
+	// search over the nonincreasing marginal gains.
+	demand := func(i int, lambda float64) int {
+		f := fs[i]
+		lo, hi := 0, caps[i] // invariant: marginal at lo ≥ λ (vacuous at 0)
+		for lo < hi {
+			mid := (lo + hi + 1) / 2
+			if f.Value(float64(mid))-f.Value(float64(mid-1)) >= lambda {
+				lo = mid
+			} else {
+				hi = mid - 1
+			}
+		}
+		return lo
+	}
+	total := func(lambda float64) int {
+		sum := 0
+		for i := range fs {
+			sum += demand(i, lambda)
+		}
+		return sum
+	}
+
+	// Outer bisection on λ: total(0+) ≥ budget is not guaranteed when
+	// some marginals are negative-free plateaus, but total(0) = capSum >
+	// budget here; total(maxGain+ε) = 0.
+	lo, hi := 0.0, maxGain*(1+1e-12)+1e-300
+	for iter := 0; iter < 100 && hi-lo > 1e-15*(1+hi); iter++ {
+		mid := 0.5 * (lo + hi)
+		if total(mid) > budget {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+
+	// Feasible base at λ = hi, then hand the leftover units to plateau
+	// threads (those demanding more at λ = lo); their next units all
+	// have marginal gain within [lo, hi], an interval of width ~1e-15,
+	// so any completion is optimal to machine precision.
+	remaining := budget
+	base := make([]int, n)
+	for i := range fs {
+		base[i] = demand(i, hi)
+		remaining -= base[i]
+	}
+	for i := range fs {
+		if remaining <= 0 {
+			break
+		}
+		extra := demand(i, lo) - base[i]
+		if extra <= 0 {
+			continue
+		}
+		if extra > remaining {
+			extra = remaining
+		}
+		base[i] += extra
+		remaining -= extra
+	}
+	for i, b := range base {
+		alloc[i] = float64(b)
+	}
+	return Result{Alloc: alloc, Total: TotalValue(fs, alloc), Lambda: hi}
+}
 
 func TestIntegerWaterfillMatchesGreedy(t *testing.T) {
 	base := rng.New(51)
@@ -101,33 +207,6 @@ func TestIntegerWaterfillMatchesDPGroundTruth(t *testing.T) {
 		if math.Abs(wf.Total-dp.Total) > 1e-6*(1+dp.Total) {
 			t.Errorf("budget %d: waterfill %v != DP %v", budget, wf.Total, dp.Total)
 		}
-	}
-}
-
-func TestIntegerEqualSplit(t *testing.T) {
-	fs := []utility.Func{
-		utility.Linear{Slope: 3, C: 100},
-		utility.Linear{Slope: 1, C: 100},
-		utility.Linear{Slope: 2, C: 100},
-	}
-	res := IntegerEqualSplit(fs, 10)
-	// 3 each, remainder 1 goes to the slope-3 thread.
-	if res.Alloc[0] != 4 || res.Alloc[1] != 3 || res.Alloc[2] != 3 {
-		t.Errorf("alloc %v, want [4 3 3]", res.Alloc)
-	}
-}
-
-func TestIntegerEqualSplitCapped(t *testing.T) {
-	fs := []utility.Func{
-		utility.Linear{Slope: 1, C: 2},
-		utility.Linear{Slope: 1, C: 100},
-	}
-	res := IntegerEqualSplit(fs, 10)
-	if res.Alloc[0] != 2 {
-		t.Errorf("capped thread got %v", res.Alloc[0])
-	}
-	if res.Alloc[0]+res.Alloc[1] != 10 {
-		t.Errorf("budget not exhausted: %v", res.Alloc)
 	}
 }
 

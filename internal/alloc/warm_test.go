@@ -38,7 +38,7 @@ func concaveWarm(t *testing.T, fs []utility.Func, budget, hint float64) alloc.Re
 // tolerance dominated by the two searches' stopping criteria.
 func warmAgrees(t *testing.T, label string, fs []utility.Func, budget, hint float64) {
 	t.Helper()
-	cold := alloc.ConcaveInto(nil, fs, budget)
+	cold := alloc.Concave(fs, budget)
 	warm := concaveWarm(t, fs, budget, hint)
 	if err := check.Allocation(fs, warm.Alloc, budget, 0); err != nil {
 		t.Fatalf("%s (hint %v): warm allocation infeasible: %v", label, hint, err)
@@ -53,7 +53,7 @@ func warmAgrees(t *testing.T, label string, fs []utility.Func, budget, hint floa
 func TestConcaveWarmMatchesColdAcrossCorpus(t *testing.T) {
 	corpusThreads(t, func(label string, fs []utility.Func, c float64) {
 		for _, budget := range budgets(fs) {
-			cold := alloc.ConcaveInto(nil, fs, budget)
+			cold := alloc.Concave(fs, budget)
 			// Exact hint, and hints bracketing it from both sides — the
 			// up-doubling and down-halving bracket paths respectively.
 			for _, hint := range []float64{cold.Lambda, cold.Lambda * 4, cold.Lambda / 4} {
@@ -66,7 +66,7 @@ func TestConcaveWarmMatchesColdAcrossCorpus(t *testing.T) {
 func TestConcaveWarmBadHintFallsThrough(t *testing.T) {
 	corpusThreads(t, func(label string, fs []utility.Func, c float64) {
 		budget := 0.5 * c
-		cold := alloc.ConcaveInto(nil, fs, budget)
+		cold := alloc.Concave(fs, budget)
 		for _, hint := range []float64{0, -1, math.Inf(1), math.NaN()} {
 			warm := concaveWarm(t, fs, budget, hint)
 			if len(warm.Alloc) != len(cold.Alloc) {
@@ -103,7 +103,7 @@ func TestConcaveWarmCheaperWithExactHint(t *testing.T) {
 		}
 	})
 	budget := 0.3 * capSum(fs)
-	cold := alloc.ConcaveInto(nil, fs, budget)
+	cold := alloc.Concave(fs, budget)
 	warm := concaveWarm(t, fs, budget, cold.Lambda)
 	if cold.Iterations == 0 {
 		t.Skip("cold solve took the trivial path")

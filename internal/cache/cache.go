@@ -1,6 +1,6 @@
 // Package cache is the solve-result cache behind the engine's caching
 // middleware: fingerprint-keyed storage of verified solver responses,
-// plus the canonical-form machinery (Canonicalize / Diff) the engine's
+// plus the canonical-form machinery (CanonicalizeKeyed / Diff) the engine's
 // warm-start repair path uses to recognize instances that differ from a
 // cached one by only a few threads.
 //

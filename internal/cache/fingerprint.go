@@ -4,15 +4,12 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 	"hash/fnv"
 	"io"
 	"math"
 	"sort"
 
 	"aa/internal/check"
-	"aa/internal/core"
-	"aa/internal/instio"
 )
 
 // fingerprintVersion is hashed into every fingerprint so a change to the
@@ -59,15 +56,6 @@ func mix64(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// hash128 digests b into two 64-bit lanes with the original unkeyed
-// seeds — byte-for-byte the pre-keying hash, pinned by golden tests so
-// ModeMemory fingerprints survive this refactor.
-func hash128(b []byte) (hi, lo uint64) {
-	return hash128Keyed(b, &zeroHashKey)
-}
-
-var zeroHashKey HashKey
-
 // hash128Keyed digests b into two 64-bit lanes. The absorb round is one
 // rotate-multiply per lane per word — canonicalization hashes every
 // thread on every cache lookup, so the round must stay a handful of
@@ -79,7 +67,8 @@ var zeroHashKey HashKey
 // The key perturbs both lane seeds and both finalizer foldings through
 // mix64, so every key selects an unrelated hash family. mix64(0) == 0
 // makes the zero key the identity perturbation: hash128Keyed(b, &zero)
-// is exactly the historical unkeyed hash.
+// is exactly the historical unkeyed hash, pinned by golden tests so
+// ModeMemory fingerprints survive across releases.
 func hash128Keyed(b []byte, k *HashKey) (hi, lo uint64) {
 	const (
 		golden = 0x9E3779B97F4A7C15
@@ -205,29 +194,6 @@ type Canonical struct {
 	version byte
 }
 
-// Canonicalize normalizes an instance for fingerprinting with the
-// unkeyed hash (ModeMemory). It fails only when a thread's utility type
-// has no stable instio encoding; such instances are simply uncacheable
-// and the engine solves them directly.
-func Canonicalize(in *core.Instance) (*Canonical, error) {
-	return canonicalize(in, &zeroHashKey)
-}
-
-func canonicalize(in *core.Instance, key *HashKey) (*Canonical, error) {
-	keys := make([]threadKey, in.N())
-	var buf []byte
-	for i, f := range in.Threads {
-		var err error
-		buf, err = instio.AppendThreadBinary(buf[:0], f)
-		if err != nil {
-			return nil, fmt.Errorf("cache: thread %d: %w", i, err)
-		}
-		hi, lo := hash128Keyed(buf, key)
-		keys[i] = threadKey{hi: hi, lo: lo, idx: int32(i)}
-	}
-	return fromKeys(in.M, in.C, keys, fingerprintVersion), nil
-}
-
 // fromKeys builds the canonical form from per-thread keys in thread
 // order, sorting keys in place.
 func fromKeys(m int, capacity float64, keys []threadKey, version byte) *Canonical {
@@ -242,7 +208,7 @@ func fromKeys(m int, capacity float64, keys []threadKey, version byte) *Canonica
 }
 
 // Fingerprint hashes the canonical form. Thread order was normalized by
-// Canonicalize, so two instances with the same thread multiset, m, and C
+// canonicalization, so two instances with the same thread multiset, m, and C
 // fingerprint identically regardless of input order.
 func (c *Canonical) Fingerprint() Fingerprint {
 	h := sha256.New()
@@ -346,7 +312,7 @@ func cmpHash(a, b *ThreadHash) int {
 // position in b}) and the unmatched positions on each side. Both hash
 // slices are sorted, so the walk is a deterministic O(n) merge; runs of
 // duplicate hashes match pairwise in order, which (with the stable sort
-// in Canonicalize) pairs the i-th occurrence in a with the i-th in b.
+// in fromKeys) pairs the i-th occurrence in a with the i-th in b.
 func Diff(a, b *Canonical) (matched [][2]int, onlyA, onlyB []int) {
 	// Near-misses match almost everything: size matched for the full
 	// overlap up front so the hot loop never regrows it.

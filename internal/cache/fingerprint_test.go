@@ -36,9 +36,9 @@ func threads(seedOffset, n int, c float64) []utility.Func {
 
 func mustCanon(t *testing.T, in *core.Instance) *Canonical {
 	t.Helper()
-	c, err := Canonicalize(in)
+	c, err := CanonicalizeKeyed(in, HashKey{})
 	if err != nil {
-		t.Fatalf("Canonicalize: %v", err)
+		t.Fatalf("CanonicalizeKeyed: %v", err)
 	}
 	return c
 }
@@ -158,7 +158,7 @@ func TestCanonicalPermStableForDuplicates(t *testing.T) {
 
 func TestCanonicalizeUnencodable(t *testing.T) {
 	bad := inst(2, 100, unencodable{})
-	if _, err := Canonicalize(bad); err == nil {
+	if _, err := CanonicalizeKeyed(bad, HashKey{}); err == nil {
 		t.Fatal("expected an error for a utility type without a wire encoding")
 	}
 }
@@ -320,7 +320,7 @@ func TestStringForms(t *testing.T) {
 	}
 }
 
-// TestCanonicalizeLargeRadixPath drives Canonicalize through the radix
+// TestCanonicalizeLargeRadixPath drives canonicalization through the radix
 // sort (n ≥ 256) with duplicate runs, cross-checking the exact
 // invariants the small-n comparison sort gives: hashes ascending, Perm
 // a permutation, duplicates in ascending original order, and the

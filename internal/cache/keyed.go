@@ -4,6 +4,7 @@ import (
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 
 	"aa/internal/core"
 	"aa/internal/instio"
@@ -65,20 +66,31 @@ func RandomKey() HashKey {
 	return k
 }
 
-// CanonicalizeKeyed is Canonicalize with a keyed thread-hash mixer. The
-// zero key reproduces Canonicalize exactly (same hashes, same
-// fingerprints); any other key yields a disjoint fingerprint space,
-// marked with its own scheme version so keyed and unkeyed entries can
-// never alias even if a key were chosen adversarially.
+// CanonicalizeKeyed normalizes an instance for fingerprinting, hashing
+// each thread's stable binary encoding with the keyed mixer. The zero
+// key is the unkeyed hash (ModeMemory); any other key yields a disjoint
+// fingerprint space, marked with its own scheme version so keyed and
+// unkeyed entries can never alias even if a key were chosen
+// adversarially. It fails only when a thread's utility type has no
+// stable instio encoding; such instances are simply uncacheable and the
+// engine solves them directly.
 func CanonicalizeKeyed(in *core.Instance, key HashKey) (*Canonical, error) {
-	c, err := canonicalize(in, &key)
-	if err != nil {
-		return nil, err
+	keys := make([]threadKey, in.N())
+	var buf []byte
+	for i, f := range in.Threads {
+		var err error
+		buf, err = instio.AppendThreadBinary(buf[:0], f)
+		if err != nil {
+			return nil, fmt.Errorf("cache: thread %d: %w", i, err)
+		}
+		hi, lo := hash128Keyed(buf, &key)
+		keys[i] = threadKey{hi: hi, lo: lo, idx: int32(i)}
 	}
+	version := byte(fingerprintVersion)
 	if !key.IsZero() {
-		c.version = fingerprintVersionKeyed
+		version = fingerprintVersionKeyed
 	}
-	return c, nil
+	return fromKeys(in.M, in.C, keys, version), nil
 }
 
 // CanonicalizeWire is the relay's canonical form, read off a /solve body

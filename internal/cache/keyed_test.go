@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"strings"
 	"testing"
@@ -23,9 +24,9 @@ func TestHash128GoldenUnkeyed(t *testing.T) {
 		{"the quick brown fox jumps over the lazy dog", 0x2A0172BC7D45DDC8, 0x185B312A64B5614F},
 	}
 	for _, g := range golden {
-		hi, lo := hash128([]byte(g.in))
+		hi, lo := hash128Keyed([]byte(g.in), &HashKey{})
 		if hi != g.hi || lo != g.lo {
-			t.Errorf("hash128(%q) = %016X %016X, want %016X %016X", g.in, hi, lo, g.hi, g.lo)
+			t.Errorf("hash128Keyed(%q, zero) = %016X %016X, want %016X %016X", g.in, hi, lo, g.hi, g.lo)
 		}
 	}
 }
@@ -56,35 +57,26 @@ func TestHash128GoldenKeyed(t *testing.T) {
 	}
 }
 
-// TestHash128ZeroKeyIsUnkeyed pins the compat contract at the hash
-// level: the zero key IS the unkeyed hash, bit for bit.
-func TestHash128ZeroKeyIsUnkeyed(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	var zero HashKey
-	for trial := 0; trial < 100; trial++ {
-		b := make([]byte, r.Intn(200))
-		r.Read(b)
-		h1, l1 := hash128(b)
-		h2, l2 := hash128Keyed(b, &zero)
-		if h1 != h2 || l1 != l2 {
-			t.Fatalf("len %d: zero-key hash diverges from unkeyed", len(b))
-		}
-	}
-}
-
+// TestCanonicalizeKeyedZeroKeyMatchesUnkeyed: the zero key is the
+// unkeyed scheme — every thread hash is the golden-pinned unkeyed hash
+// of the thread's binary encoding, under the unkeyed scheme version.
 func TestCanonicalizeKeyedZeroKeyMatchesUnkeyed(t *testing.T) {
 	in := inst(4, 100, threads(3, 40, 100)...)
-	unkeyed := mustCanon(t, in)
-	keyed, err := CanonicalizeKeyed(in, HashKey{})
-	if err != nil {
-		t.Fatalf("CanonicalizeKeyed: %v", err)
+	c := mustCanon(t, in)
+	if c.version != fingerprintVersion {
+		t.Fatalf("zero-key scheme version %d, want the unkeyed %d", c.version, fingerprintVersion)
 	}
-	if keyed.Fingerprint() != unkeyed.Fingerprint() {
-		t.Fatal("zero-key fingerprint differs from unkeyed")
-	}
-	for i := range keyed.Hashes {
-		if keyed.Hashes[i] != unkeyed.Hashes[i] {
-			t.Fatalf("hash %d differs under zero key", i)
+	for k, i := range c.Perm {
+		b, err := instio.AppendThreadBinary(nil, in.Threads[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want ThreadHash
+		hi, lo := hash128Keyed(b, &HashKey{})
+		binary.BigEndian.PutUint64(want[:8], hi)
+		binary.BigEndian.PutUint64(want[8:], lo)
+		if c.Hashes[k] != want {
+			t.Fatalf("canonical position %d (thread %d): hash %x, want the unkeyed %x", k, i, c.Hashes[k], want)
 		}
 	}
 }

@@ -13,9 +13,7 @@ import (
 // Solve routes an AA solve through the shared engine pipeline, so
 // cache-partition solves pick up the pooled workspace, telemetry and
 // process-wide invariant checks.
-func Solve(in *core.Instance) (core.Assignment, error) { return solveAA(in) }
-
-func solveAA(in *core.Instance) (core.Assignment, error) {
+func Solve(in *core.Instance) (core.Assignment, error) {
 	var resp engine.Response
 	req := engine.Request{Instance: in}
 	if err := engine.Default().SolveInto(context.Background(), &req, &resp); err != nil {
@@ -199,7 +197,7 @@ func (a *Adaptive) Epoch(gens []TraceGen, accesses int, r *rng.Rand) (EpochResul
 		}
 		in.Threads = append(in.Threads, f)
 	}
-	sol, err := solveAA(in)
+	sol, err := Solve(in)
 	if err != nil {
 		return EpochResult{}, fmt.Errorf("cachesim: epoch solve: %w", err)
 	}
@@ -285,7 +283,7 @@ func OfflineReference(cfg Config, sockets int, gens []TraceGen, model Throughput
 	if err != nil {
 		return 0, err
 	}
-	sol, err := solveAA(in)
+	sol, err := Solve(in)
 	if err != nil {
 		return 0, err
 	}

@@ -36,68 +36,6 @@ func ProfileThread(cfg Config, trace []uint64) (Profile, error) {
 	return p, nil
 }
 
-// ProfileThreadSampled estimates the hit-rate curve from a sampled
-// subset of cache sets — the set-sampling technique of the paper's cited
-// Qureshi et al. hardware monitors (UMON-DSS): simulating 1-in-`stride`
-// sets costs proportionally less while the per-way hit rates stay close,
-// because the working set spreads uniformly over sets. Accesses mapping
-// to unsampled sets are skipped; the returned profile is over the same
-// way counts as the full profiler.
-func ProfileThreadSampled(cfg Config, trace []uint64, stride int) (Profile, error) {
-	if len(trace) == 0 {
-		return Profile{}, ErrEmptyTrace
-	}
-	if stride < 1 {
-		return Profile{}, fmt.Errorf("cachesim: sampling stride %d", stride)
-	}
-	if stride == 1 {
-		return ProfileThread(cfg, trace)
-	}
-	// Keep only accesses whose set index is ≡ 0 (mod stride); remap them
-	// onto a proportionally smaller cache so the occupancy per sampled
-	// set is preserved.
-	sampledSets := cfg.Sets / stride
-	if sampledSets < 1 {
-		return Profile{}, fmt.Errorf("cachesim: stride %d leaves no sets", stride)
-	}
-	small := Config{Sets: sampledSets, Ways: cfg.Ways, LineSize: cfg.LineSize}
-	var sampled []uint64
-	for _, addr := range trace {
-		line := addr / uint64(cfg.LineSize)
-		set := line % uint64(cfg.Sets)
-		if set%uint64(stride) != 0 {
-			continue
-		}
-		// Remap: compress the set index and keep the tag bits.
-		newLine := (line/uint64(cfg.Sets))*uint64(sampledSets) + set/uint64(stride)
-		sampled = append(sampled, newLine*uint64(cfg.LineSize))
-	}
-	if len(sampled) == 0 {
-		return Profile{}, fmt.Errorf("cachesim: sampling stride %d captured no accesses", stride)
-	}
-	p, err := ProfileThread(small, sampled)
-	if err != nil {
-		return Profile{}, err
-	}
-	p.Accesses = len(trace)
-	return p, nil
-}
-
-// MissRate returns 1 − HitRate[w].
-func (p Profile) MissRate(w int) float64 { return 1 - p.HitRate[w] }
-
-// Monotone reports whether the measured curve is nondecreasing (the LRU
-// stack property predicts it always is; a violation indicates a
-// simulator bug).
-func (p Profile) Monotone() bool {
-	for i := 1; i < len(p.HitRate); i++ {
-		if p.HitRate[i] < p.HitRate[i-1]-1e-12 {
-			return false
-		}
-	}
-	return true
-}
-
 // ConcaveEnvelope returns the upper concave envelope of the curve: the
 // smallest concave nondecreasing curve dominating it. Smooth working-set
 // curves are already concave and unchanged; cliff-shaped curves (e.g.
@@ -147,23 +85,6 @@ func (p Profile) ConcaveEnvelope() []float64 {
 	for w := 1; w < n; w++ {
 		if out[w] < out[w-1] {
 			out[w] = out[w-1]
-		}
-	}
-	return out
-}
-
-// HullVertices returns the way counts where the upper concave envelope
-// touches the measured curve — the allocations at which the concave
-// surrogate is exact. Any fractional allocation on the envelope is a
-// convex combination of two adjacent vertices, so rounding to vertices
-// never pays for envelope optimism (e.g. a sequential loop has vertices
-// only at 0 and its cliff: it should get all of the cliff or nothing).
-func (p Profile) HullVertices() []int {
-	env := p.ConcaveEnvelope()
-	var out []int
-	for w := range p.HitRate {
-		if p.HitRate[w] >= env[w]-1e-9 {
-			out = append(out, w)
 		}
 	}
 	return out

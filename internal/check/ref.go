@@ -13,7 +13,7 @@ import (
 // implementation alloc.Concave had before the pruned fast path and is
 // retained as the oracle of Differential, the alloc differential tests
 // and the before/after benchmarks; production callers use alloc.Concave
-// or alloc.ConcaveInto.
+// or alloc.ConcaveWith.
 func ConcaveRef(fs []utility.Func, budget float64) alloc.Result {
 	n := len(fs)
 	x := make([]float64, n)
@@ -65,7 +65,7 @@ func ConcaveRef(fs []utility.Func, budget float64) alloc.Result {
 	sum := sumAt(fs, hi, x)
 	if sum > budget {
 		// The doubling search gave up: scale back onto the budget (see the
-		// matching comment in alloc.ConcaveInto).
+		// matching comment in alloc's concave).
 		scale := budget / sum
 		for i := range x {
 			x[i] *= scale
@@ -100,17 +100,11 @@ func sumAt(fs []utility.Func, lambda float64, x []float64) float64 {
 	return sum
 }
 
-// Assign1Ref is core.Assign1 running on the O(mn²) reference
-// implementation — the textbook transcription of the paper's pseudocode.
-// It is the oracle for differential tests of the heap-based fast path
-// and the "before" side of its benchmarks; solve paths use core.Assign1.
-func Assign1Ref(in *core.Instance) core.Assignment {
-	so := core.SuperOptimal(in)
-	gs := core.Linearize(in, so)
-	return Assign1LinearizedRef(in, gs)
-}
-
-// Assign1LinearizedRef is the reference implementation behind Assign1Ref.
+// Assign1LinearizedRef is core.Assign1Linearized on the O(mn²)
+// reference implementation — the textbook transcription of the paper's
+// pseudocode. It is the oracle for differential tests of the heap-based
+// fast path and the "before" side of its benchmarks; solve paths use
+// core.Assign1.
 //
 // Its per-pass scans pick, among the unassigned threads, the full
 // candidate maximizing g(ĉ) — or, when none fits, the thread maximizing

@@ -2,7 +2,7 @@
 // shares, so the observability and verification surface is uniform
 // across aasolve, aagen, aabench, aaonline, aacache and aaserve:
 //
-//   - -metrics-addr serves live /metrics, /metrics/history, /vars and
+//   - -metrics-addr serves live /metrics, /metrics/history and
 //     /debug/pprof,
 //   - -trace-out appends telemetry span/event JSONL to a file; every
 //     span of the run links under one per-invocation "process" root
@@ -51,7 +51,7 @@ type Common struct {
 // AddFlags registers the shared flags on fs with the shared wording.
 func (c *Common) AddFlags(fs *flag.FlagSet) {
 	fs.StringVar(&c.MetricsAddr, "metrics-addr", "",
-		"serve /metrics, /vars and /debug/pprof on this address (e.g. localhost:0)")
+		"serve /metrics and /debug/pprof on this address (e.g. localhost:0)")
 	fs.StringVar(&c.TraceOut, "trace-out", "",
 		"write telemetry span/event JSONL to this file")
 	fs.StringVar(&c.ProfileDir, "profile-dir", "",

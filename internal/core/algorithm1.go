@@ -18,10 +18,10 @@ package core
 // candidates by g(ĉ), the rest by ramp slope — replace the per-pass thread
 // sweep. The max residual only shrinks, so each thread crosses from "fits"
 // to "doesn't fit" at most once and the queues migrate lazily.
-// check.Assign1Ref retains the quadratic implementation; the two are
-// byte-identical on any linearization with ĉ_i ∈ [0, C] (which Linearize
-// guarantees), a property the differential tests assert across the
-// figure corpus.
+// check.Assign1LinearizedRef retains the quadratic implementation; the
+// two are byte-identical on any linearization with ĉ_i ∈ [0, C] (which
+// Linearize guarantees), a property the differential tests assert across
+// the figure corpus.
 func Assign1(in *Instance) Assignment {
 	so := SuperOptimal(in)
 	gs := Linearize(in, so)

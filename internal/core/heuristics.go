@@ -9,7 +9,8 @@ import (
 // The four heuristics the paper compares against in §VII. Each combines
 // an assignment rule (Uniform = round robin, Random = uniform random
 // server) with an allocation rule (Uniform = equal split of C among the
-// server's threads, Random = flat-Dirichlet random split).
+// server's threads, Random = independent uniform shares scaled into C,
+// alloc.RandomSplit).
 
 // AssignUU is uniform assignment + uniform allocation.
 func AssignUU(in *Instance) Assignment {

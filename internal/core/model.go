@@ -119,17 +119,6 @@ func (a Assignment) Utility(in *Instance) float64 {
 	return total
 }
 
-// ServerLoads returns the total allocation on each server.
-func (a Assignment) ServerLoads(in *Instance) []float64 {
-	loads := make([]float64, in.M)
-	for i, s := range a.Server {
-		if s >= 0 && s < in.M {
-			loads[s] += a.Alloc[i]
-		}
-	}
-	return loads
-}
-
 // Validate checks the assignment is feasible for the instance: every
 // thread is placed on a valid server with a nonnegative allocation, and
 // each server's allocations sum to at most C (within tol).

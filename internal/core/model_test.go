@@ -257,3 +257,14 @@ func TestAlphaValue(t *testing.T) {
 		t.Errorf("Alpha = %v, paper claims > 0.828", Alpha)
 	}
 }
+
+// ServerLoads returns the total allocation on each server.
+func (a Assignment) ServerLoads(in *Instance) []float64 {
+	loads := make([]float64, in.M)
+	for i, s := range a.Server {
+		if s >= 0 && s < in.M {
+			loads[s] += a.Alloc[i]
+		}
+	}
+	return loads
+}

@@ -40,7 +40,7 @@ func benchCachePair(b *testing.B) (base, churned *core.Instance) {
 
 func benchCacheKey(b *testing.B, in *core.Instance) cache.Key {
 	b.Helper()
-	canon, err := cache.Canonicalize(in)
+	canon, err := cache.CanonicalizeKeyed(in, cache.HashKey{})
 	if err != nil {
 		b.Fatal(err)
 	}

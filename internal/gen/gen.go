@@ -117,24 +117,3 @@ func Instance(dist Dist, m int, c float64, n int, r *rng.Rand) (*core.Instance, 
 	}
 	return &core.Instance{M: m, C: c, Threads: threads}, nil
 }
-
-// MixedFamilies generates an instance whose threads are drawn from the
-// closed-form families (log, saturating-exponential, power, linear) with
-// randomized parameters. Not part of the paper's evaluation — used by the
-// extension benchmarks and examples for more structured workloads.
-func MixedFamilies(m int, c float64, n int, r *rng.Rand) *core.Instance {
-	threads := make([]utility.Func, n)
-	for i := range threads {
-		switch r.Intn(4) {
-		case 0:
-			threads[i] = utility.Log{Scale: r.Uniform(0.5, 5), Shift: r.Uniform(1, c/4), C: c}
-		case 1:
-			threads[i] = utility.SatExp{Scale: r.Uniform(0.5, 5), K: r.Uniform(c/50, c/3), C: c}
-		case 2:
-			threads[i] = utility.Power{Scale: r.Uniform(0.2, 2), Beta: r.Uniform(0.2, 1), C: c}
-		default:
-			threads[i] = utility.Linear{Slope: r.Uniform(0.001, 0.01), C: c}
-		}
-	}
-	return &core.Instance{M: m, C: c, Threads: threads}
-}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"aa/internal/rng"
-	"aa/internal/utility"
 )
 
 func TestDistributionsNonnegative(t *testing.T) {
@@ -139,19 +138,6 @@ func TestInstanceDeterministicPerSeed(t *testing.T) {
 			if a.Threads[i].Value(x) != b.Threads[i].Value(x) {
 				t.Fatalf("thread %d differs at x=%v across identical seeds", i, x)
 			}
-		}
-	}
-}
-
-func TestMixedFamilies(t *testing.T) {
-	r := rng.New(6)
-	in := MixedFamilies(4, 500, 30, r)
-	if err := in.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for i, f := range in.Threads {
-		if err := utility.Validate(f, 300, 1e-9); err != nil {
-			t.Errorf("thread %d: %v", i, err)
 		}
 	}
 }

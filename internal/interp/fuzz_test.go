@@ -27,7 +27,7 @@ func FuzzPCHIPMonotone(f *testing.F) {
 			xs[i] = xs[i-1] + 1
 			ys[i] = ys[i-1] + inc
 		}
-		p, err := NewPCHIP(xs, ys)
+		p, err := newPCHIP(xs, ys)
 		if err != nil {
 			t.Fatalf("valid data rejected: %v", err)
 		}

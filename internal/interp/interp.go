@@ -168,37 +168,22 @@ type PCHIP struct {
 	d      []float64 // limited derivative at each knot
 }
 
-// NewPCHIP builds a monotone piecewise-cubic interpolant through
-// (xs[i], ys[i]). xs must be strictly increasing. The slices are copied,
-// into one allocation shared with the slopes.
-func NewPCHIP(xs, ys []float64) (*PCHIP, error) {
-	if err := validate(xs, ys); err != nil {
-		return nil, err
-	}
-	p := new(PCHIP)
-	p.init(xs, ys, make([]float64, 3*len(xs)))
-	return p, nil
-}
-
-// Init builds the interpolant NewPCHIP would into p, keeping the copied
-// knots and the slopes in buf, which must hold at least 3*len(xs)
+// Init builds into p a monotone piecewise-cubic interpolant through
+// (xs[i], ys[i]). xs must be strictly increasing. The knots are copied
+// into buf, which also keeps the slopes, must hold at least 3*len(xs)
 // values and is owned by p from then on. Batch builders use it to lay
 // many curves out in a few large allocations.
 func (p *PCHIP) Init(xs, ys, buf []float64) error {
 	if err := validate(xs, ys); err != nil {
 		return err
 	}
-	p.init(xs, ys, buf)
-	return nil
-}
-
-func (p *PCHIP) init(xs, ys, buf []float64) {
 	n := len(xs)
 	buf = buf[: 3*n : 3*n]
 	*p = PCHIP{xs: buf[:n:n], ys: buf[n : 2*n : 2*n], d: buf[2*n:]}
 	copy(p.xs, xs)
 	copy(p.ys, ys)
 	pchipSlopes(p.d, p.xs, p.ys)
+	return nil
 }
 
 // pchipSlopes writes the Fritsch–Carlson limited derivatives into d. The
@@ -404,9 +389,6 @@ func (p *PCHIP) KnotCount() int { return len(p.xs) }
 
 // Knot returns the i-th sample point without copying the knot slices.
 func (p *PCHIP) Knot(i int) (x, y float64) { return p.xs[i], p.ys[i] }
-
-// Slopes returns a copy of the limited knot derivatives.
-func (p *PCHIP) Slopes() []float64 { return append([]float64(nil), p.d...) }
 
 // IsMonotoneNondecreasing reports whether the sampled data is nondecreasing.
 func IsMonotoneNondecreasing(ys []float64) bool {

@@ -7,7 +7,7 @@ import (
 )
 
 // refPCHIPSlopes is the slope computation with the interval widths and
-// secant slopes stored in temporaries, as NewPCHIP once did it.
+// secant slopes stored in temporaries, as Init once did it.
 func refPCHIPSlopes(xs, ys []float64) []float64 {
 	n := len(xs)
 	d := make([]float64, n)
@@ -36,7 +36,7 @@ func refPCHIPSlopes(xs, ys []float64) []float64 {
 	return d
 }
 
-// TestPCHIPSlopesBitIdentical: NewPCHIP's in-place slopes have exactly
+// TestPCHIPSlopesBitIdentical: Init's in-place slopes have exactly
 // the bits of the temporaries-based computation, on monotone, flat,
 // non-monotone and badly scaled data.
 func TestPCHIPSlopesBitIdentical(t *testing.T) {
@@ -56,12 +56,12 @@ func TestPCHIPSlopesBitIdentical(t *testing.T) {
 				ys[i] = ys[i-1] + float64(r.Intn(2))
 			}
 		}
-		p, err := NewPCHIP(xs, ys)
+		p, err := newPCHIP(xs, ys)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := refPCHIPSlopes(xs, ys)
-		for i, got := range p.Slopes() {
+		for i, got := range p.d {
 			if math.Float64bits(got) != math.Float64bits(want[i]) {
 				t.Fatalf("trial %d knot %d: slope %v, reference %v\nxs=%v\nys=%v", trial, i, got, want[i], xs, ys)
 			}

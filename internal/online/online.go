@@ -283,15 +283,11 @@ func (s *State) TotalUtility() float64 {
 	return total
 }
 
-// Loads returns the per-server allocation sums as a new slice.
-// Placements are summed in slot (ascending-id) order: policies choose
-// servers by comparing these sums, so any other accumulation order would
-// leak ULP-level nondeterminism into placement decisions.
-func (s *State) Loads() []float64 {
-	return append([]float64(nil), s.sumLoads()...)
-}
-
-// sumLoads is Loads into state scratch, valid until the next call.
+// sumLoads returns the per-server allocation sums in state scratch,
+// valid until the next call. Placements are summed in slot (ascending-id)
+// order: policies choose servers by comparing these sums, so any other
+// accumulation order would leak ULP-level nondeterminism into placement
+// decisions.
 func (s *State) sumLoads() []float64 {
 	if cap(s.scr.loads) < s.M {
 		s.scr.loads = make([]float64, s.M)

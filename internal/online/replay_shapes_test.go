@@ -218,3 +218,8 @@ func TestLeastLoadedTiesOnRoundOff(t *testing.T) {
 		}
 	}
 }
+
+// Loads returns the per-server allocation sums as a new slice.
+func (s *State) Loads() []float64 {
+	return append([]float64(nil), s.sumLoads()...)
+}

@@ -150,11 +150,6 @@ func (r *Rand) Exponential(rate float64) float64 {
 	return -math.Log(1-r.Float64()) / rate
 }
 
-// LogNormal returns exp(Normal(mu, sigma)).
-func (r *Rand) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(r.Normal(mu, sigma))
-}
-
 // Poisson returns a Poisson variate with the given mean. Knuth's
 // multiplication method is used for small means and a normal
 // approximation (rounded, clamped at 0) for large ones.
@@ -188,43 +183,6 @@ func (r *Rand) TwoPoint(lo, hi, pLo float64) float64 {
 		return lo
 	}
 	return hi
-}
-
-// Zipf returns a value in [1, n] with probability proportional to
-// rank^(-s), via inversion on the precomputed CDF-free rejection method of
-// Devroye. For repeated sampling with the same parameters prefer NewZipf.
-func (r *Rand) Zipf(s float64, n int) int {
-	z := NewZipf(s, n)
-	return z.Sample(r)
-}
-
-// DirichletSplit fills out with a uniform random split of total into
-// len(out) nonnegative parts (a flat Dirichlet). The UR/RR heuristics
-// use independent-uniform shares instead (see alloc.RandomSplit); this
-// exact-simplex split remains available for workloads that need the
-// budget fully consumed.
-func (r *Rand) DirichletSplit(total float64, out []float64) {
-	if len(out) == 0 {
-		return
-	}
-	if len(out) == 1 {
-		out[0] = total
-		return
-	}
-	sum := 0.0
-	for i := range out {
-		out[i] = r.Exponential(1)
-		sum += out[i]
-	}
-	if sum == 0 {
-		for i := range out {
-			out[i] = total / float64(len(out))
-		}
-		return
-	}
-	for i := range out {
-		out[i] = total * out[i] / sum
-	}
 }
 
 // Perm returns a random permutation of [0, n).

@@ -3,7 +3,6 @@ package rng
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -285,36 +284,6 @@ func TestTwoPointFrequencies(t *testing.T) {
 	}
 }
 
-func TestDirichletSplitSumsToTotal(t *testing.T) {
-	r := New(12)
-	f := func(k uint8, totalRaw uint16) bool {
-		parts := int(k%10) + 1
-		total := float64(totalRaw) / 100
-		out := make([]float64, parts)
-		r.DirichletSplit(total, out)
-		sum := 0.0
-		for _, v := range out {
-			if v < 0 {
-				return false
-			}
-			sum += v
-		}
-		return math.Abs(sum-total) < 1e-9*(1+total)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestDirichletSplitSingle(t *testing.T) {
-	out := make([]float64, 1)
-	New(1).DirichletSplit(7, out)
-	if out[0] != 7 {
-		t.Errorf("single split = %v, want 7", out[0])
-	}
-	New(1).DirichletSplit(7, nil) // must not panic
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	r := New(13)
 	p := r.Perm(50)
@@ -376,15 +345,6 @@ func TestUniformRange(t *testing.T) {
 		v := r.Uniform(-3, 5)
 		if v < -3 || v >= 5 {
 			t.Fatalf("Uniform(-3,5) = %v", v)
-		}
-	}
-}
-
-func TestLogNormalPositive(t *testing.T) {
-	r := New(17)
-	for i := 0; i < 1000; i++ {
-		if v := r.LogNormal(0, 1); v <= 0 {
-			t.Fatalf("LogNormal = %v", v)
 		}
 	}
 }

@@ -55,10 +55,6 @@ func (s Summary) Stderr() float64 {
 	return s.Stddev / math.Sqrt(float64(s.N))
 }
 
-// CI95 returns the half-width of the 95% normal-approximation confidence
-// interval for the mean.
-func (s Summary) CI95() float64 { return 1.96 * s.Stderr() }
-
 // Mean returns the arithmetic mean of xs (0 for an empty sample).
 func Mean(xs []float64) float64 { return Summarize(xs).Mean }
 
@@ -85,22 +81,6 @@ func Quantile(xs []float64, q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// GeoMean returns the geometric mean of strictly positive xs; it returns
-// 0 if any value is nonpositive or the sample is empty.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	logSum := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		logSum += math.Log(x)
-	}
-	return math.Exp(logSum / float64(len(xs)))
 }
 
 // RatioOfMeans returns mean(num)/mean(den), the estimator the paper's

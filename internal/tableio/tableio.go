@@ -34,21 +34,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, cells)
 }
 
-// AddFloatRow appends a row of floats, formatting the first value with
-// labelFmt (e.g. "%.0f" for an integer sweep parameter) and the rest with
-// valueFmt (e.g. "%.4f").
-func (t *Table) AddFloatRow(labelFmt, valueFmt string, values ...float64) {
-	cells := make([]string, len(values))
-	for i, v := range values {
-		f := valueFmt
-		if i == 0 {
-			f = labelFmt
-		}
-		cells[i] = fmt.Sprintf(f, v)
-	}
-	t.AddRow(cells...)
-}
-
 // WriteASCII renders the table with aligned columns to w.
 func (t *Table) WriteASCII(w io.Writer) error {
 	widths := make([]int, len(t.Headers))

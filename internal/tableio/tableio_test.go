@@ -50,17 +50,6 @@ func TestAddRowPanicsOnWidthMismatch(t *testing.T) {
 	New("t", "a", "b").AddRow("only one")
 }
 
-func TestAddFloatRow(t *testing.T) {
-	tb := New("t", "beta", "r1", "r2")
-	tb.AddFloatRow("%.0f", "%.3f", 5, 0.98765, 1.5)
-	want := []string{"5", "0.988", "1.500"}
-	for i, cell := range tb.Rows[0] {
-		if cell != want[i] {
-			t.Errorf("cell %d = %q, want %q", i, cell, want[i])
-		}
-	}
-}
-
 func TestCSV(t *testing.T) {
 	tb := New("ignored", "a", "b")
 	tb.AddRow("1", "plain")

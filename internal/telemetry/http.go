@@ -8,40 +8,22 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"sync"
 	"time"
 )
 
-// publishOnce guards the expvar.Publish of the default registry
-// (expvar panics on duplicate names).
-var publishOnce sync.Once
-
-// Handler returns an http.Handler exposing the registry three ways:
+// Handler returns an http.Handler exposing the registry and the process:
 //
 //	/metrics          Prometheus text exposition format
 //	/metrics/history  JSON ring of periodic snapshots (StartHistory)
-//	/vars             expvar-style JSON of the registry
-//	/debug/vars       standard expvar (cmdline, memstats, plus the
-//	                  registry under "aa_metrics" when reg is Default)
+//	/debug/vars       standard expvar (cmdline, memstats)
 //	/debug/pprof      the full net/http/pprof suite
 //
 // The root path serves a plain index of the endpoints.
 func Handler(reg *Registry) http.Handler {
-	if reg == Default {
-		publishOnce.Do(func() {
-			expvar.Publish("aa_metrics", expvar.Func(func() any {
-				return Default.jsonSnapshot()
-			}))
-		})
-	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = reg.WritePrometheus(w)
-	})
-	mux.HandleFunc("/vars", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		_ = reg.WriteJSON(w)
 	})
 	mux.HandleFunc("/metrics/history", historyHandler(reg))
 	mux.Handle("/debug/vars", expvar.Handler())
@@ -55,7 +37,7 @@ func Handler(reg *Registry) http.Handler {
 			http.NotFound(w, r)
 			return
 		}
-		fmt.Fprint(w, "aa telemetry\n\n/metrics\n/metrics/history\n/vars\n/debug/vars\n/debug/pprof/\n")
+		fmt.Fprint(w, "aa telemetry\n\n/metrics\n/metrics/history\n/debug/vars\n/debug/pprof/\n")
 	})
 	return mux
 }
@@ -117,7 +99,7 @@ func Setup(metricsAddr, tracePath string, logf func(format string, args ...any))
 		}
 		Enable()
 		if logf != nil {
-			logf("telemetry: serving /metrics, /vars and /debug/pprof on http://%s\n", srv.Addr)
+			logf("telemetry: serving /metrics and /debug/pprof on http://%s\n", srv.Addr)
 		}
 	}
 	if tracePath != "" {

@@ -88,9 +88,6 @@ func StartProfiler(dir string, opts ProfilerOptions) (*Profiler, error) {
 	return p, nil
 }
 
-// Dir returns the capture directory.
-func (p *Profiler) Dir() string { return p.dir }
-
 // Stop halts the profiler, finishing (not abandoning) an in-flight
 // CPU window, and waits for the loop to exit.
 func (p *Profiler) Stop() {

@@ -1,10 +1,8 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -184,17 +182,6 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	return e.hist
 }
 
-// Names returns every registered metric name in registration order.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, len(r.order))
-	for i, e := range r.order {
-		out[i] = e.name
-	}
-	return out
-}
-
 // snapshot copies the entry list so exporters iterate without holding
 // the lock (metric values are atomics, safe to read live).
 func (r *Registry) snapshot() []*entry {
@@ -267,63 +254,4 @@ func writePrometheusHistogram(w io.Writer, base, labels string, h *Histogram) er
 	}
 	_, err := fmt.Fprintf(w, "%s_count%s %d\n", base, labels, cum)
 	return err
-}
-
-// JSONValue is the export shape of one metric in WriteJSON output.
-type JSONValue struct {
-	Type    string            `json:"type"`
-	Value   any               `json:"value,omitempty"`
-	Count   uint64            `json:"count,omitempty"`
-	Sum     float64           `json:"sum,omitempty"`
-	Buckets map[string]uint64 `json:"buckets,omitempty"`
-}
-
-// jsonSnapshot builds the expvar-style map (name → value) served at
-// /vars and published into expvar.
-func (r *Registry) jsonSnapshot() map[string]JSONValue {
-	entries := r.snapshot()
-	out := make(map[string]JSONValue, len(entries))
-	for _, e := range entries {
-		switch e.kind {
-		case kindCounter:
-			out[e.name] = JSONValue{Type: "counter", Value: e.counter.Value()}
-		case kindGauge:
-			out[e.name] = JSONValue{Type: "gauge", Value: e.gauge.Value()}
-		case kindHistogram:
-			h := e.hist
-			counts := h.BucketCounts()
-			buckets := make(map[string]uint64, len(counts))
-			for i, bound := range h.bounds {
-				if counts[i] > 0 {
-					buckets[formatFloat(bound)] = counts[i]
-				}
-			}
-			if over := counts[len(counts)-1]; over > 0 {
-				buckets["+Inf"] = over
-			}
-			out[e.name] = JSONValue{
-				Type:    "histogram",
-				Count:   h.Count(),
-				Sum:     h.Sum(),
-				Buckets: buckets,
-			}
-		}
-	}
-	return out
-}
-
-// WriteJSON writes every registered metric as one JSON object keyed by
-// metric name (keys sorted, as encoding/json does for maps).
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.jsonSnapshot())
-}
-
-// SortedNames returns every registered metric name sorted, handy for
-// assertions and debug output.
-func (r *Registry) SortedNames() []string {
-	names := r.Names()
-	sort.Strings(names)
-	return names
 }

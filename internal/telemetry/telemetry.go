@@ -21,11 +21,10 @@
 //   - Safe under -race. Every mutable word is a sync/atomic value; the
 //     registry map is mutex-guarded; the trace sink serializes writes.
 //
-//   - Two export formats. Registry.WritePrometheus emits the Prometheus
-//     text exposition format; Registry.WriteJSON emits an expvar-style
-//     JSON object. Handler serves both over HTTP next to net/http/pprof,
-//     plus the bounded snapshot ring behind /metrics/history (see
-//     Registry.StartHistory).
+//   - One export format. Registry.WritePrometheus emits the Prometheus
+//     text exposition format; Handler serves it over HTTP next to
+//     net/http/pprof, plus the bounded snapshot ring behind
+//     /metrics/history (see Registry.StartHistory).
 //
 //   - One stage per timed layer. A Stage pairs a span name with the
 //     layer's latency histogram (if it has one); Start/End feed both
@@ -158,9 +157,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return h.sum.Value() }
-
-// Bounds returns the bucket upper bounds (not including +Inf).
-func (h *Histogram) Bounds() []float64 { return append([]float64(nil), h.bounds...) }
 
 // BucketCounts returns the per-bucket (non-cumulative) counts; the last
 // entry is the +Inf overflow bucket.

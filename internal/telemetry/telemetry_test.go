@@ -235,28 +235,6 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 }
 
-func TestWriteJSON(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("test_total").Add(9)
-	h := r.Histogram("test_seconds", []float64{1})
-	h.Observe(0.5)
-	h.Observe(3)
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var m map[string]JSONValue
-	if err := json.Unmarshal(buf.Bytes(), &m); err != nil {
-		t.Fatalf("output is not JSON: %v\n%s", err, buf.String())
-	}
-	if m["test_total"].Type != "counter" || m["test_total"].Value.(float64) != 9 {
-		t.Errorf("test_total = %+v", m["test_total"])
-	}
-	if m["test_seconds"].Count != 2 || m["test_seconds"].Buckets["+Inf"] != 1 {
-		t.Errorf("test_seconds = %+v", m["test_seconds"])
-	}
-}
-
 func TestLabel(t *testing.T) {
 	if got := Label("aa_x_total", "fig", "fig1a", "param", "3"); got != `aa_x_total{fig="fig1a",param="3"}` {
 		t.Errorf("Label = %q", got)
@@ -356,9 +334,6 @@ func TestHTTPHandler(t *testing.T) {
 
 	if code, body := get("/metrics"); code != 200 || !strings.Contains(body, "aa_test_requests_total 2") {
 		t.Errorf("/metrics: code %d body %q", code, body)
-	}
-	if code, body := get("/vars"); code != 200 || !strings.Contains(body, "aa_test_requests_total") {
-		t.Errorf("/vars: code %d body %q", code, body)
 	}
 	if code, body := get("/debug/vars"); code != 200 || !strings.Contains(body, "memstats") {
 		t.Errorf("/debug/vars: code %d, body %.80q", code, body)

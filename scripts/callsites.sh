@@ -5,7 +5,7 @@
 # Every split of a server (or pool) among its threads goes through
 # core's per-server split, so no non-test Go file outside internal/alloc,
 # internal/core and internal/check calls the water-filling allocator
-# (alloc.Concave, ConcaveWith, ConcaveInto, ConcaveValuesWith). Prints
+# (alloc.Concave, ConcaveWith, ConcaveValuesWith). Prints
 # each offending line and exits 1 if one appears.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -33,7 +33,7 @@ if [ -n "$solve" ]; then
     echo "$solve" >&2
     status=1
 fi
-split="$(hits '\balloc\.Concave(With|Into|ValuesWith)?\(' internal/alloc internal/core internal/check)"
+split="$(hits '\balloc\.Concave(With|ValuesWith)?\(' internal/alloc internal/core internal/check)"
 if [ -n "$split" ]; then
     echo "callsites: FAIL: alloc.Concave* calls outside internal/alloc, internal/core and internal/check (split through core.Workspace.SplitGroup):" >&2
     echo "$split" >&2
