@@ -3,8 +3,9 @@
 // homogeneous cluster, handled by three rebalancing policies — full
 // re-solve on every event, never-migrate incremental repair, and a
 // hybrid that rebuilds when measured quality drops below a threshold of
-// the super-optimal bound. It sweeps per-migration cost and prints the
-// net value (utility integral minus migration costs) per policy.
+// the super-optimal bound. It prices each policy's migrations at a sweep
+// of per-migration costs and prints the net value (utility integral
+// minus migration costs) per policy.
 //
 // Usage:
 //
@@ -13,12 +14,14 @@
 //	         [-workers 0] [-timeout 0] [-csv dir] [-check]
 //	         [-metrics-addr host:port] [-trace-out file.jsonl]
 //
-// The (policy × cost) simulation grid fans out across a solver pool
-// with -workers goroutines (0 = GOMAXPROCS); the tables are identical
-// for every worker count. -timeout bounds the whole run. -csv writes
-// both tables as CSV files into the given directory. -metrics-addr
-// serves live /metrics and /debug/pprof while the simulation
-// runs; -trace-out appends solver-stage span events as JSONL.
+// The per-policy simulations fan out across a solver pool with -workers
+// goroutines (0 = GOMAXPROCS); the tables are identical for every
+// worker count. A migration's cost does not change what a policy does,
+// so one simulation per policy prices every cost in the sweep. -timeout
+// bounds the whole run. -csv writes both tables as CSV files into the
+// given directory. -metrics-addr serves live /metrics and /debug/pprof
+// while the simulation runs; -trace-out appends solver-stage span
+// events as JSONL.
 // -check (or AA_CHECK=1) runs the cap-aware feasibility invariants of
 // internal/check on the live state after every event, failing the run
 // on the first violation and printing a check summary at exit.
@@ -103,11 +106,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 		online.Incremental{},
 	}
 
-	// Every (policy, cost) simulation is independent; fan the whole grid
-	// out across the pool and collect results into slots keyed by grid
-	// position, so the printed tables do not depend on scheduling. The
-	// extra column 0 is the cost-0 summary table.
-	grid, err := simulateGrid(ctx, *workers, *m, *c, timeline, policies, costs, horizon)
+	// One simulation per policy, fanned out across the pool into slots
+	// keyed by policy, so the printed tables do not depend on scheduling.
+	pool := solverpool.New(solverpool.Options{Workers: *workers})
+	defer pool.Close()
+	results := make([]online.Result, len(policies))
+	err = pool.ForEach(ctx, len(policies), func(_ context.Context, pi int) error {
+		var err error
+		results[pi], err = online.Simulate(*m, *c, timeline, policies[pi], horizon)
+		return err
+	})
 	if err != nil {
 		return err
 	}
@@ -116,7 +124,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	base := tableio.New("policy summary (migration cost 0)",
 		"policy", "utility-integral", "migrations")
 	for pi, p := range policies {
-		res := grid[pi][0]
+		res := results[pi]
 		base.AddRow(p.Name(),
 			fmt.Sprintf("%.1f", res.UtilityIntegral),
 			fmt.Sprintf("%d", res.Migrations))
@@ -130,10 +138,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		headers = append(headers, p.Name())
 	}
 	sweep := tableio.New("\nnet value = utility − cost × migrations", headers...)
-	for ci, cost := range costs {
+	for _, cost := range costs {
 		cells := []string{tableio.FormatFloat(cost, 1)}
-		for pi := range policies {
-			cells = append(cells, fmt.Sprintf("%.1f", grid[pi][ci+1].Net))
+		for _, res := range results {
+			// float64() rounds the product first, so no platform fuses
+			// the multiply into the subtraction.
+			cells = append(cells, fmt.Sprintf("%.1f", res.UtilityIntegral-float64(float64(res.Migrations)*cost)))
 		}
 		sweep.AddRow(cells...)
 	}
@@ -167,32 +177,6 @@ func writeCSV(dir, name string, tbl *tableio.Table) error {
 		return err
 	}
 	return f.Close()
-}
-
-// simulateGrid runs every (policy, cost) cell through a solver pool and
-// returns grid[policy][cell], where cell 0 is migration cost 0 (the
-// summary table) and cell ci+1 is costs[ci]. The first simulation error
-// cancels the remaining cells and is returned.
-func simulateGrid(ctx context.Context, workers, m int, c float64, timeline []online.Event, policies []online.Policy, costs []float64, horizon float64) ([][]online.Result, error) {
-	pool := solverpool.New(solverpool.Options{Workers: workers})
-	defer pool.Close()
-
-	cells := len(costs) + 1
-	grid := make([][]online.Result, len(policies))
-	for pi := range grid {
-		grid[pi] = make([]online.Result, cells)
-	}
-	err := pool.ForEach(ctx, len(policies)*cells, func(_ context.Context, k int) error {
-		pi, cell := k/cells, k%cells
-		cost := 0.0
-		if cell > 0 {
-			cost = costs[cell-1]
-		}
-		res, err := online.Simulate(m, c, timeline, policies[pi], cost, horizon)
-		grid[pi][cell] = res
-		return err
-	})
-	return grid, err
 }
 
 // buildTimeline mirrors the churn generator used by the online tests.

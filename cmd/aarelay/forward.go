@@ -2,8 +2,8 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -30,9 +30,15 @@ var (
 	stageForward = telemetry.NewStage("relay.forward", nil)
 )
 
-// admit applies the per-client token bucket; a false return means the
-// 429 (with Retry-After) is already written.
-func (rl *relay) admit(w http.ResponseWriter, r *http.Request) bool {
+// admit accepts a POST (usage is the 405's hint), counts it, and applies
+// the per-client token bucket; a false return means the 405 or the 429
+// (with Retry-After) is already written.
+func (rl *relay) admit(w http.ResponseWriter, r *http.Request, usage string) bool {
+	if r.Method != http.MethodPost {
+		http.Error(w, usage, http.StatusMethodNotAllowed)
+		return false
+	}
+	metricRequests.Inc()
 	if rl.limiter == nil {
 		return true
 	}
@@ -65,37 +71,31 @@ func retryAfterSeconds(wait time.Duration) string {
 // failover forward loop. The request body is buffered up front — it is
 // re-sent on every failover attempt and fingerprinted for the cache.
 func (rl *relay) handleSolve(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST an instance (see internal/instio for the JSON format)", http.StatusMethodNotAllowed)
+	if !rl.admit(w, r, "POST an instance (see internal/instio for the JSON format)") {
 		return
 	}
-	metricRequests.Inc()
-	if !rl.admit(w, r) {
+	if !serveutil.LimitBody(w, r, rl.maxBodyBytes, "-max-body-bytes", "body_too_large") {
 		return
 	}
-	body, err := rl.readBody(w, r)
+	body, err := readBody(r)
 	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			http.Error(w, fmt.Sprintf("body exceeds %d bytes", tooBig.Limit), http.StatusRequestEntityTooLarge)
-			return
+		if !serveutil.TooLarge(w, err, "-max-body-bytes", "body_too_large") {
+			http.Error(w, fmt.Sprintf("reading body: %v", err), http.StatusBadRequest)
 		}
-		http.Error(w, fmt.Sprintf("reading body: %v", err), http.StatusBadRequest)
 		return
 	}
 
 	// Relay-side exact-hit cache: canonicalize with the cache's key and
 	// answer byte-identically without touching a node. Uncacheable
-	// requests (bad params, bodies the scan rejects, check=1, cache=bypass)
-	// fall through to forwarding — the node is the authority on errors.
+	// requests (a query the node's parser rejects, bodies the scan
+	// rejects, check=1, cache=bypass) fall through to forwarding — the
+	// node is the authority on errors.
 	ck, canon, cacheable := rl.cacheKey(r, body)
 	if cacheable {
 		if e, ok := rl.cache.Get(ck); ok {
 			writeCachedAssignment(w, e, canon)
 			return
 		}
-	} else if r.URL.Query().Get("cache") == "bypass" {
-		rl.cache.NoteBypass()
 	}
 
 	status, respBody, ok := rl.forwardSolve(w, r, body)
@@ -103,7 +103,7 @@ func (rl *relay) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return // forwardSolve wrote the error
 	}
 	if cacheable && status == http.StatusOK {
-		rl.storeResponse(ck, canon, r, respBody)
+		rl.storeResponse(ck, canon, respBody)
 	}
 }
 
@@ -114,17 +114,12 @@ func (rl *relay) handleSolve(w http.ResponseWriter, r *http.Request) {
 // (tens of KB for n=1000).
 const maxPrealloc = 1 << 20
 
-// readBody buffers a /solve body under the -max-body-bytes cap. A
-// declared Content-Length within the cap sizes the buffer up front, up
-// to maxPrealloc, instead of growing it through the read.
-func (rl *relay) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	if rl.maxBodyBytes > 0 {
-		r.Body = http.MaxBytesReader(w, r.Body, rl.maxBodyBytes)
-	}
-	size := int64(0)
-	if n := r.ContentLength; n > 0 && (rl.maxBodyBytes <= 0 || n <= rl.maxBodyBytes) {
-		size = min(n, maxPrealloc)
-	}
+// readBody buffers a /solve body that serveutil.LimitBody has capped. A
+// declared Content-Length (within the cap, or LimitBody would have
+// rejected it) sizes the buffer up front, up to maxPrealloc, instead of
+// growing it through the read.
+func readBody(r *http.Request) ([]byte, error) {
+	size := min(max(r.ContentLength, 0), maxPrealloc)
 	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
 	_, err := buf.ReadFrom(r.Body)
 	return buf.Bytes(), err
@@ -156,7 +151,7 @@ func (rl *relay) forwardSolve(w http.ResponseWriter, r *http.Request, body []byt
 			metricFailovers.Inc()
 		}
 		attempts++
-		resp, err := rl.forwardOnce(r, node, "/solve", body)
+		resp, err := rl.forwardOnce(r, node, body)
 		rl.rt.Done(node.Addr)
 		if err != nil {
 			rl.rt.ObserveFailure(node.Addr)
@@ -191,20 +186,35 @@ func (rl *relay) forwardSolve(w http.ResponseWriter, r *http.Request, body []byt
 	}
 }
 
-// forwardOnce sends one attempt to node, propagating the trace context
-// (the relay's http.request span — or, traced, a per-attempt
-// relay.forward child) and the request ID so one client request is one
-// connected trace tree across relay and nodes.
-func (rl *relay) forwardOnce(r *http.Request, node router.Node, path string, body []byte) (*http.Response, error) {
+// forwardOnce sends one attempt to node under a relay.forward span.
+func (rl *relay) forwardOnce(r *http.Request, node router.Node, body []byte) (*http.Response, error) {
 	ctx, sp := stageForward.Start(r.Context())
 	defer sp.End()
 	sp.Str("node", node.Name)
 	sp.Str("addr", node.Addr)
+	req, err := upstream(ctx, r, node, "/solve", bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	resp, err := rl.client.Do(req)
+	if resp != nil {
+		sp.Int("status", resp.StatusCode)
+	}
+	sp.Bool("ok", err == nil)
+	return resp, err
+}
+
+// upstream builds the request forwarding r's body to path on node, with
+// r's query and Content-Type. It propagates the request ID and ctx's
+// trace context (the relay's http.request span — or, traced, a
+// per-attempt relay.forward child) so one client request is one
+// connected trace tree across relay and nodes.
+func upstream(ctx context.Context, r *http.Request, node router.Node, path string, body io.Reader) (*http.Request, error) {
 	url := "http://" + node.Addr + path
 	if q := r.URL.RawQuery; q != "" {
 		url += "?" + q
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, body)
 	if err != nil {
 		return nil, err
 	}
@@ -217,12 +227,7 @@ func (rl *relay) forwardOnce(r *http.Request, node router.Node, path string, bod
 	if sc := telemetry.SpanFromContext(ctx); sc.Valid() {
 		req.Header.Set(serveutil.HeaderTraceparent, sc.Traceparent())
 	}
-	resp, err := rl.client.Do(req)
-	if resp != nil {
-		sp.Int("status", resp.StatusCode)
-	}
-	sp.Bool("ok", err == nil)
-	return resp, err
+	return req, nil
 }
 
 func drainBody(resp *http.Response) {
@@ -246,48 +251,27 @@ func copyResponseHeaders(w http.ResponseWriter, resp *http.Response) {
 }
 
 // cacheKey derives the relay cache key for a /solve request, or reports
-// it uncacheable. Mirrors the engine's cacheParams contract: the key is
-// the keyed fingerprint of the body's wire form (cache.CanonicalizeWire)
-// plus the output-relevant parameters, with the seed folded in only for
-// stochastic backends. A request without a backend is solved by the
-// nodes' -backend default, which the relay does not know: it is keyed
-// under the empty name, apart from every named backend, with its seed.
+// it uncacheable. The query goes through the node's own parser
+// (engine.ParseQuery) and key rule (engine.KeyParams), so a request a
+// node would reject is never answered from the cache; the instance part
+// is the keyed fingerprint of the body's wire form
+// (cache.CanonicalizeWire). A cache=bypass request is counted as a
+// bypass.
 func (rl *relay) cacheKey(r *http.Request, body []byte) (cache.Key, *cache.Canonical, bool) {
 	if rl.cache.Mode() == cache.ModeOff {
 		return cache.Key{}, nil, false
 	}
-	q := r.URL.Query()
-	if q.Get("check") == "1" || q.Get("cache") == "bypass" {
+	var req engine.Request
+	if _, err := engine.ParseQuery(r.URL.Query(), &req); err != nil || req.Check {
 		return cache.Key{}, nil, false
 	}
-	var p cache.Params
-	stochastic := true
-	if backend := q.Get("backend"); backend != "" {
-		bk, ok := engine.Lookup(backend)
-		if !ok {
-			return cache.Key{}, nil, false
-		}
-		p.Backend, stochastic = bk.Name, bk.Stochastic
+	if req.NoCache {
+		rl.cache.NoteBypass()
+		return cache.Key{}, nil, false
 	}
-	if v := q.Get("maxnodes"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return cache.Key{}, nil, false
-		}
-		p.MaxNodes = n
-	}
-	if stochastic {
-		p.Seed = 1 // aaserve's default
-		if v := q.Get("seed"); v != "" {
-			seed, err := strconv.ParseUint(v, 10, 64)
-			if err != nil {
-				return cache.Key{}, nil, false
-			}
-			p.Seed = seed
-		}
-	}
+	p, ok := engine.KeyParams(&req)
 	canon, err := cache.CanonicalizeWire(body, rl.cache.HashKey())
-	if err != nil {
+	if !ok || err != nil {
 		return cache.Key{}, nil, false
 	}
 	return cache.RequestKey(canon.Fingerprint(), p), canon, true
@@ -296,7 +280,7 @@ func (rl *relay) cacheKey(r *http.Request, body []byte) (cache.Key, *cache.Canon
 // storeResponse parses a node's 200 response and stores it in canonical
 // thread order under key. Responses that do not parse as an assignment
 // of the right arity are silently not cached.
-func (rl *relay) storeResponse(key cache.Key, canon *cache.Canonical, r *http.Request, respBody []byte) {
+func (rl *relay) storeResponse(key cache.Key, canon *cache.Canonical, respBody []byte) {
 	a, err := instio.DecodeAssignment(respBody)
 	if err != nil {
 		return
@@ -307,16 +291,11 @@ func (rl *relay) storeResponse(key cache.Key, canon *cache.Canonical, r *http.Re
 	}
 	e := &cache.Entry{
 		Canon:      canon,
-		Server:     make([]int, n),
-		Alloc:      make([]float64, n),
 		Utility:    a.Utility,
 		AltUtility: math.NaN(),
 		Bound:      a.Bound,
 	}
-	for k, orig := range canon.Perm {
-		e.Server[k] = a.Server[orig]
-		e.Alloc[k] = a.Alloc[orig]
-	}
+	e.Server, e.Alloc = canon.ToCanonical(a.Server, a.Alloc)
 	// Lambda stays 0: relay entries are exact-hit only, never
 	// warm-start seeds (the relay has no solver to repair with).
 	rl.cache.Put(key, 0, e)
@@ -335,10 +314,7 @@ func writeCachedAssignment(w http.ResponseWriter, e *cache.Entry, canon *cache.C
 		Utility: e.Utility,
 		Bound:   e.Bound,
 	}
-	for k, orig := range canon.Perm {
-		out.Server[orig] = e.Server[k]
-		out.Alloc[orig] = e.Alloc[k]
-	}
+	canon.FromCanonical(out.Server, out.Alloc, e.Server, e.Alloc)
 	// Stored values came from a node's encoded answer, so they are finite.
 	buf, _ := instio.AppendAssignment(nil, out, "")
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
@@ -350,12 +326,7 @@ func writeCachedAssignment(w http.ResponseWriter, e *cache.Entry, canon *cache.C
 // mid-batch aborts the connection (the client sees a truncated body,
 // never a fabricated success) rather than replaying a half-read stream.
 func (rl *relay) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST a JSON array of instances", http.StatusMethodNotAllowed)
-		return
-	}
-	metricRequests.Inc()
-	if !rl.admit(w, r) {
+	if !rl.admit(w, r, "POST a JSON array of instances") {
 		return
 	}
 	node, err := rl.rt.Pick(nil)
@@ -368,24 +339,10 @@ func (rl *relay) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// The node streams its response while still reading our forwarded
 	// body; full duplex keeps the relay from closing the upstream read.
 	_ = http.NewResponseController(w).EnableFullDuplex()
-	ctx := r.Context()
-	url := "http://" + node.Addr + "/solve/batch"
-	if q := r.URL.RawQuery; q != "" {
-		url += "?" + q
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, r.Body)
+	req, err := upstream(r.Context(), r, node, "/solve/batch", r.Body)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
-	}
-	if ct := r.Header.Get("Content-Type"); ct != "" {
-		req.Header.Set("Content-Type", ct)
-	}
-	if id := r.Header.Get(serveutil.HeaderRequestID); id != "" {
-		req.Header.Set(serveutil.HeaderRequestID, id)
-	}
-	if sc := telemetry.SpanFromContext(ctx); sc.Valid() {
-		req.Header.Set(serveutil.HeaderTraceparent, sc.Traceparent())
 	}
 	resp, err := rl.client.Do(req)
 	if err != nil {

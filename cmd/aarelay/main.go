@@ -6,7 +6,10 @@
 // /metrics/history), fails /solve over to the next node on transport
 // errors and backpressure, and answers exact repeats from a relay-side
 // shared cache keyed by the fingerprint of the body's validated wire
-// form (cache.CanonicalizeWire), without decoding the instance.
+// form (cache.CanonicalizeWire), without decoding the instance, and by
+// the query as the nodes parse it (engine.ParseQuery): a query a node
+// rejects is never a cache hit. A /solve body over -max-body-bytes is
+// the node's typed 413 (code body_too_large).
 //
 // Usage:
 //

@@ -31,7 +31,8 @@ const demoInstance = `{
 }`
 
 // fakeNode is a minimal aaserve stand-in: a real /solve (through the
-// in-process engine, honouring ?backend= over the node's default),
+// in-process engine, with the node's query parser: ?backend= over the
+// node's default, a malformed seed or deadline a 400),
 // /readyz, and a solve counter for routing asserts.
 type fakeNode struct {
 	srv      *httptest.Server
@@ -57,16 +58,21 @@ func newFakeNodeBackend(t *testing.T, def string) *fakeNode {
 			http.Error(w, "queue full", http.StatusTooManyRequests)
 			return
 		}
+		var req engine.Request
+		if _, err := engine.ParseQuery(r.URL.Query(), &req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
 		in, err := instio.Decode(r.Body)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		backend := r.URL.Query().Get("backend")
-		if backend == "" {
-			backend = def
+		if req.Backend == "" {
+			req.Backend = def
 		}
-		resp, err := engine.Default().Solve(r.Context(), &engine.Request{Instance: in, Backend: backend})
+		req.Instance = in
+		resp, err := engine.Default().Solve(r.Context(), &req)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
@@ -274,6 +280,32 @@ func TestRelayCacheKeysAbsentBackendApart(t *testing.T) {
 	}
 }
 
+// TestRelayCacheSkipsRejectedQueries: a relay hit answers only what a
+// node would. After a ?backend=a2 solve is cached, the same body with a
+// seed or deadline the node's parser rejects must reach the node and
+// come back with its 400 (a2 is deterministic, so its key holds no
+// seed, and no key holds a deadline), while a well-formed seed and
+// deadline on the same backend is still a hit.
+func TestRelayCacheSkipsRejectedQueries(t *testing.T) {
+	n := newFakeNode(t)
+	addr := startRelay(t, "-nodes", n.addr(), "-cache", "shared", "-probe-interval", "1h")
+	resp, first := postSolve(t, addr, "?backend=a2")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("priming solve = %d: %s", resp.StatusCode, first)
+	}
+	for _, q := range []string{"?backend=a2&seed=bogus", "?backend=a2&deadline=bogus", "?backend=a2&deadline=-1s"} {
+		reqs := n.requests.Load()
+		resp, body := postSolve(t, addr, q)
+		if resp.StatusCode != http.StatusBadRequest || n.requests.Load() != reqs+1 {
+			t.Errorf("%s = %d %q, node requests %d -> %d; want the node's 400", q, resp.StatusCode, body, reqs, n.requests.Load())
+		}
+	}
+	reqs := n.requests.Load()
+	if _, again := postSolve(t, addr, "?backend=a2&seed=7&deadline=5s"); again != first || n.requests.Load() != reqs {
+		t.Fatalf("well-formed seed and deadline: node requests %d -> %d; want a byte-identical relay hit", reqs, n.requests.Load())
+	}
+}
+
 // TestRelayCacheKeysWireBytes: the relay keys a body by its threads'
 // exact bytes, checked outside them as the node decodes. A permuted
 // repeat is a hit, byte-identical to the node's own answer for it; a
@@ -432,8 +464,9 @@ func TestRelayRejectsUnknownCacheMode(t *testing.T) {
 }
 
 // TestRelayBodyLimit: the /solve body cap holds whether the body
-// declares its length (the buffer is then sized up front) or arrives
-// chunked, and a body within it is forwarded whole.
+// declares its length (rejected before a byte is read) or arrives
+// chunked, both with the node's typed 413, and a body within it is
+// forwarded whole.
 func TestRelayBodyLimit(t *testing.T) {
 	n := newFakeNode(t)
 	addr := startRelay(t, "-nodes", n.addr(), "-max-body-bytes", strconv.Itoa(len(demoInstance)), "-probe-interval", "1h")
@@ -450,9 +483,24 @@ func TestRelayBodyLimit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var e struct {
+			Code  string `json:"code"`
+			Limit int64  `json:"limitBytes"`
+			Size  int64  `json:"sizeBytes"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&e)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusRequestEntityTooLarge {
-			t.Fatalf("body over the cap (chunked %v) = %d, want 413", chunked, resp.StatusCode)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || err != nil {
+			t.Fatalf("body over the cap (chunked %v) = %d (decode %v), want a typed 413", chunked, resp.StatusCode, err)
+		}
+		// A declared length is reported back; a chunked body has none.
+		size := int64(len(big))
+		if chunked {
+			size = 0
+		}
+		if e.Code != "body_too_large" || e.Limit != int64(len(demoInstance)) || e.Size != size {
+			t.Fatalf("413 body (chunked %v) = %+v, want code body_too_large, limitBytes %d, sizeBytes %d",
+				chunked, e, len(demoInstance), size)
 		}
 	}
 }
@@ -464,11 +512,10 @@ func TestRelayReadBodyPrealloc(t *testing.T) {
 	if maxPrealloc > 1<<20 {
 		t.Fatalf("maxPrealloc = %d, want <= 1 MiB", maxPrealloc)
 	}
-	rl := &relay{maxBodyBytes: 1 << 30}
 	for _, declared := range []int64{64 << 20, 1 << 30} {
 		r := httptest.NewRequest(http.MethodPost, "/solve", strings.NewReader(""))
 		r.ContentLength = declared
-		body, err := rl.readBody(httptest.NewRecorder(), r)
+		body, err := readBody(r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -478,8 +525,18 @@ func TestRelayReadBodyPrealloc(t *testing.T) {
 		}
 	}
 	r := httptest.NewRequest(http.MethodPost, "/solve", strings.NewReader(demoInstance))
-	body, err := rl.readBody(httptest.NewRecorder(), r)
+	body, err := readBody(r)
 	if err != nil || string(body) != demoInstance {
 		t.Fatalf("readBody = %q, %v", body, err)
+	}
+}
+
+// TestRelayRejectsCacheWarmK: the relay runs no engine, so it has no
+// warm-start bound; -cache-warm-k is an unknown flag there, not one
+// accepted and ignored.
+func TestRelayRejectsCacheWarmK(t *testing.T) {
+	err := run([]string{"-addr", "127.0.0.1:0", "-nodes", "a:1", "-cache-warm-k", "8"}, io.Discard, nil)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -cache-warm-k") {
+		t.Fatalf("aarelay -cache-warm-k 8 = %v, want a flag error", err)
 	}
 }

@@ -77,7 +77,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	var common cliutil.Common
 	common.AddFlags(fs)
 	var cacheFlags cliutil.CacheFlags
-	cacheFlags.AddFlags(fs)
+	cacheFlags.AddEngineFlags(fs)
 	if err := cliutil.Parse(fs, args, stderr); err != nil {
 		if errors.Is(err, cliutil.ErrHelp) {
 			return nil

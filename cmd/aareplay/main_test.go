@@ -228,3 +228,15 @@ func TestCacheFlagAddsReportSection(t *testing.T) {
 		t.Fatalf("churn replay reported no warm starts: %+v", rep.Cache)
 	}
 }
+
+// TestCacheWarmKFlag: aareplay runs an engine, so it takes the engine's
+// warm-start bound (the relay does not; see aarelay's tests).
+func TestCacheWarmKFlag(t *testing.T) {
+	var stderr bytes.Buffer
+	if err := run([]string{"-cache-warm-k", "8", "-h"}, &bytes.Buffer{}, &stderr); err != nil {
+		t.Fatalf("-cache-warm-k 8 -h = %v", err)
+	}
+	if !strings.Contains(stderr.String(), "-cache-warm-k") {
+		t.Error("usage missing -cache-warm-k")
+	}
+}

@@ -19,7 +19,7 @@ func newBatchServer(t *testing.T, maxBytes int64) *httptest.Server {
 	t.Helper()
 	eng := engine.New(engine.Options{Backend: "a2", Workers: 2})
 	t.Cleanup(eng.Close)
-	ts := httptest.NewServer((&server{eng: eng, backend: "a2", maxBatchBytes: maxBytes}).mux())
+	ts := httptest.NewServer((&server{eng: eng, maxBatchBytes: maxBytes}).mux())
 	t.Cleanup(ts.Close)
 	return ts
 }
@@ -145,7 +145,7 @@ func TestBatchStreamMidStreamAbort(t *testing.T) {
 func TestBatchTooLarge(t *testing.T) {
 	eng := engine.New(engine.Options{Backend: "a2", Workers: 1})
 	t.Cleanup(eng.Close)
-	h := (&server{eng: eng, backend: "a2", maxBatchBytes: 1 << 20}).mux()
+	h := (&server{eng: eng, maxBatchBytes: 1 << 20}).mux()
 
 	req := httptest.NewRequest(http.MethodPost, "/solve/batch", strings.NewReader("[]"))
 	req.ContentLength = 5 << 30 // a 5 GiB declaration, no actual payload
@@ -198,7 +198,7 @@ func TestBatchTooLargeChunked(t *testing.T) {
 func TestSolveTooLarge(t *testing.T) {
 	eng := engine.New(engine.Options{Backend: "a2", Workers: 1})
 	t.Cleanup(eng.Close)
-	h := (&server{eng: eng, backend: "a2", maxBatchBytes: 1 << 20}).mux()
+	h := (&server{eng: eng, maxBatchBytes: 1 << 20}).mux()
 
 	req := httptest.NewRequest(http.MethodPost, "/solve", strings.NewReader(demoInstance))
 	req.ContentLength = 5 << 30 // a 5 GiB declaration, no actual payload

@@ -22,7 +22,7 @@ func newCachedTestServer(t *testing.T) (*httptest.Server, cache.Cache) {
 	}
 	eng := engine.New(engine.Options{Backend: "a2", Workers: 2, Cache: c, WarmK: 8})
 	t.Cleanup(eng.Close)
-	ts := httptest.NewServer((&server{eng: eng, backend: "a2"}).mux())
+	ts := httptest.NewServer((&server{eng: eng}).mux())
 	t.Cleanup(ts.Close)
 	return ts, c
 }

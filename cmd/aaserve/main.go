@@ -32,15 +32,11 @@
 // caller's span, and the response traceparent header carries the
 // server span back.
 //
-// Per-request query parameters on /solve and /solve/batch:
-//
-//	backend   registry name or alias (default: the -backend flag)
-//	seed      uint64 seed for the randomized heuristics (default 1)
-//	deadline  per-request timeout like "500ms" (default: -deadline)
-//	check     "1" verifies the response through the check middleware
-//	maxnodes  node budget for backend=exact
-//	cache     "bypass" skips the solve-result cache for this request
-//	          (lookup and store; only meaningful with -cache enabled)
+// Per-request query parameters on /solve and /solve/batch are the ones
+// engine.ParseQuery reads (the parser aarelay keys its cache with):
+// backend (default: the -backend flag), seed (default 1), deadline like
+// "500ms" (default: -deadline), check=1, maxnodes for backend=exact, and
+// cache=bypass to skip the solve-result cache for this request.
 //
 // Responses: 200 with an assignment JSON (server, alloc, utility,
 // superOptimalBound) on success; 400 for malformed instances (the body
@@ -78,7 +74,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -87,7 +82,6 @@ import (
 	"math"
 	"net/http"
 	"os"
-	"strconv"
 	"time"
 
 	"aa/internal/check"
@@ -109,13 +103,15 @@ func main() {
 // server holds the engine and per-request defaults behind the handlers.
 type server struct {
 	eng      *engine.Engine
-	backend  string        // default backend for requests that name none
 	deadline time.Duration // default per-request deadline, 0 = none
 	log      *slog.Logger  // JSON access/lifecycle logs; nil = discard
 	health   *serveutil.Health
 
 	maxBatchBytes int64 // /solve and /solve/batch body cap; <= 0 = unlimited
 }
+
+// capFlag names the body cap's flag in the typed 413.
+const capFlag = "-max-batch-bytes"
 
 // run is the testable body of the command. ready, when non-nil,
 // receives the bound address once the listener is up (tests use it
@@ -138,7 +134,7 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 	var common cliutil.Common
 	common.AddFlags(fs)
 	var cacheFlags cliutil.CacheFlags
-	cacheFlags.AddFlags(fs)
+	cacheFlags.AddEngineFlags(fs)
 	if err := cliutil.Parse(fs, args, stderr); err != nil {
 		if errors.Is(err, cliutil.ErrHelp) {
 			return nil
@@ -176,7 +172,7 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 	defer eng.Close()
 	log := slog.New(slog.NewJSONHandler(stderr, nil))
 	srv := &server{
-		eng: eng, backend: *backend, deadline: *deadline, log: log,
+		eng: eng, deadline: *deadline, log: log,
 		health:        &serveutil.Health{},
 		maxBatchBytes: *maxBatchBytes,
 	}
@@ -218,40 +214,21 @@ func (s *server) mux() http.Handler {
 	return serveutil.WithObservability(log, mux)
 }
 
-// reqParams decodes the shared query parameters into an engine request.
-func (s *server) reqParams(r *http.Request, req *engine.Request) (time.Duration, error) {
-	q := r.URL.Query()
-	req.Backend = s.backend
-	if b := q.Get("backend"); b != "" {
-		req.Backend = b
+// begin parses the shared query into req (engine.ParseQuery; the
+// engine's default backend and the -deadline flag stand in for a
+// backend or deadline the query leaves out) and caps the body with the
+// route's 413 code. A false return means the 400 or 413 is written.
+func (s *server) begin(w http.ResponseWriter, r *http.Request, req *engine.Request, code string) (time.Duration, bool) {
+	deadline, err := engine.ParseQuery(r.URL.Query(), req)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return 0, false
 	}
-	req.Seed = 1
-	if v := q.Get("seed"); v != "" {
-		seed, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			return 0, fmt.Errorf("bad seed %q", v)
-		}
-		req.Seed = seed
-	}
-	if v := q.Get("maxnodes"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return 0, fmt.Errorf("bad maxnodes %q", v)
-		}
-		req.MaxNodes = n
-	}
-	req.Check = q.Get("check") == "1"
-	req.NoCache = q.Get("cache") == "bypass"
 	req.WantUtility = true
-	deadline := s.deadline
-	if v := q.Get("deadline"); v != "" {
-		d, err := time.ParseDuration(v)
-		if err != nil || d <= 0 {
-			return 0, fmt.Errorf("bad deadline %q", v)
-		}
-		deadline = d
+	if deadline == 0 {
+		deadline = s.deadline
 	}
-	return deadline, nil
+	return deadline, serveutil.LimitBody(w, r, s.maxBatchBytes, capFlag, code)
 }
 
 func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
@@ -260,22 +237,15 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req engine.Request
-	deadline, err := s.reqParams(r, &req)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if !s.limitBody(w, r, "body_too_large") {
+	deadline, ok := s.begin(w, r, &req, "body_too_large")
+	if !ok {
 		return
 	}
 	in, err := instio.Decode(r.Body)
 	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeTooLarge(w, "body_too_large", -1, tooBig.Limit)
-			return
+		if !serveutil.TooLarge(w, err, capFlag, "body_too_large") {
+			http.Error(w, err.Error(), http.StatusBadRequest)
 		}
-		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	req.Instance = in
@@ -323,12 +293,8 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var proto engine.Request
-	deadline, err := s.reqParams(r, &proto)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if !s.limitBody(w, r, "batch_too_large") {
+	deadline, ok := s.begin(w, r, &proto, "batch_too_large")
+	if !ok {
 		return
 	}
 	ctx := r.Context()
@@ -374,16 +340,15 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		_, err = w.Write(buf)
 		return err
 	}
-	_, err = s.eng.SolveBatchStream(ctx, next, emit)
+	_, err := s.eng.SolveBatchStream(ctx, next, emit)
 	switch {
 	case err != nil && !started:
 		// Nothing is on the wire yet, so a real error response is still
 		// possible.
-		var tooBig *http.MaxBytesError
 		var bad *batchBodyError
 		switch {
-		case errors.As(err, &tooBig):
-			writeTooLarge(w, "batch_too_large", -1, tooBig.Limit)
+		case serveutil.TooLarge(w, err, capFlag, "batch_too_large"):
+			// The typed 413 is written.
 		case errors.As(err, &bad):
 			http.Error(w, bad.Error(), http.StatusBadRequest)
 		default:
@@ -399,50 +364,6 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	default:
 		_, _ = io.WriteString(w, "\n]\n")
 	}
-}
-
-// limitBody applies the -max-batch-bytes cap to r's body and reports
-// whether the handler may go on. A declared Content-Length over the cap
-// is rejected up front with the typed 413 (code names the route's
-// error), before a byte is read; chunked bodies carry no
-// Content-Length, so the reader enforces the same cap as the bytes
-// arrive and the handler maps its *http.MaxBytesError to the same 413.
-func (s *server) limitBody(w http.ResponseWriter, r *http.Request, code string) bool {
-	if s.maxBatchBytes <= 0 {
-		return true
-	}
-	if r.ContentLength > s.maxBatchBytes {
-		writeTooLarge(w, code, r.ContentLength, s.maxBatchBytes)
-		return false
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.maxBatchBytes)
-	return true
-}
-
-// bodyErrorJSON is the typed body of request-level rejections (today
-// only 413): a machine-readable code plus the configured limit, so
-// clients can split the request and retry instead of parsing prose.
-type bodyErrorJSON struct {
-	Error string `json:"error"`
-	Code  string `json:"code"`
-	Limit int64  `json:"limitBytes"`
-	Size  int64  `json:"sizeBytes,omitempty"`
-}
-
-func writeTooLarge(w http.ResponseWriter, code string, size, limit int64) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(http.StatusRequestEntityTooLarge)
-	body := bodyErrorJSON{
-		Error: "request body exceeds the server's -max-batch-bytes limit",
-		Code:  code,
-		Limit: limit,
-	}
-	if size > 0 {
-		body.Size = size
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(body)
 }
 
 func handleBackends(w http.ResponseWriter, r *http.Request) {

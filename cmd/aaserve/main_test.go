@@ -28,7 +28,7 @@ func newTestServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	eng := engine.New(engine.Options{Backend: "a2", Workers: 2})
 	t.Cleanup(eng.Close)
-	ts := httptest.NewServer((&server{eng: eng, backend: "a2"}).mux())
+	ts := httptest.NewServer((&server{eng: eng}).mux())
 	t.Cleanup(ts.Close)
 	return ts
 }
@@ -244,5 +244,17 @@ func TestSolveNonFiniteAnswer(t *testing.T) {
 			!strings.Contains(string(body), "instio: utility: non-finite number") {
 			t.Errorf("%s: status %d, body %q; want 422 naming the utility field", tc.path, resp.StatusCode, body)
 		}
+	}
+}
+
+// TestCacheWarmKFlag: aaserve runs an engine, so it takes the engine's
+// warm-start bound (the relay does not; see aarelay's tests).
+func TestCacheWarmKFlag(t *testing.T) {
+	var stderr strings.Builder
+	if err := run([]string{"-cache-warm-k", "8", "-h"}, &stderr, nil); err != nil {
+		t.Fatalf("-cache-warm-k 8 -h = %v", err)
+	}
+	if !strings.Contains(stderr.String(), "-cache-warm-k") {
+		t.Error("usage missing -cache-warm-k")
 	}
 }

@@ -194,6 +194,28 @@ type Canonical struct {
 	version byte
 }
 
+// ToCanonical returns the canonical-order copy of an assignment given
+// in the instance's own thread order: position k holds thread Perm[k]'s
+// server and allocation. This is the layout an Entry stores.
+func (c *Canonical) ToCanonical(server []int, alloc []float64) ([]int, []float64) {
+	cs, ca := make([]int, len(c.Perm)), make([]float64, len(c.Perm))
+	for k, orig := range c.Perm {
+		cs[k], ca[k] = server[orig], alloc[orig]
+	}
+	return cs, ca
+}
+
+// FromCanonical is ToCanonical's inverse: it writes the canonical-order
+// assignment (cs, ca) into server and alloc, each len(Perm) long, in
+// this instance's own thread order. Un-permuting an entry through the
+// requesting instance's Perm is what makes a permuted exact hit
+// byte-identical to the populating answer.
+func (c *Canonical) FromCanonical(server []int, alloc []float64, cs []int, ca []float64) {
+	for k, orig := range c.Perm {
+		server[orig], alloc[orig] = cs[k], ca[k]
+	}
+}
+
 // fromKeys builds the canonical form from per-thread keys in thread
 // order, sorting keys in place.
 func fromKeys(m int, capacity float64, keys []threadKey, version byte) *Canonical {

@@ -7,15 +7,16 @@ import (
 	"aa/internal/cache"
 )
 
-// CacheFlags is the shared flag surface for the engine's solve-result
-// cache, used by the binaries that run an engine (aaserve, aareplay)
-// and by the relay's own exact-hit cache (aarelay):
+// CacheFlags is the shared flag surface of a solve-result cache.
+// AddFlags registers the flags every cache takes (the relay's exact-hit
+// cache stops there); AddEngineFlags adds the engine's warm-start bound
+// for the binaries that run an engine (aaserve, aareplay):
 //
 //	-cache        off | memory | shared (default off)
 //	-cache-size   max entries (default cache.DefaultSize)
 //	-cache-ttl    entry time-to-live, 0 = no expiry
-//	-cache-warm-k warm-start repair bound, 0 disables warm starts
 //	-cache-key    cluster secret keying shared-mode fingerprints
+//	-cache-warm-k warm-start repair bound, 0 disables warm starts (engine only)
 type CacheFlags struct {
 	Mode  string
 	Size  int
@@ -32,10 +33,16 @@ func (c *CacheFlags) AddFlags(fs *flag.FlagSet) {
 		"max cached solve results (memory/shared modes)")
 	fs.DurationVar(&c.TTL, "cache-ttl", 0,
 		"cached solve result time-to-live; 0 means entries never expire")
-	fs.IntVar(&c.WarmK, "cache-warm-k", 8,
-		"warm-start bound: repair from a cached solve differing by at most this many threads; 0 disables warm starts")
 	fs.StringVar(&c.Key, "cache-key", "",
 		"cluster secret keying shared-mode fingerprint hashing; empty means a random per-process key (shared mode) or unkeyed hashing (memory mode)")
+}
+
+// AddEngineFlags registers AddFlags' flags plus -cache-warm-k, which
+// only a binary that runs an engine reads (into engine.Options.WarmK).
+func (c *CacheFlags) AddEngineFlags(fs *flag.FlagSet) {
+	c.AddFlags(fs)
+	fs.IntVar(&c.WarmK, "cache-warm-k", 8,
+		"warm-start bound: repair from a cached solve differing by at most this many threads; 0 disables warm starts")
 }
 
 // Build constructs the cache the flags describe. Mode "off" returns the

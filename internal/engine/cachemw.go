@@ -58,7 +58,8 @@ func cacheSolve(ctx context.Context, c cache.Cache, warmK int, next Handler, req
 		// A utility type without a stable encoding: solve uncached.
 		return "uncacheable", next(ctx, req, resp)
 	}
-	key := cache.RequestKey(canon.Fingerprint(), cacheParams(req))
+	p, _ := KeyParams(req) // the backend is resolved, so always ok
+	key := cache.RequestKey(canon.Fingerprint(), p)
 	if e, ok := c.Get(key); ok {
 		serveEntry(e, canon, req, resp)
 		return "hit", nil
@@ -76,40 +77,16 @@ func cacheSolve(ctx context.Context, c cache.Cache, warmK int, next Handler, req
 	return "miss", nil
 }
 
-// cacheParams extracts the request fields that alter a backend's output.
-// Seed is included only for stochastic backends, so deterministic solves
-// of the same instance share one entry across seeds.
-func cacheParams(req *Request) cache.Params {
-	p := cache.Params{
-		Backend:  req.bk.Name,
-		MaxNodes: req.MaxNodes,
-		MaxMoves: req.MaxMoves,
-		Alt:      req.AltAssign1,
-	}
-	if req.bk.Stochastic {
-		p.Seed = req.Seed
-	}
-	return p
-}
-
 // serveEntry materializes a cached entry into resp, un-permuting the
-// canonically ordered assignment through the request's own Perm. The
-// stable canonical sort matches the i-th duplicate curve on both sides,
-// so the served assignment is byte-identical to the populating solve's
-// even when the request's threads arrive permuted.
+// canonically ordered assignment through the request's own Perm
+// (Canonical.FromCanonical).
 func serveEntry(e *cache.Entry, canon *cache.Canonical, req *Request, resp *Response) {
 	n := len(canon.Perm)
 	resp.Assignment.Reset(n)
-	for k, orig := range canon.Perm {
-		resp.Assignment.Server[orig] = e.Server[k]
-		resp.Assignment.Alloc[orig] = e.Alloc[k]
-	}
+	canon.FromCanonical(resp.Assignment.Server, resp.Assignment.Alloc, e.Server, e.Alloc)
 	if req.AltAssign1 && e.AltServer != nil {
 		resp.Alt.Reset(n)
-		for k, orig := range canon.Perm {
-			resp.Alt.Server[orig] = e.AltServer[k]
-			resp.Alt.Alloc[orig] = e.AltAlloc[k]
-		}
+		canon.FromCanonical(resp.Alt.Server, resp.Alt.Alloc, e.AltServer, e.AltAlloc)
 	}
 	resp.Bound = e.Bound
 	resp.Lambda = e.Lambda
@@ -145,26 +122,16 @@ func storeEntry(c cache.Cache, canon *cache.Canonical, key cache.Key, group uint
 	}
 	e := &cache.Entry{
 		Canon:   canon,
-		Server:  make([]int, n),
-		Alloc:   make([]float64, n),
 		Utility: resp.Utility,
 		Bound:   resp.Bound,
 		Lambda:  resp.Lambda,
 		Moves:   resp.Moves,
 		Backend: resp.Backend,
 	}
-	for k, orig := range canon.Perm {
-		e.Server[k] = resp.Assignment.Server[orig]
-		e.Alloc[k] = resp.Assignment.Alloc[orig]
-	}
+	e.Server, e.Alloc = canon.ToCanonical(resp.Assignment.Server, resp.Assignment.Alloc)
 	if req.AltAssign1 && len(resp.Alt.Server) == n {
-		e.AltServer = make([]int, n)
-		e.AltAlloc = make([]float64, n)
+		e.AltServer, e.AltAlloc = canon.ToCanonical(resp.Alt.Server, resp.Alt.Alloc)
 		e.AltUtility = resp.AltUtility
-		for k, orig := range canon.Perm {
-			e.AltServer[k] = resp.Alt.Server[orig]
-			e.AltAlloc[k] = resp.Alt.Alloc[orig]
-		}
 	} else {
 		e.AltUtility = math.NaN()
 	}

@@ -30,7 +30,7 @@ func TestArriveBatchFeasibleAllPolicies(t *testing.T) {
 			t2 = ev.Time + 1
 			events = append(events, ev)
 		}
-		res, err := Simulate(4, 100, events, p, 1.0, t2+10)
+		res, err := Simulate(4, 100, events, p, t2+10)
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name(), err)
 		}
@@ -74,7 +74,7 @@ func TestArriveBatchSpreads(t *testing.T) {
 func TestArriveBatchNoSelfMigrations(t *testing.T) {
 	r := rng.New(23)
 	events := []Event{{Time: 0, Kind: ArriveBatch, ID: -1, Batch: batchOf(r, 100, 0, 25)}}
-	res, err := Simulate(3, 100, events, FullResolve{}, 1.0, 10)
+	res, err := Simulate(3, 100, events, FullResolve{}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestArriveBatchErrors(t *testing.T) {
 				{Time: 1, Kind: ArriveBatch, ID: -1, Batch: []BatchArrival{{ID: 3, Util: u}}}},
 			"duplicate arrival 3"},
 	} {
-		_, err := Simulate(2, 100, tc.events, FullResolve{}, 0, 10)
+		_, err := Simulate(2, 100, tc.events, FullResolve{}, 10)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err=%v, want %q", name, err, tc.want)
 		}

@@ -18,13 +18,13 @@ func TestSimulateCheckedCleanOnRandomChurn(t *testing.T) {
 		r := base.Split(uint64(trial))
 		events := randomTimeline(r, 100, 30)
 		for _, p := range policies {
-			plain, err := Simulate(3, 100, events, p, 1.0, 1e9)
+			plain, err := Simulate(3, 100, events, p, 1e9)
 			if err != nil {
 				t.Fatalf("trial %d, %s: %v", trial, p.Name(), err)
 			}
 			check.Enable()
 			c0, v0 := check.Totals()
-			checked, err := Simulate(3, 100, events, p, 1.0, 1e9)
+			checked, err := Simulate(3, 100, events, p, 1e9)
 			c1, v1 := check.Totals()
 			check.Disable()
 			if err != nil {

@@ -430,8 +430,6 @@ func compareRuns(t *testing.T, label string, m int, c float64, events []Event, p
 			t.Fatalf("%s: event %d (%v): migrated %v, reference %v", label, g.index, events[g.index].Kind, g.migrated, w.migrated)
 		}
 	}
-	wantRes.MigrationCost = gotRes.MigrationCost // SimulateOpts ran with no move cost
-	wantRes.Net = gotRes.UtilityIntegral - gotRes.MigrationCost
 	if gotRes != wantRes {
 		t.Fatalf("%s: result %+v, reference %+v", label, gotRes, wantRes)
 	}

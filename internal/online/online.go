@@ -605,8 +605,6 @@ func (h Hybrid) React(s *State, ev Event) []int {
 type Result struct {
 	UtilityIntegral float64 // ∫ total utility dt over the horizon
 	Migrations      int     // thread moves caused by the policy
-	MigrationCost   float64 // Migrations × per-move cost
-	Net             float64 // UtilityIntegral − MigrationCost
 	FinalThreads    int
 }
 
@@ -624,11 +622,9 @@ type EventInfo struct {
 	ReactWall time.Duration
 }
 
-// Options parameterize SimulateOpts. The zero value charges no
-// migration cost and observes nothing.
+// Options parameterize SimulateOpts. The zero value observes nothing.
 type Options struct {
-	MoveCost float64
-	Horizon  float64
+	Horizon float64
 	// Hook, when non-nil, is called after each applied event, its
 	// policy reaction and the post-event validation. The hook may read
 	// the state (IDs, Funcs, Placement, Down; EventInfo.Utility is its
@@ -637,10 +633,11 @@ type Options struct {
 }
 
 // Simulate plays the event timeline (sorted by Time) under the policy,
-// accruing utility between events and charging moveCost per migration.
-// horizon is the end time; events at or after it are ignored.
-func Simulate(m int, c float64, events []Event, policy Policy, moveCost, horizon float64) (Result, error) {
-	return SimulateOpts(m, c, events, policy, Options{MoveCost: moveCost, Horizon: horizon})
+// accruing utility between events and counting migrations; a caller
+// that prices a migration subtracts cost × Migrations itself. horizon
+// is the end time; events at or after it are ignored.
+func Simulate(m int, c float64, events []Event, policy Policy, horizon float64) (Result, error) {
+	return SimulateOpts(m, c, events, policy, Options{Horizon: horizon})
 }
 
 // SimulateOpts is Simulate with an observation hook — the entry point
@@ -731,8 +728,6 @@ func SimulateOpts(m int, c float64, events []Event, policy Policy, opts Options)
 		}
 	}
 	res.UtilityIntegral += rate * (opts.Horizon - now)
-	res.MigrationCost = float64(res.Migrations) * opts.MoveCost
-	res.Net = res.UtilityIntegral - res.MigrationCost
 	res.FinalThreads = s.Len()
 	return res, nil
 }

@@ -53,7 +53,7 @@ func TestSimulateAllPoliciesFeasibleOnRandomChurn(t *testing.T) {
 		r := base.Split(uint64(trial))
 		events := randomTimeline(r, 100, 40)
 		for _, p := range policies {
-			res, err := Simulate(3, 100, events, p, 1.0, 1e9)
+			res, err := Simulate(3, 100, events, p, 1e9)
 			if err != nil {
 				t.Fatalf("trial %d, %s: %v", trial, p.Name(), err)
 			}
@@ -70,11 +70,11 @@ func TestFullResolveDominatesIncrementalUtility(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		r := base.Split(uint64(trial))
 		events := randomTimeline(r, 100, 50)
-		full, err := Simulate(3, 100, events, FullResolve{}, 0, 1e9)
+		full, err := Simulate(3, 100, events, FullResolve{}, 1e9)
 		if err != nil {
 			t.Fatal(err)
 		}
-		inc, err := Simulate(3, 100, events, Incremental{}, 0, 1e9)
+		inc, err := Simulate(3, 100, events, Incremental{}, 1e9)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +87,7 @@ func TestFullResolveDominatesIncrementalUtility(t *testing.T) {
 func TestIncrementalNeverMigrates(t *testing.T) {
 	r := rng.New(13)
 	events := randomTimeline(r, 100, 60)
-	res, err := Simulate(4, 100, events, Incremental{}, 10, 1e9)
+	res, err := Simulate(4, 100, events, Incremental{}, 1e9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,21 +105,26 @@ func TestHighMigrationCostFavorsIncremental(t *testing.T) {
 		events := randomTimeline(r, 100, 50)
 		horizon := events[len(events)-1].Time + 1
 		const cost = 1e6 // absurd move cost
-		full, err := Simulate(3, 100, events, FullResolve{}, cost, horizon)
+		full, err := Simulate(3, 100, events, FullResolve{}, horizon)
 		if err != nil {
 			t.Fatal(err)
 		}
-		inc, err := Simulate(3, 100, events, Incremental{}, cost, horizon)
+		inc, err := Simulate(3, 100, events, Incremental{}, horizon)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if inc.Net >= full.Net {
+		if net(inc, cost) >= net(full, cost) {
 			betterNet++
 		}
 	}
 	if betterNet < trials-1 {
 		t.Errorf("incremental had better net in only %d/%d trials under huge move cost", betterNet, trials)
 	}
+}
+
+// net is a run's utility integral less cost per migration.
+func net(r Result, cost float64) float64 {
+	return r.UtilityIntegral - cost*float64(r.Migrations)
 }
 
 func TestHybridBetweenExtremes(t *testing.T) {
@@ -132,15 +137,15 @@ func TestHybridBetweenExtremes(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		r := base.Split(uint64(trial))
 		events := randomTimeline(r, 100, 60)
-		full, err := Simulate(3, 100, events, FullResolve{}, 0, 1e9)
+		full, err := Simulate(3, 100, events, FullResolve{}, 1e9)
 		if err != nil {
 			t.Fatal(err)
 		}
-		inc, err := Simulate(3, 100, events, Incremental{}, 0, 1e9)
+		inc, err := Simulate(3, 100, events, Incremental{}, 1e9)
 		if err != nil {
 			t.Fatal(err)
 		}
-		hyb, err := Simulate(3, 100, events, Hybrid{Threshold: 0.83}, 0, 1e9)
+		hyb, err := Simulate(3, 100, events, Hybrid{Threshold: 0.83}, 1e9)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +187,7 @@ func TestSimulateErrors(t *testing.T) {
 		}},
 	}
 	for _, tc := range cases {
-		if _, err := Simulate(2, 10, tc.events, FullResolve{}, 0, 100); err == nil {
+		if _, err := Simulate(2, 10, tc.events, FullResolve{}, 100); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
@@ -195,7 +200,7 @@ func TestDriftForDepartedThreadIgnored(t *testing.T) {
 		{Time: 2, Kind: Depart, ID: 0},
 		{Time: 3, Kind: Drift, ID: 0, Util: f},
 	}
-	res, err := Simulate(2, 10, events, FullResolve{}, 0, 10)
+	res, err := Simulate(2, 10, events, FullResolve{}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +214,7 @@ func TestUtilityIntegralSimpleCase(t *testing.T) {
 	// from t=2 to horizon 7 → integral 50.
 	f := utility.Linear{Slope: 1, C: 10}
 	events := []Event{{Time: 2, Kind: Arrive, ID: 0, Util: f}}
-	res, err := Simulate(1, 10, events, FullResolve{}, 0, 7)
+	res, err := Simulate(1, 10, events, FullResolve{}, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +229,7 @@ func TestEventsAfterHorizonIgnored(t *testing.T) {
 		{Time: 1, Kind: Arrive, ID: 0, Util: f},
 		{Time: 100, Kind: Arrive, ID: 1, Util: f},
 	}
-	res, err := Simulate(1, 10, events, FullResolve{}, 0, 50)
+	res, err := Simulate(1, 10, events, FullResolve{}, 50)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,7 +66,7 @@ func TestEmptySystemEdge(t *testing.T) {
 		{Time: 4, Kind: Recover, ID: 0},
 	}
 	for _, p := range allPolicies() {
-		res, err := Simulate(2, 100, events, p, 1, 1e9)
+		res, err := Simulate(2, 100, events, p, 1e9)
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name(), err)
 		}
@@ -144,7 +144,7 @@ func TestAllServersDown(t *testing.T) {
 		{Time: 3, Kind: Arrive, ID: 0, Util: utility.Linear{Slope: 1, C: 100}},
 	}
 	for _, p := range allPolicies() {
-		_, err := Simulate(2, 100, events, p, 0, 1e9)
+		_, err := Simulate(2, 100, events, p, 1e9)
 		if err == nil {
 			t.Errorf("%s: arrival with all servers down succeeded", p.Name())
 		}
@@ -166,7 +166,7 @@ func TestFailureTimelineValidation(t *testing.T) {
 		{"recover while up", []Event{{Time: 1, Kind: Recover, ID: 0}}, "recovered while up"},
 	}
 	for _, tc := range cases {
-		_, err := Simulate(2, 100, tc.events, FullResolve{}, 0, 1e9)
+		_, err := Simulate(2, 100, tc.events, FullResolve{}, 1e9)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want substring %q", tc.name, err, tc.want)
 		}

@@ -5,8 +5,11 @@
 # Every split of a server (or pool) among its threads goes through
 # core's per-server split, so no non-test Go file outside internal/alloc,
 # internal/core and internal/check calls the water-filling allocator
-# (alloc.Concave, ConcaveWith, ConcaveValuesWith). Prints
-# each offending line and exits 1 if one appears.
+# (alloc.Concave, ConcaveWith, ConcaveValuesWith). Every read of a
+# /solve query key (backend, seed, maxnodes, check, cache, deadline)
+# goes through engine.ParseQuery, so no non-test Go file outside
+# internal/engine reads one, and node and relay cannot drift apart.
+# Prints each offending line and exits 1 if one appears.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -37,6 +40,12 @@ split="$(hits '\balloc\.Concave(With|ValuesWith)?\(' internal/alloc internal/cor
 if [ -n "$split" ]; then
     echo "callsites: FAIL: alloc.Concave* calls outside internal/alloc, internal/core and internal/check (split through core.Workspace.SplitGroup):" >&2
     echo "$split" >&2
+    status=1
+fi
+query="$(hits '\.Get\("(backend|seed|maxnodes|check|cache|deadline)"\)' internal/engine)"
+if [ -n "$query" ]; then
+    echo "callsites: FAIL: /solve query keys read outside internal/engine (parse them with engine.ParseQuery):" >&2
+    echo "$query" >&2
     status=1
 fi
 [ "$status" = 0 ] && echo "callsites: ok"
