@@ -388,9 +388,8 @@ func (rl *relay) handleNodes(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(struct {
-		Strategy router.Strategy     `json:"strategy"`
-		Nodes    []router.NodeStatus `json:"nodes"`
-	}{rl.rt.Strategy(), rl.rt.Snapshot()})
+		Nodes []router.NodeStatus `json:"nodes"`
+	}{rl.rt.Snapshot()})
 }
 
 // handleBackends proxies the registry listing from the first ready node

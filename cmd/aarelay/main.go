@@ -1,30 +1,35 @@
 // Command aarelay fronts a set of aaserve nodes as one service: the
 // cluster tier of ROADMAP item 1. It routes /solve and streaming
-// /solve/batch across the configured nodes under a pluggable strategy,
-// admits clients through per-client token buckets, probes node health
-// (/readyz) and load (the aa_pool_queue_depth gauge from each node's
-// /metrics/history), fails /solve over to the next node on transport
-// errors and backpressure, and answers exact repeats from a relay-side
-// shared cache keyed by the fingerprint of the body's validated wire
-// form (cache.CanonicalizeWire), without decoding the instance, and by
-// the query as the nodes parse it (engine.ParseQuery): a query a node
+// /solve/batch to the least-loaded ready node, admits clients through
+// per-client token buckets, probes every node with one GET /readyz per
+// sweep (the status is its readiness, the AA-Queue-Depth header its
+// queue depth), fails /solve over to the next node on transport errors
+// and backpressure, and answers exact repeats from a relay-side cache
+// keyed by the fingerprint of the body's validated wire form
+// (cache.CanonicalizeWire), without decoding the instance, and by the
+// query as the nodes parse it (engine.ParseQuery): a query a node
 // rejects is never a cache hit. A /solve body over -max-body-bytes is
 // the node's typed 413 (code body_too_large).
 //
 // Usage:
 //
 //	aarelay -nodes host1:8080,host2:8080[,...] [-addr localhost:8090]
-//	        [-strategy least-loaded] [-probe-interval 1s]
+//	        [-probe-interval 1s]
 //	        [-rate 0] [-burst 0] [-max-body-bytes 1073741824]
 //	        [-drain-grace 0] [-metrics-addr host:port]
 //	        [-trace-out file.jsonl] [-profile-dir dir]
-//	        [-cache shared] [-cache-size 1024] [-cache-ttl 0]
+//	        [-cache memory] [-cache-size 1024] [-cache-ttl 0]
 //	        [-cache-key secret]
 //
-// The -nodes list accepts "name=host:port*weight" entries (name and
-// weight optional). Strategies: round-robin, least-loaded (queue depth
-// + in-flight), weighted-failover (highest weight wins; standbys take
-// traffic only when every heavier node is out).
+// The -nodes list accepts "name=host:port" entries (name optional).
+// Routing: each request goes to the ready node with the smallest
+// probed queue depth plus relay requests in flight to it, ties to the
+// earlier node in -nodes.
+//
+// Caching: -cache memory (or its other spelling, shared) turns on the
+// relay cache. Its fingerprints are always keyed, because they come
+// from untrusted bodies: by -cache-key when given (relays sharing a
+// key derive the same fingerprints), else by a random per-process key.
 //
 // Endpoints:
 //
@@ -91,10 +96,8 @@ type relay struct {
 func run(args []string, stderr io.Writer, ready chan<- string) error {
 	fs := flag.NewFlagSet("aarelay", flag.ContinueOnError)
 	var (
-		addr     = fs.String("addr", "localhost:8090", "listen address (use :0 for an ephemeral port)")
-		nodes    = fs.String("nodes", "", "comma-separated aaserve nodes: [name=]host:port[*weight]")
-		strategy = fs.String("strategy", string(router.LeastLoaded),
-			"routing strategy: round-robin, least-loaded or weighted-failover")
+		addr          = fs.String("addr", "localhost:8090", "listen address (use :0 for an ephemeral port)")
+		nodes         = fs.String("nodes", "", "comma-separated aaserve nodes: [name=]host:port")
 		probeInterval = fs.Duration("probe-interval", time.Second,
 			"node health/load probe interval")
 		rate         = fs.Float64("rate", 0, "per-client solve admission rate in requests/second (0 = unlimited)")
@@ -121,10 +124,6 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 	if err != nil {
 		return err
 	}
-	strat, err := router.ParseStrategy(*strategy)
-	if err != nil {
-		return err
-	}
 	shutdown, err := common.Start("aarelay", stderr)
 	if err != nil {
 		return err
@@ -133,20 +132,18 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 	// A serving process always meters itself (same contract as aaserve).
 	telemetry.Enable()
 
-	// The relay's cache is meaningful only in shared (keyed) mode:
-	// memory mode's unkeyed fingerprints must not be derived from
-	// untrusted cross-client bodies, so memory is upgraded. Any other
-	// mode reaches cache.New, which rejects an unknown one.
-	if cache.Mode(cacheFlags.Mode) == cache.ModeMemory {
-		fmt.Fprintf(stderr, "aarelay: -cache %s upgraded to shared (relay caches are always keyed)\n", cacheFlags.Mode)
-		cacheFlags.Mode = string(cache.ModeShared)
+	// Relay fingerprints come from untrusted cross-client bodies, so
+	// they are always keyed: -cache-key, else a random per-process key.
+	cacheCfg := cacheFlags.Config()
+	if cacheCfg.Key.IsZero() {
+		cacheCfg.Key = cache.RandomKey()
 	}
-	relayCache, err := cacheFlags.Build()
+	relayCache, err := cache.New(cacheCfg)
 	if err != nil {
 		return err
 	}
 
-	rt, err := router.New(strat, nodeList)
+	rt, err := router.New(nodeList)
 	if err != nil {
 		return err
 	}

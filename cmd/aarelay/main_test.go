@@ -39,6 +39,7 @@ type fakeNode struct {
 	requests atomic.Int64 // /solve requests received
 	solves   atomic.Int64
 	busy     atomic.Bool // answer 429 on /solve when set
+	draining atomic.Bool // answer 503 on /readyz when set
 }
 
 func newFakeNode(t *testing.T) *fakeNode { return newFakeNodeBackend(t, "") }
@@ -50,6 +51,10 @@ func newFakeNodeBackend(t *testing.T, def string) *fakeNode {
 	f := &fakeNode{}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
+		if f.draining.Load() {
+			http.Error(w, "draining", http.StatusServiceUnavailable)
+			return
+		}
 		fmt.Fprintln(w, "ok")
 	})
 	mux.HandleFunc("/solve", func(w http.ResponseWriter, r *http.Request) {
@@ -144,27 +149,59 @@ func postBody(t *testing.T, addr, query, body string) (*http.Response, string) {
 	return resp, string(data)
 }
 
+// waitNodeState polls the relay's /nodes until the node at addr shows
+// state.
+func waitNodeState(t *testing.T, relay, addr, state string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		resp, err := http.Get("http://" + relay + "/nodes")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var nodes struct {
+			Nodes []struct{ Addr, State string }
+		}
+		err = json.NewDecoder(resp.Body).Decode(&nodes)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range nodes.Nodes {
+			if n.Addr == addr && n.State == state {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("node %s never reached %s: %+v", addr, state, nodes)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 func TestRelayRoutesAndFailsOver(t *testing.T) {
 	n1, n2 := newFakeNode(t), newFakeNode(t)
-	addr := startRelay(t, "-nodes", n1.addr()+","+n2.addr(), "-strategy", "round-robin",
-		"-probe-interval", "50ms")
+	addr := startRelay(t, "-nodes", n1.addr()+","+n2.addr(), "-probe-interval", "50ms")
 
+	// Equal load: the tie goes to the first configured node.
 	resp, body := postSolve(t, addr, "")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("solve via relay = %d: %s", resp.StatusCode, body)
+	if resp.StatusCode != http.StatusOK || n1.solves.Load() != 1 {
+		t.Fatalf("solve via relay = %d (n1 solves %d): %s", resp.StatusCode, n1.solves.Load(), body)
 	}
+	// Drain n1: once the prober sees it, the next request goes to n2.
+	n1.draining.Store(true)
+	waitNodeState(t, addr, n1.addr(), "draining")
 	resp2, body2 := postSolve(t, addr, "")
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("second solve = %d", resp2.StatusCode)
+	if resp2.StatusCode != http.StatusOK || n2.solves.Load() != 1 {
+		t.Fatalf("second solve = %d (n2 solves %d)", resp2.StatusCode, n2.solves.Load())
 	}
-	// Determinism across nodes: round-robin sent the two requests to
-	// different nodes, yet the bytes must match.
+	// Determinism across nodes: two nodes served the two requests, yet
+	// the bytes must match.
 	if body != body2 {
 		t.Fatalf("responses differ across nodes:\n%s\n%s", body, body2)
 	}
-	if n1.solves.Load() == 0 || n2.solves.Load() == 0 {
-		t.Fatalf("round-robin did not spread: n1=%d n2=%d", n1.solves.Load(), n2.solves.Load())
-	}
+	n1.draining.Store(false)
+	waitNodeState(t, addr, n1.addr(), "ready")
 
 	// Kill n1: the very next request must fail over, not error.
 	n1.srv.Close()
@@ -435,8 +472,12 @@ func TestRelayFlagValidation(t *testing.T) {
 	if err := run([]string{"-addr", "127.0.0.1:0"}, io.Discard, nil); err == nil {
 		t.Fatal("run without -nodes succeeded")
 	}
-	if err := run([]string{"-addr", "127.0.0.1:0", "-nodes", "a:1", "-strategy", "bogus"}, io.Discard, nil); err == nil {
-		t.Fatal("run with bogus strategy succeeded")
+	if err := run([]string{"-addr", "127.0.0.1:0", "-nodes", "a:1", "-strategy", "least-loaded"}, io.Discard, nil); err == nil {
+		t.Fatal("run with the removed -strategy flag succeeded")
+	}
+	if err := run([]string{"-addr", "127.0.0.1:0", "-nodes", "a:1*2"}, io.Discard, nil); err == nil ||
+		!strings.Contains(err.Error(), "weights are gone") {
+		t.Fatalf("run with a weighted node = %v, want the weights-are-gone error", err)
 	}
 	if err := run([]string{"-addr", "127.0.0.1:0", "-nodes", ",,,"}, io.Discard, nil); err == nil {
 		t.Fatal("run with empty node list succeeded")

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"aa/internal/engine"
@@ -169,9 +171,18 @@ func TestBatchTooLarge(t *testing.T) {
 
 // TestBatchTooLargeChunked: a chunked body (no Content-Length) that
 // overruns the cap mid-read is also rejected with the typed 413 — the
-// MaxBytesReader catches what the up-front check cannot see.
+// MaxBytesReader catches what the up-front check cannot see. The rest
+// of that body is still on the wire, so the server must not go on to
+// read the connection's next request past it: net/http reports that as
+// "invalid concurrent Body.Read call" in its error log.
 func TestBatchTooLargeChunked(t *testing.T) {
-	ts := newBatchServer(t, 64)
+	var errLog lockedBuffer
+	eng := engine.New(engine.Options{Backend: "a2", Workers: 2})
+	t.Cleanup(eng.Close)
+	ts := httptest.NewUnstartedServer((&server{eng: eng, maxBatchBytes: 64}).mux())
+	ts.Config.ErrorLog = log.New(&errLog, "", 0)
+	ts.Start()
+	defer ts.Close()
 	body := "[" + demoInstance + "]" // well-formed, just over 64 bytes
 	req, err := http.NewRequest(http.MethodPost, ts.URL+"/solve/batch", io.NopCloser(strings.NewReader(body)))
 	if err != nil {
@@ -182,14 +193,37 @@ func TestBatchTooLargeChunked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
 	data, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status %d, want 413: %s", resp.StatusCode, data)
 	}
 	if !strings.Contains(string(data), "batch_too_large") {
 		t.Fatalf("413 body missing typed code: %s", data)
 	}
+	ts.Close() // waits for the server side of the connection to finish
+	if l := errLog.String(); strings.Contains(l, "Body.Read") {
+		t.Fatalf("server error log after the 413:\n%s", l)
+	}
+}
+
+// lockedBuffer is an io.Writer safe for the server's connection
+// goroutines to log into while the test reads it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
 }
 
 // TestSolveTooLarge: /solve shares the -max-batch-bytes body cap. A

@@ -16,7 +16,10 @@
 //	POST /solve/batch     JSON array of instances → array of assignments
 //	GET  /backends        the solver registry: one line per backend
 //	GET  /healthz         liveness probe (200 for the life of the process)
-//	GET  /readyz          readiness probe (503 from SIGTERM-drain start)
+//	GET  /readyz          readiness probe (503 from SIGTERM-drain start);
+//	                      its AA-Queue-Depth header is the number of
+//	                      solves waiting for a worker, aarelay's load
+//	                      signal
 //	GET  /metrics         Prometheus text exposition (plus /debug/vars
 //	                      and /debug/pprof/), the same handler the
 //	                      -metrics-addr flag serves elsewhere
@@ -82,6 +85,7 @@ import (
 	"math"
 	"net/http"
 	"os"
+	"strconv"
 	"time"
 
 	"aa/internal/check"
@@ -202,7 +206,11 @@ func (s *server) mux() http.Handler {
 		health = &serveutil.Health{}
 	}
 	mux.HandleFunc("/healthz", health.LivenessHandler())
-	mux.HandleFunc("/readyz", health.ReadinessHandler())
+	readyz := health.ReadinessHandler()
+	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set(serveutil.HeaderQueueDepth, strconv.Itoa(s.eng.QueueDepth()))
+		readyz(w, r)
+	})
 	// The telemetry handler owns /metrics, /debug/* and the
 	// index; mounting it at / keeps this binary's exposition identical
 	// to every other binary's -metrics-addr endpoint.

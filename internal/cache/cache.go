@@ -12,12 +12,11 @@
 // and its slices to the cache, and Get returns shared pointers that
 // callers must not mutate.
 //
-// Three modes hide behind one factory (New): ModeOff (a no-op cache),
-// ModeMemory (an in-process sharded LRU with size and TTL bounds, unkeyed
-// hashing), and ModeShared (the relay tier's exact-hit cache: the same
-// LRU storage, but with keyed thread hashing — a configured cluster key,
-// or a random per-process key when none is given — so fingerprints are
-// safe to derive from untrusted request bodies).
+// Two modes hide behind one factory (New): ModeOff (a no-op cache) and
+// ModeMemory (an in-process sharded LRU with size and TTL bounds;
+// ModeShared is another spelling of it). Config.Key keys the thread
+// hashing; the relay tier always sets one, so its fingerprints are
+// safe to derive from untrusted request bodies.
 package cache
 
 import (
@@ -34,13 +33,8 @@ const (
 	ModeOff Mode = "off"
 	// ModeMemory is the in-process sharded LRU with size and TTL bounds.
 	ModeMemory Mode = "memory"
-	// ModeShared is the relay tier's exact-hit cache (ROADMAP item 1):
-	// ModeMemory storage semantics, but thread hashing is keyed —
-	// Config.Key when set (every relay given the same cluster key
-	// derives the same fingerprints), else a random per-process key —
-	// because relay cache keys are derived from untrusted request
-	// bodies, where the published unkeyed constants would be a
-	// collision target.
+	// ModeShared is another spelling of ModeMemory, kept for the
+	// configurations that name the relay's cache "shared".
 	ModeShared Mode = "shared"
 )
 
@@ -49,8 +43,8 @@ const (
 type Config struct {
 	// Mode selects the implementation; "" means ModeOff.
 	Mode Mode
-	// Size bounds the number of entries (memory/shared modes); <= 0
-	// means DefaultSize. The bound is enforced per shard, so the
+	// Size bounds the number of entries (memory mode); <= 0 means
+	// DefaultSize. The bound is enforced per shard, so the
 	// effective capacity is Size rounded up to a multiple of Shards.
 	Size int
 	// TTL bounds entry age; entries older than TTL are evicted lazily on
@@ -65,9 +59,11 @@ type Config struct {
 	// group); <= 0 means DefaultCandidates.
 	Candidates int
 	// Key keys the thread-hash mixer (CanonicalizeKeyed). The zero key
-	// means unkeyed hashing in ModeMemory (byte-compatible with
-	// pre-keying fingerprints) and a fresh random per-process key in
-	// ModeShared. Derive from a shared secret with KeyFromString.
+	// means unkeyed hashing (byte-compatible with pre-keying
+	// fingerprints). Derive one from a shared secret with KeyFromString,
+	// or draw a per-process one with RandomKey; a cache whose keys come
+	// from untrusted bodies must be keyed, or the published unkeyed
+	// constants are a collision target.
 	Key HashKey
 }
 
@@ -174,12 +170,7 @@ func New(cfg Config) (Cache, error) {
 	switch cfg.Mode {
 	case "", ModeOff:
 		return Noop(), nil
-	case ModeMemory:
-		return newMemCache(cfg), nil
-	case ModeShared:
-		if cfg.Key.IsZero() {
-			cfg.Key = RandomKey()
-		}
+	case ModeMemory, ModeShared:
 		return newMemCache(cfg), nil
 	default:
 		return nil, fmt.Errorf("cache: unknown mode %q (want %q, %q or %q)",

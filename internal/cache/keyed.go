@@ -45,10 +45,9 @@ func KeyFromString(secret string) HashKey {
 }
 
 // RandomKey draws a fresh per-process key from crypto/rand — the
-// default for ModeShared when no cluster key was configured: the cache
-// is then safe against engineered collisions but private to this
-// process (two relays only share fingerprints when given the same
-// -cache-key).
+// relay's key when no -cache-key was configured: the cache is then safe
+// against engineered collisions but private to this process (two relays
+// only share fingerprints when given the same -cache-key).
 func RandomKey() HashKey {
 	var b [32]byte
 	if _, err := rand.Read(b[:]); err != nil {

@@ -164,31 +164,26 @@ func TestRandomKey(t *testing.T) {
 	}
 }
 
-// TestSharedModeIsKeyed pins the factory contract: shared mode always
-// hashes keyed (configured key, else random per-process), memory mode
-// stays unkeyed unless explicitly keyed.
-func TestSharedModeIsKeyed(t *testing.T) {
-	shared, err := New(Config{Mode: ModeShared})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if shared.HashKey().IsZero() {
-		t.Fatal("shared mode without a key must generate a random one")
-	}
+// TestSharedModeIsMemory pins the factory contract: shared is another
+// spelling of memory. Either hashes with Config.Key, and unkeyed
+// without one; the factory never draws a key itself.
+func TestSharedModeIsMemory(t *testing.T) {
 	want := KeyFromString("cluster")
-	shared2, err := New(Config{Mode: ModeShared, Key: want})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if shared2.HashKey() != want {
-		t.Fatal("shared mode dropped the configured key")
-	}
-	mem, err := New(Config{Mode: ModeMemory})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !mem.HashKey().IsZero() {
-		t.Fatal("memory mode must default to the unkeyed hash")
+	for _, mode := range []Mode{ModeMemory, ModeShared} {
+		plain, err := New(Config{Mode: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !plain.HashKey().IsZero() {
+			t.Fatalf("%s mode without a key must hash unkeyed", mode)
+		}
+		keyed, err := New(Config{Mode: mode, Key: want})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if keyed.HashKey() != want {
+			t.Fatalf("%s mode dropped the configured key", mode)
+		}
 	}
 	if !Noop().HashKey().IsZero() {
 		t.Fatal("noop cache must report the zero key")

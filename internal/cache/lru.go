@@ -38,10 +38,9 @@ func (c *counters) snapshot() Stats {
 	}
 }
 
-// memCache is the in-process implementation behind ModeMemory (and, for
-// now, the ModeShared stub): an LRU split across independently locked
-// shards, with lazy TTL expiry and a per-group recency ring feeding the
-// warm-start candidate lookup.
+// memCache is the in-process implementation behind ModeMemory: an LRU
+// split across independently locked shards, with lazy TTL expiry and a
+// per-group recency ring feeding the warm-start candidate lookup.
 type memCache struct {
 	mode   Mode
 	key    HashKey

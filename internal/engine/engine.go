@@ -295,6 +295,17 @@ func (e *Engine) lazyPool() (*solverpool.Pool, error) {
 	return e.pool, nil
 }
 
+// QueueDepth returns the number of requests waiting in the engine's
+// pool queue; 0 before the pool starts.
+func (e *Engine) QueueDepth() int {
+	e.poolMu.Lock()
+	defer e.poolMu.Unlock()
+	if e.pool == nil {
+		return 0
+	}
+	return e.pool.QueueDepth()
+}
+
 // Submit hands the request to the engine's pool without blocking: it
 // returns ErrQueueFull when the bounded queue is at capacity (the
 // backpressure signal a service turns into 429/503), ctx.Err() for a

@@ -1,63 +1,26 @@
 // Package router is the relay tier's node-set manager: it tracks a
-// configured set of aaserve nodes, probes their readiness (/readyz) and
-// load (the aa_pool_queue_depth gauge scraped from /metrics/history),
-// and picks a node per request under a pluggable strategy — round-robin,
-// least-loaded, or weighted failover. The router holds state, the relay
-// holds the HTTP plumbing: forwarding, retries and backpressure mapping
-// live in cmd/aarelay, which reports transport failures back here
-// (ObserveFailure) so routing reacts faster than the next probe sweep.
+// configured set of aaserve nodes, probes each one with GET /readyz
+// (the status is the node's readiness, the AA-Queue-Depth header its
+// load), and picks the least-loaded ready node per request. The router
+// holds state, the relay holds the HTTP plumbing: forwarding, retries
+// and backpressure mapping live in cmd/aarelay, which reports transport
+// failures back here (ObserveFailure) so routing reacts faster than the
+// next probe sweep.
 package router
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"aa/internal/serveutil"
 	"aa/internal/telemetry"
 )
-
-// Strategy selects how Pick orders the ready nodes.
-type Strategy string
-
-// The routing strategies accepted by ParseStrategy (and the relay's
-// -strategy flag).
-const (
-	// RoundRobin rotates through the ready nodes in configuration
-	// order, skipping draining/down ones.
-	RoundRobin Strategy = "round-robin"
-	// LeastLoaded picks the ready node with the smallest load signal:
-	// the last-probed aa_pool_queue_depth plus the relay's own count of
-	// requests currently in flight to that node (the in-flight term
-	// reacts instantly; the probed term folds in load from other
-	// clients between sweeps).
-	LeastLoaded Strategy = "least-loaded"
-	// WeightedFailover always picks the highest-weight ready node —
-	// a primary/standby arrangement where standbys take traffic only
-	// while every heavier node is draining or down (health-probe
-	// triggered failover, not load spreading).
-	WeightedFailover Strategy = "weighted-failover"
-)
-
-// ParseStrategy normalizes a strategy name; underscores work as word
-// separators too, so "least_loaded" and "least-loaded" both parse.
-func ParseStrategy(s string) (Strategy, error) {
-	switch Strategy(strings.ReplaceAll(strings.ToLower(strings.TrimSpace(s)), "_", "-")) {
-	case RoundRobin, "rr":
-		return RoundRobin, nil
-	case LeastLoaded, "ll":
-		return LeastLoaded, nil
-	case WeightedFailover, "wf", "weighted", "failover":
-		return WeightedFailover, nil
-	default:
-		return "", fmt.Errorf("router: unknown strategy %q (want %q, %q or %q)",
-			s, RoundRobin, LeastLoaded, WeightedFailover)
-	}
-}
 
 // State is a node's routing eligibility.
 type State string
@@ -82,37 +45,30 @@ type Node struct {
 	Name string
 	// Addr is the node's host:port.
 	Addr string
-	// Weight orders WeightedFailover preference (higher first; ties
-	// break on configuration order). 0 means 1.
-	Weight float64
 }
 
 // ErrNoNodes is returned by Pick when no ready node remains.
 var ErrNoNodes = errors.New("router: no ready nodes")
 
-var (
-	metricPicks    = telemetry.Default.Counter("aa_router_picks_total")
-	metricFailures = telemetry.Default.Counter("aa_router_node_failures_total")
-	metricProbes   = telemetry.Default.Counter("aa_router_probes_total")
-)
-
 // nodeInfo is a node plus its observed state, guarded by Router.mu.
 type nodeInfo struct {
 	Node
 	state     State
-	depth     float64 // last-probed aa_pool_queue_depth
-	inflight  int     // relay requests currently forwarded here
-	fails     uint64  // consecutive probe/transport failures
+	depth     int    // queue depth the last /readyz reported
+	inflight  int    // relay requests currently forwarded here
+	fails     uint64 // consecutive probe/transport failures
 	lastProbe time.Time
 }
 
 // Router tracks the node set. Safe for concurrent use.
 type Router struct {
-	strategy Strategy
-
 	mu    sync.Mutex
 	nodes []*nodeInfo
-	rr    int // next round-robin start offset
+
+	// The aa_router_* counters, registered by New: a relay's /metrics
+	// shows them at zero from startup, and a process that builds no
+	// router does not show them.
+	picks, failures, probes *telemetry.Counter
 
 	client   *http.Client
 	stopOnce sync.Once
@@ -125,12 +81,14 @@ type Router struct {
 // sweep corrects that within one interval, and starting Down would make
 // a cold relay refuse traffic until the sweep even when every node is
 // fine.
-func New(strategy Strategy, nodes []Node) (*Router, error) {
+func New(nodes []Node) (*Router, error) {
 	if len(nodes) == 0 {
 		return nil, errors.New("router: no nodes configured")
 	}
 	r := &Router{
-		strategy: strategy,
+		picks:    telemetry.Default.Counter("aa_router_picks_total"),
+		failures: telemetry.Default.Counter("aa_router_node_failures_total"),
+		probes:   telemetry.Default.Counter("aa_router_probes_total"),
 		client:   &http.Client{Timeout: 2 * time.Second},
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
@@ -147,57 +105,35 @@ func New(strategy Strategy, nodes []Node) (*Router, error) {
 		if n.Name == "" {
 			n.Name = n.Addr
 		}
-		if n.Weight <= 0 {
-			n.Weight = 1
-		}
 		r.nodes = append(r.nodes, &nodeInfo{Node: n, state: Ready})
 	}
 	return r, nil
 }
 
-// Pick selects a node for one request under the router's strategy,
-// counting it in flight until the matching Done call. exclude lists
-// addresses already tried for this request (the relay's failover loop);
-// nil means none.
+// Pick selects the least-loaded ready node for one request and counts
+// it in flight until the matching Done call. A node's load is the queue
+// depth its last /readyz reported plus the relay's own requests in
+// flight to it: the in-flight term reacts at once, the probed term
+// folds in load from other clients between sweeps. Ties go to
+// configuration order. exclude lists addresses already tried for this
+// request (the relay's failover loop); nil means none.
 func (r *Router) Pick(exclude map[string]bool) (Node, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var best *nodeInfo
-	switch r.strategy {
-	case LeastLoaded:
-		for _, n := range r.nodes {
-			if n.state != Ready || exclude[n.Addr] {
-				continue
-			}
-			if best == nil || n.depth+float64(n.inflight) < best.depth+float64(best.inflight) {
-				best = n
-			}
+	for _, n := range r.nodes {
+		if n.state != Ready || exclude[n.Addr] {
+			continue
 		}
-	case WeightedFailover:
-		for _, n := range r.nodes {
-			if n.state != Ready || exclude[n.Addr] {
-				continue
-			}
-			if best == nil || n.Weight > best.Weight {
-				best = n
-			}
-		}
-	default: // RoundRobin
-		for i := 0; i < len(r.nodes); i++ {
-			n := r.nodes[(r.rr+i)%len(r.nodes)]
-			if n.state != Ready || exclude[n.Addr] {
-				continue
-			}
-			r.rr = (r.rr + i + 1) % len(r.nodes)
+		if best == nil || n.depth+n.inflight < best.depth+best.inflight {
 			best = n
-			break
 		}
 	}
 	if best == nil {
 		return Node{}, ErrNoNodes
 	}
 	best.inflight++
-	metricPicks.Inc()
+	r.picks.Inc()
 	return best.Node, nil
 }
 
@@ -223,7 +159,7 @@ func (r *Router) ObserveFailure(addr string) {
 	if n := r.byAddr(addr); n != nil {
 		n.state = Down
 		n.fails++
-		metricFailures.Inc()
+		r.failures.Inc()
 	}
 }
 
@@ -241,9 +177,8 @@ func (r *Router) byAddr(addr string) *nodeInfo {
 type NodeStatus struct {
 	Name      string    `json:"name"`
 	Addr      string    `json:"addr"`
-	Weight    float64   `json:"weight"`
 	State     State     `json:"state"`
-	Depth     float64   `json:"queueDepth"`
+	Depth     int       `json:"queueDepth"`
 	InFlight  int       `json:"inFlight"`
 	Failures  uint64    `json:"failures"`
 	LastProbe time.Time `json:"lastProbe"`
@@ -256,7 +191,7 @@ func (r *Router) Snapshot() []NodeStatus {
 	out := make([]NodeStatus, len(r.nodes))
 	for i, n := range r.nodes {
 		out[i] = NodeStatus{
-			Name: n.Name, Addr: n.Addr, Weight: n.Weight,
+			Name: n.Name, Addr: n.Addr,
 			State: n.state, Depth: n.depth, InFlight: n.inflight,
 			Failures: n.fails, LastProbe: n.lastProbe,
 		}
@@ -264,46 +199,11 @@ func (r *Router) Snapshot() []NodeStatus {
 	return out
 }
 
-// Strategy reports the configured strategy.
-func (r *Router) Strategy() Strategy { return r.strategy }
-
-// setProbe records one probe result; zero depth with ok=false keeps the
-// previous depth (an unreachable node's stale depth is irrelevant — it
-// is not Ready).
-func (r *Router) setProbe(addr string, state State, depth float64, hasDepth bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := r.byAddr(addr)
-	if n == nil {
-		return
-	}
-	n.state = state
-	n.lastProbe = time.Now()
-	if hasDepth {
-		n.depth = depth
-	}
-	if state == Ready {
-		n.fails = 0
-	} else {
-		n.fails++
-	}
-}
-
-// historyTail mirrors the fields the prober reads from a node's
-// GET /metrics/history?last=1 response.
-type historyTail struct {
-	Snapshots []struct {
-		Metrics map[string]struct {
-			Value float64 `json:"value"`
-		} `json:"metrics"`
-	} `json:"snapshots"`
-}
-
-// ProbeNow sweeps every node synchronously: GET /readyz decides the
-// state (200 → Ready, other status → Draining, transport error → Down),
-// and for reachable nodes GET /metrics/history?last=1 refreshes the
-// queue-depth load signal (404 — history disabled — reads as depth 0;
-// the signal degrades to in-flight-only rather than failing the node).
+// ProbeNow sweeps every node synchronously with one GET /readyz each:
+// 200 → Ready, any other status → Draining, a transport error → Down.
+// The AA-Queue-Depth header of an answer sets the node's depth; a
+// missing or malformed header reads as 0, so the load signal degrades
+// to in-flight counts only rather than failing the node.
 func (r *Router) ProbeNow() {
 	r.mu.Lock()
 	addrs := make([]string, len(r.nodes))
@@ -324,31 +224,28 @@ func (r *Router) ProbeNow() {
 }
 
 func (r *Router) probeOne(addr string) {
-	metricProbes.Inc()
-	resp, err := r.client.Get("http://" + addr + "/readyz")
-	if err != nil {
-		r.setProbe(addr, Down, 0, false)
+	r.probes.Inc()
+	state, depth := Down, 0
+	if resp, err := r.client.Get("http://" + addr + "/readyz"); err == nil {
+		resp.Body.Close()
+		state = Ready
+		if resp.StatusCode != http.StatusOK {
+			state = Draining
+		}
+		depth, _ = strconv.Atoi(resp.Header.Get(serveutil.HeaderQueueDepth))
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := r.byAddr(addr)
+	if n == nil {
 		return
 	}
-	resp.Body.Close()
-	state := Ready
-	if resp.StatusCode != http.StatusOK {
-		state = Draining
+	n.state, n.depth, n.lastProbe = state, depth, time.Now()
+	if state == Ready {
+		n.fails = 0
+	} else {
+		n.fails++
 	}
-	depth, hasDepth := 0.0, false
-	if hresp, err := r.client.Get("http://" + addr + "/metrics/history?last=1"); err == nil {
-		if hresp.StatusCode == http.StatusOK {
-			var tail historyTail
-			if json.NewDecoder(hresp.Body).Decode(&tail) == nil && len(tail.Snapshots) > 0 {
-				depth = tail.Snapshots[len(tail.Snapshots)-1].Metrics["aa_pool_queue_depth"].Value
-				hasDepth = true
-			}
-		} else if hresp.StatusCode == http.StatusNotFound {
-			hasDepth = true // history disabled: a real answer, depth 0
-		}
-		hresp.Body.Close()
-	}
-	r.setProbe(addr, state, depth, hasDepth)
 }
 
 // StartProber probes every interval until Stop. interval <= 0 means 1s.
@@ -382,8 +279,8 @@ func (r *Router) Stop() {
 }
 
 // ParseNodes parses the relay's -nodes flag: a comma-separated list of
-// host:port targets, each optionally prefixed "name=" and suffixed
-// "*weight" — e.g. "n1=10.0.0.1:8080*2,10.0.0.2:8080".
+// host:port targets, each optionally prefixed "name=", e.g.
+// "n1=10.0.0.1:8080,10.0.0.2:8080".
 func ParseNodes(s string) ([]Node, error) {
 	var nodes []Node
 	for _, part := range strings.Split(s, ",") {
@@ -391,16 +288,12 @@ func ParseNodes(s string) ([]Node, error) {
 		if part == "" {
 			continue
 		}
+		if strings.Contains(part, "*") {
+			return nil, fmt.Errorf("router: node %q: node weights are gone (every node gets the least-loaded rule); drop the *weight suffix", part)
+		}
 		var n Node
 		if name, rest, ok := strings.Cut(part, "="); ok {
 			n.Name, part = strings.TrimSpace(name), strings.TrimSpace(rest)
-		}
-		if addr, w, ok := strings.Cut(part, "*"); ok {
-			var weight float64
-			if _, err := fmt.Sscanf(strings.TrimSpace(w), "%g", &weight); err != nil || weight <= 0 {
-				return nil, fmt.Errorf("router: bad weight %q in node %q", w, part)
-			}
-			n.Weight, part = weight, strings.TrimSpace(addr)
 		}
 		n.Addr = part
 		if n.Addr == "" {

@@ -2,53 +2,40 @@ package router
 
 import (
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"aa/internal/serveutil"
 )
 
-func mustNew(t *testing.T, s Strategy, nodes ...Node) *Router {
+func mustNew(t *testing.T, nodes ...Node) *Router {
 	t.Helper()
-	r, err := New(s, nodes)
+	r, err := New(nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return r
 }
 
-func TestParseStrategy(t *testing.T) {
-	for in, want := range map[string]Strategy{
-		"round-robin":       RoundRobin,
-		"rr":                RoundRobin,
-		"least-loaded":      LeastLoaded,
-		"least_loaded":      LeastLoaded,
-		"LL":                LeastLoaded,
-		"weighted-failover": WeightedFailover,
-		"weighted_failover": WeightedFailover,
-		"failover":          WeightedFailover,
-		" Weighted ":        WeightedFailover,
-	} {
-		got, err := ParseStrategy(in)
-		if err != nil || got != want {
-			t.Errorf("ParseStrategy(%q) = %q, %v; want %q", in, got, err, want)
-		}
-	}
-	if _, err := ParseStrategy("fastest"); err == nil {
-		t.Error("ParseStrategy accepted an unknown strategy")
-	}
+// setProbe overwrites a node's state and depth as a probe answer would.
+func setProbe(r *Router, addr string, state State, depth int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := r.byAddr(addr)
+	n.state, n.depth = state, depth
 }
 
 func TestParseNodes(t *testing.T) {
-	nodes, err := ParseNodes("n1=10.0.0.1:8080*2, 10.0.0.2:8080 ,n3=10.0.0.3:8080")
+	nodes, err := ParseNodes("n1=10.0.0.1:8080, 10.0.0.2:8080 ,n3=10.0.0.3:8080")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []Node{
-		{Name: "n1", Addr: "10.0.0.1:8080", Weight: 2},
+		{Name: "n1", Addr: "10.0.0.1:8080"},
 		{Addr: "10.0.0.2:8080"},
 		{Name: "n3", Addr: "10.0.0.3:8080"},
 	}
@@ -60,51 +47,43 @@ func TestParseNodes(t *testing.T) {
 			t.Errorf("node %d = %+v, want %+v", i, nodes[i], want[i])
 		}
 	}
-	for _, bad := range []string{"", " , ", "a:1*x", "a:1*-2"} {
+	for _, bad := range []string{"", " , ", "n1="} {
 		if _, err := ParseNodes(bad); err == nil {
 			t.Errorf("ParseNodes(%q) accepted", bad)
+		}
+	}
+	// The old weight suffix is an error naming its removal, not an
+	// address the prober would find down forever.
+	for _, weighted := range []string{"a:1*2", "n1=a:1*x,b:1"} {
+		if _, err := ParseNodes(weighted); err == nil || !strings.Contains(err.Error(), "weights are gone") {
+			t.Errorf("ParseNodes(%q) = %v, want the weights-are-gone error", weighted, err)
 		}
 	}
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(RoundRobin, nil); err == nil {
+	if _, err := New(nil); err == nil {
 		t.Error("New accepted an empty node set")
 	}
-	if _, err := New(RoundRobin, []Node{{Addr: ""}}); err == nil {
+	if _, err := New([]Node{{Addr: ""}}); err == nil {
 		t.Error("New accepted an empty address")
 	}
-	if _, err := New(RoundRobin, []Node{{Addr: "a:1"}, {Addr: "a:1"}}); err == nil {
+	if _, err := New([]Node{{Addr: "a:1"}, {Addr: "a:1"}}); err == nil {
 		t.Error("New accepted duplicate addresses")
 	}
-	// Defaults: name = addr, weight = 1.
-	r := mustNew(t, RoundRobin, Node{Addr: "a:1"})
+	// Defaults: name = addr, state ready.
+	r := mustNew(t, Node{Addr: "a:1"})
 	st := r.Snapshot()[0]
-	if st.Name != "a:1" || st.Weight != 1 || st.State != Ready {
+	if st.Name != "a:1" || st.State != Ready {
 		t.Fatalf("defaults not applied: %+v", st)
 	}
 }
 
-func TestRoundRobinRotates(t *testing.T) {
-	r := mustNew(t, RoundRobin, Node{Addr: "a:1"}, Node{Addr: "b:1"}, Node{Addr: "c:1"})
-	var got []string
-	for i := 0; i < 6; i++ {
-		n, err := r.Pick(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, n.Addr)
-		r.Done(n.Addr)
-	}
-	want := "a:1 b:1 c:1 a:1 b:1 c:1"
-	if s := strings.Join(got, " "); s != want {
-		t.Fatalf("rotation %q, want %q", s, want)
-	}
-}
-
-func TestRoundRobinSkipsUnready(t *testing.T) {
-	r := mustNew(t, RoundRobin, Node{Addr: "a:1"}, Node{Addr: "b:1"}, Node{Addr: "c:1"})
-	r.setProbe("b:1", Down, 0, false)
+// TestPickSkipsUnready: a down node takes nothing, and the relay's own
+// in-flight count alternates equal-depth nodes.
+func TestPickSkipsUnready(t *testing.T) {
+	r := mustNew(t, Node{Addr: "a:1"}, Node{Addr: "b:1"}, Node{Addr: "c:1"})
+	setProbe(r, "b:1", Down, 0)
 	seen := map[string]int{}
 	for i := 0; i < 4; i++ {
 		n, err := r.Pick(nil)
@@ -112,7 +91,6 @@ func TestRoundRobinSkipsUnready(t *testing.T) {
 			t.Fatal(err)
 		}
 		seen[n.Addr]++
-		r.Done(n.Addr)
 	}
 	if seen["b:1"] != 0 || seen["a:1"] != 2 || seen["c:1"] != 2 {
 		t.Fatalf("distribution %v, want a and c only", seen)
@@ -120,7 +98,7 @@ func TestRoundRobinSkipsUnready(t *testing.T) {
 }
 
 func TestPickExcludeAndExhaustion(t *testing.T) {
-	r := mustNew(t, RoundRobin, Node{Addr: "a:1"}, Node{Addr: "b:1"})
+	r := mustNew(t, Node{Addr: "a:1"}, Node{Addr: "b:1"})
 	n1, err := r.Pick(map[string]bool{"a:1": true})
 	if err != nil || n1.Addr != "b:1" {
 		t.Fatalf("Pick with a excluded = %v, %v; want b", n1.Addr, err)
@@ -129,18 +107,18 @@ func TestPickExcludeAndExhaustion(t *testing.T) {
 	if !errors.Is(err, ErrNoNodes) {
 		t.Fatalf("exhausted Pick error = %v, want ErrNoNodes", err)
 	}
-	r.setProbe("a:1", Draining, 0, false)
-	r.setProbe("b:1", Down, 0, false)
+	setProbe(r, "a:1", Draining, 0)
+	setProbe(r, "b:1", Down, 0)
 	if _, err := r.Pick(nil); !errors.Is(err, ErrNoNodes) {
 		t.Fatalf("all-unready Pick error = %v, want ErrNoNodes", err)
 	}
 }
 
 func TestLeastLoadedUsesDepthAndInflight(t *testing.T) {
-	r := mustNew(t, LeastLoaded, Node{Addr: "a:1"}, Node{Addr: "b:1"}, Node{Addr: "c:1"})
-	r.setProbe("a:1", Ready, 5, true)
-	r.setProbe("b:1", Ready, 1, true)
-	r.setProbe("c:1", Ready, 3, true)
+	r := mustNew(t, Node{Addr: "a:1"}, Node{Addr: "b:1"}, Node{Addr: "c:1"})
+	setProbe(r, "a:1", Ready, 5)
+	setProbe(r, "b:1", Ready, 1)
+	setProbe(r, "c:1", Ready, 3)
 	n, _ := r.Pick(nil)
 	if n.Addr != "b:1" {
 		t.Fatalf("picked %s, want least-loaded b:1", n.Addr)
@@ -170,35 +148,8 @@ func TestLeastLoadedUsesDepthAndInflight(t *testing.T) {
 	}
 }
 
-func TestWeightedFailover(t *testing.T) {
-	r := mustNew(t, WeightedFailover,
-		Node{Addr: "primary:1", Weight: 10},
-		Node{Addr: "standby:1", Weight: 1},
-		Node{Addr: "standby2:1", Weight: 5})
-	for i := 0; i < 3; i++ {
-		n, _ := r.Pick(nil)
-		if n.Addr != "primary:1" {
-			t.Fatalf("pick %d = %s, want primary while ready", i, n.Addr)
-		}
-		r.Done(n.Addr)
-	}
-	// Primary fails: traffic moves to the heaviest standby.
-	r.ObserveFailure("primary:1")
-	n, _ := r.Pick(nil)
-	if n.Addr != "standby2:1" {
-		t.Fatalf("post-failure pick = %s, want standby2", n.Addr)
-	}
-	r.Done(n.Addr)
-	// Primary recovers via probe: traffic returns.
-	r.setProbe("primary:1", Ready, 0, true)
-	n, _ = r.Pick(nil)
-	if n.Addr != "primary:1" {
-		t.Fatalf("post-recovery pick = %s, want primary", n.Addr)
-	}
-}
-
 func TestObserveFailureMarksDownAndSnapshot(t *testing.T) {
-	r := mustNew(t, RoundRobin, Node{Name: "n1", Addr: "a:1", Weight: 2}, Node{Addr: "b:1"})
+	r := mustNew(t, Node{Name: "n1", Addr: "a:1"}, Node{Addr: "b:1"})
 	r.ObserveFailure("a:1")
 	r.ObserveFailure("missing:1") // unknown addr: no-op, no panic
 	st := r.Snapshot()
@@ -208,79 +159,87 @@ func TestObserveFailureMarksDownAndSnapshot(t *testing.T) {
 	if st[1].State != Ready {
 		t.Fatalf("snapshot[1] = %+v, want ready", st[1])
 	}
-	if r.Strategy() != RoundRobin {
-		t.Fatalf("Strategy() = %q", r.Strategy())
-	}
 	// A successful probe resets the failure streak.
-	r.setProbe("a:1", Ready, 0, true)
+	f := newFakeNode(t)
+	r = mustNew(t, Node{Addr: f.addr()})
+	r.ObserveFailure(f.addr())
+	r.ProbeNow()
 	if st := r.Snapshot()[0]; st.State != Ready || st.Failures != 0 {
 		t.Fatalf("post-recovery snapshot = %+v", st)
 	}
 }
 
 // fakeNode is a minimal aaserve stand-in: /readyz with a switchable
-// status, /metrics/history with a canned queue depth.
+// status and AA-Queue-Depth header, and a count of every request it
+// gets, by method and path.
 type fakeNode struct {
-	mu      sync.Mutex
-	ready   int
-	depth   float64
-	history int // history endpoint status; 200 serves depth
-	srv     *httptest.Server
+	mu    sync.Mutex
+	ready int
+	depth string // AA-Queue-Depth header value; "" sends none
+	hits  map[string]int
+	srv   *httptest.Server
 }
 
 func newFakeNode(t *testing.T) *fakeNode {
-	f := &fakeNode{ready: http.StatusOK, history: http.StatusOK}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
+	f := &fakeNode{ready: http.StatusOK, hits: map[string]int{}}
+	f.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		f.mu.Lock()
-		code := f.ready
+		f.hits[r.Method+" "+r.URL.Path]++
+		code, depth := f.ready, f.depth
 		f.mu.Unlock()
-		w.WriteHeader(code)
-	})
-	mux.HandleFunc("/metrics/history", func(w http.ResponseWriter, r *http.Request) {
-		f.mu.Lock()
-		code, depth := f.history, f.depth
-		f.mu.Unlock()
-		if code != http.StatusOK {
-			w.WriteHeader(code)
+		if r.URL.Path != "/readyz" {
+			http.NotFound(w, r)
 			return
 		}
-		fmt.Fprintf(w, `{"interval_seconds":0.1,"capacity":360,"snapshots":[{"ts":"2026-01-01T00:00:00Z","metrics":{"aa_pool_queue_depth":{"type":"gauge","value":%g}}}]}`, depth)
-	})
-	f.srv = httptest.NewServer(mux)
+		if depth != "" {
+			w.Header().Set(serveutil.HeaderQueueDepth, depth)
+		}
+		w.WriteHeader(code)
+	}))
 	t.Cleanup(f.srv.Close)
 	return f
 }
 
 func (f *fakeNode) addr() string { return strings.TrimPrefix(f.srv.URL, "http://") }
 
-func (f *fakeNode) set(ready int, depth float64) {
+func (f *fakeNode) set(ready int, depth string) {
 	f.mu.Lock()
 	f.ready, f.depth = ready, depth
 	f.mu.Unlock()
 }
 
+// requests returns the node's request counts and resets them.
+func (f *fakeNode) requests() map[string]int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	hits := f.hits
+	f.hits = map[string]int{}
+	return hits
+}
+
 func TestProbeNow(t *testing.T) {
 	up := newFakeNode(t)
-	up.set(http.StatusOK, 7)
+	up.set(http.StatusOK, "7")
 	draining := newFakeNode(t)
-	draining.set(http.StatusServiceUnavailable, 0)
-	noHistory := newFakeNode(t)
-	noHistory.history = http.StatusNotFound
+	draining.set(http.StatusServiceUnavailable, "0")
+	noDepth := newFakeNode(t)
+	garbled := newFakeNode(t)
+	garbled.set(http.StatusOK, "lots")
 	down := newFakeNode(t)
 	downAddr := down.addr()
 	down.srv.Close() // transport-level refusal
+	live := []*fakeNode{up, draining, noDepth, garbled}
 
-	r := mustNew(t, LeastLoaded,
+	r := mustNew(t,
 		Node{Name: "up", Addr: up.addr()},
 		Node{Name: "draining", Addr: draining.addr()},
-		Node{Name: "nohist", Addr: noHistory.addr()},
+		Node{Name: "nodepth", Addr: noDepth.addr()},
+		Node{Name: "garbled", Addr: garbled.addr()},
 		Node{Name: "down", Addr: downAddr})
 	r.ProbeNow()
 
-	st := r.Snapshot()
 	byName := map[string]NodeStatus{}
-	for _, s := range st {
+	for _, s := range r.Snapshot() {
 		byName[s.Name] = s
 	}
 	if s := byName["up"]; s.State != Ready || s.Depth != 7 || s.LastProbe.IsZero() {
@@ -289,25 +248,37 @@ func TestProbeNow(t *testing.T) {
 	if s := byName["draining"]; s.State != Draining {
 		t.Fatalf("draining = %+v, want draining", s)
 	}
-	if s := byName["nohist"]; s.State != Ready || s.Depth != 0 {
-		t.Fatalf("nohist = %+v, want ready depth 0 (404 history)", s)
+	for _, name := range []string{"nodepth", "garbled"} {
+		if s := byName[name]; s.State != Ready || s.Depth != 0 {
+			t.Fatalf("%s = %+v, want ready depth 0 (no usable header)", name, s)
+		}
 	}
 	if s := byName["down"]; s.State != Down {
 		t.Fatalf("down = %+v, want down", s)
 	}
+	// One sweep is one GET /readyz per node and nothing else.
+	for i, f := range live {
+		if hits := f.requests(); len(hits) != 1 || hits["GET /readyz"] != 1 {
+			t.Fatalf("node %d got %v in one sweep, want exactly one GET /readyz", i, hits)
+		}
+	}
 
 	// Recovery and state changes propagate on the next sweep.
-	draining.set(http.StatusOK, 2)
+	draining.set(http.StatusOK, "2")
+	up.set(http.StatusOK, "")
 	r.ProbeNow()
 	if s := r.Snapshot()[1]; s.State != Ready || s.Depth != 2 {
 		t.Fatalf("recovered draining node = %+v", s)
+	}
+	if s := r.Snapshot()[0]; s.Depth != 0 {
+		t.Fatalf("up node that stopped reporting a depth = %+v, want depth 0", s)
 	}
 }
 
 func TestStartProberSweeps(t *testing.T) {
 	f := newFakeNode(t)
-	f.set(http.StatusOK, 4)
-	r := mustNew(t, LeastLoaded, Node{Addr: f.addr()})
+	f.set(http.StatusOK, "4")
+	r := mustNew(t, Node{Addr: f.addr()})
 	r.StartProber(10 * time.Millisecond)
 	defer r.Stop()
 	deadline := time.Now().Add(3 * time.Second)
@@ -320,7 +291,7 @@ func TestStartProberSweeps(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	f.set(http.StatusServiceUnavailable, 0)
+	f.set(http.StatusServiceUnavailable, "0")
 	deadline = time.Now().Add(3 * time.Second)
 	for {
 		if s := r.Snapshot()[0]; s.State == Draining {
@@ -336,7 +307,7 @@ func TestStartProberSweeps(t *testing.T) {
 }
 
 func TestStopWithoutProber(t *testing.T) {
-	r := mustNew(t, RoundRobin, Node{Addr: "a:1"})
+	r := mustNew(t, Node{Addr: "a:1"})
 	done := make(chan struct{})
 	go func() { r.Stop(); close(done) }()
 	select {
@@ -347,7 +318,7 @@ func TestStopWithoutProber(t *testing.T) {
 }
 
 func TestConcurrentPickDone(t *testing.T) {
-	r := mustNew(t, LeastLoaded, Node{Addr: "a:1"}, Node{Addr: "b:1"})
+	r := mustNew(t, Node{Addr: "a:1"}, Node{Addr: "b:1"})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -24,12 +24,18 @@ func LimitBody(w http.ResponseWriter, r *http.Request, limit int64, flag, code s
 }
 
 // TooLarge writes the typed 413 when err is LimitBody's cap tripping
-// mid-read (an *http.MaxBytesError) and reports whether it did.
+// mid-read (an *http.MaxBytesError) and reports whether it did. The
+// rest of that body is still on the wire, so the 413 closes the
+// connection. net/http's MaxBytesReader would do so itself, but it
+// cannot see the server's response through a wrapping writer (the
+// observability layer's), and left open the connection reads its next
+// request while the server still drains the old body.
 func TooLarge(w http.ResponseWriter, err error, flag, code string) bool {
 	var tooBig *http.MaxBytesError
 	if !errors.As(err, &tooBig) {
 		return false
 	}
+	w.Header().Set("Connection", "close")
 	writeTooLarge(w, flag, code, -1, tooBig.Limit)
 	return true
 }

@@ -21,6 +21,9 @@ var stageRequest = telemetry.NewStage("http.request", nil)
 const (
 	HeaderTraceparent = "traceparent"
 	HeaderRequestID   = "X-Request-ID"
+	// HeaderQueueDepth carries a node's solve queue depth on its
+	// /readyz answers: the relay's routing load signal.
+	HeaderQueueDepth = "AA-Queue-Depth"
 )
 
 // statusWriter captures the status code and body size the handler

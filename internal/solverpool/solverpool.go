@@ -126,6 +126,10 @@ func New(opts Options) *Pool {
 // Workers returns the number of worker goroutines.
 func (p *Pool) Workers() int { return p.workers }
 
+// QueueDepth returns the number of jobs waiting for a worker: this
+// pool's share of the aa_pool_queue_depth gauge.
+func (p *Pool) QueueDepth() int { return len(p.jobs) }
+
 func (p *Pool) worker() {
 	defer p.wg.Done()
 	for j := range p.jobs {

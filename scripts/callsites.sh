@@ -9,6 +9,10 @@
 # /solve query key (backend, seed, maxnodes, check, cache, deadline)
 # goes through engine.ParseQuery, so no non-test Go file outside
 # internal/engine reads one, and node and relay cannot drift apart.
+# The relay routes on the queue depth a node's /readyz reports, so no
+# non-test Go file outside internal/telemetry requests /metrics/history
+# (a string literal naming the path): the routing signal must not drift
+# back onto the metrics history ring.
 # Prints each offending line and exits 1 if one appears.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -46,6 +50,12 @@ query="$(hits '\.Get\("(backend|seed|maxnodes|check|cache|deadline)"\)' internal
 if [ -n "$query" ]; then
     echo "callsites: FAIL: /solve query keys read outside internal/engine (parse them with engine.ParseQuery):" >&2
     echo "$query" >&2
+    status=1
+fi
+history="$(hits '"/metrics/history["?]' internal/telemetry)"
+if [ -n "$history" ]; then
+    echo "callsites: FAIL: /metrics/history requested outside internal/telemetry (route on the AA-Queue-Depth header of /readyz):" >&2
+    echo "$history" >&2
     status=1
 fi
 [ "$status" = 0 ] && echo "callsites: ok"

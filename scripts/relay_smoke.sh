@@ -16,7 +16,9 @@
 #      relay and no extra solve reaching the nodes.
 #   4. Least-loaded routing: with one node's solver pool saturated,
 #      fresh solves must shift to the other nodes — asserted from each
-#      node's own aa_engine_requests_total counters.
+#      node's own aa_engine_requests_total counters. The nodes run with
+#      the default 10 s metrics history, too stale to steer anything:
+#      the load signal is the queue depth each node reports in /readyz.
 #   5. Failover and rate limiting: a second relay that still counts a
 #      stopped node ready must fail over off it, then answer 429 with a
 #      Retry-After header once the client's bucket is empty; its
@@ -90,7 +92,7 @@ wait_addr() {
 start_node() {
     local name="$1" listen="$2"
     "$tmpdir/aaserve" -addr "$listen" -workers 1 -queue 16 \
-        -history-interval 100ms -trace-out "$out_dir/$name.jsonl" \
+        -trace-out "$out_dir/$name.jsonl" \
         >/dev/null 2>"$tmpdir/$name.log" &
     node_pid=$!
 }
@@ -108,7 +110,7 @@ echo "relay_smoke: baseline replay against $n1 (seed=$SEED) ..."
     -out "$out_dir/baseline.json"
 
 "$tmpdir/aarelay" -addr 127.0.0.1:0 -nodes "$n1,$n2,$n3" \
-    -strategy least-loaded -probe-interval 100ms \
+    -probe-interval 100ms \
     -cache shared -cache-key smoke-secret \
     -trace-out "$out_dir/relay.jsonl" 2>"$tmpdir/relay.log" &
 relay_pid=$!
@@ -195,15 +197,15 @@ c2_before="$(engine_count "$n2")"
 c3_before="$(engine_count "$n3")"
 
 # Saturate n1's single worker: three branch-and-bound solves, sent
-# straight at the node so only its queue-depth gauge (not the relay's
-# in-flight count) can steer traffic away. The node budget is what
-# bounds them: the requests carry no deadline, so without it the
-# searches would run on until the final drain.
+# straight at the node so only the queue depth its /readyz reports (not
+# the relay's in-flight count) can steer traffic away. The deadline is
+# what bounds them, as it does every backend; the searches also stop
+# when their clients are killed below.
 "$tmpdir/aagen" -dist powerlaw -m 4 -c 1000 -n 26 -seed 3 >"$tmpdir/slow.json"
 slow_pids=()
 for _ in 1 2 3; do
     curl -s -o /dev/null -X POST --data-binary @"$tmpdir/slow.json" \
-        "http://$n1/solve?backend=exact&maxnodes=150000" &
+        "http://$n1/solve?backend=exact&deadline=10s" &
     slow_pids+=($!)
 done
 sleep 0.5 # a few probe sweeps observe n1's queue depth
@@ -230,10 +232,11 @@ done
 
 # --- 5. Failover and rate limiting on a second relay. ----------------
 # relay2 fronts n2 and n3 and probes only at startup, so it still counts
-# n2 ready after n2 stops: its first request (round-robin starts at n2)
-# meets a refused connection, marks n2 down and fails over to n3. The
-# client's second request finds its token bucket empty.
-"$tmpdir/aarelay" -addr 127.0.0.1:0 -nodes "$n2,$n3" -strategy round-robin \
+# n2 ready after n2 stops: its first request (equal loads, so the tie
+# goes to n2, first in -nodes) meets a refused connection, marks n2 down
+# and fails over to n3. The client's second request finds its token
+# bucket empty.
+"$tmpdir/aarelay" -addr 127.0.0.1:0 -nodes "$n2,$n3" \
     -probe-interval 1h -rate 0.5 -burst 1 2>"$tmpdir/relay2.log" &
 relay2_pid=$!
 pids+=("$relay2_pid")
