@@ -290,10 +290,9 @@ func (rl *relay) storeResponse(key cache.Key, canon *cache.Canonical, respBody [
 		return
 	}
 	e := &cache.Entry{
-		Canon:      canon,
-		Utility:    a.Utility,
-		AltUtility: math.NaN(),
-		Bound:      a.Bound,
+		Canon:   canon,
+		Utility: a.Utility,
+		Bound:   a.Bound,
 	}
 	e.Server, e.Alloc = canon.ToCanonical(a.Server, a.Alloc)
 	// Lambda stays 0: relay entries are exact-hit only, never

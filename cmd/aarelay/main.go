@@ -160,7 +160,7 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 				b = 1
 			}
 		}
-		limiter = ratelimit.NewLimiter(*rate, b, 0)
+		limiter = ratelimit.NewLimiter(*rate, b)
 	}
 
 	rl := &relay{

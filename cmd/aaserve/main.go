@@ -155,7 +155,7 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 	// metrics history behind /metrics/history.
 	telemetry.Enable()
 	if *history > 0 {
-		telemetry.Default.StartHistory(telemetry.HistoryOptions{Interval: *history})
+		telemetry.Default.StartHistory(*history)
 	}
 
 	if _, ok := engine.Lookup(*backend); !ok {
@@ -169,7 +169,6 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 		Backend:    *backend,
 		Workers:    *workers,
 		QueueDepth: *queue,
-		Check:      common.Check,
 		Cache:      solveCache,
 		WarmK:      cacheFlags.WarmK,
 	})

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -185,11 +186,12 @@ func TestAuxiliaryEndpoints(t *testing.T) {
 }
 
 // TestServeAndShutdown exercises the real run() lifecycle: bind an
-// ephemeral port, solve once over TCP, then SIGTERM-drain.
+// ephemeral port, solve over TCP, then SIGTERM-drain. With -check,
+// every solve must move aa_check_total.
 func TestServeAndShutdown(t *testing.T) {
 	ready := make(chan string, 1)
 	done := make(chan error, 1)
-	go func() { done <- run([]string{"-addr", "127.0.0.1:0"}, testWriter{t}, ready) }()
+	go func() { done <- run([]string{"-addr", "127.0.0.1:0", "-check"}, testWriter{t}, ready) }()
 	var addr string
 	select {
 	case addr = <-ready:
@@ -198,13 +200,19 @@ func TestServeAndShutdown(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("server never became ready")
 	}
-	resp, err := http.Post("http://"+addr+"/solve", "application/json", strings.NewReader(demoInstance))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
+	for _, backend := range []string{"assign2", "assign1", "greedy"} {
+		before := checkTotal(t, addr)
+		resp, err := http.Post("http://"+addr+"/solve?backend="+backend, "application/json", strings.NewReader(demoInstance))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", backend, resp.StatusCode)
+		}
+		if after := checkTotal(t, addr); after <= before {
+			t.Fatalf("%s: aa_check_total %v -> %v, want it to grow under -check", backend, before, after)
+		}
 	}
 	// run() has SIGTERM notification installed before it reports ready,
 	// so raising it here reaches the drain path, not the default
@@ -220,6 +228,27 @@ func TestServeAndShutdown(t *testing.T) {
 	case <-time.After(15 * time.Second):
 		t.Fatal("server did not drain after SIGTERM")
 	}
+}
+
+// checkTotal scrapes aa_check_total from the node's /metrics.
+func checkTotal(t *testing.T, addr string) float64 {
+	t.Helper()
+	resp, err := http.Get("http://" + addr + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	for _, line := range strings.Split(readAll(t, resp), "\n") {
+		if v, ok := strings.CutPrefix(line, "aa_check_total "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("aa_check_total line %q: %v", line, err)
+			}
+			return f
+		}
+	}
+	t.Fatal("/metrics has no aa_check_total")
+	return 0
 }
 
 type testWriter struct{ t *testing.T }

@@ -1,15 +1,17 @@
 package main
 
 import (
+	"bufio"
+	"io"
 	"net/http"
-	"os"
 	"os/exec"
+	"path/filepath"
 	"sort"
 	"strings"
+	"syscall"
 	"testing"
 
 	"aa/internal/engine"
-	"aa/internal/telemetry"
 )
 
 // metricNames are the `# TYPE` lines of aaserve's /metrics after one
@@ -45,32 +47,50 @@ var metricNames = []string{
 }
 
 // TestMetricsNameSetPinned pins the set of aa_* names aaserve's
-// /metrics exposes after one solve per backend. The registry is
-// process-wide and other tests register names of their own, so the
-// scrape runs in a fresh copy of this test binary.
+// /metrics exposes after one solve per backend. It builds the real
+// binary and scrapes it, so the pin holds exactly what the aaserve
+// program registers: nothing a test file of this package imports, and
+// nothing another test registers in the shared registry.
 func TestMetricsNameSetPinned(t *testing.T) {
-	if os.Getenv("AASERVE_METRICS_PIN") == "1" {
-		checkMetricNames(t)
-		return
+	bin := filepath.Join(t.TempDir(), "aaserve")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("build aaserve: %v\n%s", err, out)
 	}
-	cmd := exec.Command(os.Args[0], "-test.run=^TestMetricsNameSetPinned$", "-test.count=1")
-	cmd.Env = append(os.Environ(), "AASERVE_METRICS_PIN=1")
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("metrics name set: %v\n%s", err, out)
+	cmd := exec.Command(bin, "-addr", "127.0.0.1:0")
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
 	}
-}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		_ = cmd.Process.Signal(syscall.SIGTERM)
+		_ = cmd.Wait()
+	}()
+	// The first stderr line is "aaserve: listening on http://ADDR".
+	line, err := bufio.NewReader(stderr).ReadString('\n')
+	if err != nil {
+		t.Fatalf("reading the listening line: %v (got %q)", err, line)
+	}
+	_, url, ok := strings.Cut(strings.TrimSpace(line), "listening on ")
+	if !ok {
+		t.Fatalf("first stderr line %q is not the listening line", line)
+	}
+	go func() { _, _ = io.Copy(io.Discard, stderr) }()
 
-func checkMetricNames(t *testing.T) {
-	telemetry.Enable()
-	defer telemetry.Disable()
-	ts := newTestServer(t)
 	for _, backend := range engine.Backends() {
-		resp, body := postSolve(t, ts, "/solve?backend="+backend, demoInstance)
+		resp, err := http.Post(url+"/solve?backend="+backend, "application/json", strings.NewReader(demoInstance))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := readAll(t, resp)
+		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: status %d: %s", backend, resp.StatusCode, body)
 		}
 	}
-	resp, err := http.Get(ts.URL + "/metrics")
+	resp, err := http.Get(url + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,7 +90,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		Seed:        *seed,
 		MaxNodes:    *maxNodes,
 		WantUtility: true,
-		Check:       common.Check,
 	}
 	resp, err := engine.Default().Solve(context.Background(), &req)
 	if err != nil {

@@ -44,20 +44,13 @@ type Config struct {
 	// Mode selects the implementation; "" means ModeOff.
 	Mode Mode
 	// Size bounds the number of entries (memory mode); <= 0 means
-	// DefaultSize. The bound is enforced per shard, so the
-	// effective capacity is Size rounded up to a multiple of Shards.
+	// DefaultSize. The bound is enforced per shard, so the effective
+	// capacity is Size rounded up to a multiple of the shard count.
 	Size int
 	// TTL bounds entry age; entries older than TTL are evicted lazily on
 	// access. 0 means no expiry (required for deterministic replay
 	// reports — see internal/replay).
 	TTL time.Duration
-	// Shards is the number of independently locked LRU shards; <= 0
-	// means DefaultShards.
-	Shards int
-	// Candidates bounds the per-group recency ring consulted by the
-	// warm-start path (most-recent fingerprints per (m, C, backend)
-	// group); <= 0 means DefaultCandidates.
-	Candidates int
 	// Key keys the thread-hash mixer (CanonicalizeKeyed). The zero key
 	// means unkeyed hashing (byte-compatible with pre-keying
 	// fingerprints). Derive one from a shared secret with KeyFromString,
@@ -67,11 +60,15 @@ type Config struct {
 	Key HashKey
 }
 
-// Defaults for Config fields left at zero.
+// DefaultSize is the entry bound of a Config that leaves Size at zero.
+const DefaultSize = 1024
+
+// The memory cache's fixed shape: the number of independently locked
+// LRU shards, and the length of the per-(m, C, backend) recency ring
+// the warm-start path consults.
 const (
-	DefaultSize       = 1024
-	DefaultShards     = 8
-	DefaultCandidates = 8
+	shardCount = 8
+	ringSize   = 8
 )
 
 // Stats is a point-in-time snapshot of one cache's counters. The same
@@ -143,14 +140,9 @@ type Entry struct {
 	// Server and Alloc are the assignment in canonical thread order.
 	Server []int
 	Alloc  []float64
-	// AltServer/AltAlloc hold Algorithm 1's alternative assignment when
-	// the populating request set AltAssign1, else nil.
-	AltServer []int
-	AltAlloc  []float64
-	// Utility and AltUtility are the populating response's values (NaN
-	// when the populating request did not ask for utility).
-	Utility    float64
-	AltUtility float64
+	// Utility is the populating response's total utility (NaN when the
+	// populating request did not ask for it).
+	Utility float64
 	// Bound is the super-optimal bound F̂ the populating solve computed
 	// (NaN for backends that do not produce one).
 	Bound float64
@@ -158,8 +150,6 @@ type Entry struct {
 	// λ-search; > 0 is the precondition for warm-starting from this
 	// entry.
 	Lambda float64
-	// Moves is the populating response's local-search move count.
-	Moves int
 	// Backend is the canonical backend name that produced the entry.
 	Backend string
 }
@@ -171,7 +161,7 @@ func New(cfg Config) (Cache, error) {
 	case "", ModeOff:
 		return Noop(), nil
 	case ModeMemory, ModeShared:
-		return newMemCache(cfg), nil
+		return newMemCache(cfg, shardCount), nil
 	default:
 		return nil, fmt.Errorf("cache: unknown mode %q (want %q, %q or %q)",
 			cfg.Mode, ModeOff, ModeMemory, ModeShared)

@@ -278,8 +278,6 @@ type Params struct {
 	Backend  string
 	Seed     uint64
 	MaxNodes int
-	MaxMoves int
-	Alt      bool
 }
 
 // RequestKey derives the storage key for one request: the instance
@@ -295,14 +293,6 @@ func RequestKey(fp Fingerprint, p Params) Key {
 	h.Write(buf[:])
 	binary.LittleEndian.PutUint64(buf[:], uint64(int64(p.MaxNodes)))
 	h.Write(buf[:])
-	binary.LittleEndian.PutUint64(buf[:], uint64(int64(p.MaxMoves)))
-	h.Write(buf[:])
-	if p.Alt {
-		buf[0] = 1
-	} else {
-		buf[0] = 0
-	}
-	h.Write(buf[:1])
 	var k Key
 	h.Sum(k[:0])
 	return k

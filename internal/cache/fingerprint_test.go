@@ -186,8 +186,6 @@ func TestRequestKeyDiscriminates(t *testing.T) {
 	add("backend", Params{Backend: "assign1"})
 	add("seed", Params{Backend: "assign2", Seed: 1})
 	add("maxnodes", Params{Backend: "assign2", MaxNodes: 100})
-	add("maxmoves", Params{Backend: "assign2", MaxMoves: 100})
-	add("alt", Params{Backend: "assign2", Alt: true})
 
 	// Same params, different fingerprint.
 	fp2 := mustCanon(t, inst(4, 100, threads(3, 6, 100)...)).Fingerprint()

@@ -51,8 +51,9 @@ type memCache struct {
 	// now is the clock, swappable in tests to drive TTL expiry.
 	now func() time.Time
 
-	groupMu   sync.Mutex
-	groups    map[uint64][]Key
+	groupMu sync.Mutex
+	groups  map[uint64][]Key
+	// groupSize bounds each recency ring: ringSize, which tests shrink.
 	groupSize int
 }
 
@@ -71,23 +72,17 @@ type lruItem struct {
 	stored time.Time
 }
 
-func newMemCache(cfg Config) *memCache {
+// newMemCache builds a memory cache of nshards shards (New passes
+// shardCount; tests pass their own).
+func newMemCache(cfg Config, nshards int) *memCache {
 	size := cfg.Size
 	if size <= 0 {
 		size = DefaultSize
-	}
-	nshards := cfg.Shards
-	if nshards <= 0 {
-		nshards = DefaultShards
 	}
 	if nshards > size {
 		nshards = size // tiny caches: never let per-shard capacity round to 0
 	}
 	perShard := (size + nshards - 1) / nshards
-	groupSize := cfg.Candidates
-	if groupSize <= 0 {
-		groupSize = DefaultCandidates
-	}
 	c := &memCache{
 		mode:      cfg.Mode,
 		key:       cfg.Key,
@@ -95,7 +90,7 @@ func newMemCache(cfg Config) *memCache {
 		ttl:       cfg.TTL,
 		now:       time.Now,
 		groups:    make(map[uint64][]Key),
-		groupSize: groupSize,
+		groupSize: ringSize,
 	}
 	for i := range c.shards {
 		c.shards[i] = &shard{max: perShard, m: make(map[Key]*list.Element), ll: list.New()}

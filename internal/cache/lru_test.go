@@ -100,7 +100,7 @@ func TestMemCacheUpdateExistingKey(t *testing.T) {
 func TestMemCacheLRUEviction(t *testing.T) {
 	// One shard, capacity 3: inserting a 4th evicts the least recently
 	// used, and a Get refreshes recency.
-	c, _ := New(Config{Mode: ModeMemory, Size: 3, Shards: 1})
+	c := newMemCache(Config{Mode: ModeMemory, Size: 3}, 1)
 	for i := 1; i <= 3; i++ {
 		c.Put(key(i), 0, entry(i))
 	}
@@ -170,7 +170,8 @@ func TestMemCacheRemove(t *testing.T) {
 }
 
 func TestCandidatesRecencyRing(t *testing.T) {
-	c, _ := New(Config{Mode: ModeMemory, Size: 64, Candidates: 3})
+	c := newMemCache(Config{Mode: ModeMemory, Size: 64}, shardCount)
+	c.groupSize = 3
 	g := uint64(9)
 	for i := 1; i <= 5; i++ {
 		c.Put(key(i), g, entry(i))
@@ -221,8 +222,9 @@ func serversOf(es []*Entry) []int {
 }
 
 func TestMemCacheShardClamp(t *testing.T) {
-	// More shards than capacity must not round per-shard capacity to 0.
-	c, _ := New(Config{Mode: ModeMemory, Size: 2, Shards: 16})
+	// More shards (shardCount) than capacity must not round per-shard
+	// capacity to 0.
+	c, _ := New(Config{Mode: ModeMemory, Size: 2})
 	for i := 0; i < 10; i++ {
 		c.Put(key(i), 0, entry(i))
 	}
@@ -236,7 +238,7 @@ func TestMemCacheShardClamp(t *testing.T) {
 
 func TestMemCacheConcurrent(t *testing.T) {
 	// Race-detector smoke over all entry points.
-	c, _ := New(Config{Mode: ModeMemory, Size: 32, Shards: 4, TTL: time.Hour})
+	c, _ := New(Config{Mode: ModeMemory, Size: 32, TTL: time.Hour})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

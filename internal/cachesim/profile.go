@@ -10,8 +10,7 @@ import (
 // rate with w ways, for w = 0..len(HitRate)-1. By the LRU stack
 // (inclusion) property the curve is nondecreasing in w.
 type Profile struct {
-	HitRate  []float64
-	Accesses int
+	HitRate []float64
 }
 
 // ProfileThread measures a thread's hit rate at every way count
@@ -22,10 +21,7 @@ func ProfileThread(cfg Config, trace []uint64) (Profile, error) {
 	if len(trace) == 0 {
 		return Profile{}, ErrEmptyTrace
 	}
-	p := Profile{
-		HitRate:  make([]float64, cfg.Ways+1),
-		Accesses: len(trace),
-	}
+	p := Profile{HitRate: make([]float64, cfg.Ways+1)}
 	for w := 0; w <= cfg.Ways; w++ {
 		hits, accesses, err := SimulateHits(cfg, w, trace)
 		if err != nil {

@@ -108,7 +108,7 @@ func (c *Common) Start(name string, stderr io.Writer) (func(), error) {
 	}
 	var prof *telemetry.Profiler
 	if c.ProfileDir != "" {
-		prof, err = telemetry.StartProfiler(c.ProfileDir, telemetry.ProfilerOptions{Logf: logf})
+		prof, err = telemetry.StartProfiler(c.ProfileDir, logf)
 		if err != nil {
 			sherr := shutdownTelemetry()
 			_ = sherr // the profiler error is the one worth reporting

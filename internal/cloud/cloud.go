@@ -108,10 +108,10 @@ func DefaultTiers(capacity float64) []Tier {
 	}
 }
 
-// TierChoice records which tier a customer picked.
+// TierChoice records which tier a customer picked; ChooseTiers returns
+// one per customer, in customer order.
 type TierChoice struct {
-	Customer int
-	Tier     int // index into the catalog, -1 if no tier has positive surplus
+	Tier int // index into the catalog, -1 if no tier has positive surplus
 }
 
 // ChooseTiers has each customer pick the tier maximizing their consumer
@@ -130,7 +130,7 @@ func ChooseTiers(f *Fleet, tiers []Tier) []TierChoice {
 				best, bestSurplus = ti, surplus
 			}
 		}
-		choices[i] = TierChoice{Customer: i, Tier: best}
+		choices[i] = TierChoice{Tier: best}
 	}
 	return choices
 }

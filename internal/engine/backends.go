@@ -35,7 +35,7 @@ func init() {
 	})
 	register(Backend{
 		Name: "ls", Guaranteed: true,
-		Doc:    "Algorithm 2 followed by single-thread local-search moves (MaxMoves bounds the search)",
+		Doc:    "Algorithm 2 followed by single-thread local-search moves",
 		Handle: handleLocalSearch,
 	})
 	register(Backend{
@@ -113,9 +113,6 @@ func solveLinearized(ctx ctxT, req *Request, resp *Response, algo1 bool) error {
 		w.Assign1Linearized(in, gs, &resp.Assignment)
 	} else {
 		w.Assign2Linearized(in, gs, &resp.Assignment)
-		if req.AltAssign1 {
-			w.Assign1Linearized(in, gs, &resp.Alt)
-		}
 	}
 	resp.Bound = so.Total
 	resp.Lambda = so.Lambda
@@ -123,16 +120,11 @@ func solveLinearized(ctx ctxT, req *Request, resp *Response, algo1 bool) error {
 	return nil
 }
 
-// finishUtility evaluates F (and Alt's F) on demand. It stays off the
-// default path so a plain solve costs exactly what a Session solve
-// does.
+// finishUtility evaluates F on demand. It stays off the default path
+// so a plain solve costs exactly what a Session solve does.
 func finishUtility(req *Request, resp *Response) {
-	if !req.WantUtility {
-		return
-	}
-	resp.Utility = resp.Assignment.Utility(req.Instance)
-	if req.AltAssign1 {
-		resp.AltUtility = resp.Alt.Utility(req.Instance)
+	if req.WantUtility {
+		resp.Utility = resp.Assignment.Utility(req.Instance)
 	}
 }
 
@@ -149,12 +141,11 @@ func handleLocalSearch(ctx ctxT, req *Request, resp *Response) error {
 	if err := solveLinearized(ctx, req, resp, false); err != nil {
 		return err
 	}
-	a, moves, err := core.Improve(ctx, req.Instance, resp.Assignment, req.MaxMoves)
+	a, _, err := core.Improve(ctx, req.Instance, resp.Assignment, 0)
 	if err != nil {
 		return err
 	}
 	resp.Assignment = a
-	resp.Moves = moves
 	finishUtility(req, resp)
 	return nil
 }

@@ -117,15 +117,14 @@ func TestCacheKeySeparatesBackendsAndParams(t *testing.T) {
 	for _, req := range []*Request{
 		{Instance: in},
 		{Instance: in, Backend: "assign1"},
-		{Instance: in, Backend: "ls", MaxMoves: 3},
-		{Instance: in, Backend: "ls", MaxMoves: 4},
-		{Instance: in, AltAssign1: true},
+		{Instance: in, Backend: "ls"},
+		{Instance: in, Backend: "polish"},
 	} {
 		if _, err := eng.Solve(ctx, req); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if st := c.Stats(); st.Hits != 0 || st.Misses != 5 {
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 4 {
 		t.Fatalf("distinct (backend, params) requests shared entries: %+v", st)
 	}
 	// Stochastic backends key on seed; deterministic ones ignore it.
@@ -143,29 +142,6 @@ func TestCacheKeySeparatesBackendsAndParams(t *testing.T) {
 	}
 	if st := c.Stats(); st.Hits != 1 {
 		t.Fatalf("deterministic backend keyed on seed: %+v", st)
-	}
-}
-
-func TestCacheAltAssign1RoundTrip(t *testing.T) {
-	eng, c := newCached(t, 0)
-	ctx := context.Background()
-	in := corpus(t, 1, 30)[0]
-	req := &Request{Instance: in, AltAssign1: true, WantUtility: true}
-	first, err := eng.Solve(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := eng.Solve(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := c.Stats(); st.Hits != 1 {
-		t.Fatalf("alt request did not hit: %+v", st)
-	}
-	sameAssignment(t, "alt hit main", second.Assignment, first.Assignment)
-	sameAssignment(t, "alt hit alt", second.Alt, first.Alt)
-	if second.AltUtility != first.AltUtility {
-		t.Fatalf("alt utility %v, want %v", second.AltUtility, first.AltUtility)
 	}
 }
 

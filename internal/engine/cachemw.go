@@ -65,7 +65,7 @@ func cacheSolve(ctx context.Context, c cache.Cache, warmK int, next Handler, req
 		return "hit", nil
 	}
 	group := canon.GroupKey(req.bk.Name)
-	if warmK > 0 && req.bk.Name == "assign2" && !req.AltAssign1 {
+	if warmK > 0 && req.bk.Name == "assign2" {
 		if warmSolve(ctx, c, canon, key, group, warmK, req, resp) {
 			return "warm", nil
 		}
@@ -81,28 +81,16 @@ func cacheSolve(ctx context.Context, c cache.Cache, warmK int, next Handler, req
 // canonically ordered assignment through the request's own Perm
 // (Canonical.FromCanonical).
 func serveEntry(e *cache.Entry, canon *cache.Canonical, req *Request, resp *Response) {
-	n := len(canon.Perm)
-	resp.Assignment.Reset(n)
+	resp.Assignment.Reset(len(canon.Perm))
 	canon.FromCanonical(resp.Assignment.Server, resp.Assignment.Alloc, e.Server, e.Alloc)
-	if req.AltAssign1 && e.AltServer != nil {
-		resp.Alt.Reset(n)
-		canon.FromCanonical(resp.Alt.Server, resp.Alt.Alloc, e.AltServer, e.AltAlloc)
-	}
 	resp.Bound = e.Bound
 	resp.Lambda = e.Lambda
-	resp.Moves = e.Moves
 	if req.WantUtility {
 		// Prefer the populating solve's value; compute only when the
 		// populating request never asked for one.
 		resp.Utility = e.Utility
 		if math.IsNaN(resp.Utility) {
 			resp.Utility = resp.Assignment.Utility(req.Instance)
-		}
-		if req.AltAssign1 {
-			resp.AltUtility = e.AltUtility
-			if math.IsNaN(resp.AltUtility) && e.AltServer != nil {
-				resp.AltUtility = resp.Alt.Utility(req.Instance)
-			}
 		}
 	}
 }
@@ -125,16 +113,9 @@ func storeEntry(c cache.Cache, canon *cache.Canonical, key cache.Key, group uint
 		Utility: resp.Utility,
 		Bound:   resp.Bound,
 		Lambda:  resp.Lambda,
-		Moves:   resp.Moves,
 		Backend: resp.Backend,
 	}
 	e.Server, e.Alloc = canon.ToCanonical(resp.Assignment.Server, resp.Assignment.Alloc)
-	if req.AltAssign1 && len(resp.Alt.Server) == n {
-		e.AltServer, e.AltAlloc = canon.ToCanonical(resp.Alt.Server, resp.Alt.Alloc)
-		e.AltUtility = resp.AltUtility
-	} else {
-		e.AltUtility = math.NaN()
-	}
 	c.Put(key, group, e)
 }
 

@@ -1,8 +1,9 @@
 // Package engine is the repository's unified solver pipeline: one
 // request/response path that every solve in the tree — the public aa
-// facade, the experiment harness, the variant packages, the CLI
-// binaries and the aaserve service — rides instead of wiring pooling,
-// checking and telemetry per call site.
+// facade, the variant packages, the CLI binaries and the aaserve
+// service — rides instead of wiring pooling, checking and telemetry
+// per call site. The experiment harness's trials are the exception:
+// they compare the paper's algorithms on one workspace themselves.
 //
 // The pieces, bottom up:
 //
@@ -36,7 +37,7 @@
 // Allocation discipline: Solve returns a fresh Response the caller
 // owns; SolveInto reuses a caller-held Response and performs zero heap
 // allocations in steady state on the workspace-backed backends, so hot
-// loops (experiment trials, online re-solves, benchmarks) pay nothing
+// loops (online re-solves, the runtime table, benchmarks) pay nothing
 // for riding the pipeline. BenchmarkEngineSolve pins both properties
 // against BenchmarkSolveSession.
 package engine
@@ -79,19 +80,10 @@ type Request struct {
 	// MaxNodes bounds the branch-and-bound search of the "exact"
 	// backend; <= 0 means the core default.
 	MaxNodes int
-	// MaxMoves bounds the "ls" local search; <= 0 means the core
-	// default.
-	MaxMoves int
-	// AltAssign1 asks the assign2 backend to additionally run
-	// Algorithm 1 from the same super-optimal linearization into
-	// Response.Alt — one bound computation feeding both algorithms,
-	// exactly as the experiment harness compares them.
-	AltAssign1 bool
 	// WantUtility asks the backend to evaluate the achieved total
-	// utility F into Response.Utility (and AltUtility). Off by default
-	// so the hot path matches the Session contract of "assignment
-	// only"; callers that report F (CLIs, the service, experiments)
-	// switch it on.
+	// utility F into Response.Utility. Off by default so the hot path
+	// matches the Session contract of "assignment only"; callers that
+	// report F (CLIs, the service, experiments) switch it on.
 	WantUtility bool
 	// Check forces post-solve verification for this request even when
 	// neither the engine option nor the process-wide check.Enable is
@@ -114,14 +106,9 @@ type Response struct {
 	// Assignment is the solver's thread placement and allocation. Its
 	// backing arrays are reused across SolveInto calls.
 	Assignment core.Assignment
-	// Alt is Algorithm 1's assignment from the same linearization, valid
-	// only when the request set AltAssign1.
-	Alt core.Assignment
 	// Utility is the achieved total utility F when the request set
 	// WantUtility, else NaN.
 	Utility float64
-	// AltUtility is Alt's total utility under the same rule, else NaN.
-	AltUtility float64
 	// Bound is the super-optimal bound F̂ when the backend computed one
 	// (the linearized backends get it for free), else NaN.
 	Bound float64
@@ -129,8 +116,6 @@ type Response struct {
 	// backend ran one (the linearized backends), else 0. The solve cache
 	// persists it so warm-start re-solves can seed their λ-search.
 	Lambda float64
-	// Moves is the number of accepted local-search moves ("ls" backend).
-	Moves int
 	// Backend is the canonical name of the backend that produced this
 	// response.
 	Backend string
@@ -138,19 +123,16 @@ type Response struct {
 
 // prepare resets the response for a new solve. The assignment buffers
 // are truncated to length zero (keeping their capacity, so the
-// zero-alloc SolveInto contract holds): a reused Response must not leak
-// the previous solve's Alt after a request without AltAssign1, nor a
-// stale assignment tail after a backend that writes fewer threads.
+// zero-alloc SolveInto contract holds): a reused Response must not keep
+// a stale assignment tail after a backend that writes fewer threads,
+// nor the previous solve's Utility, Bound or Lambda after a backend
+// that does not compute them.
 func (r *Response) prepare(backend string) {
 	r.Assignment.Server = r.Assignment.Server[:0]
 	r.Assignment.Alloc = r.Assignment.Alloc[:0]
-	r.Alt.Server = r.Alt.Server[:0]
-	r.Alt.Alloc = r.Alt.Alloc[:0]
 	r.Utility = math.NaN()
-	r.AltUtility = math.NaN()
 	r.Bound = math.NaN()
 	r.Lambda = 0
-	r.Moves = 0
 	r.Backend = backend
 }
 

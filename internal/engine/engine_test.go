@@ -108,23 +108,28 @@ func TestAliases(t *testing.T) {
 	}
 }
 
-// TestAltAssign1: one linearization feeds both algorithms, matching the
-// direct pair exactly (the experiment-harness contract).
+// TestAltAssign1: the assign1 and assign2 backends solve from the same
+// super-optimal linearization — they report the same bound and price —
+// and each matches its package-level algorithm exactly.
 func TestAltAssign1(t *testing.T) {
 	eng := New(Options{})
 	for _, in := range corpus(t, 4, 30) {
-		resp, err := eng.Solve(context.Background(), &Request{Instance: in, AltAssign1: true, WantUtility: true})
+		a2, err := eng.Solve(context.Background(), &Request{Instance: in, Backend: "assign2"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameAssignment(t, "assign2", resp.Assignment, core.Assign2(in))
-		sameAssignment(t, "alt assign1", resp.Alt, core.Assign1(in))
-		so := core.SuperOptimal(in)
-		if resp.Bound != so.Total {
-			t.Fatalf("bound %v, want %v", resp.Bound, so.Total)
+		a1, err := eng.Solve(context.Background(), &Request{Instance: in, Backend: "assign1"})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if resp.AltUtility != resp.Alt.Utility(in) {
-			t.Fatalf("alt utility %v, want %v", resp.AltUtility, resp.Alt.Utility(in))
+		sameAssignment(t, "assign2", a2.Assignment, core.Assign2(in))
+		sameAssignment(t, "assign1", a1.Assignment, core.Assign1(in))
+		so := core.SuperOptimal(in)
+		if a2.Bound != so.Total || a1.Bound != so.Total {
+			t.Fatalf("bounds %v (assign2) / %v (assign1), want %v", a2.Bound, a1.Bound, so.Total)
+		}
+		if a2.Lambda != so.Lambda || a1.Lambda != so.Lambda {
+			t.Fatalf("lambdas %v (assign2) / %v (assign1), want %v", a2.Lambda, a1.Lambda, so.Lambda)
 		}
 	}
 }
@@ -137,8 +142,8 @@ func TestUtilityOptIn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !math.IsNaN(resp.Utility) || !math.IsNaN(resp.AltUtility) {
-		t.Fatalf("utility should be NaN without WantUtility, got %v / %v", resp.Utility, resp.AltUtility)
+	if !math.IsNaN(resp.Utility) {
+		t.Fatalf("utility should be NaN without WantUtility, got %v", resp.Utility)
 	}
 	if math.IsNaN(resp.Bound) {
 		t.Fatal("assign2 should always report the super-optimal bound")

@@ -97,20 +97,9 @@ func verify(req *Request, resp *Response) error {
 	}
 	rep := ratioFor(resp.Bound, req, resp.Assignment)
 	if req.bk.Guaranteed {
-		if err := rep.CheckAlpha(0); err != nil {
-			return err
-		}
-	} else if err := rep.CheckBound(0); err != nil {
-		return err
+		return rep.CheckAlpha(0)
 	}
-	if !req.AltAssign1 {
-		return nil
-	}
-	// The alternate Algorithm 1 result rides the same guarantee.
-	if err := check.Feasible(in, resp.Alt, check.DefaultEps); err != nil {
-		return err
-	}
-	return ratioFor(resp.Bound, req, resp.Alt).CheckAlpha(0)
+	return rep.CheckBound(0)
 }
 
 // ratioFor reuses the backend's own F̂ when it computed one, and pays

@@ -67,7 +67,7 @@ func KeyParams(req *Request) (p cache.Params, ok bool) {
 			return cache.Params{}, false
 		}
 	}
-	p = cache.Params{MaxNodes: req.MaxNodes, MaxMoves: req.MaxMoves, Alt: req.AltAssign1, Seed: req.Seed}
+	p = cache.Params{MaxNodes: req.MaxNodes, Seed: req.Seed}
 	if bk != nil {
 		p.Backend = bk.Name
 		if !bk.Stochastic {

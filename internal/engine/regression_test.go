@@ -2,10 +2,10 @@ package engine
 
 // Regression tests for two engine lifecycle bugs:
 //
-//   - Response.prepare never reset Assignment/Alt, so a Response reused
-//     via SolveInto leaked the previous solve's Alt after a request
-//     without AltAssign1, and kept a stale assignment tail when a
-//     backend wrote fewer threads than the previous solve.
+//   - Response.prepare never reset the response, so a Response reused
+//     via SolveInto leaked the previous solve's results into a solve
+//     that does not compute them, and kept a stale assignment tail when
+//     a backend wrote fewer threads than the previous solve.
 //
 //   - Engine.Close raced with the sync.Once lazy pool start: Submit or
 //     SolveBatch after Close silently started a fresh pool that nothing
@@ -17,6 +17,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -30,20 +31,19 @@ func TestResponseReuseClearsAlt(t *testing.T) {
 	in := corpus(t, 1, 30)[0]
 
 	var resp Response
-	if err := eng.SolveInto(ctx, &Request{Instance: in, AltAssign1: true}, &resp); err != nil {
+	if err := eng.SolveInto(ctx, &Request{Instance: in, WantUtility: true}, &resp); err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.Alt.Server) != in.N() {
-		t.Fatalf("alt solve produced %d alt threads, want %d", len(resp.Alt.Server), in.N())
+	if math.IsNaN(resp.Utility) || math.IsNaN(resp.Bound) || resp.Lambda == 0 {
+		t.Fatalf("assign2 solve left utility %v, bound %v, lambda %v", resp.Utility, resp.Bound, resp.Lambda)
 	}
-	// Reuse the same Response without AltAssign1: Alt must come back
-	// empty, not as the previous solve's leftover.
-	if err := eng.SolveInto(ctx, &Request{Instance: in}, &resp); err != nil {
+	// Reuse the same Response for a backend that computes none of them:
+	// each must come back reset, not as the previous solve's leftover.
+	if err := eng.SolveInto(ctx, &Request{Instance: in, Backend: "greedy"}, &resp); err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.Alt.Server) != 0 || len(resp.Alt.Alloc) != 0 {
-		t.Fatalf("reused response leaked a stale Alt: %d servers / %d allocs",
-			len(resp.Alt.Server), len(resp.Alt.Alloc))
+	if !math.IsNaN(resp.Utility) || !math.IsNaN(resp.Bound) || resp.Lambda != 0 {
+		t.Fatalf("reused response leaked utility %v, bound %v, lambda %v", resp.Utility, resp.Bound, resp.Lambda)
 	}
 }
 

@@ -20,7 +20,6 @@ import (
 
 	"aa/internal/check"
 	"aa/internal/core"
-	"aa/internal/engine"
 	"aa/internal/gen"
 	"aa/internal/rng"
 	"aa/internal/solverpool"
@@ -207,21 +206,13 @@ func runTrial(ctx context.Context, spec Spec, sp SweepPoint, r *rng.Rand) (map[s
 	if err != nil {
 		return nil, nil, err
 	}
-	// The paper pipeline rides the engine: one request solves Assign2
-	// and (via AltAssign1) Assign1 from the same super-optimal
-	// linearization, through the pooled-workspace fast path — across a
-	// 1000-trial sweep the worker reuses the same scratch buffers. The
-	// engine's assign2 backend is bit-identical to the package-level
-	// calls, and none of these stages draws from r, so the published rng
+	// None of the paper's stages draws from r, so the published rng
 	// stream (gen → UR → RU → RR) is unchanged.
-	var resp engine.Response
-	req := engine.Request{Instance: in, AltAssign1: true, WantUtility: true}
-	if err := engine.Default().SolveInto(ctx, &req, &resp); err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	a2, a1 := resp.Assignment, resp.Alt
-	so := resp.Bound
-	u2 := resp.Utility
+	a1, a2, so := solvePaper(in)
+	u2 := a2.Utility(in)
 
 	// The randomized heuristics must draw in this exact order (UR, RU,
 	// RR) — it is the rng stream behind every published figure.
@@ -235,7 +226,7 @@ func runTrial(ctx context.Context, spec Spec, sp SweepPoint, r *rng.Rand) (map[s
 	num := map[string]float64{}
 	den := map[string]float64{
 		"SO": so,
-		"A1": resp.AltUtility,
+		"A1": a1.Utility(in),
 	}
 	for _, h := range heur {
 		den[h.name] = h.a.Utility(in)
@@ -276,6 +267,21 @@ func runTrial(ctx context.Context, spec Spec, sp SweepPoint, r *rng.Rand) (map[s
 		}
 	}
 	return num, den, nil
+}
+
+// solvePaper runs the paper's two algorithms from one super-optimal
+// linearization on a pooled workspace — across a 1000-trial sweep the
+// worker reuses the same scratch buffers — and returns Algorithm 1's
+// and Algorithm 2's assignments with the bound F̂. Both are
+// bit-identical to core.Assign1/core.Assign2.
+func solvePaper(in *core.Instance) (a1, a2 core.Assignment, fhat float64) {
+	w := core.GetWorkspace()
+	defer core.PutWorkspace(w)
+	so := w.SuperOptimal(in)
+	gs := w.Linearize(in, so)
+	w.Assign2Linearized(in, gs, &a2)
+	w.Assign1Linearized(in, gs, &a1)
+	return a1, a2, so.Total
 }
 
 // namedAssignment labels a solver's output for verification messages.

@@ -3,9 +3,14 @@ package experiment
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
+
+	"aa/internal/core"
+	"aa/internal/gen"
+	"aa/internal/rng"
 )
 
 // shrink reduces a spec for fast unit testing: few trials, short sweep.
@@ -373,5 +378,48 @@ func TestExtClusterSizeSweep(t *testing.T) {
 	// n scales with m: 10 at m=2, 40 at m=8.
 	if res.Points[0].N != 10 || res.Points[1].N != 40 {
 		t.Errorf("n per point: %d, %d", res.Points[0].N, res.Points[1].N)
+	}
+}
+
+// TestTrialSolvesThePaperPair: a trial's A1 and A2 assignments are
+// bit-identical to core.Assign1/core.Assign2, its SO column is
+// core.SuperOptimal's bound, and the A2 numerator and A1 denominator
+// are those assignments' utilities.
+func TestTrialSolvesThePaperPair(t *testing.T) {
+	for _, spec := range []Spec{Fig1a(1), Fig2b(1), Fig3b(1)} {
+		sp := spec.Sweep[len(spec.Sweep)/2]
+		for trial := uint64(0); trial < 4; trial++ {
+			num, den, err := runTrial(context.Background(), spec, sp, rng.New(9).SplitPath(0, trial))
+			if err != nil {
+				t.Fatal(err)
+			}
+			in, err := gen.Instance(sp.Dist, spec.M, spec.C, sp.N, rng.New(9).SplitPath(0, trial))
+			if err != nil {
+				t.Fatal(err)
+			}
+			a1, a2, fhat := solvePaper(in)
+			want1, want2 := core.Assign1(in), core.Assign2(in)
+			for i := range want2.Server {
+				if a2.Server[i] != want2.Server[i] || math.Float64bits(a2.Alloc[i]) != math.Float64bits(want2.Alloc[i]) {
+					t.Fatalf("%s trial %d: A2 thread %d (%d, %v), core.Assign2 (%d, %v)",
+						spec.ID, trial, i, a2.Server[i], a2.Alloc[i], want2.Server[i], want2.Alloc[i])
+				}
+				if a1.Server[i] != want1.Server[i] || math.Float64bits(a1.Alloc[i]) != math.Float64bits(want1.Alloc[i]) {
+					t.Fatalf("%s trial %d: A1 thread %d (%d, %v), core.Assign1 (%d, %v)",
+						spec.ID, trial, i, a1.Server[i], a1.Alloc[i], want1.Server[i], want1.Alloc[i])
+				}
+			}
+			if len(a1.Server) != in.N() || len(a2.Server) != in.N() {
+				t.Fatalf("%s trial %d: %d/%d threads placed, want %d", spec.ID, trial, len(a1.Server), len(a2.Server), in.N())
+			}
+			so := core.SuperOptimal(in).Total
+			if fhat != so || den["SO"] != so {
+				t.Fatalf("%s trial %d: bound %v, SO column %v, want core.SuperOptimal %v", spec.ID, trial, fhat, den["SO"], so)
+			}
+			if num["SO"] != want2.Utility(in) || den["A1"] != want1.Utility(in) {
+				t.Fatalf("%s trial %d: A2 %v / A1 %v, want %v / %v",
+					spec.ID, trial, num["SO"], den["A1"], want2.Utility(in), want1.Utility(in))
+			}
+		}
 	}
 }

@@ -24,7 +24,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"time"
 
 	"aa/internal/check"
 	"aa/internal/core"
@@ -610,16 +609,14 @@ type Result struct {
 
 // EventInfo is the per-event observation delivered to an Options.Hook:
 // which timeline entry was just applied, how many threads the policy
-// migrated, the post-event utility rate s.TotalUtility(), and how long
-// the policy's React took in wall time (the replay harness turns that
-// into solve-latency percentiles; it is NOT deterministic and must stay
-// out of any byte-compared report).
+// migrated, and the post-event utility rate s.TotalUtility(). Every
+// field is deterministic; the replay harness times solves in its own
+// engine middleware, not through the hook.
 type EventInfo struct {
-	Index     int
-	Event     Event
-	Migrated  int
-	Utility   float64
-	ReactWall time.Duration
+	Index    int
+	Event    Event
+	Migrated int
+	Utility  float64
 }
 
 // Options parameterize SimulateOpts. The zero value observes nothing.
@@ -710,9 +707,7 @@ func SimulateOpts(m int, c float64, events []Event, policy Policy, opts Options)
 		default:
 			return Result{}, fmt.Errorf("online: unknown event kind %v", ev.Kind)
 		}
-		start := time.Now()
 		migrated := policy.React(s, ev)
-		wall := time.Since(start)
 		res.Migrations += len(migrated)
 		if err := s.Validate(1e-6); err != nil {
 			return Result{}, fmt.Errorf("online: after t=%v: %w", ev.Time, err)
@@ -724,7 +719,7 @@ func SimulateOpts(m int, c float64, events []Event, policy Policy, opts Options)
 		}
 		rate = s.TotalUtility()
 		if opts.Hook != nil {
-			opts.Hook(EventInfo{Index: i, Event: ev, Migrated: len(migrated), Utility: rate, ReactWall: wall}, s)
+			opts.Hook(EventInfo{Index: i, Event: ev, Migrated: len(migrated), Utility: rate}, s)
 		}
 	}
 	res.UtilityIntegral += rate * (opts.Horizon - now)

@@ -115,14 +115,14 @@ func (b *Bucket) setNow(now func() time.Time) {
 	b.last = now()
 }
 
-// DefaultMaxClients bounds a Limiter's client map when the option is
-// left zero.
-const DefaultMaxClients = 4096
+// clientLimit bounds a Limiter's client map.
+const clientLimit = 4096
 
 // Limiter hands out one Bucket per client key. Safe for concurrent use.
 type Limiter struct {
 	rate, burst float64
-	maxClients  int
+	// maxClients is clientLimit; tests shrink it.
+	maxClients int
 
 	mu      sync.Mutex
 	clients map[string]*clientBucket
@@ -138,20 +138,16 @@ type clientBucket struct {
 }
 
 // NewLimiter builds a per-client limiter: every distinct key gets a
-// bucket of the given rate and burst. maxClients bounds the client map
-// (<= 0 means DefaultMaxClients); when the map is full, idle-and-full
-// buckets are swept, and as a last resort the least recently used
-// client is evicted — indistinguishable from its bucket having
-// refilled, except for clients holding a drained bucket, who get a
-// fresh burst early. That bias is the price of bounded memory and is
+// bucket of the given rate and burst. clientLimit bounds the client
+// map; when the map is full, idle-and-full buckets are swept, and as a
+// last resort the least recently used client is evicted —
+// indistinguishable from its bucket having refilled, except for
+// clients holding a drained bucket, who get a fresh burst early. That bias is the price of bounded memory and is
 // acceptable for admission control (it never blocks a well-behaved
 // client).
-func NewLimiter(rate, burst float64, maxClients int) *Limiter {
-	if maxClients <= 0 {
-		maxClients = DefaultMaxClients
-	}
+func NewLimiter(rate, burst float64) *Limiter {
 	return &Limiter{
-		rate: rate, burst: burst, maxClients: maxClients,
+		rate: rate, burst: burst, maxClients: clientLimit,
 		clients: make(map[string]*clientBucket),
 		now:     time.Now,
 	}

@@ -224,7 +224,7 @@ func TestBucketConcurrentTakeInvariants(t *testing.T) {
 
 func TestLimiterPerClientIsolation(t *testing.T) {
 	clk := newFakeClock()
-	l := NewLimiter(1, 2, 0)
+	l := NewLimiter(1, 2)
 	l.now = clk.Now
 	for i := 0; i < 2; i++ {
 		if ok, _ := l.Take("alice"); !ok {
@@ -250,7 +250,8 @@ func TestLimiterPerClientIsolation(t *testing.T) {
 
 func TestLimiterSweepBoundsClients(t *testing.T) {
 	clk := newFakeClock()
-	l := NewLimiter(100, 2, 8)
+	l := NewLimiter(100, 2)
+	l.maxClients = 8
 	l.now = clk.Now
 	for i := 0; i < 100; i++ {
 		key := string(rune('a'+i%26)) + string(rune('0'+i/26))
@@ -268,7 +269,8 @@ func TestLimiterSweepEvictsLRUWhenNoneFull(t *testing.T) {
 	clk := newFakeClock()
 	// Rate so slow nothing refills during the test: sweep must fall back
 	// to LRU eviction instead of finding full buckets.
-	l := NewLimiter(0.001, 1, 3)
+	l := NewLimiter(0.001, 1)
+	l.maxClients = 3
 	l.now = clk.Now
 	keys := []string{"k1", "k2", "k3", "k4"}
 	for _, k := range keys {
@@ -281,7 +283,8 @@ func TestLimiterSweepEvictsLRUWhenNoneFull(t *testing.T) {
 }
 
 func TestLimiterConcurrentTake(t *testing.T) {
-	l := NewLimiter(1000, 50, 16)
+	l := NewLimiter(1000, 50)
+	l.maxClients = 16
 	var wg sync.WaitGroup
 	keys := []string{"a", "b", "c", "d", "e"}
 	for g := 0; g < 8; g++ {

@@ -37,9 +37,10 @@ type ServeConfig struct {
 	// observe the flip and stop routing here before in-flight draining
 	// begins. 0 drains immediately (the single-node behavior).
 	DrainGrace time.Duration
-	// ShutdownTimeout bounds the in-flight drain; <= 0 means 10s.
-	ShutdownTimeout time.Duration
 }
+
+// shutdownTimeout bounds the in-flight drain after the drain grace.
+const shutdownTimeout = 10 * time.Second
 
 // readHeaderTimeout bounds how long a request header may take to
 // arrive, counted from accept for a connection's first request and from
@@ -90,11 +91,7 @@ func ListenAndServe(cfg ServeConfig) error {
 				return err
 			}
 		}
-		timeout := cfg.ShutdownTimeout
-		if timeout <= 0 {
-			timeout = 10 * time.Second
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), timeout)
+		ctx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
 		defer cancel()
 		if err := httpSrv.Shutdown(ctx); err != nil {
 			return fmt.Errorf("shutdown: %w", err)

@@ -14,8 +14,6 @@ type Chart struct {
 	Title  string
 	XLabel string
 	YLabel string
-	Height int // plot rows (default 12)
-	Width  int // plot columns (default: one per x value, min 40)
 
 	xs     []float64
 	series []chartSeries
@@ -33,10 +31,12 @@ func NewChart(title, xLabel, yLabel string, xs []float64) *Chart {
 		Title:  title,
 		XLabel: xLabel,
 		YLabel: yLabel,
-		Height: 12,
 		xs:     append([]float64(nil), xs...),
 	}
 }
+
+// chartHeight is the number of plot rows.
+const chartHeight = 12
 
 // markers used for successive series.
 var chartMarkers = []rune{'*', 'o', '+', 'x', '#', '@', '%', '&'}
@@ -57,17 +57,10 @@ func (c *Chart) WriteASCII(w io.Writer) error {
 		_, err := io.WriteString(w, c.Title+" (no data)\n")
 		return err
 	}
-	height := c.Height
-	if height < 2 {
-		height = 12
-	}
-	width := c.Width
-	if width <= 0 {
-		width = 2 * len(c.xs)
-		if width < 40 {
-			width = 40
-		}
-	}
+	// The plot is chartHeight rows and two columns per x value, at
+	// least 40.
+	height := chartHeight
+	width := max(2*len(c.xs), 40)
 
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, s := range c.series {

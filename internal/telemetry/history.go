@@ -34,14 +34,9 @@ type HistorySnapshot struct {
 	Metrics map[string]HistoryValue `json:"metrics"`
 }
 
-// HistoryOptions configure StartHistory. The zero value means a 10 s
-// interval and 360 retained points (one hour).
-type HistoryOptions struct {
-	// Interval between automatic snapshots; <= 0 means 10 s.
-	Interval time.Duration
-	// Capacity is the ring size in snapshots; <= 0 means 360.
-	Capacity int
-}
+// historyCapacity is the ring size in snapshots: one hour at the
+// default 10 s interval.
+const historyCapacity = 360
 
 // History is a running snapshot ring over one registry. Create it with
 // Registry.StartHistory; stop the background ticker with Stop.
@@ -61,19 +56,22 @@ type History struct {
 
 // StartHistory starts (or returns the already-running) metrics-history
 // recorder for the registry: one immediate snapshot, then one every
-// opts.Interval until Stop. The first call wins; later calls return
-// the existing recorder and ignore their options.
-func (r *Registry) StartHistory(opts HistoryOptions) *History {
-	if opts.Interval <= 0 {
-		opts.Interval = 10 * time.Second
-	}
-	if opts.Capacity <= 0 {
-		opts.Capacity = 360
+// interval (<= 0 means 10 s) until Stop, keeping the newest 360. The
+// first call wins; later calls return the existing recorder and ignore
+// their interval.
+func (r *Registry) StartHistory(interval time.Duration) *History {
+	return r.startHistory(interval, historyCapacity)
+}
+
+// startHistory is StartHistory with the ring size as a parameter.
+func (r *Registry) startHistory(interval time.Duration, capacity int) *History {
+	if interval <= 0 {
+		interval = 10 * time.Second
 	}
 	h := &History{
 		reg:      r,
-		interval: opts.Interval,
-		ring:     make([]HistorySnapshot, opts.Capacity),
+		interval: interval,
+		ring:     make([]HistorySnapshot, capacity),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}

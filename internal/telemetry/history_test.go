@@ -14,7 +14,7 @@ import (
 func startTestHistory(t *testing.T, capacity int) (*Registry, *History) {
 	t.Helper()
 	r := NewRegistry()
-	h := r.StartHistory(HistoryOptions{Interval: time.Hour, Capacity: capacity})
+	h := r.startHistory(time.Hour, capacity)
 	t.Cleanup(h.Stop)
 	// Wait out the startup snapshot so counts below are deterministic.
 	waitFor(t, func() bool { return len(h.Snapshots()) >= 1 })
@@ -86,9 +86,9 @@ func TestHistoryRingWraps(t *testing.T) {
 
 func TestStartHistoryIsIdempotent(t *testing.T) {
 	r := NewRegistry()
-	h1 := r.StartHistory(HistoryOptions{Interval: time.Hour, Capacity: 4})
+	h1 := r.startHistory(time.Hour, 4)
 	defer h1.Stop()
-	h2 := r.StartHistory(HistoryOptions{Interval: time.Minute, Capacity: 99})
+	h2 := r.StartHistory(time.Minute)
 	if h1 != h2 {
 		t.Fatal("second StartHistory returned a different recorder")
 	}
@@ -96,14 +96,14 @@ func TestStartHistoryIsIdempotent(t *testing.T) {
 		t.Fatal("History() does not return the running recorder")
 	}
 	if h2.Capacity() != 4 || h2.Interval() != time.Hour {
-		t.Errorf("second call's options took effect: cap=%d interval=%v", h2.Capacity(), h2.Interval())
+		t.Errorf("second call's settings took effect: cap=%d interval=%v", h2.Capacity(), h2.Interval())
 	}
 }
 
 func TestHistoryBackgroundTicker(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("aa_test_bg_total").Inc()
-	h := r.StartHistory(HistoryOptions{Interval: 5 * time.Millisecond, Capacity: 16})
+	h := r.StartHistory(5 * time.Millisecond)
 	defer h.Stop()
 	waitFor(t, func() bool { return len(h.Snapshots()) >= 3 })
 }
@@ -123,7 +123,7 @@ func TestHistoryHandler(t *testing.T) {
 		t.Fatalf("/metrics/history before StartHistory: %d, want 404", resp.StatusCode)
 	}
 
-	h := r.StartHistory(HistoryOptions{Interval: time.Hour, Capacity: 8})
+	h := r.startHistory(time.Hour, 8)
 	defer h.Stop()
 	waitFor(t, func() bool { return len(h.Snapshots()) >= 1 })
 	r.Counter("aa_test_handler_total").Add(2)

@@ -19,21 +19,6 @@ import (
 // (cpu-<start>-<seq>.pprof / heap-<start>-<seq>.pprof), so
 // lexicographic order is capture order and pruning keeps the newest.
 
-// ProfilerOptions configure StartProfiler. The zero value means a 60 s
-// cycle with a 5 s CPU window, keeping the 16 newest files per kind.
-type ProfilerOptions struct {
-	// Interval is the cycle period; <= 0 means 60 s.
-	Interval time.Duration
-	// CPUDuration is the CPU-profile window per cycle; <= 0 means 5 s,
-	// and it is clamped to half the interval.
-	CPUDuration time.Duration
-	// Keep bounds the on-disk ring per profile kind; <= 0 means 16.
-	Keep int
-	// Logf, when non-nil, receives capture errors (the loop keeps
-	// running; a transiently busy CPU profiler must not kill it).
-	Logf func(format string, args ...any)
-}
-
 // Profiler is a running continuous profiler. Create with
 // StartProfiler; Stop halts the loop and finishes any in-flight
 // capture.
@@ -51,39 +36,28 @@ type Profiler struct {
 }
 
 // StartProfiler begins continuous CPU+heap profiling into dir
-// (created if missing) and returns the running profiler. The first
-// cycle starts immediately, so even short-lived processes leave a
-// capture behind.
-func StartProfiler(dir string, opts ProfilerOptions) (*Profiler, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+// (created if missing) and returns the running profiler: a 60 s cycle
+// with a 5 s CPU window, keeping the 16 newest files per kind. logf,
+// when non-nil, receives capture errors (the loop keeps running; a
+// transiently busy CPU profiler must not kill it). The first cycle
+// starts immediately, so even short-lived processes leave a capture
+// behind.
+func StartProfiler(dir string, logf func(format string, args ...any)) (*Profiler, error) {
+	return startProfiler(&Profiler{dir: dir, interval: 60 * time.Second, cpuDur: 5 * time.Second, keep: 16, logf: logf})
+}
+
+// startProfiler starts p, whose dir, interval, cpuDur (at most half
+// the interval), keep and logf are set.
+func startProfiler(p *Profiler) (*Profiler, error) {
+	if err := os.MkdirAll(p.dir, 0o755); err != nil {
 		return nil, fmt.Errorf("telemetry: profile dir: %w", err)
 	}
-	if opts.Interval <= 0 {
-		opts.Interval = 60 * time.Second
+	if p.logf == nil {
+		p.logf = func(string, ...any) {}
 	}
-	if opts.CPUDuration <= 0 {
-		opts.CPUDuration = 5 * time.Second
-	}
-	if opts.CPUDuration > opts.Interval/2 {
-		opts.CPUDuration = opts.Interval / 2
-	}
-	if opts.Keep <= 0 {
-		opts.Keep = 16
-	}
-	logf := opts.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	p := &Profiler{
-		dir:      dir,
-		interval: opts.Interval,
-		cpuDur:   opts.CPUDuration,
-		keep:     opts.Keep,
-		logf:     logf,
-		prefix:   fmt.Sprintf("%d-%d", time.Now().Unix(), os.Getpid()),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
-	}
+	p.prefix = fmt.Sprintf("%d-%d", time.Now().Unix(), os.Getpid())
+	p.stop = make(chan struct{})
+	p.done = make(chan struct{})
 	go p.loop()
 	return p, nil
 }

@@ -10,11 +10,7 @@ import (
 
 func TestProfilerCapturesAndStops(t *testing.T) {
 	dir := t.TempDir()
-	p, err := StartProfiler(dir, ProfilerOptions{
-		Interval:    50 * time.Millisecond,
-		CPUDuration: 10 * time.Millisecond,
-		Keep:        4,
-	})
+	p, err := startProfiler(&Profiler{dir: dir, interval: 50 * time.Millisecond, cpuDur: 10 * time.Millisecond, keep: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,12 +41,7 @@ func TestProfilerPrunesRing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	p, err := StartProfiler(dir, ProfilerOptions{
-		Interval:    40 * time.Millisecond,
-		CPUDuration: 5 * time.Millisecond,
-		Keep:        2,
-		Logf:        t.Logf,
-	})
+	p, err := startProfiler(&Profiler{dir: dir, interval: 40 * time.Millisecond, cpuDur: 5 * time.Millisecond, keep: 2, logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +66,7 @@ func TestProfilerBadDir(t *testing.T) {
 	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := StartProfiler(filepath.Join(file, "sub"), ProfilerOptions{}); err == nil {
+	if _, err := StartProfiler(filepath.Join(file, "sub"), nil); err == nil {
 		t.Fatal("StartProfiler into a file path succeeded, want error")
 	}
 }

@@ -24,6 +24,7 @@
 # batch in memory would show in VmHWM, small enough for a CI lane.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+. scripts/lib.sh
 
 BATCH_COUNT="${BATCH_COUNT:-400}"
 BATCH_N="${BATCH_N:-500}"
@@ -73,24 +74,10 @@ start_server() {
     "$tmpdir/aaserve" -addr 127.0.0.1:0 -workers 2 "$@" >/dev/null 2>"$log" &
     server_pid=$!
     pids+=("$server_pid")
-    server_addr=""
-    local i=0
-    while [ $i -lt 100 ]; do
-        server_addr="$(sed -n 's|.*listening on http://\([^ ]*\)$|\1|p' "$log" | head -n1)"
-        [ -n "$server_addr" ] && break
-        if ! kill -0 "$server_pid" 2>/dev/null; then
-            echo "batch_stream_smoke: aaserve exited before listening" >&2
-            cat "$log" >&2
-            exit 1
-        fi
-        sleep 0.1
-        i=$((i + 1))
-    done
-    if [ -z "$server_addr" ]; then
-        echo "batch_stream_smoke: never saw the listening line" >&2
-        cat "$log" >&2
-        exit 1
-    fi
+    wait_listening "$log" "$server_pid" \
+        "batch_stream_smoke: aaserve exited before listening" \
+        "batch_stream_smoke: never saw the listening line"
+    server_addr="$listen_addr"
 }
 
 start_server "$tmpdir/stream.log"

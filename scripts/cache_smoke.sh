@@ -10,6 +10,7 @@
 # smoke.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+. scripts/lib.sh
 
 tmpdir="$(mktemp -d)"
 stderr_log="$tmpdir/stderr.log"
@@ -29,24 +30,10 @@ go build -o "$tmpdir/aagen" ./cmd/aagen
     2>"$stderr_log" &
 pid=$!
 
-addr=""
-i=0
-while [ $i -lt 100 ]; do
-    addr="$(sed -n 's|.*listening on http://\([^ ]*\)$|\1|p' "$stderr_log" | head -n1)"
-    [ -n "$addr" ] && break
-    if ! kill -0 "$pid" 2>/dev/null; then
-        echo "cache_smoke: aaserve exited before listening" >&2
-        cat "$stderr_log" >&2
-        exit 1
-    fi
-    sleep 0.1
-    i=$((i + 1))
-done
-if [ -z "$addr" ]; then
-    echo "cache_smoke: never saw the listening line on stderr" >&2
-    cat "$stderr_log" >&2
-    exit 1
-fi
+wait_listening "$stderr_log" "$pid" \
+    "cache_smoke: aaserve exited before listening" \
+    "cache_smoke: never saw the listening line on stderr"
+addr="$listen_addr"
 
 solve() {
     curl -fsS -X POST --data-binary @"$tmpdir/instance.json" "http://$addr/solve$1"

@@ -37,6 +37,7 @@
 #             (default: a temp dir removed at exit)
 set -euo pipefail
 cd "$(dirname "$0")/.."
+. scripts/lib.sh
 
 SEED="${SEED:-7}"
 
@@ -61,30 +62,11 @@ go build -o "$tmpdir/aarelay" ./cmd/aarelay
 go build -o "$tmpdir/aareplay" ./cmd/aareplay
 go build -o "$tmpdir/aagen" ./cmd/aagen
 
-# wait_addr <logfile> <pid>: echo the address from the listening line.
-# The log is created by the child's own 2> redirect, after the fork, so
-# it may not exist yet on the first poll: wait for it like for the line.
+# wait_addr <logfile> <pid>: set listen_addr from the listening line.
 wait_addr() {
-    local log="$1" pid="$2" addr="" i=0
-    while [ $i -lt 100 ]; do
-        if [ -f "$log" ]; then
-            addr="$(sed -n 's|.*listening on http://\([^ ]*\)$|\1|p' "$log" | head -n1)"
-        fi
-        [ -n "$addr" ] && break
-        if ! kill -0 "$pid" 2>/dev/null; then
-            echo "relay_smoke: process exited before listening" >&2
-            cat "$log" >&2
-            exit 1
-        fi
-        sleep 0.1
-        i=$((i + 1))
-    done
-    if [ -z "$addr" ]; then
-        echo "relay_smoke: never saw the listening line in $log" >&2
-        cat "$log" >&2
-        exit 1
-    fi
-    echo "$addr"
+    wait_listening "$1" "$2" \
+        "relay_smoke: process exited before listening" \
+        "relay_smoke: never saw the listening line in $1"
 }
 
 # start_node <name> <listen>: leaves the pid in node_pid. Runs in the
@@ -100,9 +82,12 @@ start_node() {
 start_node n1 127.0.0.1:0; n1_pid=$node_pid; pids+=("$n1_pid")
 start_node n2 127.0.0.1:0; n2_pid=$node_pid; pids+=("$n2_pid")
 start_node n3 127.0.0.1:0; n3_pid=$node_pid; pids+=("$n3_pid")
-n1="$(wait_addr "$tmpdir/n1.log" "$n1_pid")"
-n2="$(wait_addr "$tmpdir/n2.log" "$n2_pid")"
-n3="$(wait_addr "$tmpdir/n3.log" "$n3_pid")"
+wait_addr "$tmpdir/n1.log" "$n1_pid"
+n1="$listen_addr"
+wait_addr "$tmpdir/n2.log" "$n2_pid"
+n2="$listen_addr"
+wait_addr "$tmpdir/n3.log" "$n3_pid"
+n3="$listen_addr"
 
 # --- 1a. Single-node baseline: the byte-identity reference. -----------
 echo "relay_smoke: baseline replay against $n1 (seed=$SEED) ..."
@@ -115,7 +100,8 @@ echo "relay_smoke: baseline replay against $n1 (seed=$SEED) ..."
     -trace-out "$out_dir/relay.jsonl" 2>"$tmpdir/relay.log" &
 relay_pid=$!
 pids+=("$relay_pid")
-relay="$(wait_addr "$tmpdir/relay.log" "$relay_pid")"
+wait_addr "$tmpdir/relay.log" "$relay_pid"
+relay="$listen_addr"
 
 # --- 1b. Replay through the relay, killing n2 mid-run. ----------------
 echo "relay_smoke: replay through relay $relay, killing n2 mid-run ..."
@@ -153,7 +139,7 @@ echo "relay_smoke: relay replay byte-identical to baseline, 0 failed solves"
 start_node n2b "$n2"
 n2_pid=$node_pid
 pids+=("$n2_pid")
-wait_addr "$tmpdir/n2b.log" "$n2_pid" >/dev/null
+wait_addr "$tmpdir/n2b.log" "$n2_pid"
 i=0
 until curl -fsS "http://$relay/nodes" | grep -A2 "\"addr\": \"$n2\"" |
     grep -q '"state": "ready"'; do
@@ -240,7 +226,8 @@ done
     -probe-interval 1h -rate 0.5 -burst 1 2>"$tmpdir/relay2.log" &
 relay2_pid=$!
 pids+=("$relay2_pid")
-relay2="$(wait_addr "$tmpdir/relay2.log" "$relay2_pid")"
+wait_addr "$tmpdir/relay2.log" "$relay2_pid"
+relay2="$listen_addr"
 kill -TERM "$n2_pid" 2>/dev/null || true
 wait "$n2_pid" 2>/dev/null || {
     echo "relay_smoke: restarted n2 did not drain cleanly after SIGTERM" >&2

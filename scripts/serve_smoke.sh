@@ -12,6 +12,7 @@
 # root; CI runs it after the metrics smoke.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+. scripts/lib.sh
 
 tmpdir="$(mktemp -d)"
 stderr_log="$tmpdir/stderr.log"
@@ -31,24 +32,10 @@ go build -o "$tmpdir/aagen" ./cmd/aagen
 pid=$!
 
 # Wait for the listening line on stderr (up to ~10 s).
-addr=""
-i=0
-while [ $i -lt 100 ]; do
-    addr="$(sed -n 's|.*listening on http://\([^ ]*\)$|\1|p' "$stderr_log" | head -n1)"
-    [ -n "$addr" ] && break
-    if ! kill -0 "$pid" 2>/dev/null; then
-        echo "serve_smoke: aaserve exited before listening" >&2
-        cat "$stderr_log" >&2
-        exit 1
-    fi
-    sleep 0.1
-    i=$((i + 1))
-done
-if [ -z "$addr" ]; then
-    echo "serve_smoke: never saw the listening line on stderr" >&2
-    cat "$stderr_log" >&2
-    exit 1
-fi
+wait_listening "$stderr_log" "$pid" \
+    "serve_smoke: aaserve exited before listening" \
+    "serve_smoke: never saw the listening line on stderr"
+addr="$listen_addr"
 
 # Solve with per-request checking: a non-200 here means the pipeline
 # rejected its own solution.

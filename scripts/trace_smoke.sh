@@ -13,6 +13,7 @@
 # runs it after the serve smoke.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+. scripts/lib.sh
 
 # A fixed caller context, so the assertions are deterministic.
 caller_trace="4bf92f3577b34da6a3ce929d0e0e4736"
@@ -38,24 +39,10 @@ go build -o "$tmpdir/aagen" ./cmd/aagen
     2>"$stderr_log" &
 pid=$!
 
-addr=""
-i=0
-while [ $i -lt 100 ]; do
-    addr="$(sed -n 's|.*listening on http://\([^ ]*\)$|\1|p' "$stderr_log" | head -n1)"
-    [ -n "$addr" ] && break
-    if ! kill -0 "$pid" 2>/dev/null; then
-        echo "trace_smoke: aaserve exited before listening" >&2
-        cat "$stderr_log" >&2
-        exit 1
-    fi
-    sleep 0.1
-    i=$((i + 1))
-done
-if [ -z "$addr" ]; then
-    echo "trace_smoke: never saw the listening line on stderr" >&2
-    cat "$stderr_log" >&2
-    exit 1
-fi
+wait_listening "$stderr_log" "$pid" \
+    "trace_smoke: aaserve exited before listening" \
+    "trace_smoke: never saw the listening line on stderr"
+addr="$listen_addr"
 
 # Solve with the caller's traceparent; keep the response headers.
 if ! curl -fsS -D "$tmpdir/headers.txt" -X POST \
