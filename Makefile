@@ -51,7 +51,8 @@ check-smoke:
 	./scripts/metric_readers.sh
 	./scripts/test_only_exports.sh
 
-# Ten seconds of fuzzing per target: the concave-allocation invariants,
+# Ten seconds of fuzzing per target: the concave-allocation invariants
+# and its answers at jumps of S (against the reference bisection),
 # the check-layer targets, PCHIP monotonicity, the wire decoder
 # (differential against encoding/json, and batch framing across read
 # boundaries), the assignment codec (differential against
@@ -62,6 +63,7 @@ check-smoke:
 # fuzzing; every run's last "fuzz:" line shows its execs and new inputs.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzConcaveFeasibleAndDominant -fuzztime=10s -fuzzminimizetime=2s ./internal/alloc
+	$(GO) test -run='^$$' -fuzz=FuzzConcavePlateau -fuzztime=10s -fuzzminimizetime=2s ./internal/alloc
 	$(GO) test -run='^$$' -fuzz=FuzzFeasibleConcave -fuzztime=10s -fuzzminimizetime=2s ./internal/check
 	$(GO) test -run='^$$' -fuzz=FuzzDifferentialAssign -fuzztime=10s -fuzzminimizetime=2s ./internal/check
 	$(GO) test -run='^$$' -fuzz=FuzzPCHIPMonotone -fuzztime=10s -fuzzminimizetime=2s ./internal/interp

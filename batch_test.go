@@ -134,7 +134,7 @@ func TestSolverPoolSolveRespectsDeadline(t *testing.T) {
 	defer p.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
-	in := generateBatch(t, 1, 8000)[0]
+	in := generateBatch(t, 1, 40000)[0] // generating and solving it far outlast the deadline
 	if _, err := p.Solve(ctx, in); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}

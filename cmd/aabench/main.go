@@ -26,7 +26,7 @@
 // port; the bound address is printed to stderr). -trace-out appends
 // one JSONL span/event per solver stage and sweep point for offline
 // analysis. -v enables telemetry and prints a one-line summary (total
-// solves, p50/p99 solve latency, bisection iterations per solve) to
+// solves, p50/p99 solve latency, λ-search probes per solve) to
 // stderr at exit.
 //
 // -check (or AA_CHECK=1) verifies every trial through internal/check —
@@ -164,8 +164,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 }
 
 // printTelemetrySummary writes the -v one-liner: total solves, p50/p99
-// solve latency, and mean bisection iterations per super-optimal solve,
-// all read from the process-wide telemetry registry.
+// solve latency, and mean λ-search probes per super-optimal solve (the
+// bisection_iters field, named when the search bisected), all read
+// from the process-wide telemetry registry.
 func printTelemetrySummary(stderr io.Writer) {
 	reg := telemetry.Default
 	solves := reg.Counter("aa_pool_completed_total").Value()

@@ -57,8 +57,9 @@ func TestRunSameOutputForAnyWorkerCount(t *testing.T) {
 func TestRunTimeoutExpires(t *testing.T) {
 	var out bytes.Buffer
 	// The deadline expires while the first grid cells are in flight; the
-	// remaining cells are cancelled and the error propagates.
-	err := run([]string{"-events", "400", "-timeout", "1ms"}, &out, io.Discard)
+	// remaining cells are cancelled and the error propagates. The
+	// timeline is long enough that one simulation outlasts the deadline.
+	err := run([]string{"-events", "1000", "-timeout", "1ms"}, &out, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "deadline") {
 		t.Fatalf("err = %v, want deadline exceeded", err)
 	}

@@ -5,10 +5,10 @@
 // This is the classic separable concave allocation problem. Concave
 // implies a water-filling optimum: there is a marginal value λ ≥ 0 such
 // that every thread is allocated up to the point where its derivative
-// drops to λ. Concave solves it by bisection on λ, the same structure as
-// Galil's O(n (log B)²) algorithm cited by the paper; Greedy is Fox's
-// unit-by-unit greedy, exact at a fixed granularity and used as ground
-// truth in tests.
+// drops to λ. Concave solves it by a bracketed search on λ (secant steps
+// safeguarded by bisection), the λ-search of Galil's O(n (log B)²)
+// algorithm cited by the paper; Greedy is Fox's unit-by-unit greedy,
+// exact at a fixed granularity and used as ground truth in tests.
 //
 // The paper's super-optimal allocation (Definition V.1) is exactly
 // Concave with budget B = m·C and per-thread caps C.
@@ -32,11 +32,10 @@ type Result struct {
 	// Lambda is the water-filling marginal value found by Concave
 	// (0 for allocators that do not compute one).
 	Lambda float64
-	// Iterations counts the λ-search steps Concave performed (doubling
-	// plus bisection; 0 for the trivial all-caps case and for other
-	// allocators). It is the empirical counterpart of the paper's
-	// O(n (log mC)²) bound and feeds the aa_core_bisection_iterations
-	// telemetry counter.
+	// Iterations counts Concave's λ probes, each one InverseDeriv pass
+	// over the unsettled threads (0 for the trivial all-caps case and for
+	// other allocators): the empirical counterpart of the paper's
+	// O(n (log mC)²) bound, fed to aa_core_bisection_iterations_total.
 	Iterations int
 }
 
@@ -50,49 +49,40 @@ func TotalValue(fs []utility.Func, alloc []float64) float64 {
 }
 
 // Concave computes a water-filling optimal allocation of budget among the
-// concave utilities fs by bisection on the marginal value λ. Each thread's
-// allocation is capped at its own f.Cap(). The returned allocations sum to
-// at most budget (up to 1e-9 relative tolerance).
+// concave utilities fs by a bracketed search on the marginal value λ.
+// Each thread's allocation is capped at its own f.Cap(). The returned
+// allocations sum to at most budget (up to 1e-9 relative tolerance).
 //
 // If Σ caps <= budget every thread simply receives its cap. Plateaus in
 // the derivatives (piecewise-linear utilities) are handled by a final
 // redistribution pass among threads whose marginal equals λ.
 //
-// It prunes the λ-search: the per-thread amount x_i(λ) =
-// InverseDeriv_i(λ) is nonincreasing in λ, so once a probe on a branch
-// that only raises λ finds x_i = 0 the thread is settled at 0 for the
-// rest of the search, and once a probe on a branch that only lowers λ
-// finds x_i = Cap_i the thread is settled at its cap. Settled threads
-// drop out of the active set and later probes never re-evaluate them;
-// their sum is carried as a constant. Probe cost decays from O(n) toward
-// O(#threads interior at the optimum), which on capacity-tight workloads
-// is a small fraction of n.
-//
 // Concave borrows its Scratch from an internal pool; ConcaveWith takes a
-// caller-owned one. check.ConcaveRef is the unpruned reference
-// implementation kept for differential testing.
+// caller-owned one. check.ConcaveRef is the unpruned bisection kept for
+// differential testing; Concave lands on its final bracket, so the two
+// agree up to the rounding of the pruned sums.
 func Concave(fs []utility.Func, budget float64) Result {
 	sc := concavePool.Get().(*Scratch)
 	defer concavePool.Put(sc)
 	return ConcaveWith(sc, nil, fs, budget)
 }
 
-// Scratch is the per-solve working set of the pruned bisection. Concave
-// borrows one from an internal pool; ConcaveWith takes a caller-owned Scratch instead, so parallel solvers
-// can give every worker its own and keep pool traffic (and the cache
-// bouncing it implies) out of their hot loops. The zero value is ready
-// to use; buffers grow on first solve and are reused afterwards, with
-// append's amortized headroom, so a thread set that grows by one per
-// solve reallocates only now and then. A Scratch is not safe for
-// concurrent use.
+// Scratch is the per-solve working set of the λ-search. Concave
+// borrows one from an internal pool; ConcaveWith takes a caller-owned
+// one, so parallel solvers give every worker its own and keep pool
+// traffic out of their hot loops. The zero value is ready to use;
+// buffers grow on first solve and are reused afterwards (with append's
+// amortized headroom). A Scratch is not safe for concurrent use.
 type Scratch struct {
-	caps   []float64
-	active []int
+	caps, xlo, xhi []float64
+	active         []int
 }
 
 // grow sizes the scratch for n threads, reusing prior capacity.
 func (sc *Scratch) grow(n int) {
 	sc.caps = slices.Grow(sc.caps[:0], n)
+	sc.xlo = slices.Grow(sc.xlo[:0], n)
+	sc.xhi = slices.Grow(sc.xhi[:0], n)
 	sc.active = slices.Grow(sc.active[:0], n)
 }
 
@@ -114,27 +104,27 @@ func ConcaveWith(sc *Scratch, dst []float64, fs []utility.Func, budget float64) 
 // per-thread values and the total evaluates each thread once.
 //
 // A finite lambdaHint > 0 warm-starts the λ-search from the
-// water-filling price of a previous, nearby solve (Result.Lambda). When
-// only a few utilities changed, Σ x_i(λ_hint) already lands within a
-// few caps of the budget, so a geometric bracket around the hint plus an
-// Illinois-damped false-position refinement reaches the budget-gap
-// tolerance in a handful of O(n) probes instead of the cold search's
-// dozens. The warm result is feasible under exactly the same contract
-// as ConcaveWith (allocations within per-thread caps, Σ x_i ≤ budget up
-// to tolerance) but is NOT bit-identical to a cold solve: its total
-// utility sits within warmRelTol·budget·λ of the cold optimum. Callers
-// that need the cold fixed point (or have no previous price) pass
-// lambdaHint ≤ 0.
+// water-filling price of a previous, nearby solve (Result.Lambda): the
+// bracket grows geometrically around the hint instead of from λ = 1,
+// and the search stops once the budget gap is within warmRelTol·budget
+// instead of at the cold float-noise bracket. The warm result is
+// feasible under the same contract as ConcaveWith but is NOT
+// bit-identical to a cold solve: its total utility sits within
+// warmRelTol·budget·λ of the cold optimum. Callers that need the cold
+// fixed point (or have no previous price) pass lambdaHint ≤ 0.
 func ConcaveValuesWith(sc *Scratch, dst, vals []float64, fs []utility.Func, budget, lambdaHint float64) (Result, []float64) {
 	res := concave(sc, dst, &vals, fs, budget, lambdaHint)
 	return res, vals
 }
 
+// warmRelTol is the warm search's budget-gap stop rule (see
+// ConcaveValuesWith): the endgame hands that residue to plateau threads.
+const warmRelTol = 1e-9
+
 // concave is the one water-filling implementation behind ConcaveWith
-// and ConcaveValuesWith: a finite lambdaHint > 0 runs the warm search,
-// anything else the cold bisection, and both share the probe set and the
-// endgame. vals, when non-nil, receives the per-thread values (see
-// total).
+// and ConcaveValuesWith; cold and warm solves differ only in their
+// starting bracket and stop rule. vals, when non-nil, receives the
+// per-thread values (see total).
 func concave(sc *Scratch, dst []float64, vals *[]float64, fs []utility.Func, budget, lambdaHint float64) Result {
 	n := len(fs)
 	dst = slices.Grow(dst[:0], n)[:n]
@@ -147,31 +137,36 @@ func concave(sc *Scratch, dst []float64, vals *[]float64, fs []utility.Func, bud
 	}
 
 	sc.grow(n)
-	p := search{fs: fs, dst: dst, caps: sc.caps[:n], active: sc.active[:0]}
+	caps, xlo := sc.caps[:n], sc.xlo[:n]
 
 	// Trivial case: budget covers every cap.
 	capSum := 0.0
 	for i, f := range fs {
-		p.caps[i] = f.Cap()
-		capSum += p.caps[i]
+		caps[i] = f.Cap()
+		xlo[i] = caps[i] // λ = 0 gives every thread its cap
+		capSum += caps[i]
 	}
 	if capSum <= budget {
-		copy(dst, p.caps)
+		copy(dst, caps)
 		return Result{Alloc: dst, Total: total(fs, dst, vals)}
 	}
+	p := search{fs: fs, dst: dst, caps: caps, xlo: xlo, xhi: sc.xhi[:n], active: sc.active[:0], budget: budget, sLo: capSum}
 	for i := range fs {
 		p.active = append(p.active, i)
 	}
 
-	var lo, hi float64
-	var iterations int
+	tol, bracketed := -1.0, false // the cold search never stops on the budget gap
 	if lambdaHint > 0 && !math.IsInf(lambdaHint, 0) {
-		lo, hi, iterations = p.warm(budget, lambdaHint)
+		tol = warmRelTol * budget
+		bracketed = p.bracketAround(lambdaHint, tol)
 	} else {
-		lo, hi, iterations = p.cold(budget)
+		bracketed = p.bracketUp(1, 1)
 	}
-	p.finish(budget, lo, hi)
-	return Result{Alloc: dst, Total: total(fs, dst, vals), Lambda: hi, Iterations: iterations}
+	if bracketed {
+		p.refine(tol)
+	}
+	p.finish(bracketed)
+	return Result{Alloc: dst, Total: total(fs, dst, vals), Lambda: p.hi, Iterations: p.probes}
 }
 
 // total returns Σ f_i(alloc[i]) in index order. With vals non-nil it
@@ -191,20 +186,32 @@ func total(fs []utility.Func, alloc []float64, vals *[]float64) float64 {
 	return sum
 }
 
-// search is the pruned λ-search's probe state: dst holds the amounts of
-// the last probe, active the threads not yet settled, and base the
-// settled threads' contribution to Σ x_i(λ).
+// search is the λ-search's state. S(λ) = Σ x_i(λ), x_i(λ) =
+// InverseDeriv_i(λ), is nonincreasing, and the search keeps a bracket
+// lo < hi with S(lo) > budget >= S(hi), starting from lo = 0. dst holds
+// the last probe's amounts, xlo and xhi each active thread's amount at lo
+// and at hi, and base the settled threads' share of S.
 type search struct {
-	fs     []utility.Func
-	dst    []float64
-	caps   []float64
-	active []int
-	base   float64
+	fs           []utility.Func
+	dst, caps    []float64
+	xlo, xhi     []float64
+	active       []int
+	budget, base float64
+	lo, hi, lo2  float64 // lo2: the previous lo
+	sLo, sHi     float64 // S(lo), S(hi)
+	sLo2         float64 // S(lo2); 0 when no slope may be read across lo2..lo
+	flatHi       bool    // no active thread takes anything at hi
+	probes       int
 }
 
-// sum probes λ: it writes x_i(λ) for every active thread into dst and
-// returns Σ x_i(λ) over all threads.
-func (p *search) sum(lambda float64) float64 {
+// probe evaluates S(λ), moves the matching end of the bracket to λ and
+// reports whether S(λ) > budget. It prunes: x_i(λ) is nonincreasing, so
+// a thread an over-budget probe prices out stays at 0 for every later
+// probe (they use a λ at least as large), and one a within-budget probe
+// saturates stays at its cap. Settled threads leave the active set, so
+// probe cost decays from O(n) toward O(#threads interior at λ*).
+func (p *search) probe(lambda float64) bool {
+	p.probes++
 	fs, dst := p.fs, p.dst
 	sum := p.base
 	for _, i := range p.active {
@@ -212,108 +219,211 @@ func (p *search) sum(lambda float64) float64 {
 		dst[i] = x
 		sum += x
 	}
-	return sum
-}
-
-// settleAtZero drops threads the last (over-budget) probe priced out;
-// every later evaluation uses a λ at least as large, where x_i stays 0.
-func (p *search) settleAtZero() {
 	kept := p.active[:0]
+	if sum > p.budget {
+		p.lo2, p.sLo2, p.lo, p.sLo = p.lo, p.sLo, lambda, sum
+		for _, i := range p.active {
+			if x := dst[i]; x != 0 {
+				kept = append(kept, i)
+				p.xlo[i] = x
+			}
+		}
+		p.active = kept
+		return true
+	}
+	p.hi, p.sHi, p.flatHi = lambda, sum, true
 	for _, i := range p.active {
-		if p.dst[i] != 0 {
+		if x := dst[i]; x == p.caps[i] {
+			p.base += x
+		} else {
 			kept = append(kept, i)
+			p.xhi[i] = x
+			p.flatHi = p.flatHi && x == 0
 		}
 	}
 	p.active = kept
+	return false
 }
 
-// settleAtCap drops threads the last (within-budget) probe saturated;
-// every later evaluation uses a λ no larger, where x_i stays Cap_i.
-func (p *search) settleAtCap() {
-	kept := p.active[:0]
+// bracketUp probes λ, then raises it by step, doubling the step, while
+// S(λ) is over budget; from λ = step = 1 that is the cold bracket. It
+// reports false if it gave up past λ = 1e18, with dst holding the
+// amounts there.
+func (p *search) bracketUp(lambda, step float64) bool {
+	for p.probe(lambda) {
+		if lambda > 1e18 {
+			p.hi = lambda
+			return false
+		}
+		lambda, step = lambda+step, 2*step
+	}
+	return true
+}
+
+// bracketAround is the warm bracket: probe the hint, then step away from
+// it, the step doubling from hint/64 (never 0), until a probe lands past
+// the root, or below the hint the gap is within tol or the step reaches
+// the hint (lo stays 0).
+func (p *search) bracketAround(hint, tol float64) bool {
+	step := max(hint/64, math.SmallestNonzeroFloat64)
+	if p.probe(hint) {
+		return p.bracketUp(hint+step, 2*step)
+	}
+	for ; p.budget-p.sHi > tol && step < hint; step *= 2 {
+		if p.probe(hint - step) {
+			break
+		}
+	}
+	return true
+}
+
+// refine narrows the bracket until the budget gap at hi is within tol or
+// hi−lo ≤ 1e-15·(1+hi), the cold stop rule.
+//
+// Probes sit on a grid: the bisection tree of the initial bracket, one
+// level below the deepest level whose cells all fail the stop rule.
+// Bisection visits every level down to there, and as S is monotone its
+// cell there is the one grid cell where S crosses the budget; so the
+// last bisection steps finish a one-cell bracket exactly as bisection
+// does, and the cold answer (down to which threads a jump of S leaves
+// the leftover to) is the bisection's whatever the step rule, which is:
+//   - until a probe lands over budget, divide λ by 16;
+//   - unless two steps failed to halve the bracket: if the thread that
+//     drops most across it is linear across its drop, S jumps at its
+//     slope, so probe the grid points either side;
+//   - if no active thread takes anything at hi, extrapolate S from the
+//     last two over-budget probes;
+//   - while hi > 4·lo, a geometric step;
+//   - if S is flat at hi or two steps failed to halve the bracket,
+//     bisect; otherwise a secant step on log S, which fits the convex
+//     decay of S near the edge of its support;
+//   - if the same end moved twice, step half as far again past the
+//     estimate, so the next probe lands beyond the root.
+func (p *search) refine(tol float64) {
+	base, w := p.lo, p.hi-p.lo
+	if w <= 1e-15*(1+p.hi) {
+		return
+	}
+	for w/2 > 1e-15*(1+p.hi) {
+		w /= 2
+	}
+	w /= 2
+	jl, jh := int64(0), int64(math.Round((p.hi-p.lo)/w))
+	at := func(j int64) float64 { return base + float64(j)*w }
+
+	target := p.budget // the secant aims at the middle of the warm window
+	if tol > 0 {
+		target -= tol / 2
+	}
+	side, repeat := 0, false  // the end the last probe moved (+1 lo, -1 hi); whether the one before moved it too
+	width := [2]int64{jh, jh} // bracket widths two and one steps back
+	next := int64(-1)         // the far side of the last breakpoint probe
+	for jh-jl > 1 && p.budget-p.sHi > tol {
+		stalled := 2*(jh-jl) > width[0]
+		width[0], width[1] = width[1], jh-jl
+		follow := next > jl && next < jh
+		lambda, pair := 0.5*(p.lo+p.hi), false
+		switch {
+		case follow:
+		case p.lo == 0:
+			lambda = p.hi / 16
+		default:
+			if !stalled {
+				lambda, pair = p.breakpoint()
+			}
+			if pair {
+				break
+			}
+			switch {
+			case p.flatHi && p.sLo2 > p.sLo && side > 0:
+				lambda = p.lo + (p.sLo-target)*(p.lo-p.lo2)/(p.sLo2-p.sLo)
+			case p.hi > 4*p.lo:
+				lambda = math.Sqrt(p.lo * p.hi)
+			case p.flatHi || stalled:
+				lambda = 0.5 * (p.lo + p.hi)
+			default:
+				gLo, gHi := math.Log(p.sLo/target), math.Log(p.sHi/target)
+				lambda = p.lo + gLo/(gLo-gHi)*(p.hi-p.lo)
+			}
+			if repeat && side > 0 {
+				lambda += min(lambda-p.lo, p.hi-lambda) / 2
+			} else if repeat {
+				lambda -= min(p.hi-lambda, lambda-p.lo) / 2
+			}
+		}
+		j := next
+		if !follow {
+			if !(lambda >= p.lo && lambda <= p.hi) {
+				lambda = 0.5 * (p.lo + p.hi)
+			}
+			j = min(max(int64(math.Round((lambda-base)/w)), jl+1), jh-1)
+		}
+		s := -1
+		if p.probe(at(j)) {
+			jl, s = j, +1
+		} else {
+			jh = j
+		}
+		repeat, side, next = s == side, s, -1
+		if pair {
+			next = j + int64(s)
+		} else if follow {
+			p.sLo2 = 0 // the pair straddles a jump: no slope to read across it
+		}
+	}
+	for p.budget-p.sHi > tol && p.hi-p.lo > 1e-15*(1+p.hi) {
+		p.probe(0.5 * (p.lo + p.hi))
+	}
+}
+
+// breakpoint looks for a jump of S inside the bracket: the active thread
+// whose amount drops most across it, if the drop is not negligible and
+// the thread's slope is the same a quarter and three quarters of the way
+// down it. It returns the slope halfway down and whether it found one
+// inside the bracket.
+func (p *search) breakpoint() (float64, bool) {
+	best, drop := -1, 0.0
 	for _, i := range p.active {
-		if p.dst[i] == p.caps[i] {
-			p.base += p.caps[i]
-		} else {
-			kept = append(kept, i)
+		if d := p.xlo[i] - p.xhi[i]; d > drop {
+			best, drop = i, d
 		}
 	}
-	p.active = kept
+	if best < 0 || drop < 1e-6*p.caps[best] {
+		return 0, false
+	}
+	f, x := p.fs[best], p.xhi[best]
+	s, s1, s3 := f.Deriv(x+0.5*drop), f.Deriv(x+0.25*drop), f.Deriv(x+0.75*drop)
+	return s, math.Abs(s1-s3) <= 1e-9*s && s >= p.lo && s < p.hi
 }
 
-// cold is the cold λ-search: double λ until the sum fits the budget,
-// then bisect the bracket down to float64 noise, so repeated cold solves
-// are bit-identical. It returns the final bracket [lo, hi].
-func (p *search) cold(budget float64) (lo, hi float64, iterations int) {
-	// Find hi with sum(hi) <= budget by doubling. λ = 0 gives capSum >
-	// budget, so the optimal λ is positive. Only the over-budget probes
-	// (the ones that keep the loop running) settle threads: the search
-	// never revisits a λ below the probe that priced a thread out.
-	lo, hi = 0.0, 1.0
-	for p.sum(hi) > budget {
-		iterations++
-		p.settleAtZero()
-		lo = hi
-		hi *= 2
-		if hi > 1e18 {
-			break // derivatives are astronomically steep; give up doubling
+// finish takes the amounts at the feasible end λ = hi, then hands any
+// remaining budget to plateau threads: those that would take more at
+// λ = lo. Giving them the leftovers is optimal because their marginal
+// utility in the gap is exactly the water level. Settled threads take
+// nothing in the gap, so only the active set is scanned, in index order.
+//
+// If the doubling gave up, even λ = 1e18 over-fills the budget: the
+// amounts there are scaled back onto it, within every cap.
+func (p *search) finish(bracketed bool) {
+	dst, budget, sum := p.dst, p.budget, p.base
+	for _, i := range p.active {
+		if bracketed {
+			dst[i] = p.xhi[i]
 		}
+		sum += dst[i]
 	}
-
-	// Bisect λ. 100 iterations gives ~2^-100 relative precision, far past
-	// float64; we stop early once the interval is negligible.
-	for iter := 0; iter < 200 && hi-lo > 1e-15*(1+hi); iter++ {
-		iterations++
-		mid := 0.5 * (lo + hi)
-		if p.sum(mid) > budget {
-			lo = mid
-			p.settleAtZero()
-		} else {
-			hi = mid
-			p.settleAtCap()
-		}
-	}
-	return lo, hi, iterations
-}
-
-// finish is the endgame of both searches. It uses the feasible end
-// (λ = hi ⇒ sum <= budget), then hands out any remaining budget to
-// plateau threads: those that would take more at λ = lo. Giving them the
-// leftovers is optimal because their marginal utility in the gap is
-// exactly the water level. Settled threads take nothing in the gap — a
-// thread at its cap has no headroom and a priced-out thread still prices
-// out at λ = lo — so only the active set is scanned, in index order.
-func (p *search) finish(budget, lo, hi float64) {
-	dst := p.dst
-	sum := p.sum(hi)
-	if sum > budget {
-		// The doubling search gave up: even at λ = 1e18 the derivatives
-		// are steeper than the water level, so every probed allocation
-		// over-fills the budget. Feasibility must hold unconditionally,
-		// so scale the whole vector back onto the budget; scaling down
-		// keeps every x_i within its cap, and the utility lost versus
-		// the true optimum is bounded by the water-level gap beyond the
-		// deepest probed λ (astronomically small in practice). Lambda
-		// reports that deepest probe so callers can tell this path from
-		// an exact search. No thread can be settled at cap here (that
-		// needs a within-budget probe, which ends the doubling search),
-		// so scaling the whole vector touches only live amounts.
-		scale := budget / sum
+	if !bracketed {
 		for i := range dst {
-			dst[i] *= scale
+			dst[i] *= budget / sum
 		}
 		return
 	}
 	remaining := budget - sum
-	if remaining > 0 {
-		for _, i := range p.active {
-			if remaining <= 1e-12*budget {
-				break
-			}
-			more := utility.InverseDeriv(p.fs[i], lo, 1e-12) - dst[i]
-			if more <= 0 {
-				continue
-			}
+	for _, i := range p.active {
+		if remaining <= 1e-12*budget {
+			break
+		}
+		if more := p.xlo[i] - dst[i]; more > 0 {
 			grant := math.Min(more, remaining)
 			dst[i] += grant
 			remaining -= grant

@@ -84,10 +84,11 @@ func TestConcaveWarmBadHintFallsThrough(t *testing.T) {
 
 func TestConcaveWarmWildHints(t *testing.T) {
 	// Hints orders of magnitude off must still converge (the brackets
-	// double/halve geometrically), just with more probes.
+	// grow geometrically), just with more probes; so must the extremes
+	// of float64, where hint/64 underflows or the first steps overflow.
 	corpusThreads(t, func(label string, fs []utility.Func, c float64) {
 		budget := 0.5 * c
-		for _, hint := range []float64{1e-12, 1e12} {
+		for _, hint := range []float64{1e-12, 1e12, 5e-324, math.MaxFloat64} {
 			warmAgrees(t, label, fs, budget, hint)
 		}
 	})

@@ -89,7 +89,7 @@ func (rep *DiffReport) note(where string, err error) bool {
 //     greedy, and the four §VII heuristics) against branch-and-bound
 //     exact: feasible, at most the exact optimum, and — for
 //     Assign1/Assign2 — at least α·F̂;
-//   - the λ-bisection allocator alloc.Concave against Fox's unit-greedy
+//   - the λ-search allocator alloc.Concave against Fox's unit-greedy
 //     alloc.Greedy at a fixed granularity: both feasible, and Concave
 //     within 2% of the greedy ground truth (Concave is exact, so it may
 //     only exceed greedy, but the greedy grid quantizes the comparison).
@@ -214,9 +214,10 @@ func (rep *DiffReport) checkInstance(where string, in *core.Instance, r *rng.Ran
 
 // checkAlloc cross-checks alloc.Concave against the alloc.Greedy ground
 // truth on the instance's thread set at a 1/256 granularity, and against
-// the retained unpruned bisection ConcaveRef (the pruning may shift
-// λ's bisection trajectory, so the comparison is tolerance-based, unlike
-// the bitwise Assign1 differential).
+// the retained unpruned bisection ConcaveRef (the λ-search lands on the
+// bisection's final bracket but sums S over fewer threads, so the
+// comparison is tolerance-based, unlike the bitwise Assign1
+// differential).
 func (rep *DiffReport) checkAlloc(where string, in *core.Instance, budget, eps float64) {
 	fs := in.Threads
 	cc := alloc.Concave(fs, budget)

@@ -15,9 +15,10 @@ import "aa/internal/telemetry"
 // §7).
 var (
 	metricSuperOptCalls = telemetry.Default.Counter("aa_core_superopt_total")
-	// metricBisectIters is the λ-search step count of the super-optimal
+	// metricBisectIters counts the λ-search probes of the super-optimal
 	// bound (Definition V.1): the observable behind the paper's
-	// O(n (log mC)²) complexity claim.
+	// O(n (log mC)²) complexity claim. The name predates the secant
+	// steps; readers (perfbench, aabench, the smokes) keep it.
 	metricBisectIters    = telemetry.Default.Counter("aa_core_bisection_iterations_total")
 	metricLinearizeCalls = telemetry.Default.Counter("aa_core_linearize_total")
 	metricAssign2Calls   = telemetry.Default.Counter("aa_core_assign2_total")

@@ -17,13 +17,13 @@ type SuperOpt struct {
 	// Lambda is the water-filling price the λ-search converged to
 	// (0 for the trivial all-caps case). The solve cache persists it so
 	// warm-start re-solves of nearby instances can seed their λ-search
-	// from it instead of bisecting from scratch.
+	// from it instead of searching from scratch.
 	Lambda float64
 }
 
 // SuperOptimal computes the super-optimal allocation by water-filling
-// (λ-bisection) over the pooled budget m·C, the same structure as the
-// O(n (log mC)²) algorithm of Galil cited by the paper. The result owns
+// (a bracketed λ-search) over the pooled budget m·C, the structure of
+// the O(n (log mC)²) algorithm of Galil cited by the paper. The result owns
 // its slices; only the λ-search scratch is borrowed from the workspace
 // pool.
 func SuperOptimal(in *Instance) SuperOpt {

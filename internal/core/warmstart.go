@@ -18,9 +18,9 @@ type WarmSeed struct {
 }
 
 // SuperOptimalWarm is SuperOptimal with the λ-search warm-started from a
-// previous solve's price (alloc.ConcaveValuesWith): a handful of probes
-// instead of the cold search's dozens when the instance changed by only
-// a few threads. The returned bound is a valid F̂ for ratio checks — the
+// previous solve's price (alloc.ConcaveValuesWith): its bracket starts
+// at that price and stops at a budget-gap tolerance, so a few probes do
+// when the instance changed by only a few threads. The returned bound is a valid F̂ for ratio checks — the
 // warm allocation is feasible for the pooled relaxation, so its total
 // can only undershoot the exact relaxation optimum, making α-checks
 // against it conservative. The returned SuperOpt aliases workspace

@@ -28,7 +28,7 @@ type Workspace struct {
 	soAlloc []float64
 	soValue []float64
 	gs      []Linearized
-	allocSc alloc.Scratch // λ-bisection working set, owned per workspace
+	allocSc alloc.Scratch // λ-search working set, owned per workspace
 
 	// Algorithm 2 scratch.
 	order  []int

@@ -17,6 +17,7 @@ import (
 
 	"aa/internal/core"
 	"aa/internal/gen"
+	"aa/internal/interp"
 	"aa/internal/rng"
 	"aa/internal/utility"
 )
@@ -126,6 +127,7 @@ func TestDecodeErrorPaths(t *testing.T) {
 		{"missing kind", head + `null]}`, `instio: threads[1].kind: unknown utility kind ""`, nil},
 		{"decreasing ys", head + `{"kind":"sampled","xs":[0,1,2],"ys":[0,2,1]}]}`, `instio: threads[1].ys: utility: values must be nondecreasing`, nil},
 		{"nonconcave ys", head + `{"kind":"piecewise","xs":[0,1,2],"ys":[0,1,5]}]}`, `instio: threads[1].ys: utility: values must be concave`, nil},
+		{"overflowing slopes", head + `{"kind":"sampled","xs":[0,1,2],"ys":[0,1,1.7e308]}]}`, `instio: threads[1].ys: utility: interp: slopes overflow float64`, interp.ErrOverflow},
 		{"ys length", head + `{"kind":"sampled","xs":[0,1,2],"ys":[0,1]}]}`, `instio: threads[1].ys: utility: interp: xs and ys have different lengths`, nil},
 		{"xs origin", head + `{"kind":"sampled","xs":[1,2],"ys":[0,1]}]}`, `instio: threads[1].xs: first knot at x=1, must be 0`, nil},
 		{"xs order", head + `{"kind":"piecewise","xs":[0,2,2],"ys":[0,1,2]}]}`, `instio: threads[1].xs: knots must be strictly increasing`, nil},

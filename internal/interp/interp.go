@@ -39,6 +39,9 @@ var (
 	ErrLengthMismatch = errors.New("interp: xs and ys have different lengths")
 	ErrNotIncreasing  = errors.New("interp: xs must be strictly increasing")
 	ErrNonFinite      = errors.New("interp: sample contains NaN or Inf")
+	// ErrOverflow rejects finite samples whose slopes, or the
+	// interpolant's coefficients, overflow float64.
+	ErrOverflow = errors.New("interp: slopes overflow float64")
 )
 
 func validate(xs, ys []float64) error {
@@ -55,6 +58,9 @@ func validate(xs, ys []float64) error {
 		if i > 0 && xs[i] <= xs[i-1] {
 			return fmt.Errorf("%w: xs[%d]=%v <= xs[%d]=%v",
 				ErrNotIncreasing, i, xs[i], i-1, xs[i-1])
+		}
+		if i > 0 && !isFinite((ys[i]-ys[i-1])/(xs[i]-xs[i-1])) {
+			return fmt.Errorf("%w: secant slope on [xs[%d], xs[%d]]", ErrOverflow, i-1, i)
 		}
 	}
 	return nil
@@ -183,7 +189,22 @@ func (p *PCHIP) Init(xs, ys, buf []float64) error {
 	copy(p.xs, xs)
 	copy(p.ys, ys)
 	pchipSlopes(p.d, p.xs, p.ys)
+	for i := 0; i+1 < n; i++ {
+		h, a, b := p.hermite(i)
+		if !isFinite(a) || !isFinite(b) || !isFinite(h*p.d[i]) || !isFinite(h*p.d[i+1]) {
+			return fmt.Errorf("%w: interval [xs[%d], xs[%d]]", ErrOverflow, i, i+1)
+		}
+	}
 	return nil
+}
+
+// hermite returns interval i's width h and the coefficients a, b of its
+// derivative p'(t) = a·t² + b·t + d_i (see InvDeriv); At scales the knot
+// slopes by h.
+func (p *PCHIP) hermite(i int) (h, a, b float64) {
+	h = p.xs[i+1] - p.xs[i]
+	del := (p.ys[i+1] - p.ys[i]) / h
+	return h, 3*(p.d[i]+p.d[i+1]) - 6*del, 6*del - 4*p.d[i] - 2*p.d[i+1]
 }
 
 // pchipSlopes writes the Fritsch–Carlson limited derivatives into d. The
@@ -217,9 +238,14 @@ func pchipSlopes(d, xs, ys []float64) {
 }
 
 // edgeSlope is the non-centered three-point endpoint formula with the
-// shape-preserving clamps used by Matlab's pchip.
+// shape-preserving clamps used by Matlab's pchip. Secants near the top
+// of the float64 range overflow its products; the same slope is then
+// taken as del0 + (del0−del1)·h0/(h0+h1), which divides first.
 func edgeSlope(h0, h1, del0, del1 float64) float64 {
 	d := ((2*h0+h1)*del0 - h0*del1) / (h0 + h1)
+	if !isFinite(d) {
+		d = del0 + (del0-del1)/(1+h1/h0)
+	}
 	if sign(d) != sign(del0) {
 		return 0
 	}
@@ -309,10 +335,7 @@ func (p *PCHIP) Max() float64 { return p.xs[len(p.xs)-1] }
 // in a hot loop.
 func (p *PCHIP) InvDeriv(lambda float64) float64 {
 	for i := len(p.xs) - 2; i >= 0; i-- {
-		h := p.xs[i+1] - p.xs[i]
-		del := (p.ys[i+1] - p.ys[i]) / h
-		a := 3*(p.d[i]+p.d[i+1]) - 6*del
-		b := 6*del - 4*p.d[i] - 2*p.d[i+1]
+		h, a, b := p.hermite(i)
 		if t, ok := largestSuplevel(a, b, p.d[i]-lambda); ok {
 			x := p.xs[i] + t*h
 			// Guard the affine map against rounding past the interval.

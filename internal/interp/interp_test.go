@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -284,7 +285,7 @@ func TestPCHIPMonotoneProperty(t *testing.T) {
 		}
 		p, err := newPCHIP(xs, ys)
 		if err != nil {
-			return false
+			return errors.Is(err, ErrOverflow) // finite data whose slopes overflow
 		}
 		prev := p.At(0)
 		for x := 0.0; x <= 6.0; x += 0.05 {
@@ -298,6 +299,45 @@ func TestPCHIPMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPCHIPNearMaxFloat: finite knots near the top of the float64
+// range. The first draw once failed TestPCHIPMonotoneProperty: the
+// end-slope formula's products overflowed, the right end slope came out
+// +Inf and At returned −Inf inside the last interval. Its last interval
+// is too steep for the derivative's coefficients, so it is rejected by
+// type; a curve whose slopes are representable is built, and stays
+// monotone and finite.
+func TestPCHIPNearMaxFloat(t *testing.T) {
+	cumulative := func(incs ...float64) []float64 {
+		ys := []float64{0}
+		for _, inc := range incs {
+			ys = append(ys, ys[len(ys)-1]+inc)
+		}
+		return ys
+	}
+	drawn := cumulative(1.2022139466079016e+307, 1.0612156677052559e+307, 2.2152771541148309e+307,
+		6.723726925889503e+306, 2.8460246774349173e+307, 8.84136642234718e+307)
+	if _, err := newPCHIP([]float64{0, 1, 2, 3, 4, 5, 6}, drawn); !errors.Is(err, ErrOverflow) {
+		t.Fatalf("err = %v, want ErrOverflow", err)
+	}
+	if _, err := newPCHIP([]float64{0, 1e-300}, []float64{0, 1e10}); !errors.Is(err, ErrOverflow) {
+		t.Fatalf("err = %v, want ErrOverflow", err)
+	}
+	// (2h0+h1)·del0 overflows here; the slope itself is 1.5e8.
+	xs := []float64{0, 1e300, 2e300}
+	p, err := newPCHIP(xs, cumulative(1e308, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := p.At(0)
+	for x := 0.0; x <= xs[2]; x += xs[2] / 64 {
+		v := p.At(x)
+		if !isFinite(v) || v < prev-1e-9*prev {
+			t.Fatalf("At(%v) = %v after %v", x, v, prev)
+		}
+		prev = v
 	}
 }
 

@@ -37,7 +37,7 @@ type Func interface {
 
 // DerivInverter is an optional fast path: given a marginal value lambda,
 // InverseDeriv returns the largest x in [0, Cap()] with Deriv(x) >= lambda
-// (0 if none). The λ-bisection allocator uses it when available and falls
+// (0 if none). The λ-search allocator uses it when available and falls
 // back to InverseDeriv (the package function) otherwise.
 type DerivInverter interface {
 	InverseDeriv(lambda float64) float64
