@@ -74,8 +74,8 @@ func Concave(fs []utility.Func, budget float64) Result {
 // buffers grow on first solve and are reused afterwards (with append's
 // amortized headroom). A Scratch is not safe for concurrent use.
 type Scratch struct {
-	caps, xlo, xhi []float64
-	active         []int
+	caps, xlo, xhi, vals []float64
+	active               []int
 }
 
 // grow sizes the scratch for n threads, reusing prior capacity.
@@ -94,7 +94,7 @@ var concavePool = sync.Pool{New: func() any { return new(Scratch) }}
 // allocation-free solve) — the parallel-solver form: one Scratch per
 // worker means concurrent solves share no state at all.
 func ConcaveWith(sc *Scratch, dst []float64, fs []utility.Func, budget float64) Result {
-	return concave(sc, dst, nil, fs, budget, 0)
+	return concave(sc, dst, &sc.vals, fs, budget, 0, nil)
 }
 
 // ConcaveValuesWith is ConcaveWith on a caller-owned Scratch that also
@@ -106,33 +106,30 @@ func ConcaveWith(sc *Scratch, dst []float64, fs []utility.Func, budget float64) 
 // A finite lambdaHint > 0 warm-starts the λ-search from the
 // water-filling price of a previous, nearby solve (Result.Lambda): the
 // bracket grows geometrically around the hint instead of from λ = 1,
-// and the search stops once the budget gap is within warmRelTol·budget
-// instead of at the cold float-noise bracket. The warm result is
+// and the search stops once the budget gap is within 1e-9·budget
+// instead of at the cold float-noise bracket. hintAlloc, when non-nil,
+// holds the previous solve's amount for each thread it covered (NaN for
+// the others), and the first probe, at the hint, takes those amounts
+// instead of evaluating the covered threads. The warm result is
 // feasible under the same contract as ConcaveWith but is NOT
 // bit-identical to a cold solve: its total utility sits within
-// warmRelTol·budget·λ of the cold optimum. Callers that need the cold
+// 1e-9·budget·λ of the cold optimum. Callers that need the cold
 // fixed point (or have no previous price) pass lambdaHint ≤ 0.
-func ConcaveValuesWith(sc *Scratch, dst, vals []float64, fs []utility.Func, budget, lambdaHint float64) (Result, []float64) {
-	res := concave(sc, dst, &vals, fs, budget, lambdaHint)
+func ConcaveValuesWith(sc *Scratch, dst, vals []float64, fs []utility.Func, budget, lambdaHint float64, hintAlloc []float64) (Result, []float64) {
+	res := concave(sc, dst, &vals, fs, budget, lambdaHint, hintAlloc)
 	return res, vals
 }
 
-// warmRelTol is the warm search's budget-gap stop rule (see
-// ConcaveValuesWith): the endgame hands that residue to plateau threads.
-const warmRelTol = 1e-9
-
 // concave is the one water-filling implementation behind ConcaveWith
 // and ConcaveValuesWith; cold and warm solves differ only in their
-// starting bracket and stop rule. vals, when non-nil, receives the
-// per-thread values (see total).
-func concave(sc *Scratch, dst []float64, vals *[]float64, fs []utility.Func, budget, lambdaHint float64) Result {
+// starting bracket and stop rule. vals receives the per-thread values
+// (see total).
+func concave(sc *Scratch, dst []float64, vals *[]float64, fs []utility.Func, budget, lambdaHint float64, hintAlloc []float64) Result {
 	n := len(fs)
 	dst = slices.Grow(dst[:0], n)[:n]
 	if n == 0 || budget <= 0 {
 		clear(dst)
-		if vals != nil {
-			total(fs, dst, vals) // the values of the empty allocation; Total stays 0
-		}
+		total(fs, dst, vals) // the values of the empty allocation; Total stays 0
 		return Result{Alloc: dst}
 	}
 
@@ -157,8 +154,8 @@ func concave(sc *Scratch, dst []float64, vals *[]float64, fs []utility.Func, bud
 
 	tol, bracketed := -1.0, false // the cold search never stops on the budget gap
 	if lambdaHint > 0 && !math.IsInf(lambdaHint, 0) {
-		tol = warmRelTol * budget
-		bracketed = p.bracketAround(lambdaHint, tol)
+		tol = 1e-9 * budget // the endgame hands this residue to plateau threads
+		bracketed = p.bracketAround(lambdaHint, tol, hintAlloc)
 	} else {
 		bracketed = p.bracketUp(1, 1)
 	}
@@ -169,13 +166,10 @@ func concave(sc *Scratch, dst []float64, vals *[]float64, fs []utility.Func, bud
 	return Result{Alloc: dst, Total: total(fs, dst, vals), Lambda: p.hi, Iterations: p.probes}
 }
 
-// total returns Σ f_i(alloc[i]) in index order. With vals non-nil it
-// also records every term in *vals (grown to len(alloc)), so the sum is
-// exactly the index-order sum of the recorded values.
+// total returns Σ f_i(alloc[i]) in index order and records every term
+// in *vals (grown to len(alloc)), so the sum is exactly the index-order
+// sum of the recorded values.
 func total(fs []utility.Func, alloc []float64, vals *[]float64) float64 {
-	if vals == nil {
-		return TotalValue(fs, alloc)
-	}
 	v := slices.Grow((*vals)[:0], len(alloc))[:len(alloc)]
 	*vals = v
 	sum := 0.0
@@ -209,15 +203,19 @@ type search struct {
 // a thread an over-budget probe prices out stays at 0 for every later
 // probe (they use a λ at least as large), and one a within-budget probe
 // saturates stays at its cap. Settled threads leave the active set, so
-// probe cost decays from O(n) toward O(#threads interior at λ*).
-func (p *search) probe(lambda float64) bool {
+// probe cost decays from O(n) toward O(#threads interior at λ*). A
+// non-NaN known[i] (known may be nil) is thread i's amount at λ.
+func (p *search) probe(lambda float64, known []float64) bool {
 	p.probes++
 	fs, dst := p.fs, p.dst
 	sum := p.base
 	for _, i := range p.active {
-		x := utility.InverseDeriv(fs[i], lambda, 1e-12)
-		dst[i] = x
-		sum += x
+		if known == nil || math.IsNaN(known[i]) {
+			dst[i] = utility.InverseDeriv(fs[i], lambda, 1e-12)
+		} else {
+			dst[i] = known[i]
+		}
+		sum += dst[i]
 	}
 	kept := p.active[:0]
 	if sum > p.budget {
@@ -250,7 +248,7 @@ func (p *search) probe(lambda float64) bool {
 // reports false if it gave up past λ = 1e18, with dst holding the
 // amounts there.
 func (p *search) bracketUp(lambda, step float64) bool {
-	for p.probe(lambda) {
+	for p.probe(lambda, nil) {
 		if lambda > 1e18 {
 			p.hi = lambda
 			return false
@@ -260,17 +258,17 @@ func (p *search) bracketUp(lambda, step float64) bool {
 	return true
 }
 
-// bracketAround is the warm bracket: probe the hint, then step away from
-// it, the step doubling from hint/64 (never 0), until a probe lands past
-// the root, or below the hint the gap is within tol or the step reaches
-// the hint (lo stays 0).
-func (p *search) bracketAround(hint, tol float64) bool {
+// bracketAround is the warm bracket: probe the hint (taking the amounts
+// in known there), then step away from it, the step doubling from
+// hint/64 (never 0), until a probe lands past the root, or below the
+// hint the gap is within tol or the step reaches the hint (lo stays 0).
+func (p *search) bracketAround(hint, tol float64, known []float64) bool {
 	step := max(hint/64, math.SmallestNonzeroFloat64)
-	if p.probe(hint) {
+	if p.probe(hint, known) {
 		return p.bracketUp(hint+step, 2*step)
 	}
 	for ; p.budget-p.sHi > tol && step < hint; step *= 2 {
-		if p.probe(hint - step) {
+		if p.probe(hint-step, nil) {
 			break
 		}
 	}
@@ -281,12 +279,13 @@ func (p *search) bracketAround(hint, tol float64) bool {
 // hi−lo ≤ 1e-15·(1+hi), the cold stop rule.
 //
 // Probes sit on a grid: the bisection tree of the initial bracket, one
-// level below the deepest level whose cells all fail the stop rule.
-// Bisection visits every level down to there, and as S is monotone its
-// cell there is the one grid cell where S crosses the budget; so the
-// last bisection steps finish a one-cell bracket exactly as bisection
-// does, and the cold answer (down to which threads a jump of S leaves
-// the leftover to) is the bisection's whatever the step rule, which is:
+// level below the deepest level whose cells all fail the stop rule. The
+// search so ends in the bisection's final cell, and the cold answer is
+// the bisection's, plateau threads included, up to the rounding of the
+// pruned sums. A step other than a pair's second probe bisects when the
+// bracket is over half what it was two steps back, which holds the
+// probes to four times the bisection's (DESIGN.md, "Pruned λ-search",
+// has both arguments). The step rule:
 //   - until a probe lands over budget, divide λ by 16;
 //   - unless two steps failed to halve the bracket: if the thread that
 //     drops most across it is linear across its drop, S jumps at its
@@ -315,9 +314,9 @@ func (p *search) refine(tol float64) {
 	if tol > 0 {
 		target -= tol / 2
 	}
-	side, repeat := 0, false  // the end the last probe moved (+1 lo, -1 hi); whether the one before moved it too
-	width := [2]int64{jh, jh} // bracket widths two and one steps back
-	next := int64(-1)         // the far side of the last breakpoint probe
+	side, repeat := 0, false          // the end the last probe moved (+1 lo, -1 hi); whether the one before moved it too
+	width := [2]int64{2 * jh, 2 * jh} // bracket widths two and one steps back
+	next := int64(-1)                 // the far side of the last breakpoint probe
 	for jh-jl > 1 && p.budget-p.sHi > tol {
 		stalled := 2*(jh-jl) > width[0]
 		width[0], width[1] = width[1], jh-jl
@@ -359,7 +358,7 @@ func (p *search) refine(tol float64) {
 			j = min(max(int64(math.Round((lambda-base)/w)), jl+1), jh-1)
 		}
 		s := -1
-		if p.probe(at(j)) {
+		if p.probe(at(j), nil) {
 			jl, s = j, +1
 		} else {
 			jh = j
@@ -372,7 +371,7 @@ func (p *search) refine(tol float64) {
 		}
 	}
 	for p.budget-p.sHi > tol && p.hi-p.lo > 1e-15*(1+p.hi) {
-		p.probe(0.5 * (p.lo + p.hi))
+		p.probe(0.5*(p.lo+p.hi), nil)
 	}
 }
 

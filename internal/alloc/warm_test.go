@@ -19,7 +19,7 @@ import (
 // index-order sum.
 func concaveWarm(t *testing.T, fs []utility.Func, budget, hint float64) alloc.Result {
 	t.Helper()
-	res, vals := alloc.ConcaveValuesWith(new(alloc.Scratch), nil, nil, fs, budget, hint)
+	res, vals := alloc.ConcaveValuesWith(new(alloc.Scratch), nil, nil, fs, budget, hint, nil)
 	sum := 0.0
 	for i, f := range fs {
 		if v := f.Value(res.Alloc[i]); vals[i] != v {
@@ -120,4 +120,60 @@ func capSum(fs []utility.Func) float64 {
 		s += f.Cap()
 	}
 	return s
+}
+
+// countedFunc counts the InverseDeriv calls made on one curve.
+type countedFunc struct {
+	utility.Func
+	n *int
+}
+
+func (c countedFunc) InverseDeriv(lambda float64) float64 {
+	*c.n++
+	return utility.InverseDeriv(c.Func, lambda, 1e-12)
+}
+
+func TestConcaveWarmKnownAmounts(t *testing.T) {
+	// A warm start from a cached solve passes that solve's allocation
+	// as the amounts at the hint, NaN for the threads it did not cover.
+	// The answer must stay feasible and match the cold one, and the
+	// first probe must not evaluate a covered thread.
+	oneProbe := 0
+	corpusThreads(t, func(label string, fs []utility.Func, c float64) {
+		for _, budget := range budgets(fs) {
+			prev := alloc.Concave(fs, budget)
+			if prev.Iterations == 0 || len(fs) < 2 {
+				continue
+			}
+			known := append([]float64(nil), prev.Alloc...)
+			known[0] = math.NaN()
+			last := len(fs) - 1
+			calls := make([]int, len(fs))
+			counted := make([]utility.Func, len(fs))
+			for i, f := range fs {
+				counted[i] = countedFunc{Func: f, n: &calls[i]}
+			}
+			for _, b := range []float64{budget, 0.97 * budget} { // the same budget, then drift
+				clear(calls)
+				res, _ := alloc.ConcaveValuesWith(new(alloc.Scratch), nil, nil, counted, b, prev.Lambda, known)
+				if err := check.Allocation(fs, res.Alloc, b, 0); err != nil {
+					t.Fatalf("%s budget %v: infeasible: %v", label, b, err)
+				}
+				cold := alloc.Concave(fs, b)
+				if tol := 1e-6 * (1 + math.Abs(cold.Total)); math.Abs(res.Total-cold.Total) > tol {
+					t.Fatalf("%s budget %v: warm total %v vs cold %v", label, b, res.Total, cold.Total)
+				}
+				if res.Iterations == 1 {
+					oneProbe++
+					if calls[0] != 1 || calls[last] != 0 {
+						t.Fatalf("%s budget %v: one probe made %d and %d calls on an uncovered and a covered thread, want 1 and 0",
+							label, b, calls[0], calls[last])
+					}
+				}
+			}
+		}
+	})
+	if oneProbe == 0 {
+		t.Fatal("no warm solve finished in one probe")
+	}
 }

@@ -150,6 +150,11 @@ type Entry struct {
 	// λ-search; > 0 is the precondition for warm-starting from this
 	// entry.
 	Lambda float64
+	// CHat is the populating solve's super-optimal allocation ĉ in
+	// canonical thread order (nil for backends that do not produce one).
+	// A warm start's first λ probe, at Lambda, takes the shared threads'
+	// amounts from it instead of evaluating them.
+	CHat []float64
 	// Backend is the canonical backend name that produced the entry.
 	Backend string
 }

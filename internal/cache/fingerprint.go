@@ -7,7 +7,10 @@ import (
 	"hash/fnv"
 	"io"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
+	"sync"
 
 	"aa/internal/check"
 )
@@ -46,7 +49,7 @@ func (k Key) String() string { return hex.EncodeToString(k[:]) }
 // bound far below any realistic corpus, and adversarially engineered
 // collisions are outside the threat model of an in-process cache. The
 // shared relay tier, where keys do cross trust boundaries, uses the
-// keyed variant (CanonicalizeKeyed / hash128Keyed — see DESIGN.md §15).
+// keyed variant (CanonicalizeKeyed / mixer — see DESIGN.md §15).
 type ThreadHash [16]byte
 
 // mix64 is the SplitMix64 finalizer — a full-avalanche 64-bit permutation.
@@ -56,26 +59,38 @@ func mix64(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// hash128Keyed digests b into two 64-bit lanes. The absorb round is one
-// rotate-multiply per lane per word — canonicalization hashes every
-// thread on every cache lookup, so the round must stay a handful of
-// cycles — with full mix64 avalanche deferred to the finalizer. The
-// tail is zero-padded and the exact length folded in at the end, so a
-// short encoding cannot alias a zero-extended one. A collision requires
-// both independently-keyed lanes to collide on the same input pair.
+// mixer is the keyed thread-hash function: hash128 digests b into two
+// 64-bit lanes. The absorb round is one rotate-multiply per lane per
+// word — canonicalization hashes every thread on every cache lookup, so
+// the round must stay a handful of cycles — with full mix64 avalanche
+// deferred to the finalizer. The tail is zero-padded and the exact
+// length folded in at the end, so a short encoding cannot alias a
+// zero-extended one. A collision requires both independently-keyed
+// lanes to collide on the same input pair.
 //
 // The key perturbs both lane seeds and both finalizer foldings through
-// mix64, so every key selects an unrelated hash family. mix64(0) == 0
-// makes the zero key the identity perturbation: hash128Keyed(b, &zero)
-// is exactly the historical unkeyed hash, pinned by golden tests so
-// ModeMemory fingerprints survive across releases.
-func hash128Keyed(b []byte, k *HashKey) (hi, lo uint64) {
+// mix64, so every key selects an unrelated hash family; newMixer derives
+// those four words once per canonicalization, not once per thread.
+// mix64(0) == 0 makes the zero key the identity perturbation: the zero
+// key's mixer is exactly the historical unkeyed hash, pinned by golden
+// tests so ModeMemory fingerprints survive across releases.
+type mixer struct{ seed1, seed2, fold1, fold2 uint64 }
+
+func newMixer(k *HashKey) mixer {
+	return mixer{
+		seed1: 0x8A5CD789635D2DFF ^ mix64(k[0]),
+		seed2: 0x121FD2155C472F96 + mix64(k[1]),
+		fold1: mix64(k[2]),
+		fold2: mix64(k[3]),
+	}
+}
+
+func (m *mixer) hash128(b []byte) (hi, lo uint64) {
 	const (
 		golden = 0x9E3779B97F4A7C15
 		prime2 = 0xC2B2AE3D27D4EB4F
 	)
-	h1 := uint64(0x8A5CD789635D2DFF) ^ mix64(k[0])
-	h2 := uint64(0x121FD2155C472F96) + mix64(k[1])
+	h1, h2 := m.seed1, m.seed2
 	n := uint64(len(b))
 	for len(b) >= 8 {
 		w := binary.LittleEndian.Uint64(b)
@@ -94,8 +109,8 @@ func hash128Keyed(b []byte, k *HashKey) (hi, lo uint64) {
 		h2 = (h2 + w) * prime2
 		h2 = h2<<33 | h2>>31
 	}
-	h1 = mix64(h1 ^ n ^ mix64(k[2]))
-	h2 = mix64(h2 + n*golden + mix64(k[3]))
+	h1 = mix64(h1 ^ n ^ m.fold1)
+	h2 = mix64(h2 + n*golden + m.fold2)
 	return mix64(h1 + h2), mix64(h1 ^ (h2<<1 | h2>>63))
 }
 
@@ -110,7 +125,7 @@ type threadKey struct {
 // original index as the final tiebreak — so duplicate curves keep
 // ascending original indices, which is what pairs the i-th occurrence
 // in one instance with the i-th in another.
-func threadKeyLess(a, b threadKey) bool {
+func threadKeyLess(a, b *threadKey) bool {
 	if a.hi != b.hi {
 		return a.hi < b.hi
 	}
@@ -120,55 +135,72 @@ func threadKeyLess(a, b threadKey) bool {
 	return a.idx < b.idx
 }
 
-// sortThreadKeys sorts keys in the canonical order. Large inputs take
-// an LSD radix sort over the hi lane — comparison sorts cost more than
-// the Assign2 solve itself at n=10⁴ — with a cleanup pass over the
-// (vanishingly rare) equal-hi runs; small inputs just use sort.Slice.
-func sortThreadKeys(keys []threadKey) {
+// sortKeysSlice sorts keys by threadKeyLess with a comparison sort.
+func sortKeysSlice(keys []threadKey) {
+	sort.Slice(keys, func(i, j int) bool { return threadKeyLess(&keys[i], &keys[j]) })
+}
+
+// keyScratch holds one canonicalization's per-thread keys and the
+// buffers that sort them, pooled so a cache lookup allocates only the
+// Canonical it returns.
+type keyScratch struct {
+	keys, sorted []threadKey
+	counts       []int32
+}
+
+var keyScratchPool = sync.Pool{New: func() any { return new(keyScratch) }}
+
+// getKeyScratch borrows a keyScratch with keys sized for n threads.
+func getKeyScratch(n int) *keyScratch {
+	ks := keyScratchPool.Get().(*keyScratch)
+	ks.keys = slices.Grow(ks.keys[:0], n)[:n]
+	return ks
+}
+
+// order returns ks.keys in the canonical order. Thread hashes are
+// uniform, so large inputs take one stable counting pass over the top
+// bits of the hi lane into between n and 2n buckets — comparison sorts
+// cost more than the Assign2 solve itself at n=10⁴ — and then one
+// insertion pass, which only ever moves a key within its bucket
+// (nearly always zero to three keys). An input with a bucket over 16
+// keys (built to share hash prefixes) takes a comparison sort instead,
+// so the worst case stays O(n log n).
+func (ks *keyScratch) order() []threadKey {
+	keys := ks.keys
 	if len(keys) < 256 {
-		sort.Slice(keys, func(i, j int) bool { return threadKeyLess(keys[i], keys[j]) })
-		return
+		sortKeysSlice(keys)
+		return keys
 	}
-	scratch := make([]threadKey, len(keys))
-	src, dst := keys, scratch
-	var counts [256]int32
-	for pass := 0; pass < 8; pass++ {
-		shift := uint(8 * pass)
-		for i := range counts {
-			counts[i] = 0
-		}
-		for _, k := range src {
-			counts[(k.hi>>shift)&0xFF]++
-		}
-		var sum int32
-		for d := range counts {
-			n := counts[d]
-			counts[d] = sum
-			sum += n
-		}
-		for _, k := range src {
-			d := (k.hi >> shift) & 0xFF
-			dst[counts[d]] = k
-			counts[d]++
-		}
-		src, dst = dst, src
+	b := bits.Len(uint(len(keys)))
+	shift := uint(64 - b)
+	ks.counts = slices.Grow(ks.counts[:0], 1<<b+1)[:1<<b+1]
+	counts := ks.counts
+	clear(counts)
+	for _, k := range keys {
+		counts[k.hi>>shift+1]++
 	}
-	// Eight stable passes land the result back in keys, ordered by hi
-	// with equal-hi runs still in input (ascending idx) order. Finish
-	// those runs with the full comparison — for 128-bit hashes a run
-	// longer than one element is a 64-bit collision, so this pass is
-	// effectively a single scan.
-	for start := 0; start < len(keys); {
-		end := start + 1
-		for end < len(keys) && keys[end].hi == keys[start].hi {
-			end++
-		}
-		if end-start > 1 {
-			run := keys[start:end]
-			sort.SliceStable(run, func(i, j int) bool { return threadKeyLess(run[i], run[j]) })
-		}
-		start = end
+	largest := int32(0)
+	for d := 1; d < len(counts); d++ {
+		largest = max(largest, counts[d])
+		counts[d] += counts[d-1]
 	}
+	if largest > 16 {
+		sortKeysSlice(keys)
+		return keys
+	}
+	out := slices.Grow(ks.sorted[:0], len(keys))[:len(keys)]
+	ks.sorted = out
+	for _, k := range keys {
+		d := k.hi >> shift
+		out[counts[d]] = k
+		counts[d]++
+	}
+	for i := 1; i < len(out); i++ {
+		for j := i; j > 0 && threadKeyLess(&out[j], &out[j-1]); j-- {
+			out[j], out[j-1] = out[j-1], out[j]
+		}
+	}
+	return out
 }
 
 // Canonical is an instance normalized for fingerprinting: per-thread
@@ -216,16 +248,17 @@ func (c *Canonical) FromCanonical(server []int, alloc []float64, cs []int, ca []
 	}
 }
 
-// fromKeys builds the canonical form from per-thread keys in thread
-// order, sorting keys in place.
-func fromKeys(m int, capacity float64, keys []threadKey, version byte) *Canonical {
-	sortThreadKeys(keys)
+// fromKeys builds the canonical form from the per-thread keys in ks
+// (thread order) and returns ks to its pool.
+func fromKeys(m int, capacity float64, ks *keyScratch, version byte) *Canonical {
+	keys := ks.order()
 	c := &Canonical{M: m, C: capacity, Hashes: make([]ThreadHash, len(keys)), Perm: make([]int, len(keys)), version: version}
 	for k, tk := range keys {
 		binary.BigEndian.PutUint64(c.Hashes[k][0:8], tk.hi)
 		binary.BigEndian.PutUint64(c.Hashes[k][8:16], tk.lo)
 		c.Perm[k] = int(tk.idx)
 	}
+	keyScratchPool.Put(ks)
 	return c
 }
 
@@ -248,8 +281,16 @@ func (c *Canonical) Fingerprint() Fingerprint {
 	h.Write(buf[:])
 	binary.LittleEndian.PutUint64(buf[:], uint64(len(c.Hashes)))
 	h.Write(buf[:])
-	for i := range c.Hashes {
-		h.Write(c.Hashes[i][:])
+	// Hash the thread hashes 4 KiB at a time: one Write per thread
+	// costs more in call overhead than the digest rounds.
+	var chunk [4096]byte
+	for rest := c.Hashes; len(rest) > 0; {
+		k := min(len(rest), len(chunk)/len(ThreadHash{}))
+		for i := range rest[:k] {
+			copy(chunk[16*i:], rest[i][:])
+		}
+		h.Write(chunk[:16*k])
+		rest = rest[k:]
 	}
 	var fp Fingerprint
 	h.Sum(fp[:0])
@@ -321,27 +362,36 @@ func cmpHash(a, b *ThreadHash) int {
 
 // Diff walks two canonical forms and pairs up their shared threads: it
 // returns the matched canonical position pairs ([2]int{position in a,
-// position in b}) and the unmatched positions on each side. Both hash
-// slices are sorted, so the walk is a deterministic O(n) merge; runs of
-// duplicate hashes match pairwise in order, which (with the stable sort
-// in fromKeys) pairs the i-th occurrence in a with the i-th in b.
+// position in b}) and the unmatched positions on each side (see Match).
 func Diff(a, b *Canonical) (matched [][2]int, onlyA, onlyB []int) {
 	// Near-misses match almost everything: size matched for the full
-	// overlap up front so the hot loop never regrows it.
+	// overlap up front so the walk never regrows it.
 	if cap := min(len(a.Hashes), len(b.Hashes)); cap > 0 {
 		matched = make([][2]int, 0, cap)
 	}
+	onlyA, onlyB = Match(a, b, func(i, j int) { matched = append(matched, [2]int{i, j}) })
+	return matched, onlyA, onlyB
+}
+
+// Match walks two canonical forms, calls pair(i, j) for each shared
+// thread (position i in a, j in b, in increasing order) and returns the
+// unmatched positions on each side. Both hash slices are sorted, so the
+// walk is a deterministic O(n) merge; runs of duplicate hashes match
+// pairwise in order, which (with the stable sort in fromKeys) pairs the
+// i-th occurrence in a with the i-th in b.
+func Match(a, b *Canonical, pair func(i, j int)) (onlyA, onlyB []int) {
 	i, j := 0, 0
 	for i < len(a.Hashes) && j < len(b.Hashes) {
-		switch c := cmpHash(&a.Hashes[i], &b.Hashes[j]); {
-		case c == 0:
-			matched = append(matched, [2]int{i, j})
+		if a.Hashes[i] == b.Hashes[j] { // near-misses: nearly every step
+			pair(i, j)
 			i++
 			j++
-		case c < 0:
+			continue
+		}
+		if cmpHash(&a.Hashes[i], &b.Hashes[j]) < 0 {
 			onlyA = append(onlyA, i)
 			i++
-		default:
+		} else {
 			onlyB = append(onlyB, j)
 			j++
 		}
@@ -352,5 +402,5 @@ func Diff(a, b *Canonical) (matched [][2]int, onlyA, onlyB []int) {
 	for ; j < len(b.Hashes); j++ {
 		onlyB = append(onlyB, j)
 	}
-	return matched, onlyA, onlyB
+	return onlyA, onlyB
 }

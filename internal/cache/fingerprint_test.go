@@ -3,6 +3,7 @@ package cache
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"aa/internal/core"
@@ -365,5 +366,43 @@ func TestCanonicalizeLargeRadixPath(t *testing.T) {
 	}
 	if got := mustCanon(t, inst(8, c, shuffled...)).Fingerprint(); got != fp {
 		t.Fatalf("large shuffled instance fingerprints differently:\n%s\n%s", got, fp)
+	}
+}
+
+// TestSortThreadKeysMatchesComparisonSort checks the bucketed sort
+// against slices.SortFunc on uniform hashes, on keys that share the top
+// hash bits (every key in one bucket: the comparison-sort fallback) and on
+// small buckets full of equal hi lanes (the insertion pass, with the
+// lo lane and the original index deciding).
+func TestSortThreadKeysMatchesComparisonSort(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for _, tc := range []struct {
+		name string
+		hi   func(i int) uint64
+	}{
+		{"uniform", func(int) uint64 { return r.Uint64() }},
+		{"shared-prefix", func(int) uint64 { return r.Uint64() >> 40 }},
+		{"equal-hi-runs", func(i int) uint64 { return uint64(i%97) << 50 }},
+	} {
+		for _, n := range []int{255, 256, 1000, 5000} {
+			ks := getKeyScratch(n)
+			for i := range ks.keys {
+				ks.keys[i] = threadKey{hi: tc.hi(i), lo: uint64(r.Intn(3)), idx: int32(i)}
+			}
+			want := slices.Clone(ks.keys)
+			slices.SortFunc(want, func(a, b threadKey) int {
+				switch {
+				case threadKeyLess(&a, &b):
+					return -1
+				case threadKeyLess(&b, &a):
+					return 1
+				}
+				return 0
+			})
+			if got := ks.order(); !slices.Equal(got, want) {
+				t.Fatalf("%s n=%d: bucketed sort differs from the comparison sort", tc.name, n)
+			}
+			keyScratchPool.Put(ks)
+		}
 	}
 }

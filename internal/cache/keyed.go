@@ -74,22 +74,24 @@ func RandomKey() HashKey {
 // stable instio encoding; such instances are simply uncacheable and the
 // engine solves them directly.
 func CanonicalizeKeyed(in *core.Instance, key HashKey) (*Canonical, error) {
-	keys := make([]threadKey, in.N())
+	ks := getKeyScratch(in.N())
+	mx := newMixer(&key)
 	var buf []byte
 	for i, f := range in.Threads {
 		var err error
 		buf, err = instio.AppendThreadBinary(buf[:0], f)
 		if err != nil {
+			keyScratchPool.Put(ks)
 			return nil, fmt.Errorf("cache: thread %d: %w", i, err)
 		}
-		hi, lo := hash128Keyed(buf, &key)
-		keys[i] = threadKey{hi: hi, lo: lo, idx: int32(i)}
+		hi, lo := mx.hash128(buf)
+		ks.keys[i] = threadKey{hi: hi, lo: lo, idx: int32(i)}
 	}
 	version := byte(fingerprintVersion)
 	if !key.IsZero() {
 		version = fingerprintVersionKeyed
 	}
-	return fromKeys(in.M, in.C, keys, version), nil
+	return fromKeys(in.M, in.C, ks, version), nil
 }
 
 // CanonicalizeWire is the relay's canonical form, read off a /solve body
@@ -105,10 +107,11 @@ func CanonicalizeWire(body []byte, key HashKey) (*Canonical, error) {
 	if err != nil {
 		return nil, err
 	}
-	keys := make([]threadKey, len(w.Threads))
+	ks := getKeyScratch(len(w.Threads))
+	mx := newMixer(&key)
 	for i, th := range w.Threads {
-		hi, lo := hash128Keyed(th, &key)
-		keys[i] = threadKey{hi: hi, lo: lo, idx: int32(i)}
+		hi, lo := mx.hash128(th)
+		ks.keys[i] = threadKey{hi: hi, lo: lo, idx: int32(i)}
 	}
-	return fromKeys(w.M, w.C, keys, fingerprintVersionWire), nil
+	return fromKeys(w.M, w.C, ks, fingerprintVersionWire), nil
 }

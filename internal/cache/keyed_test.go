@@ -23,10 +23,11 @@ func TestHash128GoldenUnkeyed(t *testing.T) {
 		{"abcdefgh", 0x8A6BB9515EBCD3C3, 0x1A637C49CEF724A7},
 		{"the quick brown fox jumps over the lazy dog", 0x2A0172BC7D45DDC8, 0x185B312A64B5614F},
 	}
+	mx := newMixer(&HashKey{})
 	for _, g := range golden {
-		hi, lo := hash128Keyed([]byte(g.in), &HashKey{})
+		hi, lo := mx.hash128([]byte(g.in))
 		if hi != g.hi || lo != g.lo {
-			t.Errorf("hash128Keyed(%q, zero) = %016X %016X, want %016X %016X", g.in, hi, lo, g.hi, g.lo)
+			t.Errorf("hash128(%q, zero key) = %016X %016X, want %016X %016X", g.in, hi, lo, g.hi, g.lo)
 		}
 	}
 }
@@ -49,10 +50,11 @@ func TestHash128GoldenKeyed(t *testing.T) {
 		{"abcdefgh", 0xB0FFC466116ED6E9, 0xD64BA4048DD11308},
 		{"the quick brown fox jumps over the lazy dog", 0x474EC9A437919B33, 0x2DD8B98B486CC565},
 	}
+	mx := newMixer(&k)
 	for _, g := range golden {
-		hi, lo := hash128Keyed([]byte(g.in), &k)
+		hi, lo := mx.hash128([]byte(g.in))
 		if hi != g.hi || lo != g.lo {
-			t.Errorf("hash128Keyed(%q) = %016X %016X, want %016X %016X", g.in, hi, lo, g.hi, g.lo)
+			t.Errorf("hash128(%q) = %016X %016X, want %016X %016X", g.in, hi, lo, g.hi, g.lo)
 		}
 	}
 }
@@ -72,7 +74,8 @@ func TestCanonicalizeKeyedZeroKeyMatchesUnkeyed(t *testing.T) {
 			t.Fatal(err)
 		}
 		var want ThreadHash
-		hi, lo := hash128Keyed(b, &HashKey{})
+		mx := newMixer(&HashKey{})
+		hi, lo := mx.hash128(b)
 		binary.BigEndian.PutUint64(want[:8], hi)
 		binary.BigEndian.PutUint64(want[8:], lo)
 		if c.Hashes[k] != want {

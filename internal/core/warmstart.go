@@ -11,22 +11,30 @@ import (
 // the cached placement for every thread the two instances share, with
 // Server[i] = -1 marking threads the cached solve does not cover (the
 // added or changed ones the repair pass must place from scratch).
+// CHat, when non-nil, holds the cached solve's super-optimal allocation
+// ĉ for every shared thread and NaN for the others: the warm λ-search's
+// first probe, at Lambda, takes those amounts instead of evaluating the
+// shared threads.
 type WarmSeed struct {
 	Lambda float64
 	Server []int
 	Alloc  []float64
+	CHat   []float64
 }
 
 // SuperOptimalWarm is SuperOptimal with the λ-search warm-started from a
 // previous solve's price (alloc.ConcaveValuesWith): its bracket starts
 // at that price and stops at a budget-gap tolerance, so a few probes do
-// when the instance changed by only a few threads. The returned bound is a valid F̂ for ratio checks — the
+// when the instance changed by only a few threads. hintAlloc, when
+// non-nil, holds the previous solve's ĉ_i for the threads it covered
+// (NaN elsewhere), which the first probe takes instead of evaluating
+// them. The returned bound is a valid F̂ for ratio checks — the
 // warm allocation is feasible for the pooled relaxation, so its total
 // can only undershoot the exact relaxation optimum, making α-checks
 // against it conservative. The returned SuperOpt aliases workspace
 // buffers, like SuperOptimal.
-func (w *Workspace) SuperOptimalWarm(in *Instance, lambdaHint float64) SuperOpt {
-	return w.superOptimal(in.Threads, in.C, float64(in.M)*in.C, lambdaHint, true)
+func (w *Workspace) SuperOptimalWarm(in *Instance, lambdaHint float64, hintAlloc []float64) SuperOpt {
+	return w.superOptimal(in.Threads, in.C, float64(in.M)*in.C, lambdaHint, hintAlloc)
 }
 
 // Assign2Warm repairs a cached Algorithm 2 assignment for an instance
@@ -42,7 +50,7 @@ func (w *Workspace) SuperOptimalWarm(in *Instance, lambdaHint float64) SuperOpt 
 // middleware) must verify check.Feasible and the ratio bound against the
 // returned F̂ and fall back to a cold solve when either trips.
 func (w *Workspace) Assign2Warm(in *Instance, seed WarmSeed, out *Assignment) SuperOpt {
-	so := w.SuperOptimalWarm(in, seed.Lambda)
+	so := w.SuperOptimalWarm(in, seed.Lambda, seed.CHat)
 	gs := w.Linearize(in, so)
 
 	sp := stageAssign2Warm.StartIn(w.span)

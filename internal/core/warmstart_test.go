@@ -68,7 +68,7 @@ func TestSuperOptimalWarmMatchesColdBound(t *testing.T) {
 		}
 		cold := core.SuperOptimal(in)
 		w := core.GetWorkspace()
-		warm := w.SuperOptimalWarm(in, cold.Lambda)
+		warm := w.SuperOptimalWarm(in, cold.Lambda, nil)
 		tol := 1e-6 * (1 + math.Abs(cold.Total))
 		if math.Abs(warm.Total-cold.Total) > tol {
 			t.Fatalf("%s: warm F̂ %v vs cold %v", wl.Name, warm.Total, cold.Total)

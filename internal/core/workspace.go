@@ -92,16 +92,18 @@ func (w *Workspace) capFuncs(threads []utility.Func, c float64) []utility.Func {
 // methods (cold, warm and AssignCapacities) funnel here, so their
 // numerics are identical by construction. budget is the pooled capacity
 // (m·C for a homogeneous instance). lambdaHint > 0 warm-starts the
-// λ-search (see alloc.ConcaveValuesWith); warm selects the warm stage.
+// λ-search, with hintAlloc the amounts it may take at the hint (see
+// alloc.ConcaveValuesWith), and selects the warm stage.
 // One alloc pass yields both the per-thread values and F̂, their
 // index-order sum.
-func superOptimalWith(fs []utility.Func, sc *alloc.Scratch, allocDst, valueDst []float64, budget, lambdaHint float64, warm bool, parent telemetry.SpanContext) SuperOpt {
+func superOptimalWith(fs []utility.Func, sc *alloc.Scratch, allocDst, valueDst []float64, budget, lambdaHint float64, hintAlloc []float64, parent telemetry.SpanContext) SuperOpt {
+	warm := lambdaHint > 0
 	stage := stageSuperOpt
 	if warm {
 		stage = stageSuperOptWarm
 	}
 	sp := stage.StartIn(parent)
-	res, vals := alloc.ConcaveValuesWith(sc, allocDst, valueDst, fs, budget, lambdaHint)
+	res, vals := alloc.ConcaveValuesWith(sc, allocDst, valueDst, fs, budget, lambdaHint, hintAlloc)
 	if telemetry.Enabled() {
 		if !warm {
 			metricSuperOptCalls.Inc()
@@ -116,13 +118,13 @@ func superOptimalWith(fs []utility.Func, sc *alloc.Scratch, allocDst, valueDst [
 // SuperOptimal is the workspace variant of the package-level SuperOptimal;
 // the returned SuperOpt aliases workspace buffers.
 func (w *Workspace) SuperOptimal(in *Instance) SuperOpt {
-	return w.superOptimal(in.Threads, in.C, float64(in.M)*in.C, 0, false)
+	return w.superOptimal(in.Threads, in.C, float64(in.M)*in.C, 0, nil)
 }
 
 // superOptimal runs superOptimalWith on the workspace's buffers and keeps
 // them for the next call.
-func (w *Workspace) superOptimal(threads []utility.Func, c, budget, lambdaHint float64, warm bool) SuperOpt {
-	so := superOptimalWith(w.capFuncs(threads, c), &w.allocSc, w.soAlloc, w.soValue, budget, lambdaHint, warm, w.span)
+func (w *Workspace) superOptimal(threads []utility.Func, c, budget, lambdaHint float64, hintAlloc []float64) SuperOpt {
+	so := superOptimalWith(w.capFuncs(threads, c), &w.allocSc, w.soAlloc, w.soValue, budget, lambdaHint, hintAlloc, w.span)
 	w.soAlloc, w.soValue = so.Alloc, so.Value
 	return so
 }
@@ -153,7 +155,7 @@ func (w *Workspace) linearize(so SuperOpt, c float64) []Linearized {
 // assignment into out and returns the relaxation it linearized, which
 // aliases the workspace.
 func (w *Workspace) AssignCapacities(threads []utility.Func, caps []float64, c, budget float64, out *Assignment) SuperOpt {
-	so := w.superOptimal(threads, c, budget, 0, false)
+	so := w.superOptimal(threads, c, budget, 0, nil)
 	w.assign2(w.linearize(so, c), caps, out)
 	return so
 }

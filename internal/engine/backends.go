@@ -116,6 +116,9 @@ func solveLinearized(ctx ctxT, req *Request, resp *Response, algo1 bool) error {
 	}
 	resp.Bound = so.Total
 	resp.Lambda = so.Lambda
+	if req.keepCHat {
+		resp.CHat = append(resp.CHat[:0], so.Alloc...)
+	}
 	finishUtility(req, resp)
 	return nil
 }

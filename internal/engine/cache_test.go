@@ -223,6 +223,21 @@ func TestCacheWarmStart(t *testing.T) {
 	if err := rep.ProbeAlpha(0); err != nil {
 		t.Fatalf("warm response below α against its own bound: %v (ratio %v)", err, rep.Ratio)
 	}
+	// Both entries, the cold one and the warm one, keep their ĉ for the
+	// next warm start's first probe.
+	canon, err := cache.CanonicalizeKeyed(churned, c.HashKey())
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := c.Candidates(canon.GroupKey("assign2"), nil)
+	for _, e := range entries {
+		if len(e.CHat) != len(e.Server) {
+			t.Fatalf("entry keeps %d ĉ values for %d threads", len(e.CHat), len(e.Server))
+		}
+	}
+	if len(entries) != 2 || len(warm.CHat) != churned.N() {
+		t.Fatalf("%d entries, warm response ĉ of length %d for %d threads", len(entries), len(warm.CHat), churned.N())
+	}
 
 	// The warm result was stored under its own key: re-solving the
 	// churned instance is now an exact hit, byte-identical.

@@ -3,6 +3,8 @@ package engine
 import (
 	"context"
 	"math"
+	"slices"
+	"sync"
 
 	"aa/internal/cache"
 	"aa/internal/check"
@@ -70,6 +72,7 @@ func cacheSolve(ctx context.Context, c cache.Cache, warmK int, next Handler, req
 			return "warm", nil
 		}
 	}
+	req.keepCHat = true
 	if err := next(ctx, req, resp); err != nil {
 		return "miss", err
 	}
@@ -116,6 +119,12 @@ func storeEntry(c cache.Cache, canon *cache.Canonical, key cache.Key, group uint
 		Backend: resp.Backend,
 	}
 	e.Server, e.Alloc = canon.ToCanonical(resp.Assignment.Server, resp.Assignment.Alloc)
+	if len(resp.CHat) == n {
+		e.CHat = make([]float64, n)
+		for k, orig := range canon.Perm {
+			e.CHat[k] = resp.CHat[orig]
+		}
+	}
 	c.Put(key, group, e)
 }
 
@@ -132,30 +141,28 @@ func warmSolve(ctx context.Context, c cache.Cache, canon *cache.Canonical, key c
 		if d := len(e.Canon.Hashes) - n; d > warmK || d < -warmK {
 			continue
 		}
-		matched, onlyA, onlyB := cache.Diff(e.Canon, canon)
-		if len(onlyA) > warmK || len(onlyB) > warmK {
-			continue
-		}
 		// Remap the cached placements onto the request's thread order;
 		// unmatched threads stay -1 for the repair pass to place.
-		seed := core.WarmSeed{
-			Lambda: e.Lambda,
-			Server: make([]int, n),
-			Alloc:  make([]float64, n),
-		}
-		for i := range seed.Server {
-			seed.Server[i] = -1
-		}
-		for _, pr := range matched {
-			orig := canon.Perm[pr[1]]
-			seed.Server[orig] = e.Server[pr[0]]
-			seed.Alloc[orig] = e.Alloc[pr[0]]
+		sb := seedBufPool.Get().(*seedBuf)
+		seed := sb.seed(e.Lambda, n, e.CHat != nil)
+		onlyA, onlyB := cache.Match(e.Canon, canon, func(i, j int) {
+			orig := canon.Perm[j]
+			seed.Server[orig], seed.Alloc[orig] = e.Server[i], e.Alloc[i]
+			if seed.CHat != nil {
+				seed.CHat[orig] = e.CHat[i]
+			}
+		})
+		if len(onlyA) > warmK || len(onlyB) > warmK {
+			seedBufPool.Put(sb)
+			continue
 		}
 		w := core.GetWorkspace()
 		if telemetry.TraceEnabled() {
 			w.SetSpanContext(telemetry.SpanFromContext(ctx))
 		}
 		so := w.Assign2Warm(req.Instance, seed, &resp.Assignment)
+		seedBufPool.Put(sb)
+		resp.CHat = append(resp.CHat[:0], so.Alloc...) // so aliases w
 		core.PutWorkspace(w)
 		// The repair drops Algorithm 2's worst-case guarantee, so the
 		// result must re-earn it empirically: feasibility plus the
@@ -182,4 +189,32 @@ func warmSolve(ctx context.Context, c cache.Cache, canon *cache.Canonical, key c
 		return true
 	}
 	return false
+}
+
+// seedBuf holds a warm repair's seed arrays between requests:
+// Assign2Warm reads its seed only while it runs.
+type seedBuf struct {
+	server      []int
+	alloc, chat []float64
+}
+
+var seedBufPool = sync.Pool{New: func() any { return new(seedBuf) }}
+
+// seed returns a WarmSeed for n threads on sb's arrays with every
+// thread uncovered: Server -1, and CHat (when withCHat) NaN.
+func (sb *seedBuf) seed(lambda float64, n int, withCHat bool) core.WarmSeed {
+	sb.server = slices.Grow(sb.server[:0], n)[:n]
+	sb.alloc = slices.Grow(sb.alloc[:0], n)[:n]
+	for i := range sb.server {
+		sb.server[i] = -1
+	}
+	seed := core.WarmSeed{Lambda: lambda, Server: sb.server, Alloc: sb.alloc}
+	if withCHat {
+		sb.chat = slices.Grow(sb.chat[:0], n)[:n]
+		for i := range sb.chat {
+			sb.chat[i] = math.NaN()
+		}
+		seed.CHat = sb.chat
+	}
+	return seed
 }

@@ -97,6 +97,9 @@ type Request struct {
 	// bk is the backend resolved by the engine before the chain runs,
 	// so middleware reads it without repeating the registry lookup.
 	bk *Backend
+	// keepCHat asks the backend for Response.CHat; the solve cache sets
+	// it on the misses whose response it stores.
+	keepCHat bool
 }
 
 // Response is the result of one solve. Responses are plain data the
@@ -116,6 +119,12 @@ type Response struct {
 	// backend ran one (the linearized backends), else 0. The solve cache
 	// persists it so warm-start re-solves can seed their λ-search.
 	Lambda float64
+	// CHat is the super-optimal allocation ĉ the backend linearized,
+	// filled only for the solve cache (a linearized backend's cache miss,
+	// or a warm start), else empty. The cache persists it so a later warm
+	// start's first λ probe can take the shared threads' amounts from
+	// it. Its backing array is reused across SolveInto calls.
+	CHat []float64
 	// Backend is the canonical name of the backend that produced this
 	// response.
 	Backend string
@@ -133,6 +142,7 @@ func (r *Response) prepare(backend string) {
 	r.Utility = math.NaN()
 	r.Bound = math.NaN()
 	r.Lambda = 0
+	r.CHat = r.CHat[:0]
 	r.Backend = backend
 }
 
@@ -247,7 +257,7 @@ func (e *Engine) SolveInto(ctx context.Context, req *Request, resp *Response) er
 	if req.Instance == nil {
 		return fmt.Errorf("%w: request has no instance", ErrBadRequest)
 	}
-	req.bk = bk
+	req.bk, req.keepCHat = bk, false
 	resp.prepare(bk.Name)
 	return e.handler(ctx, req, resp)
 }

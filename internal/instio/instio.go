@@ -111,11 +111,7 @@ var wireKinds = [...]string{
 	binSampled:      "sampled",
 }
 
-func appendU64(dst []byte, v uint64) []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	return append(dst, b[:]...)
-}
+func appendU64(dst []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(dst, v) }
 
 func appendF64(dst []byte, v float64) []byte { return appendU64(dst, math.Float64bits(v)) }
 
